@@ -31,12 +31,13 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
-from .root_datum import RootDatum
+from .root_datum import RootDatum, cached_datum, parse_label, split_degrees
 from .weyl import (
     WEYL_GUARD,
     ReflectionContext,
     WeylGroup,
     generate_weyl,
+    gl_weyl,
 )
 
 __all__ = [
@@ -44,14 +45,12 @@ __all__ = [
     "GarsideNF",
     "RegularBraidReport",
     "braid_relation_order",
-    "lambda_lift",
     "lambda_of_perm",
     "garside_nf",
     "pi_normal_form",
     "verify_regular_braid_identity",
     "HeckeAlgebra",
     "HeckeElement",
-    "hecke_multiply",
     "specialize",
     "hecke_poincare",
 ]
@@ -105,11 +104,6 @@ class GarsideNF:
             "delta_power": self.delta_power,
             "factors": [[i + 1 for i in f] for f in self.factors],
         }
-
-
-def lambda_lift(w) -> BraidWord:
-    """Canonical lift of a group element along any reduced word."""
-    return BraidWord(tuple(w.word))
 
 
 def lambda_of_perm(ctx: ReflectionContext, perm: tuple[int, ...]) -> BraidWord:
@@ -387,10 +381,6 @@ class HeckeElement:
         return {"coeffs": {k: words[k] for k in sorted(words)}}
 
 
-def hecke_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    return a * b
-
-
 def specialize(h: HeckeElement, x0, modulus: int | None = None) -> dict[int, object]:
     """Evaluate all coefficients at x = x0 (mod modulus if given).
 
@@ -423,11 +413,8 @@ def _degrees_from_label(label: str) -> tuple[int, ...]:
     gl = re.match(r"^GL(\d+)$", label)
     if gl:
         return tuple(range(1, int(gl.group(1)) + 1))
-    m = re.match(r"^([23]?)([A-G])(\d+)$", label)
-    if not m:
-        raise ValueError(f"unsupported type label: {label}")
-    from .generic_order import _split_degrees
-    return _split_degrees(m.group(2), int(m.group(3)))
+    _, family, n = parse_label(label)
+    return tuple(split_degrees(family, n))
 
 
 def hecke_poincare(label: str, guard: int = WEYL_GUARD) -> Laurent:
@@ -438,15 +425,10 @@ def hecke_poincare(label: str, guard: int = WEYL_GUARD) -> Laurent:
     """
     degrees = _degrees_from_label(label)
     from_product = _poincare_from_degrees(degrees)
-    order = 1
-    for d in degrees:
-        order *= d
-    if order <= guard:
+    if math.prod(degrees) <= guard:
         if label.startswith("GL"):
-            from .weyl import gl_weyl
             group = gl_weyl(int(label[2:]), guard)
         else:
-            from .root_datum import cached_datum
             group = generate_weyl(cached_datum(label), guard)
         from_enumeration = poly_from_coeffs(group.poincare_polynomial())
         check(from_product == from_enumeration,

@@ -9,8 +9,10 @@ Exit codes: 0 on success; 1 on bad input (unknown type label, invalid
 flag combination, guard overflow); 2 when an internal mathematical
 invariant is violated, which signals a bug rather than a usage error.
 
-Guard overrides come from the environment (LIELOCAL_WEYL_GUARD,
-LIELOCAL_WEIGHT_GUARD, LIELOCAL_LLT_GUARD, LIELOCAL_DEGEN_GUARD).
+Two guards read the environment: LIELOCAL_LLT_GUARD and
+LIELOCAL_DEGEN_GUARD.  The Weyl guard (10^6 elements) and the weight guard
+(10^7 restricted weights) are fixed here; the Python API takes them as
+``guard`` arguments.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvariantError
+from .linalg import rref
 
 IntPoly = list[int]
 
@@ -150,7 +151,11 @@ def factor_into_cyclotomics(poly: Sequence[int], candidates: Sequence[int]) -> d
 
 class CycloField:
     """Exact arithmetic in K = Q[t]/(Phi_d).  Elements are tuples of
-    Fractions of length phi(d) (coefficients of 1, t, ..., t^(phi(d)-1))."""
+    Fractions of length phi(d) (coefficients of 1, t, ..., t^(phi(d)-1)).
+    The row members (``coerce``, ``nonzero``, ``scale_row``, ``sub_row``)
+    make it a field object for :func:`lielocal.linalg.rref`."""
+
+    nonzero = staticmethod(any)
 
     def __init__(self, d: int):
         self.d = d
@@ -214,6 +219,16 @@ class CycloField:
         c = r0[0]
         return self.reduce([x / c for x in s0])
 
+    def coerce(self, row) -> list[tuple[Fraction, ...]]:
+        return list(row)
+
+    def scale_row(self, c, row):
+        return [self.mul(c, x) for x in row]
+
+    def sub_row(self, row, c, pivot):
+        """row - c * pivot."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(row, pivot)]
+
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -232,45 +247,4 @@ class CycloField:
 
 def cyclo_rref(field: CycloField, mat: list[list[tuple]]) -> tuple[list[list[tuple]], list[int]]:
     """Row reduction over Q(zeta_d); returns (rref, pivot columns)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not field.is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def cyclo_rank(field: CycloField, mat: list[list[tuple]]) -> int:
-    return len(cyclo_rref(field, mat)[1])
-
-
-def cyclo_kernel(field: CycloField, mat: list[list[tuple]]) -> list[list[tuple]]:
-    """Basis of the right kernel over Q(zeta_d)."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    r, pivots = cyclo_rref(field, mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero] * cols
-        v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(r[i][f])
-        basis.append(v)
-    return basis
+    return rref(mat, field)

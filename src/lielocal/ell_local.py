@@ -86,9 +86,8 @@ def _reduce_against(field: CycloField, red_rows, pivots, vec):
     residual = list(vec)
     for row, p in zip(red_rows, pivots):
         c = residual[p]
-        if field.is_zero(c):
-            continue
-        residual = [field.sub(x, field.mul(c, y)) for x, y in zip(residual, row)]
+        if field.nonzero(c):
+            residual = field.sub_row(residual, c, row)
     return residual
 
 
@@ -201,7 +200,7 @@ class SylowReport:
 
     nu is the exact l-adic valuation of |G(q)|; abelian is decided by
     l | |W'|; relative_weyl_order is |C_W(w phi)| for the eigenspace
-    witness; d_split records that the witness eigenspace realizes the full
+    witness, whose eigenspace dimension is checked against the
     Phi_d-exponent of the order polynomial.  Primes l <= 3 are computed
     but stamped outside_hypotheses, since small primes can be bad for the
     ambient group.  levi is None exactly when the Sylow subgroup is trivial.
@@ -214,7 +213,6 @@ class SylowReport:
     nu: int
     abelian: bool
     relative_weyl_order: int
-    d_split: bool
     outside_hypotheses: bool
     levi: LeviData | None
 
@@ -227,7 +225,6 @@ class SylowReport:
             "nu": str(self.nu),
             "abelian": self.abelian,
             "relative_weyl_order": str(self.relative_weyl_order),
-            "d_split": self.d_split,
             "outside_hypotheses": self.outside_hypotheses,
             "levi": None if self.levi is None else self.levi.to_json(),
         }
@@ -243,7 +240,7 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
         check(nu == 0, "order polynomial has no Phi_d factor but a positive l-part")
         return SylowReport(
             label=label, ell=ell, q=q, d=d, nu=0, abelian=True,
-            relative_weyl_order=1, d_split=True, outside_hypotheses=outside,
+            relative_weyl_order=1, outside_hypotheses=outside,
             levi=None,
         )
     levi = _levi_of_group(group, d, guard)
@@ -255,7 +252,6 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
         label=label, ell=ell, q=q, d=d, nu=nu,
         abelian=(levi.w_prime_order % ell != 0),
         relative_weyl_order=relative,
-        d_split=True,
         outside_hypotheses=outside,
         levi=levi,
     )

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
+from .linalg import rref
 
 LLT_GUARD = int(os.environ.get("LIELOCAL_LLT_GUARD", "12"))
 
@@ -464,7 +465,7 @@ def _bar_matrix(labels: list[Partition],
                             for c in range(size)]
                 m_tr = [[Fraction(mat[r][c](t)) for r in range(size)]
                         for c in range(size)]
-                w_tr = _fraction_solve(m_inv_tr, m_tr)
+                w_tr = _family_solve(m_inv_tr, m_tr)
             except InvariantError:
                 t += 1
                 continue
@@ -609,24 +610,13 @@ _BAR_CHECK_POINTS = (
 )
 
 
-def _fraction_solve(mat: list[list[Fraction]],
-                    rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve mat * X = rhs by Gaussian elimination over exact rationals."""
+def _family_solve(mat: list[list[Fraction]],
+                  rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve mat * X = rhs over Q, for a square family matrix mat."""
     size = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(x) for x in r]
-         for row, r in zip(mat, rhs)]
-    width = len(a[0])
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        check(pivot is not None, "family matrix is singular at a check point")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[size:width] for row in a]
+    red, pivots = rref([row + r for row, r in zip(mat, rhs)])
+    check(pivots[:size] == list(range(size)), "family matrix is singular at a check point")
+    return [row[size:] for row in red]
 
 
 def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
@@ -651,7 +641,7 @@ def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
                    for c in range(size)] for r in range(size)]
         g_at_inv = [[matrix.entries[c][r](inv_t)
                      for c in range(size)] for r in range(size)]
-        coeffs = _fraction_solve(m_at_inv, g_at_inv)
+        coeffs = _family_solve(m_at_inv, g_at_inv)
         for lam in range(size):
             for mu in range(size):
                 total = sum((m_at_t[mu][j] * coeffs[j][lam] for j in range(size)),

@@ -15,12 +15,11 @@ RootDatum here.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic, factor_into_cyclotomics, poly_eval, poly_mul
-from .errors import InvariantError, UnsupportedTypeError, check
-from .root_datum import RootDatum
+from .errors import InvariantError, check
+from .root_datum import RootDatum, parse_label, split_degrees
 
 # eps values as (order, exponent): exp(2*pi*i*exponent/order)
 _ONE = (1, 0)
@@ -29,33 +28,11 @@ _OMEGA = (3, 1)
 _OMEGA2 = (3, 2)
 
 
-def _split_degrees(family: str, n: int) -> list[int]:
-    if family == "A":
-        return list(range(2, n + 2))
-    if family in ("B", "C"):
-        return [2 * i for i in range(1, n + 1)]
-    if family == "D":
-        return [2 * i for i in range(1, n)] + [n]
-    if family == "G":
-        return [2, 6]
-    if family == "F":
-        return [2, 6, 8, 12]
-    if family == "E":
-        return {6: [2, 5, 6, 8, 9, 12],
-                7: [2, 6, 8, 10, 12, 14, 18],
-                8: [2, 8, 12, 14, 18, 20, 24, 30]}[n]
-    raise UnsupportedTypeError(f"unsupported family {family}")
-
-
 def factor_pairs_for(label: str) -> list[tuple[int, tuple[int, int]]]:
     """(degree, eps) list for a type label, eps a root of unity as
     (order, exponent)."""
-    m = re.match(r"^([23]?)([A-G])(\d+)$", label)
-    if not m:
-        raise UnsupportedTypeError(f"unsupported type {label!r}")
-    twist = int(m.group(1) or "1")
-    family, n = m.group(2), int(m.group(3))
-    degrees = _split_degrees(family, n)
+    twist, family, n = parse_label(label)
+    degrees = split_degrees(family, n)
     if twist == 1:
         return [(d, _ONE) for d in degrees]
     if family == "A":
@@ -75,9 +52,8 @@ def factor_pairs_for(label: str) -> list[tuple[int, tuple[int, int]]]:
     if family == "D" and twist == 3:
         # the two degree-4 factors pair into q^8 + q^4 + 1
         return [(2, _ONE), (4, _OMEGA), (4, _OMEGA2), (6, _ONE)]
-    if family == "E":
-        return [(d, _MINUS if d in (5, 9) else _ONE) for d in degrees]
-    raise UnsupportedTypeError(f"unsupported twisted type {label!r}")
+    # 2E6, the last twist parse_label accepts
+    return [(d, _MINUS if d in (5, 9) else _ONE) for d in degrees]
 
 
 @dataclass(frozen=True)

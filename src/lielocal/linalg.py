@@ -1,17 +1,20 @@
-"""Exact linear algebra over Q, Z, and F_p on small dense matrices.
+"""Exact linear algebra over Q, F_p, Q(zeta_d) and Z on small dense matrices.
 
 Matrices are plain lists of row lists.  Everything is exact: rational work
 uses :class:`fractions.Fraction`, integer work stays in Z, modular work
 reduces eagerly.  Sizes in this package never exceed a few hundred rows, so
-simple Gaussian elimination is the right tool.
+simple Gaussian elimination is the right tool; one elimination serves every
+field, passed as a field object (``QQ``, ``GF(p)`` or a ``CycloField``).
+``det`` and the Smith normal form keep their own loops: the first needs the
+pivot values and the swap parity, the second works over Z.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
 
 
@@ -57,62 +60,127 @@ def mat_pow(a: Sequence[Sequence], n: int) -> list[list]:
     return result
 
 
-def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Row-reduced echelon form over Q; returns (R, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in a]
+class Rationals:
+    """Q with :class:`~fractions.Fraction` entries.
+
+    A field object works on whole rows so the elimination's inner loops stay
+    list comprehensions: ``coerce`` a row, test an entry with ``nonzero``,
+    ``inv`` and ``neg`` an entry, ``scale_row`` by an entry, and ``sub_row``
+    a multiple of a pivot row.  ``GF`` and ``cyclotomic.CycloField`` offer
+    the same members."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    nonzero = staticmethod(bool)
+    neg = staticmethod(operator.neg)
+
+    def coerce(self, row) -> list[Fraction]:
+        return [Fraction(x) for x in row]
+
+    def inv(self, x: Fraction) -> Fraction:
+        return 1 / x
+
+    def scale_row(self, c, row):
+        return [c * x for x in row]
+
+    def sub_row(self, row, c, pivot):
+        """row - c * pivot."""
+        return [x - c * y for x, y in zip(row, pivot)]
+
+
+QQ = Rationals()
+
+
+class GF:
+    """The prime field F_p; entries are ints reduced into [0, p)."""
+
+    zero = 0
+    one = 1
+    nonzero = staticmethod(bool)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def coerce(self, row) -> list[int]:
+        p = self.p
+        return [x % p for x in row]
+
+    def inv(self, x: int) -> int:
+        return pow(x, -1, self.p)
+
+    def neg(self, x: int) -> int:
+        return -x % self.p
+
+    def scale_row(self, c, row):
+        p = self.p
+        return [c * x % p for x in row]
+
+    def sub_row(self, row, c, pivot):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(row, pivot)]
+
+
+def _eliminate(m: list[list], field, reduced: bool) -> list[int]:
+    """Gaussian elimination in place on coerced rows; returns the pivot
+    columns.  ``reduced`` clears above each pivot too (row-reduced echelon
+    form); without it only rows below are cleared, which is all a rank needs."""
+    nonzero = field.nonzero
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if nonzero(m[i][c])), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r] = field.scale_row(field.inv(m[r][c]), m[r])
+        for i in range(0 if reduced else r + 1, rows):
+            if i != r and nonzero(m[i][c]):
+                m[i] = field.sub_row(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return pivots
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    return len(rref(a)[1])
+def rref(a: Sequence[Sequence], field=QQ) -> tuple[list[list], list[int]]:
+    """Row-reduced echelon form over ``field``; returns (R, pivot columns)."""
+    m = [field.coerce(row) for row in a]
+    return m, _eliminate(m, field, reduced=True)
 
 
-def kernel_basis(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of {x : a @ x = 0} over Q."""
+def rank(a: Sequence[Sequence], field=QQ) -> int:
+    return len(_eliminate([field.coerce(row) for row in a], field, reduced=False))
+
+
+def kernel_basis(a: Sequence[Sequence], field=QQ) -> list[list]:
+    """Basis of {x : a @ x = 0} over ``field``."""
     if not a:
         return []
     cols = len(a[0])
-    r, pivots = rref(a)
+    r, pivots = rref(a, field)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [field.zero] * cols
+        v[f] = field.one
         for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+            v[p] = field.neg(r[i][f])
         basis.append(v)
     return basis
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
-    """One solution of a @ x = b over Q, or None if inconsistent."""
+def solve(a: Sequence[Sequence], b: Sequence, field=QQ) -> list | None:
+    """One solution of a @ x = b over ``field``, or None if inconsistent."""
     if not a:
-        return [] if all(x == 0 for x in b) else None
+        return None if any(map(field.nonzero, field.coerce(b))) else []
     cols = len(a[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
-    r, pivots = rref(aug)
+    r, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)], field)
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [field.zero] * cols
     for i, p in enumerate(pivots):
         x[p] = r[i][cols]
     return x
@@ -138,39 +206,39 @@ def det(a: Sequence[Sequence]) -> Fraction:
     return d
 
 
-def mat_inverse(a: Sequence[Sequence]) -> Matrix:
+def mat_inverse(a: Sequence[Sequence], field=QQ) -> list[list]:
+    """Inverse over ``field``; raises ValueError on a singular matrix."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
            for i, row in enumerate(a)]
-    r, pivots = rref(aug)
+    r, pivots = rref(aug, field)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in r[:n]]
 
 
-# -- modular ------------------------------------------------------------------
-
-
-def rank_mod(a: Sequence[Sequence[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def sparse_rank(rows: list[dict[int, int]], ell: int) -> int:
+    """Rank over F_ell of a matrix given as sparse rows (column -> entry)."""
+    pivots: dict[int, dict[int, int]] = {}
+    rank = 0
+    for row in rows:
+        row = {c: v % ell for c, v in row.items() if v % ell}
+        while row:
+            col = min(row)
+            if col in pivots:
+                base = pivots[col]
+                f = row[col] * pow(base[col], -1, ell) % ell
+                for c, v in base.items():
+                    new = (row.get(c, 0) - f * v) % ell
+                    if new:
+                        row[c] = new
+                    else:
+                        row.pop(c, None)
+            else:
+                pivots[col] = row
+                rank += 1
+                break
+    return rank
 
 
 # -- integer Smith normal form -------------------------------------------------

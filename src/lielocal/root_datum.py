@@ -35,16 +35,6 @@ from .linalg import mat_inverse, mat_vec
 
 MAX_RANK = 8
 
-_N_TABLE = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "G": lambda n: 6,
-    "F": lambda n: 24,
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-}
-
 _RANK_RANGE = {
     "A": (1, MAX_RANK),
     "B": (2, MAX_RANK),
@@ -56,6 +46,50 @@ _RANK_RANGE = {
 }
 
 _TWISTS = {("A", 2), ("D", 2), ("D", 3), ("E", 2)}
+
+_LABEL_RE = re.compile(r"^([23]?)([A-G])(\d+)$")
+
+
+def parse_label(label: str) -> tuple[int, str, int]:
+    """(twist order, family, rank) of a supported type label such as "A3",
+    "2A3" or "3D4"; raises UnsupportedTypeError for anything else."""
+    if label in ("2B2", "2G2", "2F4"):
+        raise UnsupportedTypeError(f"{label}: F not Frobenius: out of scope")
+    m = _LABEL_RE.match(label)
+    if not m:
+        raise UnsupportedTypeError(f"unsupported type {label!r}")
+    twist = int(m.group(1) or "1")
+    family = m.group(2)
+    n = int(m.group(3))
+    lo, hi = _RANK_RANGE[family]
+    if not lo <= n <= hi:
+        raise UnsupportedTypeError(f"unsupported type {label!r} (rank out of range)")
+    if twist > 1:
+        if (family, twist) not in _TWISTS or (twist == 3 and (family, n) != ("D", 4)):
+            raise UnsupportedTypeError(f"unsupported type {label!r}")
+        if family == "A" and n < 2:
+            raise UnsupportedTypeError("2A_n requires n >= 2")
+        if family == "E" and n != 6:
+            raise UnsupportedTypeError("twisted E only exists for E6")
+    return twist, family, n
+
+
+def split_degrees(family: str, n: int) -> list[int]:
+    """Reflection degrees d_i of the Weyl group of a family and rank (as
+    accepted by parse_label): |W| = prod d_i and N = sum (d_i - 1)."""
+    if family == "A":
+        return list(range(2, n + 2))
+    if family in ("B", "C"):
+        return [2 * i for i in range(1, n + 1)]
+    if family == "D":
+        return [2 * i for i in range(1, n)] + [n]
+    if family == "G":
+        return [2, 6]
+    if family == "F":
+        return [2, 6, 8, 12]
+    return {6: [2, 5, 6, 8, 9, 12],
+            7: [2, 6, 8, 10, 12, 14, 18],
+            8: [2, 8, 12, 14, 18, 20, 24, 30]}[n]
 
 
 def _chain_edges(n: int) -> list[tuple[int, int]]:
@@ -329,9 +363,6 @@ def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, 
     return roots, [seen[r] for r in roots]
 
 
-_LABEL_RE = re.compile(r"^([23]?)([A-G])(\d+)$")
-
-
 def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
     roots, coroots = _reflection_closure(cartan)
     datum = RootDatum(
@@ -350,24 +381,7 @@ def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
 def build_root_datum(type_label: str) -> RootDatum:
     """Construct the simply connected root datum named by ``type_label``
     ("A3", "2A3", "3D4", "G2", ...)."""
-    if type_label in ("2B2", "2G2", "2F4"):
-        raise UnsupportedTypeError(f"{type_label}: F not Frobenius: out of scope")
-    m = _LABEL_RE.match(type_label)
-    if not m:
-        raise UnsupportedTypeError(f"unsupported type {type_label!r}")
-    twist = int(m.group(1) or "1")
-    family = m.group(2)
-    n = int(m.group(3))
-    lo, hi = _RANK_RANGE.get(family, (0, -1))
-    if not lo <= n <= hi:
-        raise UnsupportedTypeError(f"unsupported type {type_label!r} (rank out of range)")
-    if twist > 1:
-        if (family, twist) not in _TWISTS or (twist == 3 and (family, n) != ("D", 4)):
-            raise UnsupportedTypeError(f"unsupported type {type_label!r}")
-        if family == "A" and n < 2:
-            raise UnsupportedTypeError("2A_n requires n >= 2")
-        if family == "E" and n != 6:
-            raise UnsupportedTypeError("twisted E only exists for E6")
+    twist, family, n = parse_label(type_label)
     cartan = _cartan_matrix(family, n)
     phi = _diagram_automorphism(family, n, twist)
     return _finish_datum(type_label, cartan, phi)
@@ -395,11 +409,14 @@ def _validate(datum: RootDatum) -> None:
     for i in range(n):
         for j in range(n):
             check(a[p[i]][p[j]] == a[i][j], "phi does not preserve the Cartan matrix")
-    m = _LABEL_RE.match(datum.label)
-    if m and m.group(2) in _N_TABLE and m.group(1):
-        check(_perm_order(p) == int(m.group(1)), "twist order mismatch")
-    if m and m.group(2) in _N_TABLE:
-        expected_n = _N_TABLE[m.group(2)](n)
+    try:
+        twist, family, label_rank = parse_label(datum.label)
+    except UnsupportedTypeError:
+        pass  # from_cartan data under a label that names no type
+    else:
+        if twist > 1:
+            check(_perm_order(p) == twist, "twist order mismatch")
+        expected_n = sum(d - 1 for d in split_degrees(family, label_rank))
         check(datum.N == expected_n, f"positive-root count {datum.N} != {expected_n}")
     # pairing sanity: <rho, alpha_i_vee> = 1; coroot of a simple root is the
     # simple coroot; <root, its coroot> = 2
@@ -442,7 +459,7 @@ ALL_LABELS: tuple[str, ...] = tuple(
 def labels_of_rank(max_rank: int, include_twisted: bool = True) -> list[str]:
     out = []
     for label in ALL_LABELS:
-        m = _LABEL_RE.match(label)
-        if int(m.group(3)) <= max_rank and (include_twisted or not m.group(1)):
+        twist, _, n = parse_label(label)
+        if n <= max_rank and (include_twisted or twist == 1):
             out.append(label)
     return out

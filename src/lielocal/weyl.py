@@ -22,16 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (
-    CycloField,
-    cyclo_kernel,
-    cyclo_rref,
-    euler_phi,
-    factor_into_cyclotomics,
-)
-from .errors import GuardExceeded, InvariantError, check
-from .linalg import identity, mat_mul, mat_vec, rank
-from .root_datum import RootDatum
+from .cyclotomic import CycloField, cyclo_rref, euler_phi, factor_into_cyclotomics
+from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
+from .linalg import identity, kernel_basis, mat_mul, mat_vec, rank
+from .root_datum import RootDatum, parse_label, split_degrees
 
 WEYL_GUARD = 10**6
 
@@ -215,24 +209,13 @@ def gl_context(n: int) -> ReflectionContext:
 
 
 def predicted_weyl_order(label: str) -> int | None:
-    import re
-    m = re.match(r"^([23]?)([A-G])(\d+)$", label)
-    if not m:
+    """|W| = prod of the reflection degrees, or None for a label that names
+    no supported type (such as from_cartan's "A1xA1")."""
+    try:
+        _, family, n = parse_label(label)
+    except UnsupportedTypeError:
         return None
-    family, n = m.group(2), int(m.group(3))
-    if family == "A":
-        return math.factorial(n + 1)
-    if family in ("B", "C"):
-        return 2**n * math.factorial(n)
-    if family == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    if family == "G":
-        return 12
-    if family == "F":
-        return 1152
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    return None
+    return math.prod(split_degrees(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +487,7 @@ class WeylGroup:
         km = [[field.from_rational(x) for x in row] for row in m]
         for i in range(self.ctx.dim):
             km[i][i] = field.sub(km[i][i], zeta)
-        return field, cyclo_kernel(field, km)
+        return field, kernel_basis(km, field)
 
     def is_regular_eigenspace(self, field: CycloField, basis) -> bool:
         """True when the eigenspace is contained in no root hyperplane."""
@@ -619,8 +602,7 @@ def _rank_minus_identity(field: CycloField, r) -> int:
     k = len(r)
     m = [[field.sub(r[i][j], field.one) if i == j else r[i][j] for j in range(k)]
          for i in range(k)]
-    _, pivots = cyclo_rref(field, m)
-    return len(pivots)
+    return rank(m, field)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ class TestExitCodes:
         assert code == 2
         assert "invariant" in err
 
+    @pytest.mark.parametrize("label", ["H3", "E9", "E5", "A0", "A300", "2B3", "3D5"])
+    @pytest.mark.parametrize("command", [["order"], ["hecke", "poincare"]])
+    def test_unsupported_type_label(self, command, label):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", *command, label],
+            capture_output=True, text=True, check=False, timeout=30)
+        assert result.returncode == 1
+        assert "error: unsupported type" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")
         assert code == 0

@@ -145,7 +145,6 @@ def test_sylow_a1_q4_ell5():
     assert report.d == 2
     assert report.nu == 1
     assert report.abelian is True
-    assert report.d_split is True
     assert report.outside_hypotheses is False
     assert report.levi is not None
     assert report.levi.w_prime_order == 2
@@ -264,7 +263,6 @@ def test_sylow_grid_consistency():
                     evaluate_order(factorization, q), ell)
                 assert report.d == multiplicative_order(q, ell)
                 assert (report.levi is None) == (report.nu == 0)
-                assert report.d_split is True
                 if report.levi is None:
                     continue
                 a_d = factorization.exponent(report.d)

@@ -7,8 +7,6 @@ import pytest
 
 from lielocal.cyclotomic import (
     CycloField,
-    cyclo_kernel,
-    cyclo_rank,
     cyclotomic,
     euler_phi,
     factor_into_cyclotomics,
@@ -17,8 +15,11 @@ from lielocal.cyclotomic import (
     poly_mul,
 )
 from lielocal.errors import InvariantError
+from lielocal.fock_llt import _family_solve
 from lielocal.laurent import Laurent, poly_from_coeffs, quantum_factorial, quantum_integer
 from lielocal.linalg import (
+    GF,
+    QQ,
     det,
     identity,
     kernel_basis,
@@ -26,10 +27,26 @@ from lielocal.linalg import (
     mat_mul,
     mat_vec,
     rank,
-    rank_mod,
+    rref,
     smith_normal_form,
     solve,
 )
+
+
+_QI = CycloField(4)  # Q(i)
+_QW = CycloField(3)
+
+# case id -> (field, matrix, rank over that field)
+ELIMINATION_CASES = {
+    "Q": (QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]], 2),
+    "GF2": (GF(2), [[2, 4], [1, 2]], 1),  # reduces to [[0,0],[1,0]]
+    "GF5": (GF(5), [[2, 4], [1, 2]], 1),
+    "GF3": (GF(3), [[1, 0], [0, 3]], 1),
+    # [[1, i], [i, -1]] has rank 1 over Q(i)
+    "Qzeta4": (_QI, [[_QI.one, _QI.zeta()], [_QI.zeta(), _QI.neg(_QI.one)]], 1),
+    "Qzeta3-identity": (_QW, [[_QW.one if r == c else _QW.zero for c in range(3)]
+                              for r in range(3)], 3),
+}
 
 
 class TestLaurent:
@@ -120,11 +137,30 @@ class TestLinalg:
         assert mat_mul(a, inv) == [[1, 0], [0, 1]]
         assert det([[1, 2], [2, 4]]) == 0
 
-    def test_rank_mod(self):
-        a = [[2, 4], [1, 2]]
-        assert rank_mod(a, 2) == 1  # reduces to [[0,0],[1,0]]
-        assert rank_mod(a, 5) == 1
-        assert rank_mod([[1, 0], [0, 3]], 3) == 1
+    @pytest.mark.parametrize("case", list(ELIMINATION_CASES))
+    def test_rank_and_kernel_over_field(self, case):
+        field, a, expected = ELIMINATION_CASES[case]
+        assert rank(a, field) == expected
+        assert len(rref(a, field)[1]) == expected
+        ker = kernel_basis(a, field)
+        assert len(ker) == len(a[0]) - expected
+        for v in ker:
+            for row in a:
+                total = field.zero
+                for x, y in zip(field.coerce(row), v):
+                    total = field.sub_row([total], field.neg(x), [y])[0]  # += x * y
+                assert not field.nonzero(total)
+
+    def test_family_solve_rejects_a_singular_matrix(self):
+        # _bar_matrix catches this InvariantError to skip an evaluation point
+        singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(InvariantError, match="singular"):
+            _family_solve(singular, [[Fraction(1)], [Fraction(0)]])
+
+    def test_inverse_mod_rejects_a_singular_matrix(self):
+        assert mat_inverse([[0, 1], [1, 1]], GF(2)) == [[1, 1], [1, 0]]
+        with pytest.raises(ValueError):
+            mat_inverse([[2, 4], [1, 2]], GF(5))
 
     def test_smith_normal_form_random(self):
         rng = random.Random(11)
@@ -227,25 +263,3 @@ class TestCycloField:
             for e in range(1, d):
                 assert k.pow(z, e) != k.one
             assert k.pow(z, d) == k.one
-
-    def test_cyclo_linear_algebra(self):
-        k = CycloField(4)  # Q(i)
-        i = k.zeta()
-        one = k.one
-        # matrix [[1, i], [i, -1]] has rank 1 over Q(i)
-        m = [[one, i], [i, k.neg(one)]]
-        assert cyclo_rank(k, m) == 1
-        ker = cyclo_kernel(k, m)
-        assert len(ker) == 1
-        v = ker[0]
-        for row in m:
-            s = k.zero
-            for a, b in zip(row, v):
-                s = k.add(s, k.mul(a, b))
-            assert k.is_zero(s)
-
-    def test_identity_rank(self):
-        k = CycloField(3)
-        eye = [[k.one if i == j else k.zero for j in range(3)] for i in range(3)]
-        assert cyclo_rank(k, eye) == 3
-        assert cyclo_kernel(k, eye) == []
