@@ -26,12 +26,12 @@ recovers the group algebra ZW.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
-from .root_datum import RootDatum, cached_datum, parse_label, split_degrees
+from .linalg import add_scaled, add_term
+from .root_datum import RootDatum, cached_datum, gl_rank, parse_label, split_degrees
 from .weyl import (
     WEYL_GUARD,
     ReflectionContext,
@@ -69,9 +69,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters)
-
     def power(self, k: int) -> "BraidWord":
         if k < 0:
             raise ValueError("positive braid words only")
@@ -91,10 +88,6 @@ class GarsideNF:
 
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
-
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
     def total_letters(self, n_pos_roots: int) -> int:
         return self.delta_power * n_pos_roots + sum(len(f) for f in self.factors)
@@ -288,24 +281,13 @@ class HeckeAlgebra:
         s = self.gen_index[i]
         x = self.x
         out: dict[int, Laurent] = {}
-
-        def accumulate(w, c):
-            if w in out:
-                total = out[w] + c
-                if total:
-                    out[w] = total
-                else:
-                    del out[w]
-            elif c:
-                out[w] = c
-
         for w, c in support.items():
             ws = group.multiply(w, s)
             if group.elements[ws].length > group.elements[w].length:
-                accumulate(ws, c)
+                add_term(out, ws, c)
             else:
-                accumulate(ws, x * c)
-                accumulate(w, (x - 1) * c)
+                add_term(out, ws, x * c)
+                add_term(out, w, (x - 1) * c)
         return out
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
@@ -316,12 +298,7 @@ class HeckeAlgebra:
             acc = {w: cw * c for w, cw in a.support.items()}
             for letter in self.group.elements[v].word:
                 acc = self._times_generator(acc, letter)
-            for w, cw in acc.items():
-                total = out.get(w, Laurent(0)) + cw
-                if total:
-                    out[w] = total
-                elif w in out:
-                    del out[w]
+            add_scaled(out, acc)
         return self.element(out)
 
     def from_word(self, word) -> "HeckeElement":
@@ -355,14 +332,7 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         check(self.algebra is other.algebra, "operands live in different algebras")
-        out = dict(self.support)
-        for w, c in other.support.items():
-            total = out.get(w, Laurent(0)) + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
-        return self.algebra.element(out)
+        return self.algebra.element(add_scaled(dict(self.support), other.support))
 
     def scaled(self, c) -> "HeckeElement":
         if isinstance(c, int):
@@ -409,25 +379,22 @@ def _poincare_from_degrees(degrees) -> Laurent:
     return out
 
 
-def _degrees_from_label(label: str) -> tuple[int, ...]:
-    gl = re.match(r"^GL(\d+)$", label)
-    if gl:
-        return tuple(range(1, int(gl.group(1)) + 1))
-    _, family, n = parse_label(label)
-    return tuple(split_degrees(family, n))
-
-
 def hecke_poincare(label: str, guard: int = WEYL_GUARD) -> Laurent:
     """Poincaré polynomial sum_w x^{l(w)} of the Weyl group of the label.
 
     Computed from the degree product formula, and cross-checked against
     direct enumeration whenever the group is small enough to enumerate.
     """
-    degrees = _degrees_from_label(label)
+    n = gl_rank(label)
+    if n is not None:
+        degrees = range(1, n + 1)
+    else:
+        _, family, rank = parse_label(label)
+        degrees = split_degrees(family, rank)
     from_product = _poincare_from_degrees(degrees)
     if math.prod(degrees) <= guard:
-        if label.startswith("GL"):
-            group = gl_weyl(int(label[2:]), guard)
+        if n is not None:
+            group = gl_weyl(n, guard)
         else:
             group = generate_weyl(cached_datum(label), guard)
         from_enumeration = poly_from_coeffs(group.poincare_polynomial())

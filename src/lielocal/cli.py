@@ -33,7 +33,7 @@ from .ell_local import gl_sylow_structure, sylow_structure
 from .errors import InvariantError
 from .fock_llt import llt_canonical_basis
 from .generic_order import ell_part, evaluate_order, generic_order, gl_order
-from .root_datum import cached_datum
+from .root_datum import cached_datum, gl_rank
 from .weyl import generate_weyl, gl_weyl
 
 
@@ -51,14 +51,8 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _gl_rank(label: str) -> int | None:
-    if label.startswith("GL") and label[2:].isdigit():
-        return int(label[2:])
-    return None
-
-
 def _weyl_group(label: str):
-    n = _gl_rank(label)
+    n = gl_rank(label)
     if n is not None:
         return gl_weyl(n)
     return generate_weyl(cached_datum(label))
@@ -69,7 +63,7 @@ def _weyl_group(label: str):
 
 
 def _run_order(args) -> None:
-    n = _gl_rank(args.type)
+    n = gl_rank(args.type)
     factorization = gl_order(n) if n is not None else \
         generic_order(cached_datum(args.type))
     data = factorization.to_json()
@@ -108,7 +102,7 @@ def _run_weyl(args) -> None:
 
 
 def _run_sylow(args) -> None:
-    n = _gl_rank(args.type)
+    n = gl_rank(args.type)
     if n is not None:
         report = gl_sylow_structure(n, args.q, args.ell)
     else:

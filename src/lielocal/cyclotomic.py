@@ -9,7 +9,7 @@ algorithm, which is what the regular-eigenvector computations need.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .errors import InvariantError
@@ -22,12 +22,6 @@ def poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_add(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
 
 
 def poly_sub(a: Sequence, b: Sequence) -> list:
@@ -229,8 +223,22 @@ class CycloField:
         """row - c * pivot."""
         return [self.sub(x, self.mul(c, y)) for x, y in zip(row, pivot)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def dot(self, int_row, vec) -> tuple[Fraction, ...]:
+        """sum_i int_row[i] * vec[i] for a row of rationals and a vector
+        over K (a coroot paired with a vector, a matrix row times a vector)."""
+        total = [Fraction(0)] * self.degree
+        for c, x in zip(int_row, vec):
+            if c:
+                total = [t + c * y for t, y in zip(total, x)]
+        return tuple(total)
+
+    def mat_mul(self, a, b) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Product of matrices over K, as a hashable tuple of rows."""
+        cols = list(zip(*b))
+        return tuple(
+            tuple(reduce(self.add, map(self.mul, row, col), self.zero)
+                  for col in cols)
+            for row in a)
 
     def pow(self, a, n: int):
         if n < 0:

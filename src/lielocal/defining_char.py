@@ -499,6 +499,8 @@ def knorr_robinson_sum(datum: RootDatum, q: int) -> KnorrRobinsonReport:
 
     head = q**datum.rank - 1
     total = head + sum(by_length.values())
+    check(total == 0, f"Knorr-Robinson chain sum for {datum.label} at q={q} "
+                      f"is {total}, not 0")
     return KnorrRobinsonReport(
         label=datum.label, q=q, head_term=head,
         chain_terms=tuple(sorted(by_length.items())), total=total)

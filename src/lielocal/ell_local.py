@@ -28,13 +28,7 @@ from .cyclotomic import CycloField, cyclo_rref
 from .errors import GuardExceeded, check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
 from .root_datum import RootDatum
-from .weyl import (
-    WEYL_GUARD,
-    WeylGroup,
-    _pair_k,
-    generate_weyl,
-    gl_weyl,
-)
+from .weyl import WEYL_GUARD, WeylGroup, generate_weyl, gl_weyl, vanishes_on
 
 __all__ = [
     "LeviData",
@@ -93,7 +87,7 @@ def _reduce_against(field: CycloField, red_rows, pivots, vec):
 
 def _reflection_image(field: CycloField, root, coroot, vec):
     """s_beta(v) = v - <v, beta^vee> beta, computed over K."""
-    pairing = _pair_k(field, coroot, vec)
+    pairing = field.dot(coroot, vec)
     return tuple(field.sub(x, field.scale(b, pairing)) for x, b in zip(vec, root))
 
 
@@ -125,10 +119,7 @@ def _levi_of_group(group: WeylGroup, d: int, guard: int = WEYL_GUARD) -> LeviDat
     red_rows, pivots = cyclo_rref(field, [list(v) for v in basis])
     check(len(pivots) == dim, "eigenspace basis is not independent")
 
-    levi_idx = [
-        k for k in range(ctx.N)
-        if all(field.is_zero(_pair_k(field, ctx.coroots[k], v)) for v in basis)
-    ]
+    levi_idx = [k for k in range(ctx.N) if vanishes_on(field, ctx.coroots[k], basis)]
     levi_set = set(levi_idx)
 
     orth_idx = []

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
-from .linalg import rref
+from .linalg import add_scaled, add_term, rref
 
 LLT_GUARD = int(os.environ.get("LIELOCAL_LLT_GUARD", "12"))
 
@@ -220,14 +220,7 @@ def _horizontal_strip_additions(p: Partition, size: int):
 
 
 def fock_add(a: FockVector, b: FockVector) -> FockVector:
-    out = dict(a)
-    for p, c in b.items():
-        total = out.get(p, Laurent(0)) + c
-        if total:
-            out[p] = total
-        elif p in out:
-            del out[p]
-    return out
+    return add_scaled(dict(a), b)
 
 
 def fock_scale(c: Laurent | int, a: FockVector) -> FockVector:
@@ -271,13 +264,7 @@ def f_once(i: int, vec: FockVector, d: int) -> FockVector:
         for row in addable:
             exponent = sum(1 for r in addable if r < row) \
                 - sum(1 for r in removable if r < row)
-            target = _add_box(p, row)
-            term = c.shifted(exponent)
-            total = out.get(target, Laurent(0)) + term
-            if total:
-                out[target] = total
-            elif target in out:
-                del out[target]
+            add_term(out, _add_box(p, row), c.shifted(exponent))
     return out
 
 
@@ -323,12 +310,8 @@ def boson_strip(k: int, vec: FockVector, d: int) -> FockVector:
             for combo in itertools.product(*choices):
                 target = _partition_from_core_quotient(core, combo, d, slots)
                 spin = ribbon_strip_spin(target, p, d)
-                term = c.shifted(-spin) * Laurent(-1 if spin % 2 else 1)
-                total = out.get(target, Laurent(0)) + term
-                if total:
-                    out[target] = total
-                elif target in out:
-                    del out[target]
+                add_term(out, target,
+                         c.shifted(-spin) * Laurent(-1 if spin % 2 else 1))
     return out
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .cyclotomic import poly_exact_div
+
 
 class Laurent:
     """A Laurent polynomial with integer coefficients."""
@@ -56,12 +58,6 @@ class Laurent:
         if not self._c:
             raise ValueError("zero polynomial has no degree")
         return max(self._c)
-
-    def is_constant(self) -> bool:
-        return not self._c or set(self._c) == {0}
-
-    def constant_term(self) -> int:
-        return self._c.get(0, 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -129,35 +125,21 @@ class Laurent:
         return Laurent({-e: v for e, v in self._c.items()})
 
     def exact_div(self, other: "Laurent") -> "Laurent":
-        """Divide, requiring an exact Laurent quotient over Z."""
+        """Divide, requiring an exact Laurent quotient over Z; raises
+        ValueError when there is none."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return Laurent(0)
-        # Normalize to ordinary polynomials: strip minimal degrees.
+        # strip the minimal degrees to divide ordinary polynomials
         a_shift = self.min_degree()
         b_shift = other.min_degree()
-        num = {e - a_shift: v for e, v in self._c.items()}
-        den = {e - b_shift: v for e, v in other._c.items()}
-        dn = max(den)
-        lead = den[dn]
-        quo: dict[int, int] = {}
-        while num:
-            n = max(num)
-            if n < dn:
-                raise ValueError("not exactly divisible")
-            c, r = divmod(num[n], lead)
-            if r:
-                raise ValueError("not exactly divisible over Z")
-            quo[n - dn] = c
-            for e, v in den.items():
-                k = e + n - dn
-                w = num.get(k, 0) - c * v
-                if w:
-                    num[k] = w
-                elif k in num:
-                    del num[k]
-        return Laurent({e + a_shift - b_shift: v for e, v in quo.items()})
+        quo = poly_exact_div(
+            [self.coeff(e) for e in range(a_shift, self.max_degree() + 1)],
+            [other.coeff(e) for e in range(b_shift, other.max_degree() + 1)])
+        if quo is None:
+            raise ValueError("not exactly divisible over Z")
+        return Laurent({i + a_shift - b_shift: c for i, c in enumerate(quo)})
 
     # -- evaluation ----------------------------------------------------------
 

@@ -33,33 +33,6 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Sequence[Sequence], c) -> list[list]:
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_pow(a: Sequence[Sequence], n: int) -> list[list]:
-    result: list[list] = identity(len(a))
-    base = [list(r) for r in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
 class Rationals:
     """Q with :class:`~fractions.Fraction` entries.
 
@@ -217,8 +190,37 @@ def mat_inverse(a: Sequence[Sequence], field=QQ) -> list[list]:
     return [row[n:] for row in r[:n]]
 
 
+def add_term(vec: dict, key, c, mod: int | None = None) -> None:
+    """vec[key] += c in place, reduced mod ``mod`` when given; a zero entry
+    is dropped, so equal sparse vectors are equal dicts."""
+    if key in vec:
+        c = vec[key] + c
+    if mod is not None:
+        c %= mod
+    if c:
+        vec[key] = c
+    else:
+        vec.pop(key, None)
+
+
+def add_scaled(out: dict, vec: dict, c=1, mod: int | None = None) -> dict:
+    """out += c * vec in place (``vec`` is left unchanged); returns ``out``.
+    Reduction and zero-dropping as in :func:`add_term`."""
+    if c == 1:
+        for key, x in vec.items():
+            add_term(out, key, x, mod)
+    else:
+        for key, x in vec.items():
+            add_term(out, key, c * x, mod)
+    return out
+
+
 def sparse_rank(rows: list[dict[int, int]], ell: int) -> int:
-    """Rank over F_ell of a matrix given as sparse rows (column -> entry)."""
+    """Rank over F_ell of a matrix given as sparse rows (column -> entry).
+
+    The row update stays inline rather than calling :func:`add_scaled`: this
+    loop carries the dg rank computations, and a call per entry made them
+    slower (about 15% in most timing runs)."""
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
@@ -322,8 +324,3 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
             continue
         t += 1
     return u, s, v
-
-
-def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
-    _, s, _ = smith_normal_form(a)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, UnsupportedTypeError, check
-from .linalg import mat_inverse, mat_vec
+from .linalg import mat_inverse
 
 MAX_RANK = 8
 
@@ -72,6 +72,20 @@ def parse_label(label: str) -> tuple[int, str, int]:
         if family == "E" and n != 6:
             raise UnsupportedTypeError("twisted E only exists for E6")
     return twist, family, n
+
+
+def gl_rank(label: str) -> int | None:
+    """n for a label "GL<n>" with 1 <= n <= MAX_RANK + 1, None for a label
+    of any other form.  GL_9 has the Weyl group of A_8, the largest GL
+    whose Weyl group fits the enumeration guard; a GL label outside that
+    range raises UnsupportedTypeError."""
+    m = re.fullmatch(r"GL([0-9]+)", label)
+    if m is None:
+        return None
+    n = int(m.group(1))
+    if not 1 <= n <= MAX_RANK + 1:
+        raise UnsupportedTypeError(f"unsupported type {label!r} (rank out of range)")
+    return n
 
 
 def split_degrees(family: str, n: int) -> list[int]:
@@ -323,12 +337,6 @@ class RootDatum:
             "phi": [i + 1 for i in self.phi],
             "N": self.N,
         }
-
-    def untwisted(self) -> "RootDatum":
-        """The same datum with phi = id."""
-        if not self.twisted:
-            return self
-        return _finish_datum(self.label.lstrip("23"), self.cartan, tuple(range(self.rank)))
 
 
 def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

@@ -93,18 +93,6 @@ class ReflectionContext:
         """{i : l(w s_i) < l(w)} = simple roots sent negative by w."""
         return {i for i in range(self.n_gens) if p[i] >= self.N}
 
-    def perm_of_word(self, word) -> tuple[int, ...]:
-        p = self.identity_perm
-        for i in word:
-            p = self.compose(p, self.gen_perms[i])
-        return p
-
-    def matrix_of_word(self, word):
-        m = identity(self.dim)
-        for i in word:
-            m = mat_mul(m, self.gen_matrices[i])
-        return m
-
     def word_from_perm(self, p: tuple[int, ...]) -> tuple[int, ...]:
         """A reduced word for the element with permutation p, extracted by
         descent walking (always succeeds for genuine group elements)."""
@@ -232,13 +220,6 @@ class WeylElement:
     length: int
     perm: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "word": [i + 1 for i in self.word],
-            "length": self.length,
-            "matrix": [list(r) for r in self.matrix],
-        }
 
 
 @dataclass(frozen=True)
@@ -493,10 +474,8 @@ class WeylGroup:
         """True when the eigenspace is contained in no root hyperplane."""
         if not basis:
             return False
-        for coroot in self.ctx.coroots:
-            if all(field.is_zero(_pair_k(field, coroot, v)) for v in basis):
-                return False
-        return True
+        return not any(vanishes_on(field, coroot, basis)
+                       for coroot in self.ctx.coroots)
 
     def regular_elements(self, d: int) -> RegularReport | None:
         """Scan W for d-regular twisted elements; return the canonical witness
@@ -529,14 +508,19 @@ class WeylGroup:
         for v in centralizer:
             r = _restrict_to_span(field, self.elements[v].matrix, basis)
             images.add(r)
-        reflections = [r for r in images if _rank_minus_identity(field, r) == 1]
-        generated = {_k_identity(field, k)}
+        one = field.one
+        reflections = [
+            r for r in images
+            if rank([[field.sub(x, one) if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(r)], field) == 1]
+        generated = {tuple(tuple(one if i == j else field.zero for j in range(k))
+                           for i in range(k))}
         frontier = list(generated)
         while frontier:
             new = []
             for g in frontier:
                 for s in reflections:
-                    prod = _k_mat_mul(field, g, s)
+                    prod = field.mat_mul(g, s)
                     if prod not in generated:
                         generated.add(prod)
                         new.append(prod)
@@ -544,12 +528,10 @@ class WeylGroup:
         return generated == images
 
 
-def _pair_k(field: CycloField, coroot, vec):
-    total = field.zero
-    for c, x in zip(coroot, vec):
-        if c:
-            total = field.add(total, field.scale(c, x))
-    return total
+def vanishes_on(field: CycloField, coroot, basis) -> bool:
+    """True when the integer functional ``coroot`` is zero on span(basis),
+    that is, the span lies in the coroot's hyperplane."""
+    return all(field.is_zero(field.dot(coroot, v)) for v in basis)
 
 
 def _restrict_to_span(field: CycloField, int_matrix, basis):
@@ -557,16 +539,7 @@ def _restrict_to_span(field: CycloField, int_matrix, basis):
     that basis; raises if the span is not preserved."""
     n = len(basis[0])
     k = len(basis)
-    cols = []
-    for b in basis:
-        image = []
-        for i in range(n):
-            acc = field.zero
-            for j in range(n):
-                if int_matrix[i][j]:
-                    acc = field.add(acc, field.scale(int_matrix[i][j], b[j]))
-            image.append(acc)
-        cols.append(image)
+    cols = [[field.dot(row, b) for row in int_matrix] for b in basis]
     # solve [basis columns] * x = image for each image column
     aug = [[basis[j][i] for j in range(k)] + [cols[j][i] for j in range(k)]
            for i in range(n)]
@@ -575,34 +548,6 @@ def _restrict_to_span(field: CycloField, int_matrix, basis):
           "centralizer does not preserve the eigenspace")
     sol = [[red[i][k + j] for j in range(k)] for i in range(k)]
     return tuple(tuple(row) for row in sol)
-
-
-def _k_identity(field: CycloField, k: int):
-    return tuple(tuple(field.one if i == j else field.zero for j in range(k))
-                 for i in range(k))
-
-
-def _k_mat_mul(field: CycloField, a, b):
-    k = len(a)
-    return tuple(
-        tuple(
-            _sum_k(field, (field.mul(a[i][t], b[t][j]) for t in range(k)))
-            for j in range(k))
-        for i in range(k))
-
-
-def _sum_k(field: CycloField, items):
-    total = field.zero
-    for x in items:
-        total = field.add(total, x)
-    return total
-
-
-def _rank_minus_identity(field: CycloField, r) -> int:
-    k = len(r)
-    m = [[field.sub(r[i][j], field.one) if i == j else r[i][j] for j in range(k)]
-         for i in range(k)]
-    return rank(m, field)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from lielocal.laurent import Laurent, poly_from_coeffs, quantum_factorial, quant
 from lielocal.linalg import (
     GF,
     QQ,
+    add_scaled,
+    add_term,
     det,
     identity,
     kernel_basis,
@@ -46,6 +48,17 @@ ELIMINATION_CASES = {
     "Qzeta4": (_QI, [[_QI.one, _QI.zeta()], [_QI.zeta(), _QI.neg(_QI.one)]], 1),
     "Qzeta3-identity": (_QW, [[_QW.one if r == c else _QW.zero for c in range(3)]
                               for r in range(3)], 3),
+}
+
+_V = Laurent.variable()
+
+# case id -> (mod, a, b, c, a + c*b as a sparse vector)
+SPARSE_CASES = {
+    "laurent": (None, {1: _V + 1, 2: Laurent(2)},
+                {1: _V, 2: Laurent(1), 3: Laurent({-1: 1})}, -2,
+                {1: 1 - _V, 3: Laurent({-1: -2})}),
+    "mod3": (3, {(0,): 1, (1,): 2}, {(0,): 5, (1,): 2, (2,): 4}, 2,
+             {(0,): 2, (2,): 2}),
 }
 
 
@@ -161,6 +174,26 @@ class TestLinalg:
         assert mat_inverse([[0, 1], [1, 1]], GF(2)) == [[1, 1], [1, 0]]
         with pytest.raises(ValueError):
             mat_inverse([[2, 4], [1, 2]], GF(5))
+
+    @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+    def test_sparse_vector_update(self, case):
+        mod, a, b, c, expected = SPARSE_CASES[case]
+        b_before = dict(b)
+        out = dict(a)
+        assert add_scaled(out, b, c, mod) is out
+        assert out == expected
+        assert b == b_before
+        if mod is not None:
+            assert all(0 < x < mod for x in out.values())
+        by_term = dict(a)
+        for key, x in b.items():
+            add_term(by_term, key, c * x, mod)
+        assert by_term == expected
+        # cancellation drops every entry, so a zero vector is the empty dict
+        assert add_scaled(dict(expected), expected, -1, mod) == {}
+        key = next(iter(expected))
+        add_term(by_term, key, -by_term[key], mod)
+        assert key not in by_term
 
     def test_smith_normal_form_random(self):
         rng = random.Random(11)
