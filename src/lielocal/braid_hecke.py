@@ -28,17 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import weyl
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
 from .linalg import add_scaled, add_term
 from .root_datum import RootDatum, cached_datum, gl_rank, parse_label, split_degrees
-from .weyl import (
-    WEYL_GUARD,
-    ReflectionContext,
-    WeylGroup,
-    generate_weyl,
-    gl_weyl,
-)
+from .weyl import ReflectionContext, WeylGroup, generate_weyl, gl_weyl
 
 __all__ = [
     "BraidWord",
@@ -103,11 +98,6 @@ def lambda_of_perm(ctx: ReflectionContext, perm: tuple[int, ...]) -> BraidWord:
     return BraidWord(ctx.word_from_perm(perm))
 
 
-def _left_descents(ctx: ReflectionContext, perm: tuple[int, ...]) -> set[int]:
-    inv = ctx.invert(perm)
-    return {i for i in range(ctx.n_gens) if inv[i] >= ctx.N}
-
-
 def _make_left_weighted(ctx, u, v):
     """Slide simple left-divisors of v into u until the pair is left-weighted.
 
@@ -116,8 +106,8 @@ def _make_left_weighted(ctx, u, v):
     """
     changed = False
     while True:
-        right_u = {i for i in range(ctx.n_gens) if u[i] >= ctx.N}
-        movable = _left_descents(ctx, v) - right_u
+        # left descents of v are the right descents of its inverse
+        movable = ctx.right_descents(ctx.invert(v)) - ctx.right_descents(u)
         if not movable:
             return u, v, changed
         s = min(movable)
@@ -209,13 +199,12 @@ class RegularBraidReport:
         }
 
 
-def verify_regular_braid_identity(datum: RootDatum, d: int,
-                                  guard: int = WEYL_GUARD) -> RegularBraidReport:
+def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidReport:
     """Search the d-regular elements of the right length for the twisted
     power identity, comparing Garside normal forms of positive words."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    group = generate_weyl(datum, guard)
+    group = generate_weyl(datum)
     ctx = group.ctx
     if group.regular_elements(d) is None:
         raise ValueError(f"no regular element for d={d} in type {ctx.label}")
@@ -379,11 +368,11 @@ def _poincare_from_degrees(degrees) -> Laurent:
     return out
 
 
-def hecke_poincare(label: str, guard: int = WEYL_GUARD) -> Laurent:
+def hecke_poincare(label: str) -> Laurent:
     """Poincaré polynomial sum_w x^{l(w)} of the Weyl group of the label.
 
     Computed from the degree product formula, and cross-checked against
-    direct enumeration whenever the group is small enough to enumerate.
+    direct enumeration whenever the group fits ``weyl.WEYL_GUARD``.
     """
     n = gl_rank(label)
     if n is not None:
@@ -392,11 +381,11 @@ def hecke_poincare(label: str, guard: int = WEYL_GUARD) -> Laurent:
         _, family, rank = parse_label(label)
         degrees = split_degrees(family, rank)
     from_product = _poincare_from_degrees(degrees)
-    if math.prod(degrees) <= guard:
+    if math.prod(degrees) <= weyl.WEYL_GUARD:
         if n is not None:
-            group = gl_weyl(n, guard)
+            group = gl_weyl(n)
         else:
-            group = generate_weyl(cached_datum(label), guard)
+            group = generate_weyl(cached_datum(label))
         from_enumeration = poly_from_coeffs(group.poincare_polynomial())
         check(from_product == from_enumeration,
               f"Poincaré routes disagree for {label}")

@@ -9,10 +9,9 @@ Exit codes: 0 on success; 1 on bad input (unknown type label, invalid
 flag combination, guard overflow); 2 when an internal mathematical
 invariant is violated, which signals a bug rather than a usage error.
 
-Two guards read the environment: LIELOCAL_LLT_GUARD and
-LIELOCAL_DEGEN_GUARD.  The Weyl guard (10^6 elements) and the weight guard
-(10^7 restricted weights) are fixed here; the Python API takes them as
-``guard`` arguments.
+Size guards are the module constants weyl.WEYL_GUARD (10^6 elements),
+defining_char.WEIGHT_GUARD (10^7 restricted weights), fock_llt.LLT_GUARD
+(n <= 12) and degeneration.DEGEN_GUARD (4096); the CLI uses their values.
 """
 
 from __future__ import annotations

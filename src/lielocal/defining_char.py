@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceeded, check
 from .generic_order import prime_power_base
-from .linalg import smith_normal_form
+from .linalg import closure, smith_normal_form
 from .root_datum import RootDatum
 
 WEIGHT_GUARD = 10**7
@@ -35,10 +35,10 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q = {q} is not a prime power")
 
 
-def _check_weight_guard(datum: RootDatum, q: int, guard: int) -> None:
-    if q**datum.rank > guard:
+def _check_weight_guard(datum: RootDatum, q: int) -> None:
+    if q**datum.rank > WEIGHT_GUARD:
         raise GuardExceeded(
-            f"q^rank = {q**datum.rank} exceeds the weight guard {guard}")
+            f"q^rank = {q**datum.rank} exceeds the weight guard {WEIGHT_GUARD}")
 
 
 def phi_orbits(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -104,19 +104,10 @@ class CenterDual:
         return tuple((x + y) % s for x, y, s in zip(a, b, self.invariants))
 
     def subgroup(self, generators) -> frozenset:
-        """Closure of a set of elements under addition."""
-        elems = {self.zero()}
-        frontier = [tuple(g) for g in generators]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(elems):
-                    s = self.add(g, h)
-                    if s not in elems:
-                        elems.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(elems)
+        """The subgroup generated by the given elements: in a finite group,
+        the closure of zero under adding them."""
+        gens = [tuple(g) for g in generators]
+        return frozenset(closure((self.zero(),), gens, self.add))
 
     def to_json(self) -> dict:
         return {"invariants": [str(s) for s in self.invariants],
@@ -151,10 +142,10 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
     return cd
 
 
-def restricted_weights(datum: RootDatum, q: int, guard: int = WEIGHT_GUARD):
+def restricted_weights(datum: RootDatum, q: int):
     """All q-restricted weights in lexicographic order (an iterator)."""
     _check_q(q)
-    _check_weight_guard(datum, q, guard)
+    _check_weight_guard(datum, q)
     return itertools.product(range(q), repeat=datum.rank)
 
 
@@ -206,13 +197,11 @@ def stratum_members(datum: RootDatum, q: int, subset):
 class BlockData:
     zeta: tuple[int, ...]
     size: int
-    members: tuple[tuple[int, ...], ...] | None
+    members: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        data = {"zeta": list(self.zeta), "size": str(self.size)}
-        if self.members is not None:
-            data["weights"] = [list(w) for w in self.members]
-        return data
+        return {"zeta": list(self.zeta), "size": str(self.size),
+                "weights": [list(w) for w in self.members]}
 
 
 @dataclass(frozen=True)
@@ -240,8 +229,7 @@ class BlockReport:
         }
 
 
-def block_partition(datum: RootDatum, q: int, include_weights: bool = True,
-                    guard: int = WEIGHT_GUARD) -> BlockReport:
+def block_partition(datum: RootDatum, q: int) -> BlockReport:
     """Partition of the non-Steinberg restricted weights by central character;
     the Steinberg weight (q-1, ..., q-1) stands alone with defect zero."""
     center = center_dual(datum, q)
@@ -250,15 +238,14 @@ def block_partition(datum: RootDatum, q: int, include_weights: bool = True,
           "Steinberg weight must have trivial central character")
     groups: dict[tuple[int, ...], list] = {z: [] for z in center.elements()}
     count = 0
-    for lam in restricted_weights(datum, q, guard):
+    for lam in restricted_weights(datum, q):
         count += 1
         if lam == st:
             continue
         groups[center.gamma(lam)].append(lam)
     check(count == q**datum.rank, "weight enumeration is incomplete")
     blocks = tuple(
-        BlockData(zeta=z, size=len(members),
-                  members=tuple(members) if include_weights else None)
+        BlockData(zeta=z, size=len(members), members=tuple(members))
         for z, members in sorted(groups.items()))
     return BlockReport(label=datum.label, q=q, center=center,
                        blocks=blocks, steinberg=st)
@@ -306,20 +293,20 @@ class LemmaReport:
         }
 
 
-def lemma_counts(datum: RootDatum, q: int, guard: int = WEIGHT_GUARD) -> LemmaReport:
+def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
     """Per central character zeta: the stratified count
         sum over nonempty twist-stable I of [zeta in <gamma(omega_a): a in I>]
             * #(X'_I with gamma = 0)
     against the direct count #(non-Steinberg weights with gamma = zeta).
     A mismatch is an invariant breach.  Also reports whether each block is as
     large as the principal one and the subgroup-membership criterion for that."""
-    _check_weight_guard(datum, q, guard)
+    _check_weight_guard(datum, q)
     center = center_dual(datum, q)
     zero = center.zero()
 
     direct: dict[tuple[int, ...], int] = {z: 0 for z in center.elements()}
     st = steinberg_weight(datum, q)
-    for lam in restricted_weights(datum, q, guard):
+    for lam in restricted_weights(datum, q):
         if lam != st:
             direct[center.gamma(lam)] += 1
 
@@ -379,15 +366,13 @@ class AlperinEntry:
     subset: tuple[int, ...]       # the stratum index I
     levi: tuple[int, ...]         # complementary simple roots
     size: int
-    members: tuple[tuple[int, ...], ...] | None
+    members: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        data = {"subset": [i + 1 for i in self.subset],
+        return {"subset": [i + 1 for i in self.subset],
                 "levi": [i + 1 for i in self.levi],
-                "size": str(self.size)}
-        if self.members is not None:
-            data["weights"] = [list(w) for w in self.members]
-        return data
+                "size": str(self.size),
+                "weights": [list(w) for w in self.members]}
 
 
 @dataclass(frozen=True)
@@ -403,13 +388,12 @@ class AlperinReport:
                 "total": str(self.total)}
 
 
-def alperin_weights(datum: RootDatum, q: int, include_weights: bool = True,
-                    guard: int = WEIGHT_GUARD) -> AlperinReport:
+def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
     """The stratum-by-stratum tally realizing the weight count: each
     twist-stable I pairs the weights of X'_I with the unipotent radical of the
     standard parabolic whose Levi has simple roots Delta - I.  The total is
     q^rank, matching the number of simple modules."""
-    _check_weight_guard(datum, q, guard)
+    _check_weight_guard(datum, q)
     delta = tuple(range(datum.rank))
     entries = []
     total = 0
@@ -419,9 +403,8 @@ def alperin_weights(datum: RootDatum, q: int, include_weights: bool = True,
               f"stratum {subset} enumeration disagrees with the closed form")
         total += len(members)
         levi = tuple(i for i in delta if i not in subset)
-        entries.append(AlperinEntry(
-            subset=subset, levi=levi, size=len(members),
-            members=members if include_weights else None))
+        entries.append(AlperinEntry(subset=subset, levi=levi, size=len(members),
+                                    members=members))
     check(total == q**datum.rank,
           "strata must partition the restricted weights")
     return AlperinReport(label=datum.label, q=q,

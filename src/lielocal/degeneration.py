@@ -33,24 +33,23 @@ and since (g - 1)^{ell^r} = g^{ell^r} - 1 = 0, multiplication in that
 basis is truncated polynomial multiplication.  Conversions to and from
 the group-element basis are binomial expansions.
 
-LIELOCAL_DEGEN_GUARD caps both |P| for basis-level constructions and the
-size of the generated automorphism group E (default 4096).
+DEGEN_GUARD caps both |P| for basis-level constructions and the size of
+the generated automorphism group E (4096).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .errors import GuardExceeded, check
 from .generic_order import is_prime
-from .linalg import GF, add_scaled, add_term, mat_inverse, sparse_rank
+from .linalg import GF, add_scaled, add_term, closure, mat_inverse, sparse_rank
 
-DEGEN_GUARD = int(os.environ.get("LIELOCAL_DEGEN_GUARD", "4096"))
+DEGEN_GUARD = 4096
 
 Exponents = tuple[int, ...]
 UPoly = dict[Exponents, int]  # radical coordinates, coefficients mod ell
@@ -142,27 +141,14 @@ class AbelianLGroup:
                   for c in range(rank))
             for r in range(rank))
 
-    def automorphism_group(self, guard: int = DEGEN_GUARD):
+    def automorphism_group(self):
         """All elements of E = <generators>, as normalized matrices."""
         identity = self._normalize(
             [[1 if r == c else 0 for c in range(self.rank)]
              for r in range(self.rank)])
         gens = [self._normalize(m) for m in self.e_generators]
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for mat in frontier:
-                for g in gens:
-                    prod = self._compose(g, mat)
-                    if prod not in seen:
-                        if len(seen) >= guard:
-                            raise GuardExceeded(
-                                "automorphism group exceeds guard %d" % guard)
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return sorted(seen)
+        return sorted(closure((identity,), gens, lambda mat, g: self._compose(g, mat),
+                              DEGEN_GUARD))
 
     def apply_automorphism(self, mat, x: GroupElt) -> GroupElt:
         rank = self.rank
@@ -278,14 +264,6 @@ class TruncatedAlgebra:
     def dim(self) -> int:
         return math.prod(self.moduli)
 
-    @property
-    def n_generators(self) -> int:
-        return len(self.moduli)
-
-    def generator(self, j: int) -> UPoly:
-        exp = tuple(1 if k == j else 0 for k in range(self.n_generators))
-        return {exp: 1}
-
     def basis(self) -> Iterator[Exponents]:
         return itertools.product(*(range(m) for m in self.moduli))
 
@@ -342,7 +320,7 @@ class RadicalSection:
         }
 
 
-def radical_section(group: AbelianLGroup, guard: int = DEGEN_GUARD) -> RadicalSection:
+def radical_section(group: AbelianLGroup) -> RadicalSection:
     """Average the canonical section v_j -> g_j - 1 over E.
 
     sigma = |E|^{-1} sum_e  e . sigma_0 . e^{-1}, where e acts on V by the
@@ -352,7 +330,7 @@ def radical_section(group: AbelianLGroup, guard: int = DEGEN_GUARD) -> RadicalSe
     ell = group.ell
     moduli = group.moduli
     rank = group.rank
-    aut = group.automorphism_group(guard)
+    aut = group.automorphism_group()
     if len(aut) % ell == 0:
         raise ValueError(
             "automorphism group order %d is divisible by ell = %d; "
@@ -480,8 +458,7 @@ class DegenerationIsomorphism:
         }
 
 
-def build_isomorphism(group: AbelianLGroup,
-                      guard: int = DEGEN_GUARD) -> DegenerationIsomorphism:
+def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     """Extend the averaged section multiplicatively and certify that it is
     an E-equivariant isomorphism onto F_ell P.
 
@@ -493,10 +470,10 @@ def build_isomorphism(group: AbelianLGroup,
     on generators.  A failure raises InvariantError: the construction is
     supposed to make all four true for every valid input.
     """
-    if group.order > guard:
+    if group.order > DEGEN_GUARD:
         raise GuardExceeded("group order %d exceeds guard %d"
-                            % (group.order, guard))
-    section = radical_section(group, guard)
+                            % (group.order, DEGEN_GUARD))
+    section = radical_section(group)
     algebra = TruncatedAlgebra.of_group(group)
     ell = group.ell
     rank = group.rank

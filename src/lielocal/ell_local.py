@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycloField, cyclo_rref
-from .errors import GuardExceeded, check
+from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
+from .linalg import closure
 from .root_datum import RootDatum
-from .weyl import WEYL_GUARD, WeylGroup, generate_weyl, gl_weyl, vanishes_on
+from .weyl import WeylGroup, generate_weyl, gl_weyl, vanishes_on
 
 __all__ = [
     "LeviData",
@@ -91,25 +92,7 @@ def _reflection_image(field: CycloField, root, coroot, vec):
     return tuple(field.sub(x, field.scale(b, pairing)) for x, b in zip(vec, root))
 
 
-def _perm_closure(ctx, generators, guard: int) -> set[tuple[int, ...]]:
-    """Subgroup of signed-root permutations generated by the given perms."""
-    group = {ctx.identity_perm}
-    frontier = [ctx.identity_perm]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = ctx.compose(p, g)
-                if q not in group:
-                    group.add(q)
-                    new.append(q)
-        if len(group) > guard:
-            raise GuardExceeded(f"subgroup closure exceeded guard {guard}")
-        frontier = new
-    return group
-
-
-def _levi_of_group(group: WeylGroup, d: int, guard: int = WEYL_GUARD) -> LeviData:
+def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
     ctx = group.ctx
     witness, dim = group.max_phi_d_eigenspace(d)
     if dim == 0:
@@ -150,8 +133,10 @@ def _levi_of_group(group: WeylGroup, d: int, guard: int = WEYL_GUARD) -> LeviDat
                 image = perm[j] if perm[j] < ctx.N else perm[j] - ctx.N
                 check(image in idx_set, f"{name} root set is not closed")
 
-    w_l = _perm_closure(ctx, [ctx.reflection_perm_of_root(k) for k in levi_idx], guard)
-    w_prime = _perm_closure(ctx, [ctx.reflection_perm_of_root(k) for k in orth_idx], guard)
+    # subgroups of the enumerated W, so they need no guard of their own
+    reflection = ctx.reflection_perm_of_root
+    w_l = closure((ctx.identity_perm,), [reflection(k) for k in levi_idx], ctx.compose)
+    w_prime = closure((ctx.identity_perm,), [reflection(k) for k in orth_idx], ctx.compose)
     check(w_l & w_prime == {ctx.identity_perm},
           "Levi and orthogonal reflection groups overlap")
 
@@ -167,18 +152,18 @@ def _levi_of_group(group: WeylGroup, d: int, guard: int = WEYL_GUARD) -> LeviDat
     )
 
 
-def centralizer_levi(datum: RootDatum, d: int, guard: int = WEYL_GUARD) -> LeviData:
+def centralizer_levi(datum: RootDatum, d: int) -> LeviData:
     """Levi data of the maximal zeta_d-eigenspace witness for a root datum."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return _levi_of_group(generate_weyl(datum, guard), d, guard)
+    return _levi_of_group(generate_weyl(datum), d)
 
 
-def gl_centralizer_levi(n: int, d: int, guard: int = WEYL_GUARD) -> LeviData:
+def gl_centralizer_levi(n: int, d: int) -> LeviData:
     """Same as centralizer_levi for GL_n (S_n acting on Z^n)."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return _levi_of_group(gl_weyl(n, guard), d, guard)
+    return _levi_of_group(gl_weyl(n), d)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +207,7 @@ class SylowReport:
 
 
 def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
-                    q: int, ell: int, guard: int) -> SylowReport:
+                    q: int, ell: int) -> SylowReport:
     d, nu = ell_part(factorization, q, ell)
     a_d = factorization.exponent(d)
     outside = ell <= 3
@@ -234,7 +219,7 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
             relative_weyl_order=1, outside_hypotheses=outside,
             levi=None,
         )
-    levi = _levi_of_group(group, d, guard)
+    levi = _levi_of_group(group, d)
     check(levi.eigenspace_dim == a_d,
           "maximal eigenspace dimension disagrees with the Phi_d-exponent")
     witness, _ = group.max_phi_d_eigenspace(d)
@@ -248,21 +233,17 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
     )
 
 
-def sylow_structure(datum: RootDatum, q: int, ell: int,
-                    guard: int = WEYL_GUARD) -> SylowReport:
+def sylow_structure(datum: RootDatum, q: int, ell: int) -> SylowReport:
     """Sylow l-subgroup shape of the finite group attached to a root datum.
 
     Rejects l dividing q (defining characteristic) and non-prime l via
     the order-polynomial l-part computation.
     """
     factorization = generic_order(datum)
-    group = generate_weyl(datum, guard)
-    return _sylow_of_group(group, factorization, q, ell, guard)
+    return _sylow_of_group(generate_weyl(datum), factorization, q, ell)
 
 
-def gl_sylow_structure(n: int, q: int, ell: int,
-                       guard: int = WEYL_GUARD) -> SylowReport:
+def gl_sylow_structure(n: int, q: int, ell: int) -> SylowReport:
     """Sylow l-subgroup shape of GL_n(q) for l coprime to q."""
     factorization = gl_order(n)
-    group = gl_weyl(n, guard)
-    return _sylow_of_group(group, factorization, q, ell, guard)
+    return _sylow_of_group(gl_weyl(n), factorization, q, ell)

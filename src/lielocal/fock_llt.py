@@ -28,7 +28,6 @@ raises InvariantError rather than returning a wrong matrix.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
 from .linalg import add_scaled, add_term, rref
 
-LLT_GUARD = int(os.environ.get("LIELOCAL_LLT_GUARD", "12"))
+LLT_GUARD = 12
 
 Partition = tuple[int, ...]
 FockVector = dict[Partition, Laurent]
@@ -476,33 +475,18 @@ def _bar_matrix(labels: list[Partition],
             if not integral:
                 break
             candidate[labels[c]] = column
-        if integral and _bar_matrix_valid(labels, mat, candidate):
+        if integral and _bar_matrix_valid(labels, family, candidate):
             return candidate
         bound *= 2
     raise InvariantError("bar involution interpolation did not stabilize")
 
 
-def _bar_matrix_valid(labels, mat, columns) -> bool:
-    """Symbolic check of W(v) M(1/v) = M(v) and W(v) W(1/v) = identity."""
-    size = len(labels)
-    index = {p: r for r, p in enumerate(labels)}
-    for c in range(size):
-        image: FockVector = {}
-        for r in range(size):
-            e = mat[r][c]
-            if e:
-                image = fock_add(image, fock_scale(e.bar(), columns[labels[r]]))
-        for r in range(size):
-            if image.get(labels[r], Laurent(0)) != mat[r][c]:
-                return False
-    for c in range(size):
-        image = {}
-        for p, e in columns[labels[c]].items():
-            image = fock_add(image, fock_scale(e.bar(), columns[p]))
-        expected = {labels[c]: Laurent(1)}
-        if image != expected:
-            return False
-    return True
+def _bar_matrix_valid(labels, family, columns) -> bool:
+    """Symbolic check of W(v) M(1/v) = M(v) and W(v) W(1/v) = identity: the
+    candidate bar fixes every family vector and squares to the identity."""
+    return all(_bar_apply(columns, family[p]) == family[p]
+               and _bar_apply(columns, columns[p]) == {p: Laurent(1)}
+               for p in labels)
 
 
 def _bar_apply(columns: dict[Partition, FockVector], vec: FockVector) -> FockVector:
@@ -519,7 +503,7 @@ def _antisymmetric_positive_part(r: Laurent) -> Laurent:
     return Laurent(terms)
 
 
-def llt_canonical_basis(n: int, d: int, guard: int = LLT_GUARD) -> FockMatrix:
+def llt_canonical_basis(n: int, d: int) -> FockMatrix:
     """Canonical basis of the degree-n part of the Fock space.
 
     The bar involution is reconstructed from the invariant family one d-core
@@ -532,8 +516,8 @@ def llt_canonical_basis(n: int, d: int, guard: int = LLT_GUARD) -> FockMatrix:
         raise ValueError("d must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > guard:
-        raise GuardExceeded(f"n = {n} exceeds the canonical basis guard {guard}")
+    if n > LLT_GUARD:
+        raise GuardExceeded(f"n = {n} exceeds the canonical basis guard {LLT_GUARD}")
     return _cached_basis(n, d)
 
 
@@ -634,12 +618,11 @@ def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
                       f"(coefficient of {labels[mu]} at v = {t})")
 
 
-def generic_decomposition_matrix(n: int, d: int,
-                                 guard: int = LLT_GUARD) -> list[list[int]]:
+def generic_decomposition_matrix(n: int, d: int) -> list[list[int]]:
     """Canonical basis evaluated at v = 1: for d the order of q mod ell and
     ell large, the conjectural square unipotent decomposition matrix of
     GL_n(q) (no effective bound on ell is known)."""
-    return llt_canonical_basis(n, d, guard).evaluate(1)
+    return llt_canonical_basis(n, d).evaluate(1)
 
 
 @dataclass(frozen=True)

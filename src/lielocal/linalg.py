@@ -15,6 +15,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import GuardExceeded
+
 IntMatrix = list[list[int]]
 
 
@@ -212,6 +214,29 @@ def add_scaled(out: dict, vec: dict, c=1, mod: int | None = None) -> dict:
     else:
         for key, x in vec.items():
             add_term(out, key, c * x, mod)
+    return out
+
+
+def closure(seeds, generators, act, guard: int | None = None) -> set:
+    """The least set holding ``seeds`` and closed under x -> act(x, g) for
+    every g in ``generators``, found breadth first.  Raises GuardExceeded
+    once the set holds more than ``guard`` elements.
+
+    ``WeylGroup.__init__`` and ``root_datum._reflection_closure`` keep their
+    own loops: they record words and coroots in BFS order."""
+    out = set(seeds)
+    frontier = list(out)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = act(x, g)
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+                    if guard is not None and len(out) > guard:
+                        raise GuardExceeded(f"closure exceeded guard {guard}")
+        frontier = new
     return out
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .cyclotomic import CycloField, cyclo_rref, euler_phi, factor_into_cyclotomics
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
-from .linalg import identity, kernel_basis, mat_mul, mat_vec, rank
+from .linalg import closure, identity, kernel_basis, mat_mul, mat_vec, rank
 from .root_datum import RootDatum, parse_label, split_degrees
 
 WEYL_GUARD = 10**6
@@ -278,10 +278,10 @@ class WeylGroup:
     listed in (length, word) order, which downstream code uses as the
     canonical tie-break."""
 
-    def __init__(self, ctx: ReflectionContext, guard: int = WEYL_GUARD):
-        if ctx.predicted_order is not None and ctx.predicted_order > guard:
-            raise GuardExceeded(
-                f"Weyl group of {ctx.label} has order {ctx.predicted_order} > guard {guard}")
+    def __init__(self, ctx: ReflectionContext):
+        if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
+            raise GuardExceeded(f"Weyl group of {ctx.label} has order "
+                                f"{ctx.predicted_order} > guard {WEYL_GUARD}")
         self.ctx = ctx
         elements: list[WeylElement] = []
         index_of: dict[tuple[int, ...], int] = {}
@@ -307,8 +307,9 @@ class WeylGroup:
                             m = mat_mul(el.matrix, ctx.gen_matrices[i])
                             next_frontier.append(add(perm, el.word + (i,), m))
             frontier = next_frontier
-            if len(elements) > guard:
-                raise GuardExceeded(f"enumeration of {ctx.label} exceeded guard {guard}")
+            if len(elements) > WEYL_GUARD:
+                raise GuardExceeded(
+                    f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
         self.elements = elements
         self.index_of = index_of
         if ctx.predicted_order is not None:
@@ -388,23 +389,21 @@ class WeylGroup:
         twisted = self.ctx.phi_perm != self.ctx.identity_perm
         gen_indices = [self.index_of[p] for p in self.ctx.gen_perms]
         phi_of_gen = [self.phi_image(g) for g in gen_indices]
+        # s_g^{-1} w phi(s_g), with s_g^{-1} = s_g
+        pairs = list(zip(gen_indices, phi_of_gen))
+        multiply = self.multiply
+
+        def act(w, pair):
+            return multiply(multiply(pair[0], w), pair[1])
+
         seen = [False] * len(self)
         classes = []
         for start in range(len(self)):
             if seen[start]:
                 continue
-            orbit = [start]
-            seen[start] = True
-            pos = 0
-            while pos < len(orbit):
-                w = orbit[pos]
-                pos += 1
-                for g, pg in zip(gen_indices, phi_of_gen):
-                    # s_g^{-1} w phi(s_g)
-                    image = self.multiply(self.multiply(g, w), pg)
-                    if not seen[image]:
-                        seen[image] = True
-                        orbit.append(image)
+            orbit = closure((start,), pairs, act)
+            for w in orbit:
+                seen[w] = True
             members = tuple(sorted((self.elements[i] for i in orbit),
                                    key=lambda el: (el.length, el.word)))
             classes.append(TwistedClass(representatives=members, twisted=twisted))
@@ -513,19 +512,9 @@ class WeylGroup:
             r for r in images
             if rank([[field.sub(x, one) if i == j else x for j, x in enumerate(row)]
                      for i, row in enumerate(r)], field) == 1]
-        generated = {tuple(tuple(one if i == j else field.zero for j in range(k))
-                           for i in range(k))}
-        frontier = list(generated)
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in reflections:
-                    prod = field.mat_mul(g, s)
-                    if prod not in generated:
-                        generated.add(prod)
-                        new.append(prod)
-            frontier = new
-        return generated == images
+        unit = tuple(tuple(one if i == j else field.zero for j in range(k))
+                     for i in range(k))
+        return closure((unit,), reflections, field.mat_mul) == images
 
 
 def vanishes_on(field: CycloField, coroot, basis) -> bool:
@@ -554,20 +543,22 @@ def _restrict_to_span(field: CycloField, int_matrix, basis):
 # public helpers
 
 
+# The caches are keyed without WEYL_GUARD: a group cached before the guard
+# was lowered is still returned, since a guard bounds work and a hit does none.
 @lru_cache(maxsize=32)
-def _cached_group(label: str, guard: int) -> WeylGroup:
+def _cached_group(label: str) -> WeylGroup:
     from .root_datum import cached_datum
-    return WeylGroup(context_from_datum(cached_datum(label)), guard=guard)
+    return WeylGroup(context_from_datum(cached_datum(label)))
 
 
-def generate_weyl(datum: RootDatum, guard: int = WEYL_GUARD) -> WeylGroup:
-    """Enumerate the Weyl group of a root datum (guarded)."""
+def generate_weyl(datum: RootDatum) -> WeylGroup:
+    """Enumerate the Weyl group of a root datum (guarded by WEYL_GUARD)."""
     if datum.label and predicted_weyl_order(datum.label) is not None:
-        return _cached_group(datum.label, guard)
-    return WeylGroup(context_from_datum(datum), guard=guard)
+        return _cached_group(datum.label)
+    return WeylGroup(context_from_datum(datum))
 
 
 @lru_cache(maxsize=16)
-def gl_weyl(n: int, guard: int = WEYL_GUARD) -> WeylGroup:
+def gl_weyl(n: int) -> WeylGroup:
     """S_n with its permutation reflection action on Z^n."""
-    return WeylGroup(gl_context(n), guard=guard)
+    return WeylGroup(gl_context(n))

@@ -86,8 +86,6 @@ class TestGroupValidation:
         cyc = AbelianLGroup(ell=2, factors=((1, 2),),
                             e_generators=(CYCLE_ON_V4,))
         assert len(cyc.automorphism_group()) == 3
-        with pytest.raises(GuardExceeded):
-            cyc.automorphism_group(guard=2)
 
 
 class TestRadicalCoordinates:
@@ -233,9 +231,9 @@ class TestIsomorphism:
                 assert lhs == rhs
 
     def test_guard(self):
-        g = AbelianLGroup(ell=2, factors=((10, 1),))
+        g = AbelianLGroup(ell=2, factors=((13, 1),))
         with pytest.raises(GuardExceeded):
-            build_isomorphism(g, guard=512)
+            build_isomorphism(g)
 
     def test_every_group_up_to_729(self):
         groups = all_groups_up_to(729)

@@ -328,7 +328,7 @@ class TestCanonicalBasis:
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
-            llt_canonical_basis(6, 2, guard=5)
+            llt_canonical_basis(13, 2)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):

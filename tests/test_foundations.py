@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lielocal import defining_char, degeneration, fock_llt, weyl
 from lielocal.cyclotomic import (
     CycloField,
     cyclotomic,
@@ -14,7 +15,7 @@ from lielocal.cyclotomic import (
     poly_exact_div,
     poly_mul,
 )
-from lielocal.errors import InvariantError
+from lielocal.errors import GuardExceeded, InvariantError
 from lielocal.fock_llt import _family_solve
 from lielocal.laurent import Laurent, poly_from_coeffs, quantum_factorial, quantum_integer
 from lielocal.linalg import (
@@ -22,6 +23,7 @@ from lielocal.linalg import (
     QQ,
     add_scaled,
     add_term,
+    closure,
     det,
     identity,
     kernel_basis,
@@ -33,6 +35,8 @@ from lielocal.linalg import (
     smith_normal_form,
     solve,
 )
+from lielocal.root_datum import cached_datum
+from test_degeneration import CYCLE_ON_V4
 
 
 _QI = CycloField(4)  # Q(i)
@@ -195,6 +199,17 @@ class TestLinalg:
         add_term(by_term, key, -by_term[key], mod)
         assert key not in by_term
 
+    def test_closure(self):
+        def step(x, g):
+            return (x + g) % 12
+
+        assert closure((0,), (4,), step) == {0, 4, 8}
+        assert closure((1,), (4, 6), step) == {1, 3, 5, 7, 9, 11}
+        assert closure((0,), (), step) == {0}
+        assert closure((0,), (4,), step, guard=3) == {0, 4, 8}
+        with pytest.raises(GuardExceeded):
+            closure((0,), (4,), step, guard=2)
+
     def test_smith_normal_form_random(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -296,3 +311,28 @@ class TestCycloField:
             for e in range(1, d):
                 assert k.pow(z, e) != k.one
             assert k.pow(z, d) == k.one
+
+
+def _lowered_guard_calls():
+    cyc = degeneration.AbelianLGroup(ell=2, factors=((1, 2),),
+                                     e_generators=(CYCLE_ON_V4,))
+    cases = [
+        (weyl, "WEYL_GUARD", 10,
+         lambda: weyl.WeylGroup(weyl.context_from_datum(cached_datum("A3")))),
+        (defining_char, "WEIGHT_GUARD", 8,
+         lambda: list(defining_char.restricted_weights(cached_datum("A2"), 3))),
+        (fock_llt, "LLT_GUARD", 5, lambda: fock_llt.llt_canonical_basis(6, 2)),
+        (degeneration, "DEGEN_GUARD", 2, cyc.automorphism_group),
+    ]
+    return [pytest.param(*case, id=case[1]) for case in cases]
+
+
+@pytest.mark.parametrize("module, name, value, call", _lowered_guard_calls())
+def test_lowered_guard_constant_is_read_at_call_time(monkeypatch, module, name,
+                                                     value, call):
+    """Each guard is a module constant that its functions read when called,
+    so lowering it makes a call that fits the default refuse."""
+    call()  # fits the default guard
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(GuardExceeded):
+        call()
