@@ -12,10 +12,12 @@ kappa d-regular; the vectors
 
     A(lambda) = V_{nu_1} V_{nu_2} ... (ladder monomial of kappa) |empty>
 
-are fixed by the bar involution and span the degree-n part.  Gaussian
-elimination against that family yields the canonical basis: the unique
-bar-invariant vectors G(lambda) = |lambda> + sum of v Z[v] multiples of
-smaller |mu>.  Evaluating the coefficient matrix at v = 1 gives, for d the
+are fixed by the bar involution and span the degree-n part, so they
+determine it: one exact solve at v = 2^64 gives the bar matrix, whose
+Laurent entries are the balanced base-2^64 digits of its values.  A
+correction recursion against that matrix yields the canonical basis: the
+unique bar-invariant vectors G(lambda) = |lambda> + sum of v Z[v] multiples
+of smaller |mu>.  Evaluating the coefficient matrix at v = 1 gives, for d the
 multiplicative order of q modulo ell and ell large, the conjectural square
 part of the unipotent decomposition matrix of GL_n(q); outputs are generic
 in that sense and carry no effective bound on ell.
@@ -398,21 +400,25 @@ class FockMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _newton_interpolation(points: list[Fraction],
-                          values: list[Fraction]) -> list[Fraction]:
-    """Coefficients (ascending powers) of the polynomial through the points."""
-    size = len(points)
-    table = list(values)
-    for level in range(1, size):
-        for j in range(size - 1, level - 1, -1):
-            table[j] = (table[j] - table[j - 1]) / (points[j] - points[j - level])
-    coeffs = [Fraction(0)] * size
-    for j in range(size - 1, -1, -1):
-        shifted = [Fraction(0)] + coeffs[:-1]
-        scaled = [points[j] * c for c in coeffs]
-        coeffs = [s - t for s, t in zip(shifted, scaled)]
-        coeffs[0] += table[j]
-    return coeffs
+def _laurent_at(value: Fraction, t: int) -> Laurent:
+    """The Laurent polynomial f with f(t) = value and every coefficient in
+    [-t/2, t/2), for t a power of two: the balanced base-t digits of value,
+    scaled by the least power of t that clears its denominator."""
+    den = value.denominator
+    if den & (den - 1):
+        raise InvariantError(f"{value} has a denominator that is not a power of two")
+    bits = t.bit_length() - 1
+    low = -(-(den.bit_length() - 1) // bits)
+    rest = value.numerator * (t**low // den)
+    half = t // 2
+    terms = {}
+    exponent = -low
+    while rest:
+        digit = (rest + half) % t - half
+        terms[exponent] = digit
+        rest = (rest - digit) // t
+        exponent += 1
+    return Laurent(terms)
 
 
 def _bar_matrix(labels: list[Partition],
@@ -421,64 +427,28 @@ def _bar_matrix(labels: list[Partition],
 
     The involution fixes every family vector, which pins it down: writing M
     for the family matrix, bar on standard coordinates is W = M(v) M(1/v)^-1.
-    W is computed by exact rational evaluation at enough points followed by
-    interpolation, and the defining identity W(v) M(1/v) = M(v) plus the
-    involution identity W(v) W(1/v) = 1 are then re-checked symbolically, so
-    an insufficient degree bound is caught and retried, never returned.
+    Its entries are Laurent polynomials over Z, so one exact solve at
+    v = t = 2^64 gives W(t), and each entry is read off the balanced base-t
+    digits of its value.  The candidate is returned only if it passes the
+    symbolic identities W(v) M(1/v) = M(v) and W(v) W(1/v) = 1, which have
+    W as their only solution; a singular solve, a value that is not a
+    Laurent polynomial at t, or a failed identity squares t and retries.
     """
-    size = len(labels)
-    mat = [[family[labels[c]].get(labels[r], Laurent(0)) for c in range(size)]
-           for r in range(size)]
-    spread = 1
-    for row in mat:
-        for e in row:
-            if e:
-                spread = max(spread, abs(e.min_degree()), abs(e.max_degree()))
-    bound = 2 * spread + 4
+    t = 2**64
     for _ in range(4):
-        needed = 2 * bound + 1
-        points: list[Fraction] = []
-        samples: list[list[list[Fraction]]] = []
-        t = Fraction(2)
-        while len(points) < needed:
-            inv_t = 1 / t
-            try:
-                m_inv_tr = [[Fraction(mat[r][c](inv_t)) for r in range(size)]
-                            for c in range(size)]
-                m_tr = [[Fraction(mat[r][c](t)) for r in range(size)]
-                        for c in range(size)]
-                w_tr = _family_solve(m_inv_tr, m_tr)
-            except InvariantError:
-                t += 1
-                continue
-            points.append(t)
-            samples.append(w_tr)
-            t += 1
-        candidate: dict[Partition, FockVector] = {}
-        integral = True
-        for c in range(size):
-            column: FockVector = {}
-            for r in range(size):
-                values = [s[c][r] * p ** bound for s, p in zip(samples, points)]
-                coeffs = _newton_interpolation(points, values)
-                terms = {}
-                for k, coeff in enumerate(coeffs):
-                    if coeff:
-                        if coeff.denominator != 1:
-                            integral = False
-                            break
-                        terms[k - bound] = int(coeff)
-                if not integral:
-                    break
-                if terms:
-                    column[labels[r]] = Laurent(terms)
-            if not integral:
-                break
-            candidate[labels[c]] = column
-        if integral and _bar_matrix_valid(labels, family, candidate):
-            return candidate
-        bound *= 2
-    raise InvariantError("bar involution interpolation did not stabilize")
+        try:
+            w_tr = _family_solve(_family_rows(labels, family, Fraction(1, t)),
+                                 _family_rows(labels, family, t))
+            candidate = {col: {row: e for row, x in zip(labels, w_col)
+                               if (e := _laurent_at(x, t))}
+                         for col, w_col in zip(labels, w_tr)}
+        except InvariantError:
+            pass
+        else:
+            if _bar_matrix_valid(labels, family, candidate):
+                return candidate
+        t *= t
+    raise InvariantError("bar involution could not be read off an exact evaluation")
 
 
 def _bar_matrix_valid(labels, family, columns) -> bool:
@@ -492,7 +462,7 @@ def _bar_matrix_valid(labels, family, columns) -> bool:
 def _bar_apply(columns: dict[Partition, FockVector], vec: FockVector) -> FockVector:
     out: FockVector = {}
     for p, c in vec.items():
-        out = fock_add(out, fock_scale(c.bar(), columns[p]))
+        add_scaled(out, columns[p], c.bar())
     return out
 
 
@@ -545,14 +515,14 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
         for p in block:
             g: FockVector = {p: Laurent(1)}
             while True:
-                delta = fock_add(_bar_apply(columns, g), fock_scale(-1, g))
+                delta = add_scaled(_bar_apply(columns, g), g, -1)
                 if not delta:
                     break
                 top = max(delta, key=position.__getitem__)
                 check(position[top] < position[p],
                       f"bar image of G({p}) sticks out above")
                 q = _antisymmetric_positive_part(delta[top])
-                g = fock_add(g, fock_scale(q, basis[top]))
+                add_scaled(g, basis[top], q)
             basis[p] = g
 
     entries = tuple(
@@ -575,6 +545,11 @@ _BAR_CHECK_POINTS = (
     Fraction(2), Fraction(3), Fraction(5), Fraction(7),
     Fraction(-2), Fraction(-3), Fraction(7, 2), Fraction(-5, 3),
 )
+
+
+def _family_rows(labels, family, x) -> list[list[Fraction]]:
+    """The family matrix at v = x, transposed: row c is A(labels[c])."""
+    return [[family[a].get(p, Laurent(0))(x) for p in labels] for a in labels]
 
 
 def _family_solve(mat: list[list[Fraction]],
@@ -602,16 +577,14 @@ def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
     size = len(labels)
     for t in _BAR_CHECK_POINTS:
         inv_t = 1 / t
-        m_at_inv = [[family[labels[c]].get(labels[r], Laurent(0))(inv_t)
-                     for c in range(size)] for r in range(size)]
-        m_at_t = [[family[labels[c]].get(labels[r], Laurent(0))(t)
-                   for c in range(size)] for r in range(size)]
+        m_at_inv = [list(col) for col in zip(*_family_rows(labels, family, inv_t))]
+        a_at_t = _family_rows(labels, family, t)
         g_at_inv = [[matrix.entries[c][r](inv_t)
                      for c in range(size)] for r in range(size)]
         coeffs = _family_solve(m_at_inv, g_at_inv)
         for lam in range(size):
             for mu in range(size):
-                total = sum((m_at_t[mu][j] * coeffs[j][lam] for j in range(size)),
+                total = sum((a_at_t[j][mu] * coeffs[j][lam] for j in range(size)),
                             Fraction(0))
                 check(total == matrix.entries[lam][mu](t),
                       f"G({labels[lam]}) is not bar-invariant "

@@ -148,30 +148,49 @@ def gl_order(n: int, unitary: bool = False) -> CycloFactorization:
     return _expand_and_factor(label, n, n * (n - 1) // 2, pairs)
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for m >= 3.3e24, where
+    the fixed bases no longer decide primality."""
+    if m >= _MR_BOUND:
+        raise ValueError(f"{m} is too large to test for primality")
     if m < 2:
         return False
-    i = 2
-    while i * i <= m:
-        if m % i == 0:
-            return False
-        i += 1
-    return True
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    twos = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = odd * 2^twos
+    odd = (m - 1) >> twos
+    return all(pow(a, odd, m) == 1
+               or any(pow(a, odd << i, m) == m - 1 for i in range(twos))
+               for a in _MR_BASES)
+
+
+def _integer_root(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power_base(q: int) -> int | None:
     """The prime p with q = p^k, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = q
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1
-    return q  # q itself prime
+    for k in range(q.bit_length(), 1, -1):
+        root = _integer_root(q, k)
+        if root**k == q:
+            # k is maximal, so root is no perfect power
+            return root if is_prime(root) else None
+    return q if is_prime(q) else None
 
 
 def evaluate_order(f: CycloFactorization, q: int) -> int:

@@ -195,6 +195,14 @@ class TestExitCodes:
         assert "error: unsupported type" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_large_prime_q_ends_quickly(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "order", "A2", "--q",
+             "1000000000000000003"],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["q"] == "1000000000000000003"
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")
         assert code == 0

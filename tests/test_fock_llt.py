@@ -1,9 +1,13 @@
 """Fock space combinatorics and the canonical basis matrices."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lielocal import fock_llt
 from lielocal.errors import GuardExceeded, InvariantError
 from lielocal.fock_llt import (
     FockMatrix,
@@ -335,6 +339,61 @@ class TestCanonicalBasis:
             llt_canonical_basis(3, 1)
         with pytest.raises(ValueError):
             llt_canonical_basis(-1, 2)
+
+
+T = 2**64
+
+
+def _block_and_family(n, d):
+    family = bar_invariant_family(n, d)
+    block = [p for p in partitions(n) if d_core(p, d) == ()]
+    return block, family
+
+
+class TestBarMatrix:
+    @given(st.dictionaries(st.integers(-40, 40),
+                           st.integers(-(T // 2) + 1, T // 2 - 1), max_size=12))
+    def test_digit_reader_round_trips(self, terms):
+        f = Laurent(terms)
+        assert fock_llt._laurent_at(Fraction(f(T)), T) == f
+
+    def test_digit_reader_rejects_odd_denominators(self):
+        with pytest.raises(InvariantError, match="power of two"):
+            fock_llt._laurent_at(Fraction(1, 3), T)
+        with pytest.raises(InvariantError, match="power of two"):
+            fock_llt._laurent_at(Fraction(5, 3 * T), T)
+
+    def test_one_solve_per_block(self, monkeypatch):
+        solve = fock_llt._family_solve
+        calls = []
+        monkeypatch.setattr(fock_llt, "_family_solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        block, family = _block_and_family(6, 2)
+        columns = fock_llt._bar_matrix(block, family)
+        assert len(calls) == 1
+        assert fock_llt._bar_matrix_valid(block, family, columns)
+
+    def test_retries_with_a_larger_t(self, monkeypatch):
+        block, family = _block_and_family(6, 2)
+        expected = fock_llt._bar_matrix(block, family)
+        solve = fock_llt._family_solve
+        calls = []
+
+        def singular_once(mat, rhs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise InvariantError("family matrix is singular at a check point")
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(fock_llt, "_family_solve", singular_once)
+        assert fock_llt._bar_matrix(block, family) == expected
+        assert len(calls) == 2
+
+    def test_never_returns_an_unverified_candidate(self, monkeypatch):
+        monkeypatch.setattr(fock_llt, "_bar_matrix_valid", lambda *args: False)
+        block, family = _block_and_family(4, 2)
+        with pytest.raises(InvariantError):
+            fock_llt._bar_matrix(block, family)
 
 
 class TestEvaluationAndOutput:

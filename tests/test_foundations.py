@@ -169,7 +169,7 @@ class TestLinalg:
                 assert not field.nonzero(total)
 
     def test_family_solve_rejects_a_singular_matrix(self):
-        # _bar_matrix catches this InvariantError to skip an evaluation point
+        # _bar_matrix catches this InvariantError and retries with a larger t
         singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(InvariantError, match="singular"):
             _family_solve(singular, [[Fraction(1)], [Fraction(0)]])

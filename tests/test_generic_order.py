@@ -138,13 +138,28 @@ def test_evaluate_order_rejects_bad_q():
     assert evaluate_order(f, 49) == 49 * (49 * 49 - 1)
 
 
+def _trial_division_is_prime(m):
+    return m >= 2 and all(m % k for k in range(2, int(m**0.5) + 1))
+
+
 def test_prime_helpers():
     assert [m for m in range(2, 20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert all(is_prime(m) == _trial_division_is_prime(m) for m in range(20000))
+    for p in (10**9 + 7, 10**12 + 39, 10**18 + 3):
+        assert is_prime(p)
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
+    for m in (561, 41041, 3215031751):
+        assert not is_prime(m)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3317044064679887385961981)
     assert prime_power_base(8) == 2
     assert prime_power_base(9) == 3
     assert prime_power_base(49) == 7
     assert prime_power_base(6) is None
     assert prime_power_base(1) is None
+    assert prime_power_base(2**100) == 2
+    assert prime_power_base(6**50) is None
+    assert prime_power_base((10**9 + 7) ** 3) == 10**9 + 7
     assert valuation(216, 3) == 3
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(4, 3) == 1
