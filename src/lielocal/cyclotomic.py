@@ -9,7 +9,7 @@ algorithm, which is what the regular-eigenvector computations need.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvariantError
@@ -157,9 +157,13 @@ class CycloField:
         self.degree = len(self.modulus) - 1
 
     def reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        _, rem = poly_qdivmod(list(coeffs), self.modulus)
-        rem = list(rem) + [Fraction(0)] * (self.degree - len(rem))
-        return tuple(rem[: self.degree])
+        """Remainder modulo the monic Phi_d, padded to phi(d) coefficients."""
+        deg = self.degree
+        rem = [Fraction(x) for x in coeffs] + [Fraction(0)] * (deg - len(coeffs))
+        for k in range(len(rem) - 1, deg - 1, -1):
+            for i in range(deg):
+                rem[k - deg + i] -= rem[k] * self.modulus[i]
+        return tuple(rem[:deg])
 
     def from_rational(self, a) -> tuple[Fraction, ...]:
         return self.reduce([Fraction(a)])
@@ -189,8 +193,9 @@ class CycloField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        prod = poly_mul(list(a), list(b))
-        return self.reduce(prod)
+        if self.degree == 1:  # K = Q, for d = 1, 2
+            return (a[0] * b[0],)
+        return self.reduce(poly_mul(a, b))
 
     def scale(self, c, a):
         c = Fraction(c)
@@ -199,6 +204,8 @@ class CycloField:
     def inv(self, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        if self.degree == 1:
+            return (Fraction(1) / a[0],)
         # extended Euclid in Q[t]: s*a + t*Phi = gcd (a unit since Phi_d is
         # irreducible over Q and deg a < deg Phi)
         r0, r1 = self.modulus[:], poly_trim([Fraction(x) for x in a])
@@ -221,7 +228,7 @@ class CycloField:
 
     def sub_row(self, row, c, pivot):
         """row - c * pivot."""
-        return [self.sub(x, self.mul(c, y)) for x, y in zip(row, pivot)]
+        return [self.sub(x, self.mul(c, y)) if any(y) else x for x, y in zip(row, pivot)]
 
     def dot(self, int_row, vec) -> tuple[Fraction, ...]:
         """sum_i int_row[i] * vec[i] for a row of rationals and a vector
@@ -231,14 +238,6 @@ class CycloField:
             if c:
                 total = [t + c * y for t, y in zip(total, x)]
         return tuple(total)
-
-    def mat_mul(self, a, b) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Product of matrices over K, as a hashable tuple of rows."""
-        cols = list(zip(*b))
-        return tuple(
-            tuple(reduce(self.add, map(self.mul, row, col), self.zero)
-                  for col in cols)
-            for row in a)
 
     def pow(self, a, n: int):
         if n < 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycloField, cyclo_rref
 from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
-from .linalg import closure
+from .linalg import closure, reduce_against
 from .root_datum import RootDatum
 from .weyl import WeylGroup, generate_weyl, gl_weyl, vanishes_on
 
@@ -76,16 +76,6 @@ class LeviData:
         }
 
 
-def _reduce_against(field: CycloField, red_rows, pivots, vec):
-    """Residual of vec after elimination by rref rows; zero iff in the span."""
-    residual = list(vec)
-    for row, p in zip(red_rows, pivots):
-        c = residual[p]
-        if field.nonzero(c):
-            residual = field.sub_row(residual, c, row)
-    return residual
-
-
 def _reflection_image(field: CycloField, root, coroot, vec):
     """s_beta(v) = v - <v, beta^vee> beta, computed over K."""
     pairing = field.dot(coroot, vec)
@@ -117,7 +107,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
             image = _reflection_image(field, ctx.pos_roots[k], ctx.coroots[k], v)
             if image != tuple(v):
                 acts_trivially = False
-            residual = _reduce_against(field, red_rows, pivots, image)
+            residual = reduce_against(red_rows, pivots, image, field)
             if not all(field.is_zero(x) for x in residual):
                 stabilizes = False
                 break

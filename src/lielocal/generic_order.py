@@ -15,6 +15,8 @@ RootDatum here.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic, factor_into_cyclotomics, poly_eval, poly_mul
@@ -216,16 +218,69 @@ def valuation(n: int, ell: int) -> int:
     return v
 
 
+def _rho_factor(n: int) -> int:
+    """A proper divisor of an odd composite n with no prime factor below
+    1000, by Brent's variant of Pollard's rho (Brent, BIT 20 (1980)).  The
+    polynomial constants c = 1, 2, ... are tried in turn, so the result is
+    deterministic."""
+    for c in itertools.count(1):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def prime_divisors(n: int) -> set[int]:
+    """The primes dividing 1 <= n < 3.3e24: trial division below 1000, then
+    Pollard's rho on what is left, with :func:`is_prime` deciding each
+    cofactor."""
+    primes = set()
+    for p in range(2, 1000):
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            primes.add(m)
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return primes
+
+
 def multiplicative_order(q: int, ell: int) -> int:
-    d = 1
+    """Order of q modulo the prime ell: starting from e = ell - 1, divide
+    out each prime p of ell - 1 while q^(e/p) = 1 (mod ell)."""
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not prime")
     x = q % ell
     if x == 0:
         raise ValueError("q not invertible mod ell")
-    acc = x
-    while acc != 1:
-        acc = acc * x % ell
-        d += 1
-    return d
+    e = ell - 1
+    for p in prime_divisors(e):
+        while e % p == 0 and pow(x, e // p, ell) == 1:
+            e //= p
+    return e
 
 
 def ell_part(f: CycloFactorization, q: int, ell: int) -> tuple[int, int]:

@@ -147,6 +147,18 @@ def kernel_basis(a: Sequence[Sequence], field=QQ) -> list[list]:
     return basis
 
 
+def reduce_against(rows: Sequence[Sequence], pivots: Sequence[int], vec: Sequence,
+                   field=QQ) -> list:
+    """Residual of ``vec`` after elimination by the rows of a row-reduced
+    echelon form with the given pivot columns; zero iff ``vec`` lies in
+    their span."""
+    residual = list(vec)
+    for row, p in zip(rows, pivots):
+        if field.nonzero(residual[p]):
+            residual = field.sub_row(residual, residual[p], row)
+    return residual
+
+
 def solve(a: Sequence[Sequence], b: Sequence, field=QQ) -> list | None:
     """One solution of a @ x = b over ``field``, or None if inconsistent."""
     if not a:

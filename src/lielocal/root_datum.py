@@ -25,6 +25,7 @@ rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -175,7 +176,8 @@ def _diagram_automorphism(family: str, n: int, order: int) -> tuple[int, ...]:
 
 
 def _perm_order(p: tuple[int, ...]) -> int:
-    order = 1
+    """The lcm of the cycle lengths of the permutation p."""
+    lengths = []
     seen = [False] * len(p)
     for start in range(len(p)):
         if seen[start]:
@@ -186,14 +188,8 @@ def _perm_order(p: tuple[int, ...]) -> int:
             seen[i] = True
             i = p[i]
             length += 1
-        order = order * length // _gcd(order, length)
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        lengths.append(length)
+    return math.lcm(*lengths)
 
 
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
@@ -216,13 +212,9 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
                         stack.append(j)
                     elif d[j] != val:
                         raise InvariantError("Cartan matrix is not symmetrizable")
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
+    lcm_den = math.lcm(*(x.denominator for x in d))
     ints = [x * lcm_den for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x.numerator)
+    g = math.gcd(*(x.numerator for x in ints))
     out = tuple(int(x / g) for x in ints)
     for i in range(n):
         for j in range(n):

@@ -1,10 +1,11 @@
 """Finite Weyl groups: exact enumeration, twisted classes, regular elements.
 
-Elements are represented two ways at once:
-
-* a permutation of the 2N signed roots (indices 0..N-1 the positive roots,
-  N+k the negative of root k) — fast composition and length/descent queries;
-* an integer matrix on the weight lattice — needed for eigenspace work.
+An element is a permutation of the 2N signed roots (indices 0..N-1 the
+positive roots, N+k the negative of root k), which gives fast composition
+and length/descent queries, together with its least reduced word.  No
+matrix is stored: eigenspace work rebuilds the weight-lattice matrix of the
+few elements it needs from the word, and eigenspace dimensions are computed
+once per F-conjugacy class.
 
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
@@ -20,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .cyclotomic import CycloField, cyclo_rref, euler_phi, factor_into_cyclotomics
+from .cyclotomic import (CycloField, cyclo_rref, cyclotomic, euler_phi,
+                         factor_into_cyclotomics, poly_mul)
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
-from .linalg import closure, identity, kernel_basis, mat_mul, mat_vec, rank
+from .linalg import closure, identity, kernel_basis, mat_mul, mat_vec, rank, reduce_against
 from .root_datum import RootDatum, parse_label, split_degrees
 
 WEYL_GUARD = 10**6
@@ -212,14 +214,13 @@ def predicted_weyl_order(label: str) -> int | None:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One group element: permutation of signed roots, weight-lattice matrix,
-    a lexicographically least reduced word, and its length."""
+    """One group element: permutation of signed roots, a lexicographically
+    least reduced word, and its length."""
 
     index: int
     word: tuple[int, ...]
     length: int
     perm: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -286,16 +287,15 @@ class WeylGroup:
         elements: list[WeylElement] = []
         index_of: dict[tuple[int, ...], int] = {}
 
-        def add(perm, word, matrix):
+        def add(perm, word):
             el = WeylElement(index=len(elements), word=word,
-                             length=ctx.length(perm), perm=perm,
-                             matrix=tuple(tuple(r) for r in matrix))
+                             length=ctx.length(perm), perm=perm)
             check(el.length == len(word), "stored word is not reduced")
             elements.append(el)
             index_of[perm] = el.index
             return el
 
-        add(ctx.identity_perm, (), identity(ctx.dim))
+        add(ctx.identity_perm, ())
         frontier = [elements[0]]
         while frontier:
             next_frontier = []
@@ -304,8 +304,7 @@ class WeylGroup:
                     if el.perm[i] < ctx.N:  # l(w s_i) = l(w) + 1
                         perm = ctx.compose(el.perm, ctx.gen_perms[i])
                         if perm not in index_of:
-                            m = mat_mul(el.matrix, ctx.gen_matrices[i])
-                            next_frontier.append(add(perm, el.word + (i,), m))
+                            next_frontier.append(add(perm, el.word + (i,)))
             frontier = next_frontier
             if len(elements) > WEYL_GUARD:
                 raise GuardExceeded(
@@ -357,7 +356,6 @@ class WeylGroup:
         key = "degrees"
         if key in self._cache:
             return self._cache[key]
-        from .cyclotomic import poly_mul
         n = self.ctx.dim  # = rank for root data; includes the fixed line in GL mode
         q = self.poincare_polynomial()
         for _ in range(n):
@@ -372,10 +370,7 @@ class WeylGroup:
                     exps[e] -= 1
         check(all(c == 0 for c in exps.values()), "degree recovery left factors over")
         degrees.sort()
-        prod = 1
-        for d in degrees:
-            prod *= d
-        check(prod == len(self), "product of degrees != |W|")
+        check(math.prod(degrees) == len(self), "product of degrees != |W|")
         check(sum(d - 1 for d in degrees) == self.ctx.N, "sum of (d_i - 1) != N")
         self._cache[key] = tuple(degrees)
         return self._cache[key]
@@ -416,38 +411,43 @@ class WeylGroup:
         """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan."""
         ctx = self.ctx
         sigma = ctx.compose(self.elements[w].perm, ctx.phi_perm)
-        out = []
-        for el in self.elements:
-            if ctx.compose(el.perm, sigma) == ctx.compose(sigma, el.perm):
-                out.append(el.index)
-        return out
+        return [el.index for el in self.elements
+                if ctx.compose(el.perm, sigma) == ctx.compose(sigma, el.perm)]
 
     # eigenspace machinery -------------------------------------------------------
 
+    def _matrix(self, w: int):
+        """Weight-lattice matrix of w: the generator matrices along its word."""
+        return reduce(mat_mul, (self.ctx.gen_matrices[i] for i in self.elements[w].word),
+                      identity(self.ctx.dim))
+
     def _twisted_matrix(self, w: int):
-        return mat_mul(self.elements[w].matrix, self.ctx.phi_mat)
+        return mat_mul(self._matrix(w), self.ctx.phi_mat)
 
     def phi_d_dimensions(self, d: int) -> list[int]:
         """dim over Q(zeta_d) of the zeta_d-eigenspace of w·phi, for every w
-        (computed as dim_Q ker Phi_d(w phi) / phi(d))."""
+        (computed as dim_Q ker Phi_d(w phi) / phi(d)).  The dimension is an
+        F-class function, since v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one
+        rank is taken per class of :meth:`f_conjugacy_classes` and copied to
+        its members."""
         key = ("dims", d)
         if key in self._cache:
             return self._cache[key]
-        from .cyclotomic import cyclotomic
-        phi_poly = list(cyclotomic(d))
+        phi_poly = cyclotomic(d)
         deg = euler_phi(d)
-        dims = []
+        dims = [0] * len(self)
         n = self.ctx.dim
-        for w in range(len(self)):
-            m = self._twisted_matrix(w)
-            acc = [[phi_poly[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+        for cls in self.f_conjugacy_classes():
+            m = self._twisted_matrix(cls.representative.index)
+            acc = identity(n)  # Phi_d is monic: Horner from the top
             for c in reversed(phi_poly[:-1]):
                 acc = mat_mul(acc, m)
                 for i in range(n):
                     acc[i][i] += c
             dim_q = n - rank(acc)
             check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
-            dims.append(dim_q // deg)
+            for el in cls.representatives:
+                dims[el.index] = dim_q // deg
         self._cache[key] = dims
         return dims
 
@@ -462,19 +462,15 @@ class WeylGroup:
     def eigenspace_basis(self, w: int, d: int):
         """Basis over K = Q(zeta_d) of ker(w phi - zeta_d) in X ⊗ K."""
         field = CycloField(d)
-        zeta = field.zeta()
-        m = self._twisted_matrix(w)
-        km = [[field.from_rational(x) for x in row] for row in m]
-        for i in range(self.ctx.dim):
-            km[i][i] = field.sub(km[i][i], zeta)
+        km = [[field.from_rational(x) for x in row] for row in self._twisted_matrix(w)]
+        for i, row in enumerate(km):
+            row[i] = field.sub(row[i], field.zeta())
         return field, kernel_basis(km, field)
 
     def is_regular_eigenspace(self, field: CycloField, basis) -> bool:
-        """True when the eigenspace is contained in no root hyperplane."""
-        if not basis:
-            return False
-        return not any(vanishes_on(field, coroot, basis)
-                       for coroot in self.ctx.coroots)
+        """True when the eigenspace is nonzero and in no root hyperplane."""
+        return bool(basis) and not any(vanishes_on(field, coroot, basis)
+                                       for coroot in self.ctx.coroots)
 
     def regular_elements(self, d: int) -> RegularReport | None:
         """Scan W for d-regular twisted elements; return the canonical witness
@@ -500,21 +496,25 @@ class WeylGroup:
         return None
 
     def _centralizer_reflection_check(self, w, d, field, basis, centralizer) -> bool:
-        """Restrict C_W(w phi) to the eigenspace and test whether the image is
-        generated by its pseudo-reflections (rank(R - 1) = 1)."""
-        k = len(basis)
-        images = set()
-        for v in centralizer:
-            r = _restrict_to_span(field, self.elements[v].matrix, basis)
-            images.add(r)
+        """Restrict C_W(w phi) to the eigenspace and test whether it is
+        generated by the elements acting there as pseudo-reflections
+        (rank(R - 1) = 1).  The restriction is faithful on a regular
+        eigenspace (Springer), which is checked, so the generated subgroup is
+        compared with the centralizer as a set of element indices."""
+        rows, pivots = cyclo_rref(field, [list(v) for v in basis])
+        check(len(pivots) == len(basis), "eigenspace basis is not independent")
         one = field.one
-        reflections = [
-            r for r in images
+        images = set()
+        reflections = []
+        for v in centralizer:
+            r = _restrict_to_span(field, self._matrix(v), rows, pivots)
+            images.add(r)
             if rank([[field.sub(x, one) if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(r)], field) == 1]
-        unit = tuple(tuple(one if i == j else field.zero for j in range(k))
-                     for i in range(k))
-        return closure((unit,), reflections, field.mat_mul) == images
+                     for i, row in enumerate(r)], field) == 1:
+                reflections.append(v)
+        check(len(images) == len(centralizer),
+              "centralizer does not act faithfully on the eigenspace")
+        return closure((0,), reflections, self.multiply) == set(centralizer)
 
 
 def vanishes_on(field: CycloField, coroot, basis) -> bool:
@@ -523,20 +523,18 @@ def vanishes_on(field: CycloField, coroot, basis) -> bool:
     return all(field.is_zero(field.dot(coroot, v)) for v in basis)
 
 
-def _restrict_to_span(field: CycloField, int_matrix, basis):
-    """Matrix of an integer matrix's action on span(basis), coordinates in
-    that basis; raises if the span is not preserved."""
-    n = len(basis[0])
-    k = len(basis)
-    cols = [[field.dot(row, b) for row in int_matrix] for b in basis]
-    # solve [basis columns] * x = image for each image column
-    aug = [[basis[j][i] for j in range(k)] + [cols[j][i] for j in range(k)]
-           for i in range(n)]
-    red, pivots = cyclo_rref(field, aug)
-    check(pivots[:k] == list(range(k)) and all(p < k for p in pivots),
-          "centralizer does not preserve the eigenspace")
-    sol = [[red[i][k + j] for j in range(k)] for i in range(k)]
-    return tuple(tuple(row) for row in sol)
+def _restrict_to_span(field: CycloField, int_matrix, rows, pivots):
+    """Matrix of an integer matrix's action on the span of row-reduced
+    ``rows``, in that basis; raises if the span is not preserved.  A vector
+    of the span is the combination of the rows whose coefficients are its
+    entries at the pivot columns, so each image is read off there."""
+    cols = []
+    for row in rows:
+        image = [field.dot(m_row, row) for m_row in int_matrix]
+        check(not any(map(field.nonzero, reduce_against(rows, pivots, image, field))),
+              "centralizer does not preserve the eigenspace")
+        cols.append([image[p] for p in pivots])
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

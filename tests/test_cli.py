@@ -203,6 +203,15 @@ class TestExitCodes:
         assert result.returncode == 0
         assert json.loads(result.stdout)["q"] == "1000000000000000003"
 
+    def test_large_prime_ell_ends_quickly(self):
+        ell = 1000000000039
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "order", "A2", "--q", "4", "--ell", str(ell)],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 0
+        d = json.loads(result.stdout)["d"]
+        assert d == (ell - 1) // 2 and pow(4, d, ell) == 1
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")
         assert code == 0

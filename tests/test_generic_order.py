@@ -19,6 +19,7 @@ from lielocal.generic_order import (
     gl_order,
     is_prime,
     multiplicative_order,
+    prime_divisors,
     prime_power_base,
     valuation,
 )
@@ -164,6 +165,35 @@ def test_prime_helpers():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(4, 3) == 1
     assert multiplicative_order(5, 3) == 2
+
+
+def _linear_order(q, ell):
+    d, power = 1, q % ell
+    while power != 1:
+        power = power * q % ell
+        d += 1
+    return d
+
+
+def test_multiplicative_order_matches_linear_loop():
+    for ell in range(2, 3000):
+        if is_prime(ell):
+            for q in range(2, 17):
+                if q % ell:
+                    assert multiplicative_order(q, ell) == _linear_order(q, ell), (q, ell)
+    with pytest.raises(ValueError, match="not prime"):
+        multiplicative_order(2, 15)
+    with pytest.raises(ValueError, match="not invertible"):
+        multiplicative_order(14, 7)
+
+
+def test_prime_divisors():
+    assert prime_divisors(1) == set()
+    assert prime_divisors(2**64) == {2}
+    assert prime_divisors(997 * 991 * 1009**2) == {991, 997, 1009}
+    p, q = 1073741789, 1073741827  # the primes on either side of 2^30
+    assert prime_divisors(2 * p * q) == {2, p, q}
+    assert prime_divisors(p**2) == {p}
 
 
 def test_ell_part_values():

@@ -2,10 +2,14 @@
 
 import pytest
 
-from lielocal.errors import GuardExceeded
-from lielocal.root_datum import build_root_datum, from_cartan
+import lielocal.weyl
+from lielocal.cyclotomic import cyclo_rref, cyclotomic, euler_phi
+from lielocal.errors import GuardExceeded, InvariantError
+from lielocal.linalg import closure, identity, mat_mul, rank
+from lielocal.root_datum import build_root_datum, from_cartan, labels_of_rank
 from lielocal.weyl import (
     WeylGroup,
+    _restrict_to_span,
     context_from_datum,
     generate_weyl,
     gl_weyl,
@@ -178,3 +182,130 @@ class TestEigenspaces:
             el, dim = w.max_phi_d_eigenspace(d)
             _, basis = w.eigenspace_basis(el.index, d)
             assert len(basis) == dim
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the per-class, matrix-free route: every element's matrix is
+# stored, as a BFS over the words would build it, and each quantity is
+# computed element by element.
+
+ORACLE_LABELS = labels_of_rank(4) + ["GL4"]
+
+
+def oracle_group(label):
+    return gl_weyl(int(label[2:])) if label.startswith("GL") else group(label)
+
+
+def element_matrices(w):
+    """Weight-lattice matrix of every element, each from its parent's."""
+    mats = [identity(w.ctx.dim)]
+    for el in w.elements[1:]:
+        parent = w.index_of[w.ctx.compose(el.perm, w.ctx.gen_perms[el.word[-1]])]
+        mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[el.word[-1]]))
+    return mats
+
+
+def divisors_of_degrees(w):
+    return sorted({d for deg in w.degrees() for d in range(1, deg + 1) if deg % d == 0})
+
+
+def per_element_dims(w, d):
+    """dim_Q ker Phi_d(w phi) / phi(d), one rank per element."""
+    phi_poly = cyclotomic(d)
+    n = w.ctx.dim
+    out = []
+    for m in element_matrices(w):
+        twisted = mat_mul(m, w.ctx.phi_mat)
+        value = [[0] * n for _ in range(n)]
+        power = identity(n)
+        for c in phi_poly:
+            value = [[x + c * y for x, y in zip(r, p)] for r, p in zip(value, power)]
+            power = mat_mul(power, twisted)
+        dim_q = n - rank(value)
+        assert dim_q % euler_phi(d) == 0
+        out.append(dim_q // euler_phi(d))
+    return out
+
+
+def rational_matrix(field, r):
+    """A matrix over K = Q(zeta_d) as a rational matrix: each entry a becomes
+    the matrix of x -> a·x in the basis 1, t, t^2, ... of K.  This is a
+    faithful ring map, so closures correspond; integral entries become ints,
+    which keeps the products cheap."""
+    powers = [field.reduce([0] * i + [1]) for i in range(field.degree)]
+    rows = []
+    for row in r:
+        blocks = [list(zip(*(field.mul(a, p) for p in powers))) for a in row]
+        rows += [tuple(x.numerator if x.denominator == 1 else x
+                       for b in blocks for x in b[i]) for i in range(field.degree)]
+    return tuple(rows)
+
+
+def matrix_closure_verdict(w, d, witness):
+    """(|C_W(w phi)|, reflection-generated?) for the witness w, by the
+    closure of the restricted Q(zeta_d)-matrices: the centralizer is found by
+    matrix commutation, each element is restricted by its own solve, and the
+    images of the pseudo-reflections are multiplied out."""
+    mats = element_matrices(w)
+    sigma = mat_mul(mats[witness], w.ctx.phi_mat)
+    centralizer = [m for m in mats if mat_mul(m, sigma) == mat_mul(sigma, m)]
+    field, basis = w.eigenspace_basis(witness, d)
+    n, k = len(basis[0]), len(basis)
+    images = set()
+    for m in centralizer:
+        cols = [[field.dot(row, b) for row in m] for b in basis]
+        aug = [[basis[j][i] for j in range(k)] + [cols[j][i] for j in range(k)]
+               for i in range(n)]
+        red, pivots = cyclo_rref(field, aug)
+        assert pivots == list(range(k))
+        images.add(tuple(tuple(red[i][k + j] for j in range(k)) for i in range(k)))
+    rational = {rational_matrix(field, r) for r in images}
+    size = k * field.degree
+    unit = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    # a pseudo-reflection over K has rank(r - 1) = 1, that is phi(d) over Q
+    reflections = [m for m in rational
+                   if rank([[x - y for x, y in zip(row, one)] for row, one in zip(m, unit)])
+                   == field.degree]
+    generated = closure((unit,), reflections, lambda a, b: tuple(map(tuple, mat_mul(a, b))))
+    return len(centralizer), generated == rational
+
+
+class TestPerClassRoute:
+    @pytest.mark.parametrize("label", ORACLE_LABELS)
+    def test_phi_d_dimensions_match_per_element_ranks(self, label):
+        w = oracle_group(label)
+        for d in divisors_of_degrees(w):
+            assert w.phi_d_dimensions(d) == per_element_dims(w, d), d
+
+    def test_one_rank_per_class(self, monkeypatch):
+        w = WeylGroup(context_from_datum(build_root_datum("B3")))
+        calls = []
+        real_rank = lielocal.weyl.rank
+        monkeypatch.setattr(lielocal.weyl, "rank",
+                            lambda *a: calls.append(a) or real_rank(*a))
+        w.phi_d_dimensions(4)
+        assert len(calls) == len(w.f_conjugacy_classes())
+
+    @pytest.mark.parametrize("label", ["B3", "G2", "3D4", "GL4"])
+    def test_matrix_from_word_permutes_roots_as_perm(self, label):
+        w = oracle_group(label)
+        for el in w.elements:
+            assert w.ctx._perm_of_matrix(w._matrix(el.index)) == el.perm
+
+    @pytest.mark.parametrize("label", labels_of_rank(4))
+    def test_centralizer_verdict_matches_matrix_closure(self, label):
+        w = group(label)
+        # an eigenvalue of w·phi has order dividing d_i·|phi| for a degree d_i
+        for d in range(1, 3 * max(w.degrees()) + 1):
+            report = w.regular_elements(d)
+            if report is not None:
+                assert (report.centralizer_order, report.centralizer_is_reflection_group
+                        ) == matrix_closure_verdict(w, d, report.witness_w.index), d
+
+    def test_restriction_rejects_a_matrix_that_moves_the_span(self):
+        w = group("A2")
+        witness, _ = w.max_phi_d_eigenspace(3)
+        field, basis = w.eigenspace_basis(witness.index, 3)
+        rows, pivots = cyclo_rref(field, [list(v) for v in basis])
+        with pytest.raises(InvariantError, match="does not preserve"):
+            _restrict_to_span(field, w.ctx.gen_matrices[0], rows, pivots)
