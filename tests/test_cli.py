@@ -137,6 +137,19 @@ class TestLLT:
                                "--v", "--at-1")
         assert code == 1
 
+    def test_huge_d_ends_quickly_with_the_identity(self):
+        # d > n: every partition is its own d-core, so every block is a
+        # singleton and the basis is the identity
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "llt", "--n", "12", "--d", "99999999999"],
+            capture_output=True, text=True, check=False, timeout=30)
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        size = len(data["labels"])
+        assert size == 77
+        assert data["entries"] == [[{"0": "1"} if r == c else {} for c in range(size)]
+                                   for r in range(size)]
+
 
 class TestDegenerate:
     def test_plain(self, capsys):

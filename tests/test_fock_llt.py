@@ -31,6 +31,7 @@ from lielocal.fock_llt import (
     verify_bar_invariance,
 )
 from lielocal.laurent import Laurent
+from lielocal.linalg import rref
 
 V = Laurent.variable()
 ONE = Laurent(1)
@@ -156,6 +157,14 @@ class TestCoresAndRibbons:
                     core, quotient = d_core_and_quotient(p, d)
                     assert sum(core) + d * sum(sum(q) for q in quotient) == n
                     assert d_core(core, d) == core
+
+    def test_core_of_a_partition_smaller_than_d(self):
+        for n in range(7):
+            for p in partitions(n):
+                for d in range(n + 1, n + 4):
+                    assert d_core(p, d) == p == d_core_and_quotient(p, d)[0]
+        # no O(d) abacus: this would exhaust memory if one were built
+        assert d_core((5, 3, 1), 10**15) == (5, 3, 1)
 
     def test_spin_examples(self):
         assert ribbon_strip_spin((4,), (), 2) == 0
@@ -339,6 +348,112 @@ class TestCanonicalBasis:
             llt_canonical_basis(3, 1)
         with pytest.raises(ValueError):
             llt_canonical_basis(-1, 2)
+
+
+def _whole_matrix_bar_check(matrix, family):
+    """Independent oracle for verify_bar_invariance: the same identity at the
+    same points, over the whole matrix at once in Fraction arithmetic.
+
+    Solve M(1/t)^T X = G(1/t)^T for the family coefficients of every G at
+    v = 1/t, re-expand them against the family at v = t, and compare with
+    G(t) entry by entry."""
+    labels = matrix.labels
+    size = len(labels)
+
+    def family_rows(x):
+        return [[family[a].get(p, ZERO)(x) for p in labels] for a in labels]
+
+    for t in fock_llt._BAR_CHECK_POINTS:
+        m_at_inv = [list(col) for col in zip(*family_rows(1 / t))]
+        a_at_t = family_rows(t)
+        g_at_inv = [[matrix.entries[c][r](1 / t) for c in range(size)]
+                    for r in range(size)]
+        red, pivots = rref([row + r for row, r in zip(m_at_inv, g_at_inv)])
+        if pivots[:size] != list(range(size)):
+            raise InvariantError("family matrix is singular at a check point")
+        coeffs = [row[size:] for row in red]
+        for lam in range(size):
+            for mu in range(size):
+                total = sum((a_at_t[j][mu] * coeffs[j][lam] for j in range(size)),
+                            Fraction(0))
+                if total != matrix.entries[lam][mu](t):
+                    raise InvariantError(f"G({labels[lam]}) is not bar-invariant")
+
+
+def _with_entry_added(matrix, row_label, col_label, extra):
+    rows = [list(row) for row in matrix.entries]
+    r = matrix.labels.index(row_label)
+    c = matrix.labels.index(col_label)
+    rows[r][c] = rows[r][c] + extra
+    return FockMatrix(n=matrix.n, d=matrix.d, labels=matrix.labels,
+                      entries=tuple(tuple(row) for row in rows))
+
+
+class TestBarVerification:
+    """verify_bar_invariance against the whole-matrix Fraction oracle."""
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_both_accept_every_small_basis(self, d):
+        for n in range(8):
+            matrix = llt_canonical_basis(n, d)
+            family = bar_invariant_family(n, d)
+            verify_bar_invariance(matrix, family)
+            _whole_matrix_bar_check(matrix, family)
+
+    def _both_reject(self, matrix, family):
+        with pytest.raises(InvariantError):
+            verify_bar_invariance(matrix, family)
+        with pytest.raises(InvariantError):
+            _whole_matrix_bar_check(matrix, family)
+
+    def test_both_reject_tampering_away_from_the_empty_core(self):
+        # n = 7, d = 3 has blocks of 3-core (1,), (3, 1) and (2, 1, 1)
+        matrix = llt_canonical_basis(7, 3)
+        family = bar_invariant_family(7, 3)
+        for core in ((1,), (3, 1)):
+            block = [p for p in matrix.labels if d_core(p, 3) == core]
+            top, low = block[-1], block[0]
+            self._both_reject(_with_entry_added(matrix, top, low, V), family)
+
+    def test_both_reject_an_entry_outside_its_rows_block(self):
+        matrix = llt_canonical_basis(7, 3)
+        family = bar_invariant_family(7, 3)
+        row = (7,)
+        col = next(p for p in matrix.labels if d_core(p, 3) != d_core(row, 3))
+        self._both_reject(_with_entry_added(matrix, row, col, V), family)
+
+    def test_both_reject_a_family_vector_leaving_its_block(self):
+        matrix = llt_canonical_basis(7, 3)
+        family = dict(bar_invariant_family(7, 3))
+        member = (7,)
+        outsider = next(p for p in matrix.labels
+                        if d_core(p, 3) != d_core(member, 3))
+        family[member] = fock_add(family[member], {outsider: V})
+        with pytest.raises(InvariantError, match="leaves its d-core block"):
+            verify_bar_invariance(matrix, family)
+        with pytest.raises(InvariantError):
+            _whole_matrix_bar_check(matrix, family)
+
+    def test_one_solve_per_block_and_point(self, monkeypatch):
+        matrix = llt_canonical_basis(8, 3)
+        solve = fock_llt.fraction_free_solve
+        sizes = []
+        monkeypatch.setattr(fock_llt, "fraction_free_solve",
+                            lambda a, b: sizes.append(len(a)) or solve(a, b))
+        verify_bar_invariance(matrix)
+        blocks = {}
+        for p in matrix.labels:
+            blocks[d_core(p, 3)] = blocks.get(d_core(p, 3), 0) + 1
+        points = len(fock_llt._BAR_CHECK_POINTS)
+        assert points == 8
+        assert sorted(sizes) == sorted(list(blocks.values()) * points)
+
+    def test_huge_d_gives_singleton_blocks(self):
+        matrix = llt_canonical_basis(6, 10**12)
+        assert all(d_core(p, 10**12) == p for p in matrix.labels)
+        verify_bar_invariance(matrix)
+        self._both_reject(_with_entry_added(matrix, (6,), (1,) * 6, V),
+                          bar_invariant_family(6, 10**12))
 
 
 T = 2**64

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lielocal import defining_char, degeneration, fock_llt, weyl
 from lielocal.cyclotomic import (
@@ -25,6 +27,7 @@ from lielocal.linalg import (
     add_term,
     closure,
     det,
+    fraction_free_solve,
     identity,
     kernel_basis,
     mat_inverse,
@@ -235,6 +238,73 @@ class TestLinalg:
         # SNF of diag(2,3) is diag(1,6).
         u, s, v = smith_normal_form([[2, 0], [0, 3]])
         assert [s[0][0], s[1][1]] == [1, 6]
+
+    @given(st.data())
+    def test_fraction_free_solve_matches_rref(self, data):
+        n = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(0, 3))
+        entries = st.integers(-50, 50)
+        a = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        b = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                               min_size=n, max_size=n))
+        assume(_fraction_det(a) != 0)
+        d, scaled = fraction_free_solve(a, b)
+        assert d == _fraction_det(a)
+        red, pivots = rref([row + r for row, r in zip(a, b)])
+        assert pivots[:n] == list(range(n))
+        assert [[Fraction(x, d) for x in row] for row in scaled] == \
+            [row[n:] for row in red]
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_det_matches_a_fraction_determinant(self, a):
+        # small entries make singular matrices common, so both branches run
+        assert det(a) == _fraction_det(a)
+        if det(a) == 0:
+            assert fraction_free_solve(a, [[1]] * len(a)) == (0, None)
+
+    def test_fraction_free_solve_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            fraction_free_solve([[1, 2]], [[1]])
+        with pytest.raises(ValueError):
+            fraction_free_solve([[1]], [[1], [2]])
+        with pytest.raises(TypeError):
+            det([[Fraction(1, 2)]])
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                           min_size=m, max_size=m))))
+    def test_smith_normal_form_properties(self, a):
+        u, s, v = smith_normal_form(a)
+        m, n = len(a), len(a[0])
+        assert mat_mul(mat_mul(u, a), v) == s
+        assert abs(_fraction_det(u)) == 1
+        assert abs(_fraction_det(v)) == 1
+        assert all(s[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        diag = [s[i][i] for i in range(min(m, n))]
+        assert all(x >= 0 for x in diag)
+        for x, y in zip(diag, diag[1:]):
+            assert (y == 0) if x == 0 else (y % x == 0)
+
+
+def _fraction_det(a) -> Fraction:
+    """Determinant by Gaussian elimination over Q, independent of linalg."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
 
 
 class TestCyclotomic:
