@@ -616,25 +616,22 @@ def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
         cols = [position[p] for p in block]
         rows = [lam for lam, row in enumerate(matrix.entries)
                 if any(row[c] for c in cols)]
-        fam = [[list(family[a].get(mu, zero).items()) for mu in block]
-               for a in block]
-        g = [[list(matrix.entries[lam][c].items()) for c in cols] for lam in rows]
+        # transposed: one row per column label mu of the block
+        fam = [[list(family[a].get(mu, zero).items()) for a in block] for mu in block]
+        g = [[list(matrix.entries[lam][c].items()) for lam in rows] for c in cols]
         exponents = [e for row in fam + g for f in row for e, _ in f]
         low, high = min(exponents, default=0), max(exponents, default=0)
         for t in _BAR_CHECK_POINTS:
             num, den = t.numerator, t.denominator
             # at v = 1/t the roles of numerator and denominator swap
-            fam_inv = _cleared_values(fam, den, num, low, high)
-            g_inv = _cleared_values(g, den, num, low, high)
-            det, coeffs = fraction_free_solve(
-                [list(col) for col in zip(*fam_inv)],
-                [[row[j] for row in g_inv] for j in range(len(block))])
+            det, coeffs = fraction_free_solve(_cleared_values(fam, den, num, low, high),
+                                              _cleared_values(g, den, num, low, high))
             check(det != 0, "family matrix is singular at a check point")
-            fam_t = [list(col) for col in zip(*_cleared_values(fam, num, den, low, high))]
-            g_t = _cleared_values(g, num, den, low, high)
-            for k, coeff in enumerate(zip(*coeffs)):
-                for j, (a_col, value) in enumerate(zip(fam_t, g_t[k])):
-                    if sum(map(operator.mul, a_col, coeff)) != det * value:
+            by_g = list(zip(*coeffs))  # det * c_A, one tuple per G
+            for j, (fam_t, g_t) in enumerate(zip(_cleared_values(fam, num, den, low, high),
+                                                 _cleared_values(g, num, den, low, high))):
+                for k, (coeff, value) in enumerate(zip(by_g, g_t)):
+                    if sum(map(operator.mul, fam_t, coeff)) != det * value:
                         raise InvariantError(
                             f"G({labels[rows[k]]}) is not bar-invariant "
                             f"(coefficient of {block[j]} at v = {t})")
