@@ -10,8 +10,9 @@ flag combination, guard overflow); 2 when an internal mathematical
 invariant is violated, which signals a bug rather than a usage error.
 
 Size guards are the module constants weyl.WEYL_GUARD (10^6 elements),
-defining_char.WEIGHT_GUARD (10^7 restricted weights), fock_llt.LLT_GUARD
-(n <= 12) and degeneration.DEGEN_GUARD (4096); the CLI uses their values.
+defining_char.WEIGHT_GUARD (10^7 listed restricted weights),
+fock_llt.LLT_GUARD (n <= 12) and degeneration.DEGEN_GUARD (4096); the CLI
+uses their values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .defining_char import (
     alperin_weights,
     block_partition,
     knorr_robinson_sum,
-    stratum_of,
 )
 from .degeneration import AbelianLGroup, build_isomorphism, dg_cohomology_check
 from .ell_local import gl_sylow_structure, sylow_structure
@@ -110,13 +110,8 @@ def _run_sylow(args) -> None:
 
 
 def _run_blocks(args) -> None:
-    datum = cached_datum(args.type)
-    report = block_partition(datum, args.q)
-    zeta0 = stratum_of(datum, args.q, tuple(0 for _ in range(datum.rank)))
-    trivial = 0
-    for block in report.blocks:
-        if block.zeta == zeta0:
-            trivial = block.size
+    report = block_partition(cached_datum(args.type), args.q)
+    trivial = report.block_of(report.center.zero()).size
     nontrivial = sum(b.size for b in report.blocks) - trivial
     data = report.to_json()
     data["counts"] = {

@@ -13,13 +13,25 @@ everywhere as the map gamma.
 Strata: for a weight lam, supp(lam) = {simple roots a with lam_a != q-1} and
 I(lam) is the union of the twist-orbits meeting supp(lam).  The stratum of a
 twist-stable subset I is X'_I = {lam : I(lam) = I}; its size has the closed
-form prod over orbits o inside I of (q^{|o|} - 1), which is asserted against
-the enumeration whenever we enumerate.
+form prod over orbits o inside I of (q^{|o|} - 1).
+
+Counting never enumerates weights.  gamma is linear, gamma(lam) =
+sum_i lam_i * gamma(omega_i), and lam_i * gamma(omega_i) depends only on
+lam_i modulo the exponent e of the center dual, so one coordinate
+contributes a distribution over the center dual in O(e) steps at any q.
+The number of weights per central character is the convolution of these
+distributions (`lemma_counts`, and the cross-check in `block_partition`);
+a stratum's kernel count is the zero entry of the convolution over its
+orbits, each orbit without its all-(q-1) point, shifted by the fixed
+coordinates.  WEIGHT_GUARD bounds only the functions that list weights:
+`restricted_weights`, `block_partition` and `alperin_weights`.  Listings
+are checked against the closed forms and the convolved counts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, check
@@ -103,6 +115,9 @@ class CenterDual:
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % s for x, y, s in zip(a, b, self.invariants))
 
+    def scale(self, r: int, a) -> tuple[int, ...]:
+        return tuple((r * x) % s for x, s in zip(a, self.invariants))
+
     def subgroup(self, generators) -> frozenset:
         """The subgroup generated by the given elements: in a finite group,
         the closure of zero under adding them."""
@@ -112,6 +127,12 @@ class CenterDual:
     def to_json(self) -> dict:
         return {"invariants": [str(s) for s in self.invariants],
                 "size": str(self.size)}
+
+
+def _omega_gammas(center: CenterDual, rank: int) -> list[tuple[int, ...]]:
+    """gamma(omega_i) for each simple-root index i."""
+    return [center.gamma([1 if j == i else 0 for j in range(rank)])
+            for i in range(rank)]
 
 
 def center_dual(datum: RootDatum, q: int) -> CenterDual:
@@ -134,11 +155,10 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
     cd = CenterDual(label=datum.label, q=q,
                     invariants=tuple(invariants), transform_rows=tuple(rows))
     # q * gamma(omega_{phi(i)}) = gamma(omega_i) holds by construction; spot it
+    omega_gamma = _omega_gammas(cd, n)
     for i in range(n):
-        e_i = [1 if j == i else 0 for j in range(n)]
-        e_f = [1 if j == datum.phi[i] else 0 for j in range(n)]
-        lhs = tuple((q * x) % s_ for x, s_ in zip(cd.gamma(e_f), cd.invariants))
-        check(lhs == cd.gamma(e_i), "center-dual twist relation failed")
+        check(cd.scale(q, omega_gamma[datum.phi[i]]) == omega_gamma[i],
+              "center-dual twist relation failed")
     return cd
 
 
@@ -193,6 +213,52 @@ def stratum_members(datum: RootDatum, q: int, subset):
         yield tuple(lam)
 
 
+def _indexed(center: CenterDual):
+    """The center dual in `elements()` order (zero has index 0), the index
+    of each element, and the addition table on indices."""
+    elements = center.elements()
+    index = {z: k for k, z in enumerate(elements)}
+    add = [[index[center.add(a, b)] for b in elements] for a in elements]
+    return elements, index, add
+
+
+def _coordinate_counts(center: CenterDual, index, g, q: int) -> list[int]:
+    """By index: how many x in range(q) give each value of x * g.  The value
+    depends on x modulo the exponent e of the center dual only, so this
+    takes O(e) steps at any q."""
+    e = math.lcm(*center.invariants)
+    counts = [0] * len(index)
+    for r in range(min(e, q)):
+        counts[index[center.scale(r, g)]] += q // e + (r < q % e)
+    return counts
+
+
+def _convolve(add, dists) -> list[int]:
+    """By index: the distribution of a sum of independent terms, one term
+    per distribution (the empty sum is zero)."""
+    total = [1] + [0] * (len(add) - 1)
+    for dist in dists:
+        out = [0] * len(add)
+        for a, x in enumerate(total):
+            if x:
+                row = add[a]
+                for b, y in enumerate(dist):
+                    if y:
+                        out[row[b]] += x * y
+        total = out
+    return total
+
+
+def _weight_counts(center: CenterDual, index, add, datum: RootDatum,
+                   q: int) -> list[int]:
+    """By index: the number of non-Steinberg restricted weights per central
+    character, as the convolution of the coordinate distributions."""
+    counts = _convolve(add, [_coordinate_counts(center, index, g, q)
+                             for g in _omega_gammas(center, datum.rank)])
+    counts[index[center.gamma(steinberg_weight(datum, q))]] -= 1
+    return counts
+
+
 @dataclass(frozen=True)
 class BlockData:
     zeta: tuple[int, ...]
@@ -231,22 +297,45 @@ class BlockReport:
 
 def block_partition(datum: RootDatum, q: int) -> BlockReport:
     """Partition of the non-Steinberg restricted weights by central character;
-    the Steinberg weight (q-1, ..., q-1) stands alone with defect zero."""
+    the Steinberg weight (q-1, ..., q-1) stands alone with defect zero.
+
+    The weights are listed in lexicographic order, with gamma built one
+    coordinate at a time from a table of each coordinate's contribution
+    and the addition table of the center dual.  Each block's size is
+    checked against the convolved count."""
     center = center_dual(datum, q)
     st = steinberg_weight(datum, q)
     check(center.gamma(st) == center.zero(),
           "Steinberg weight must have trivial central character")
-    groups: dict[tuple[int, ...], list] = {z: [] for z in center.elements()}
-    count = 0
-    for lam in restricted_weights(datum, q):
-        count += 1
-        if lam == st:
-            continue
-        groups[center.gamma(lam)].append(lam)
-    check(count == q**datum.rank, "weight enumeration is incomplete")
+    _check_weight_guard(datum, q)
+    elements, index, add = _indexed(center)
+    tables = [[index[center.scale(x, g)] for x in range(q)]
+              for g in _omega_gammas(center, datum.rank)]
+    prefixes = [((), 0)]
+    for table in tables[:-1]:
+        prefixes = [(p + (x,), add[a][t])
+                    for p, a in prefixes for x, t in enumerate(table)]
+    # last_values[a][k]: the last coordinates taking gamma from a to k
+    last_values = [[[] for _ in elements] for _ in elements]
+    for a, row in enumerate(add):
+        for x, t in enumerate(tables[-1]):
+            last_values[a][row[t]].append(x)
+    groups: list[list] = [[] for _ in elements]
+    for p, a in prefixes:
+        for members, values in zip(groups, last_values[a]):
+            members.extend([p + (x,) for x in values])
+    check(groups[0][-1] == st, "the Steinberg weight must be listed last")
+    groups[0].pop()
+    check(sum(map(len, groups)) + 1 == q**datum.rank,
+          "weight enumeration is incomplete")
+    for zeta, members, count in zip(
+            elements, groups, _weight_counts(center, index, add, datum, q)):
+        check(len(members) == count,
+              f"block {zeta} lists {len(members)} weights, "
+              f"but the convolution counts {count}")
     blocks = tuple(
         BlockData(zeta=z, size=len(members), members=tuple(members))
-        for z, members in sorted(groups.items()))
+        for z, members in zip(elements, groups))
     return BlockReport(label=datum.label, q=q, center=center,
                        blocks=blocks, steinberg=st)
 
@@ -299,22 +388,31 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
             * #(X'_I with gamma = 0)
     against the direct count #(non-Steinberg weights with gamma = zeta).
     A mismatch is an invariant breach.  Also reports whether each block is as
-    large as the principal one and the subgroup-membership criterion for that."""
-    _check_weight_guard(datum, q)
+    large as the principal one and the subgroup-membership criterion for that.
+
+    Both sides are convolutions of per-coordinate distributions (see the
+    module docstring), so no weight is enumerated and the cost does not
+    grow with q: the direct side convolves all coordinates, the stratified
+    side convolves per orbit and removes each orbit's all-(q-1) point."""
     center = center_dual(datum, q)
     zero = center.zero()
-
-    direct: dict[tuple[int, ...], int] = {z: 0 for z in center.elements()}
-    st = steinberg_weight(datum, q)
-    for lam in restricted_weights(datum, q):
-        if lam != st:
-            direct[center.gamma(lam)] += 1
+    elements, index, add = _indexed(center)
+    direct = dict(zip(elements, _weight_counts(center, index, add, datum, q)))
 
     n = datum.rank
-    omega_gamma = []
-    for i in range(n):
-        e_i = [1 if j == i else 0 for j in range(n)]
-        omega_gamma.append(center.gamma(e_i))
+    omega_gamma = _omega_gammas(center, n)
+    coordinate = [_coordinate_counts(center, index, g, q) for g in omega_gamma]
+    # Per orbit: the distribution over its weights without the all-(q-1)
+    # point, and that point alone, where the orbit sits outside a stratum.
+    orbits = phi_orbits(datum)
+    free = {}
+    fixed = {}
+    for orbit in orbits:
+        corner = index[center.gamma(
+            [q - 1 if j in orbit else 0 for j in range(n)])]
+        free[orbit] = _convolve(add, [coordinate[i] for i in orbit])
+        free[orbit][corner] -= 1
+        fixed[orbit] = [int(k == corner) for k in range(len(elements))]
 
     subsets = [s for s in phi_stable_subsets(datum) if s]
     strata = []
@@ -322,14 +420,13 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
     generated = {}
     total = 0
     for subset in subsets:
-        size = 0
-        c = 0
-        for lam in stratum_members(datum, q, subset):
-            size += 1
-            if center.gamma(lam) == zero:
-                c += 1
+        inside = set(subset)
+        dist = _convolve(add, [free[o] if set(o) <= inside else fixed[o]
+                               for o in orbits])
+        size = sum(dist)
+        c = dist[index[zero]]
         check(size == stratum_size(datum, q, subset),
-              f"stratum {subset} enumeration disagrees with the closed form")
+              f"stratum {subset} count disagrees with the closed form")
         total += size
         kernel_counts[subset] = c
         generated[subset] = center.subgroup(omega_gamma[i] for i in subset)

@@ -93,6 +93,12 @@ class TestDefiningChar:
                                   "defect_zero": "1"}
         assert data["total_weights"] == "5"
 
+    def test_blocks_counts_read_the_principal_block(self, capsys):
+        # the principal block of SL_3(4) has 5 of the 15 non-Steinberg weights
+        data = run_json(capsys, "blocks", "A2", "--q", "4")
+        assert data["counts"] == {"trivial": "5", "nontrivial": "10",
+                                  "defect_zero": "1"}
+
     def test_alperin_total(self, capsys):
         data = run_json(capsys, "alperin", "A2", "--q", "3")
         assert data["total"] == "9"

@@ -1,8 +1,11 @@
 """Defining-characteristic structure: central characters, blocks, strata,
 weight tallies, and the alternating chain sum."""
 
+import time
+
 import pytest
 
+from lielocal import defining_char
 from lielocal.defining_char import (
     alperin_weights,
     block_partition,
@@ -18,8 +21,30 @@ from lielocal.defining_char import (
     stratum_of,
     stratum_size,
 )
-from lielocal.errors import GuardExceeded
-from lielocal.root_datum import cached_datum
+from lielocal.errors import GuardExceeded, InvariantError
+from lielocal.root_datum import cached_datum, labels_of_rank
+
+ORACLE_Q = (2, 3, 4, 5, 7)
+
+
+def _enumerated_counts(datum, q):
+    """Test-only oracle: the per-character direct count and the per-stratum
+    (I, |X'_I|, c_I) triples, by enumerating every weight and applying
+    gamma to it."""
+    center = center_dual(datum, q)
+    st = steinberg_weight(datum, q)
+    direct = {z: 0 for z in center.elements()}
+    for lam in restricted_weights(datum, q):
+        if lam != st:
+            direct[center.gamma(lam)] += 1
+    strata = []
+    for subset in phi_stable_subsets(datum):
+        if not subset:
+            continue
+        members = list(stratum_members(datum, q, subset))
+        kernel = sum(1 for lam in members if center.gamma(lam) == center.zero())
+        strata.append((subset, len(members), kernel))
+    return direct, strata
 
 
 def test_phi_orbits():
@@ -295,3 +320,68 @@ def test_reports_serialize():
     assert alperin["total"] == "3"
     kr = knorr_robinson_sum(cached_datum("A2"), 2).to_json()
     assert kr["total"] == "0"
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4))
+def test_lemma_counts_match_the_enumeration_oracle(label):
+    datum = cached_datum(label)
+    for q in ORACLE_Q:
+        report = lemma_counts(datum, q)
+        direct, strata = _enumerated_counts(datum, q)
+        assert {e.zeta: e.direct_count for e in report.entries} == direct, q
+        assert {e.zeta: e.formula_count for e in report.entries} == direct, q
+        assert list(report.strata) == strata, q
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4))
+def test_block_partition_matches_the_enumeration_oracle(label):
+    datum = cached_datum(label)
+    for q in ORACLE_Q:
+        report = block_partition(datum, q)
+        center = report.center
+        st = steinberg_weight(datum, q)
+        expected = {z: [] for z in center.elements()}
+        for lam in restricted_weights(datum, q):
+            if lam != st:
+                expected[center.gamma(lam)].append(lam)
+        assert [b.zeta for b in report.blocks] == sorted(expected), q
+        for block in report.blocks:
+            assert list(block.members) == expected[block.zeta], (q, block.zeta)
+            assert block.size == len(block.members)
+
+
+@pytest.mark.parametrize("label, q", [("E8", 10**9 + 7), ("A8", 2**61 - 1)])
+def test_lemma_counts_beyond_the_weight_guard_end_quickly(label, q):
+    datum = cached_datum(label)
+    assert q**datum.rank > defining_char.WEIGHT_GUARD
+    started = time.perf_counter()
+    report = lemma_counts(datum, q)
+    assert time.perf_counter() - started < 5.0
+    assert sum(e.direct_count for e in report.entries) == q**datum.rank - 1
+    assert sum(size for _, size, _ in report.strata) == q**datum.rank - 1
+    for e in report.entries:
+        assert e.formula_count == e.direct_count
+
+
+def test_listing_still_guarded():
+    with pytest.raises(GuardExceeded):
+        block_partition(cached_datum("E8"), 9)
+    with pytest.raises(GuardExceeded):
+        alperin_weights(cached_datum("E8"), 9)
+
+
+def test_block_sizes_are_checked_against_the_convolution(monkeypatch):
+    real = defining_char._weight_counts
+
+    def off_by_one(*args):
+        counts = real(*args)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(defining_char, "_weight_counts", off_by_one)
+    with pytest.raises(InvariantError, match="the convolution counts"):
+        block_partition(cached_datum("A2"), 4)
+    # the stratified side is computed apart from the direct side, so a wrong
+    # direct count is caught there too
+    with pytest.raises(InvariantError, match="stratified count"):
+        lemma_counts(cached_datum("A2"), 4)
