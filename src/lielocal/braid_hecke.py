@@ -94,7 +94,7 @@ class GarsideNF:
         }
 
 
-def lambda_of_perm(ctx: ReflectionContext, perm: tuple[int, ...]) -> BraidWord:
+def lambda_of_perm(ctx: ReflectionContext, perm: bytes) -> BraidWord:
     return BraidWord(ctx.word_from_perm(perm))
 
 
@@ -121,7 +121,7 @@ def garside_nf(ctx: ReflectionContext, word: BraidWord) -> GarsideNF:
     for letter in word.letters:
         if not 0 <= letter < ctx.n_gens:
             raise ValueError(f"letter {letter} out of range")
-    factors: list[tuple[int, ...]] = []
+    factors: list[bytes] = []
     for letter in word.letters:
         factors.append(ctx.gen_perms[letter])
         i = len(factors) - 1
@@ -267,11 +267,11 @@ class HeckeAlgebra:
 
     def _times_generator(self, support: dict[int, Laurent], i: int) -> dict:
         group = self.group
-        s = self.gen_index[i]
+        right = group.right
         x = self.x
         out: dict[int, Laurent] = {}
         for w, c in support.items():
-            ws = group.multiply(w, s)
+            ws = right[w][i]
             if group.elements[ws].length > group.elements[w].length:
                 add_term(out, ws, c)
             else:

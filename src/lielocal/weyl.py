@@ -1,11 +1,15 @@
 """Finite Weyl groups: exact enumeration, twisted classes, regular elements.
 
 An element is a permutation of the 2N signed roots (indices 0..N-1 the
-positive roots, N+k the negative of root k), which gives fast composition
-and length/descent queries, together with its least reduced word.  No
-matrix is stored: eigenspace work rebuilds the weight-lattice matrix of the
-few elements it needs from the word, and eigenspace dimensions are computed
-once per F-conjugacy class.
+positive roots, N+k the negative of root k), stored as ``bytes`` (2N <= 240
+for every supported type, E8 included), together with its least reduced
+word.  Composition is one ``bytes.translate`` and a permutation hashes once,
+so length and descent queries and the dict from permutation to element are
+cheap.  Enumeration also fills a table of right multiplication by the simple
+reflections, so F-conjugacy orbits and Hecke products step by integer
+lookups and compose no permutation.  No matrix is stored: eigenspace work
+rebuilds the weight-lattice matrix of the few elements it needs from the
+word, and eigenspace dimensions are computed once per F-conjugacy class.
 
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
@@ -39,7 +43,9 @@ WEYL_GUARD = 10**6
 class ReflectionContext:
     """A finite reflection action given by generator matrices and the root
     vectors they permute.  Provides permutation arithmetic on signed roots
-    without enumerating the group."""
+    without enumerating the group.  A permutation is ``bytes`` of length 2N,
+    so at most 256 signed roots are supported; only a reducible
+    :func:`~lielocal.root_datum.from_cartan` datum can exceed that."""
 
     def __init__(self, label: str, gen_matrices, pos_root_vectors,
                  coroot_functionals, phi_matrix, gram, predicted_order: int | None):
@@ -49,6 +55,13 @@ class ReflectionContext:
         self.gen_matrices = [tuple(tuple(row) for row in m) for m in gen_matrices]
         self.pos_roots = [tuple(v) for v in pos_root_vectors]
         self.N = len(self.pos_roots)
+        if 2 * self.N > 256:
+            raise UnsupportedTypeError(
+                f"{label} has {2 * self.N} signed roots; permutations hold at most 256")
+        # compose() pads p to a full translate table; is_negative maps a
+        # signed-root index to 1 exactly when it names a negative root
+        self._pad = bytes(range(2 * self.N, 256))
+        self._is_negative = bytes(int(x >= self.N) for x in range(256))
         self.coroots = [tuple(c) for c in coroot_functionals]
         self.phi_mat = tuple(tuple(row) for row in phi_matrix)
         self.gram = gram  # rational Gram matrix of the invariant form
@@ -59,43 +72,43 @@ class ReflectionContext:
             self._index[tuple(-x for x in v)] = k + self.N
         self.gen_perms = [self._perm_of_matrix(m) for m in self.gen_matrices]
         self.phi_perm = self._perm_of_matrix(self.phi_mat)
-        self.identity_perm = tuple(range(2 * self.N))
+        self.identity_perm = bytes(range(2 * self.N))
 
     def _signed_vector(self, idx: int) -> tuple[int, ...]:
         if idx < self.N:
             return self.pos_roots[idx]
         return tuple(-x for x in self.pos_roots[idx - self.N])
 
-    def _perm_of_matrix(self, m) -> tuple[int, ...]:
+    def _perm_of_matrix(self, m) -> bytes:
         out = []
         for k in range(2 * self.N):
             image = tuple(mat_vec(m, self._signed_vector(k)))
             if image not in self._index:
                 raise InvariantError("matrix does not permute the roots")
             out.append(self._index[image])
-        return tuple(out)
+        return bytes(out)
 
     # permutation helpers -----------------------------------------------------
 
-    def compose(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    def compose(self, p: bytes, q: bytes) -> bytes:
         """Permutation of the map p∘q (apply q first)."""
-        return tuple(p[x] for x in q)
+        return q.translate(p + self._pad)
 
-    def invert(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(p)
+    def invert(self, p: bytes) -> bytes:
+        out = bytearray(len(p))
         for i, x in enumerate(p):
             out[x] = i
-        return tuple(out)
+        return bytes(out)
 
-    def length(self, p: tuple[int, ...]) -> int:
-        n_pos = self.N
-        return sum(1 for k in range(n_pos) if p[k] >= n_pos)
+    def length(self, p: bytes) -> int:
+        """Number of positive roots sent negative."""
+        return p[:self.N].translate(self._is_negative).count(1)
 
-    def right_descents(self, p: tuple[int, ...]) -> set[int]:
+    def right_descents(self, p: bytes) -> set[int]:
         """{i : l(w s_i) < l(w)} = simple roots sent negative by w."""
         return {i for i in range(self.n_gens) if p[i] >= self.N}
 
-    def word_from_perm(self, p: tuple[int, ...]) -> tuple[int, ...]:
+    def word_from_perm(self, p: bytes) -> tuple[int, ...]:
         """A reduced word for the element with permutation p, extracted by
         descent walking (always succeeds for genuine group elements)."""
         word = []
@@ -117,7 +130,7 @@ class ReflectionContext:
         return [[(1 if r == c else 0) - beta[r] * func[c] for c in range(self.dim)]
                 for r in range(self.dim)]
 
-    def reflection_perm_of_root(self, root_idx: int) -> tuple[int, ...]:
+    def reflection_perm_of_root(self, root_idx: int) -> bytes:
         """Signed-root permutation of s_beta for a positive root index."""
         return self._perm_of_matrix(self.reflection_matrix_of_root(root_idx))
 
@@ -127,7 +140,7 @@ class ReflectionContext:
         return sum(vi[r] * self.gram[r][c] * vj[c]
                    for r in range(self.dim) for c in range(self.dim))
 
-    def longest_element_perm(self) -> tuple[int, ...]:
+    def longest_element_perm(self) -> bytes:
         """Permutation of w_0, found by greedy descent ascent from the
         identity (no enumeration)."""
         cur = self.identity_perm
@@ -220,7 +233,7 @@ class WeylElement:
     index: int
     word: tuple[int, ...]
     length: int
-    perm: tuple[int, ...]
+    perm: bytes
 
 
 @dataclass(frozen=True)
@@ -277,15 +290,17 @@ class WeylGroup:
     BFS from the identity appending generators in ascending index yields, for
     every element, the lexicographically least reduced word; elements are
     listed in (length, word) order, which downstream code uses as the
-    canonical tie-break."""
+    canonical tie-break.  ``right[w][i]`` is the index of w·s_i."""
 
     def __init__(self, ctx: ReflectionContext):
         if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
             raise GuardExceeded(f"Weyl group of {ctx.label} has order "
                                 f"{ctx.predicted_order} > guard {WEYL_GUARD}")
         self.ctx = ctx
+        n_gens = ctx.n_gens
         elements: list[WeylElement] = []
-        index_of: dict[tuple[int, ...], int] = {}
+        index_of: dict[bytes, int] = {}
+        right: list[list[int]] = []
 
         def add(perm, word):
             el = WeylElement(index=len(elements), word=word,
@@ -293,6 +308,7 @@ class WeylGroup:
             check(el.length == len(word), "stored word is not reduced")
             elements.append(el)
             index_of[perm] = el.index
+            right.append([-1] * n_gens)
             return el
 
         add(ctx.identity_perm, ())
@@ -300,11 +316,17 @@ class WeylGroup:
         while frontier:
             next_frontier = []
             for el in frontier:
-                for i in range(ctx.n_gens):
+                for i in range(n_gens):
                     if el.perm[i] < ctx.N:  # l(w s_i) = l(w) + 1
                         perm = ctx.compose(el.perm, ctx.gen_perms[i])
-                        if perm not in index_of:
-                            next_frontier.append(add(perm, el.word + (i,)))
+                        ws = index_of.get(perm)
+                        if ws is None:
+                            new = add(perm, el.word + (i,))
+                            next_frontier.append(new)
+                            ws = new.index
+                        # s_i is an involution: (w s_i) s_i = w
+                        right[el.index][i] = ws
+                        right[ws][i] = el.index
             frontier = next_frontier
             if len(elements) > WEYL_GUARD:
                 raise GuardExceeded(
@@ -314,6 +336,9 @@ class WeylGroup:
         if ctx.predicted_order is not None:
             check(len(elements) == ctx.predicted_order,
                   f"enumerated {len(elements)} elements, classical order {ctx.predicted_order}")
+        # every descent w s_i < w was set as the ascent of the shorter w s_i
+        check(not any(-1 in row for row in right), "right multiplication table has holes")
+        self.right = [tuple(row) for row in right]
         self._cache: dict = {}
 
     # basic group ops ----------------------------------------------------------
@@ -325,7 +350,7 @@ class WeylGroup:
         return self.index_of[self.ctx.compose(self.elements[a].perm, self.elements[b].perm)]
 
     def inverse(self, a: int) -> int:
-        return self.index_of[self.ctx.invert(self.elements[a].perm)]
+        return self._inverses()[a]
 
     def phi_image(self, a: int) -> int:
         ctx = self.ctx
@@ -377,42 +402,78 @@ class WeylGroup:
 
     # F-conjugacy ---------------------------------------------------------------
 
+    def _inverses(self) -> list[int]:
+        """``_inverses()[w]`` is the index of w^{-1}, found by walking the
+        reversed word of w through the right multiplication table."""
+        key = "inverses"
+        if key not in self._cache:
+            right = self.right
+            inv = []
+            for el in self.elements:
+                v = 0
+                for i in reversed(el.word):
+                    v = right[v][i]
+                inv.append(v)
+            check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
+            self._cache[key] = inv
+        return self._cache[key]
+
     def f_conjugacy_classes(self) -> list[TwistedClass]:
+        """Orbits of w -> s_i w phi(s_i), with members and classes in
+        (length, word) order, which is index order.
+
+        phi(s_i) = s_{pi(i)} for the permutation pi of the simple roots, so
+        a step is w -> s_i (w s_{pi(i)}): one right multiplication, and the
+        left one as an inverse, right multiplication and inverse again."""
         key = "fclasses"
         if key in self._cache:
             return self._cache[key]
-        twisted = self.ctx.phi_perm != self.ctx.identity_perm
-        gen_indices = [self.index_of[p] for p in self.ctx.gen_perms]
-        phi_of_gen = [self.phi_image(g) for g in gen_indices]
-        # s_g^{-1} w phi(s_g), with s_g^{-1} = s_g
-        pairs = list(zip(gen_indices, phi_of_gen))
-        multiply = self.multiply
-
-        def act(w, pair):
-            return multiply(multiply(pair[0], w), pair[1])
-
-        seen = [False] * len(self)
+        ctx = self.ctx
+        twisted = ctx.phi_perm != ctx.identity_perm
+        gen_indices = [self.index_of[p] for p in ctx.gen_perms]
+        steps = []
+        for i, g in enumerate(gen_indices):
+            j = ctx.phi_perm[i]
+            check(j < ctx.n_gens and self.phi_image(g) == gen_indices[j],
+                  "phi does not map a simple reflection to a simple reflection")
+            steps.append((j, i))
+        right = self.right
+        inv = self._inverses()
+        owner = [-1] * len(self)
         classes = []
         for start in range(len(self)):
-            if seen[start]:
+            if owner[start] >= 0:
                 continue
-            orbit = closure((start,), pairs, act)
-            for w in orbit:
-                seen[w] = True
-            members = tuple(sorted((self.elements[i] for i in orbit),
-                                   key=lambda el: (el.length, el.word)))
-            classes.append(TwistedClass(representatives=members, twisted=twisted))
+            k = len(classes)
+            owner[start] = k
+            orbit = [start]
+            for w in orbit:  # grows while it is walked
+                for j, i in steps:
+                    v = inv[right[inv[right[w][j]]][i]]
+                    if owner[v] < 0:
+                        owner[v] = k
+                        orbit.append(v)
+                    elif owner[v] != k:
+                        raise InvariantError("classes do not partition W")
+            orbit.sort()
+            classes.append(TwistedClass(representatives=tuple(self.elements[w] for w in orbit),
+                                        twisted=twisted))
         check(sum(c.size for c in classes) == len(self), "classes do not partition W")
-        classes.sort(key=lambda c: (c.representative.length, c.representative.word))
         self._cache[key] = classes
         return classes
 
     def centralizer_of_twisted(self, w: int) -> list[int]:
-        """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan."""
+        """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan, checked
+        against the orbit-stabilizer count |C_W(w phi)|·|F-class of w| = |W|."""
         ctx = self.ctx
         sigma = ctx.compose(self.elements[w].perm, ctx.phi_perm)
-        return [el.index for el in self.elements
-                if ctx.compose(el.perm, sigma) == ctx.compose(sigma, el.perm)]
+        centralizer = [el.index for el in self.elements
+                       if ctx.compose(el.perm, sigma) == ctx.compose(sigma, el.perm)]
+        size = next((c.size for c in self.f_conjugacy_classes()
+                     if any(el.index == w for el in c.representatives)), 0)
+        check(len(centralizer) * size == len(self),
+              "centralizer order times F-class size is not |W|")
+        return centralizer
 
     # eigenspace machinery -------------------------------------------------------
 

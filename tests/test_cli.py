@@ -66,6 +66,14 @@ class TestWeyl:
         data = run_json(capsys, "weyl", "regular", "A2", "--d", "4")
         assert data == {"type": "A2", "d": 4, "regular": False}
 
+    def test_classes_e6_ends_within_five_seconds(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "weyl", "classes", "E6"],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert (data["order"], data["class_count"]) == ("51840", 25)
+
 
 class TestSylow:
     def test_split_case(self, capsys):

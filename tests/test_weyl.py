@@ -1,17 +1,23 @@
 """Weyl group enumeration, degrees, twisted classes, regular elements."""
 
+from functools import lru_cache, reduce
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lielocal.weyl
 from lielocal.cyclotomic import cyclo_rref, cyclotomic, euler_phi
-from lielocal.errors import GuardExceeded, InvariantError
+from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.linalg import closure, identity, mat_mul, rank
-from lielocal.root_datum import build_root_datum, from_cartan, labels_of_rank
+from lielocal.root_datum import build_root_datum, cached_datum, from_cartan, labels_of_rank
 from lielocal.weyl import (
+    TwistedClass,
     WeylGroup,
     _restrict_to_span,
     context_from_datum,
     generate_weyl,
+    gl_context,
     gl_weyl,
     predicted_weyl_order,
 )
@@ -309,3 +315,89 @@ class TestPerClassRoute:
         rows, pivots = cyclo_rref(field, [list(v) for v in basis])
         with pytest.raises(InvariantError, match="does not preserve"):
             _restrict_to_span(field, w.ctx.gen_matrices[0], rows, pivots)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the lookup tables: F-classes by the closure of products of
+# signed-root permutations, and the table entries recomputed by composition.
+
+TABLE_LABELS = labels_of_rank(4) + ["2D5", "GL1", "GL4"]
+
+
+def multiply_closure_classes(w):
+    """F-classes as orbits of x -> s_g x phi(s_g), each step two products in
+    W, with members and classes in (length, word) order, as element indices."""
+    pairs = [(g, w.phi_image(g)) for g in (w.index_of[p] for p in w.ctx.gen_perms)]
+
+    def act(x, pair):
+        return w.multiply(w.multiply(pair[0], x), pair[1])
+
+    def key(i):
+        return w.elements[i].length, w.elements[i].word
+
+    seen = set()
+    classes = []
+    for start in range(len(w)):
+        if start not in seen:
+            orbit = closure((start,), pairs, act)
+            seen |= orbit
+            classes.append(sorted(orbit, key=key))
+    return sorted(classes, key=lambda c: key(c[0]))
+
+
+def perm_of_word(ctx, word):
+    return reduce(ctx.compose, (ctx.gen_perms[i] for i in word), ctx.identity_perm)
+
+
+@lru_cache(maxsize=None)
+def reflection_context(label):
+    if label.startswith("GL"):
+        return gl_context(int(label[2:]))
+    return context_from_datum(cached_datum(label))
+
+
+class TestLookupTables:
+    @pytest.mark.parametrize("label", TABLE_LABELS)
+    def test_classes_match_multiply_closure(self, label):
+        w = oracle_group(label)
+        got = [[el.index for el in c.representatives] for c in w.f_conjugacy_classes()]
+        assert got == multiply_closure_classes(w)
+
+    @pytest.mark.parametrize("label", TABLE_LABELS)
+    def test_right_table_and_inverses_match_composition(self, label):
+        w = oracle_group(label)
+        ctx = w.ctx
+        for el in w.elements:
+            for i, gen in enumerate(ctx.gen_perms):
+                assert w.right[el.index][i] == w.index_of[ctx.compose(el.perm, gen)]
+            assert w.inverse(el.index) == w.index_of[ctx.invert(el.perm)]
+
+    def test_tampered_class_list_trips_orbit_stabilizer(self):
+        w = WeylGroup(context_from_datum(build_root_datum("B2")))
+        classes = w.f_conjugacy_classes()
+        victim = next(c for c in classes if c.size > 1)
+        w._cache["fclasses"] = [
+            TwistedClass(representatives=c.representatives[:-1], twisted=c.twisted)
+            if c is victim else c for c in classes]
+        with pytest.raises(InvariantError, match="F-class size"):
+            w.centralizer_of_twisted(victim.representative.index)
+
+    def test_more_than_256_signed_roots_refused(self):
+        e8 = build_root_datum("E8").cartan
+        cartan = [list(r) + [0] * 8 for r in e8] + [[0] * 8 + list(r) for r in e8]
+        datum = from_cartan("E8xE8", cartan)
+        assert 2 * datum.N == 480
+        with pytest.raises(UnsupportedTypeError, match="480 signed roots"):
+            context_from_datum(datum)
+
+    @given(st.data())
+    def test_permutation_arithmetic_on_random_words(self, data):
+        ctx = reflection_context(data.draw(st.sampled_from(
+            ["A4", "B3", "G2", "F4", "2D5", "E6", "E8", "GL5"])))
+        words = st.lists(st.integers(0, ctx.n_gens - 1), max_size=40)
+        p, q, r = (perm_of_word(ctx, data.draw(words)) for _ in range(3))
+        assert ctx.compose(ctx.invert(p), p) == ctx.identity_perm
+        assert ctx.compose(ctx.compose(p, q), r) == ctx.compose(p, ctx.compose(q, r))
+        word = ctx.word_from_perm(p)
+        assert len(word) == ctx.length(p)
+        assert perm_of_word(ctx, word) == p
