@@ -219,12 +219,14 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
                                   witness_word=None, candidates_checked=0)
     target_length = 2 * ctx.N // d
     pi_nf = GarsideNF(delta_power=2, factors=())
+    dims = group.phi_d_dimensions(d)  # cached by regular_elements above
     checked = 0
     for el in group.elements:
-        if el.length != target_length:
+        if el.length != target_length or not dims[el.index]:
             continue
         field, basis = group.eigenspace_basis(el.index, d)
-        if not basis or not group.is_regular_eigenspace(field, basis):
+        check(len(basis) == dims[el.index], "cyclotomic kernel dim mismatch")
+        if not group.is_regular_eigenspace(field, basis):
             continue
         checked += 1
         letters = []

@@ -21,11 +21,11 @@ bad input.
 
 The same data feeds a Koszul-type differential graded algebra
 F_ell[t] (x) Lambda(V) (x) S(V) with d(v) = t v^{ell^{r_i}} for v in V_i.
-Over the fraction field F_ell(t) its cohomology vanishes outside degree 0
-and H^0 is the truncated algebra; dg_cohomology_check verifies both
-statements degree by degree with exact linear algebra over F_ell (every
-matrix entry of d carries exactly one factor of t, so ranks over F_ell(t)
-reduce to ranks over F_ell).
+Over F_ell(t) its cohomology vanishes outside degree 0 and H^0 is the
+truncated algebra.  dg_cohomology_check verifies both with exact ranks
+over F_ell, one Koszul block per fine-degree type, weighted by a generating-
+function count; the layer sizes are checked against a direct count of the
+cells, and H^0 against the truncated algebra's Hilbert series.
 
 Group algebra elements are stored in "radical coordinates": the products
 prod_j (g_j - 1)^{a_j} with 0 <= a_j < ell^{r_j} form a basis of F_ell P,
@@ -623,92 +623,90 @@ class DGReport:
         }
 
 
-def _monomials_of_degree(n: int, degree: int) -> list[Exponents]:
-    if degree < 0:
-        return []
-    if n == 0:
-        return [()] if degree == 0 else []
-    out = []
+def _type_counts(moduli: tuple[int, ...], subset: tuple[int, ...],
+                 bound: int) -> list[int]:
+    """count_T(D) for D <= bound, the number of fine degrees of internal degree
+    D and type T = subset: the coefficients of prod_{j in T} x^{m_j}/(1-x)
+    times prod_{j not in T} (1-x^{m_j})/(1-x), by prefix sums and shifts."""
+    series = [1] + [0] * bound
+    for j, m in enumerate(moduli):
+        partial = list(itertools.accumulate(series))
+        shifted = ([0] * m + partial)[:bound + 1]
+        series = shifted if j in subset else [p - s for p, s in zip(partial, shifted)]
+    return series
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for x in range(remaining + 1):
-            rec(prefix + (x,), remaining - x, slots - 1)
 
-    rec((), degree, n)
-    return out
+def _layer_sizes(moduli: tuple[int, ...], bound: int) -> list[list[int]]:
+    """sizes[k][D], the number of cells (S, x^a) with |S| = k in internal degree
+    D: the wedge polynomial prod_j (1 + y x^{m_j}) prefix-summed n times."""
+    wedge = [[1] + [0] * bound] + [[0] * (bound + 1) for _ in moduli]
+    for m in moduli:
+        wedge[1:] = [[a + b for a, b in zip(row, [0] * m + lower)]
+                     for lower, row in zip(wedge, wedge[1:])]
+    for _ in moduli:
+        wedge = [list(itertools.accumulate(row)) for row in wedge]
+    return wedge
+
+
+def _koszul_ranks(dga: DGAlgebraA, subset: tuple[int, ...]) -> list[int]:
+    """ranks[k] of d from |S| = k to k - 1 (ranks[0] = 0) on the block at
+    beta_T = sum_{j in T} m_j e_j, T = subset: one cell per S in T, with rows
+    from dga.differential; every image cell must lie in the block."""
+    beta = tuple(m * (j in subset) for j, m in enumerate(dga.moduli))
+    ranks, index = [0], {((), beta): 0}
+    for k in range(1, len(subset) + 1):
+        layer = [(s, tuple(b - dga.moduli[j] * (j in s) for j, b in enumerate(beta)))
+                 for s in itertools.combinations(subset, k)]
+        rows = [{} for _ in layer]
+        for row, (s, mono) in zip(rows, layer):
+            for sgn, _, rest, bumped in dga.differential(0, s, mono):
+                check((rest, bumped) in index, "d leaves the block %r" % (subset,))
+                add_term(row, index[rest, bumped], sgn, dga.ell)
+        ranks.append(sparse_rank(rows, dga.ell))
+        index = {c: i for i, c in enumerate(layer)}
+    return ranks
 
 
 def dg_cohomology_check(group: AbelianLGroup, degree_bound: int) -> DGReport:
-    """Verify, over F_ell(t) and degree by degree up to the bound, that the
-    Koszul-type complex has cohomology only in degree 0, where it matches
-    the truncated algebra.
+    """Verify, over F_ell(t) and in every internal degree up to the bound,
+    that the Koszul-type complex has cohomology only in degree 0, where it
+    matches the truncated algebra.
 
-    Every entry of d carries exactly one factor of t, so ranks over
-    F_ell(t) equal ranks of the t-stripped matrices over F_ell.  Each
-    internal degree is a finite complex computed completely, so the
-    verdict per degree is exact; the bound only limits which internal
-    degrees are inspected.  A bound too small to reach any truncation
-    relation is rejected as inconclusive.
+    Entries of d carry one factor of t, so ranks over F_ell(t) are ranks over
+    F_ell.  d fixes the fine degree beta = a + sum_{j in S} m_j e_j of a cell
+    (S, x^a), and the block of beta is the Koszul complex on its type
+    T = {j : beta_j >= m_j}: its exact ranks are taken once per type and
+    weighted by count_T(D).  The layer sizes must equal the direct count of
+    cells, and H^0 the truncated algebra's Hilbert series.
     """
-    ell = group.ell
-    moduli = group.moduli
+    ell, moduli, n = group.ell, group.moduli, group.rank
     dga = DGAlgebraA(ell=ell, moduli=moduli)
     algebra = TruncatedAlgebra.of_group(group)
     if degree_bound < max(moduli, default=0):
         raise ValueError(
             "inconclusive at bound %d: no truncation relation has internal "
             "degree below %d" % (degree_bound, max(moduli)))
-
-    n = dga.n
-    h0 = []
-    truncated = []
-    bad = []
-    for degree in range(degree_bound + 1):
-        # bases per cohomological degree -k
-        layers: list[list[tuple[tuple[int, ...], Exponents]]] = []
-        k = 0
-        while True:
-            layer = []
-            for subset in itertools.combinations(range(n), k):
-                rest = degree - dga.wedge_degree(subset)
-                for mono in _monomials_of_degree(n, rest):
-                    layer.append((subset, mono))
-            if not layer and k > 0:
-                break
-            layers.append(layer)
-            k += 1
-        ranks = []
-        for k in range(1, len(layers)):
-            index = {basis_elt: i for i, basis_elt in enumerate(layers[k - 1])}
-            rows = []
-            for subset, mono in layers[k]:
-                row: dict[int, int] = {}
-                for sgn, _, rest, bumped in dga.differential(0, subset, mono):
-                    col = index[(rest, bumped)]
-                    row[col] = (row.get(col, 0) + sgn) % ell
-                rows.append(row)
-            ranks.append(sparse_rank(rows, ell))
-        ranks.append(0)  # nothing maps into the deepest layer
-
-        for k in range(1, len(layers)):
-            kernel = len(layers[k]) - ranks[k - 1]
-            image_in = ranks[k] if k < len(ranks) else 0
-            h_dim = kernel - image_in
-            if h_dim:
-                bad.append((-k, degree, h_dim))
-        h0_dim = len(layers[0]) - (ranks[0] if ranks else 0)
-        h0.append(h0_dim)
-        truncated.append(algebra.dimension_of_degree(degree))
-
+    degrees = range(degree_bound + 1)
+    sizes = [[0] * (degree_bound + 1) for _ in range(n + 1)]
+    ranks = [[0] * (degree_bound + 1) for _ in range(n + 2)]
+    for subset in (t for k in range(n + 1) for t in itertools.combinations(range(n), k)
+                   if dga.wedge_degree(t) <= degree_bound):
+        counts = _type_counts(moduli, subset, degree_bound)
+        for k, rank_k in enumerate(_koszul_ranks(dga, subset)):
+            cells = math.comb(len(subset), k)
+            sizes[k] = [x + c * cells for x, c in zip(sizes[k], counts)]
+            ranks[k] = [x + c * rank_k for x, c in zip(ranks[k], counts)]
+    check(sizes == _layer_sizes(moduli, degree_bound),
+          "layer sizes summed over the types differ from the direct count")
+    bad = [(-k, d, sizes[k][d] - ranks[k][d] - ranks[k + 1][d])
+           for d in degrees for k in range(1, n + 1)
+           if sizes[k][d] != ranks[k][d] + ranks[k + 1][d]]
     report = DGReport(
         ell=ell,
         factors=group.factors,
         degree_bound=degree_bound,
-        h0_dims=tuple(h0),
-        truncated_dims=tuple(truncated),
+        h0_dims=tuple(sizes[0][d] - ranks[1][d] for d in degrees),
+        truncated_dims=tuple(algebra.dimension_of_degree(d) for d in degrees),
         nonzero_cohomology=tuple(bad),
         complete=degree_bound >= algebra.top_degree,
     )

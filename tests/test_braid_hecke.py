@@ -205,6 +205,38 @@ def test_regular_identity_b2_g2():
             assert len(report.witness_word) == 2 * _ctx(label).N // d
 
 
+def test_regular_identity_skips_zero_dimensional_eigenspaces(monkeypatch):
+    """Only elements with a nonzero zeta_d-eigenspace get a cyclotomic
+    kernel, and candidates_checked equals that of a scan over every element
+    of the right length."""
+    from lielocal.weyl import WeylGroup
+    real = WeylGroup.eigenspace_basis
+    kernels = []
+
+    def counted(self, w, d):
+        kernels.append((w, d))
+        return real(self, w, d)
+
+    for label, d in [("A3", 4), ("B3", 3), ("B3", 2), ("2A3", 6), ("G2", 6)]:
+        datum = cached_datum(label)
+        group = generate_weyl(datum)
+        kernels.clear()
+        monkeypatch.setattr(WeylGroup, "eigenspace_basis", counted)
+        report = verify_regular_braid_identity(datum, d)
+        monkeypatch.undo()
+        dims = group.phi_d_dimensions(d)
+        assert kernels and all(dims[w] for w, _ in kernels), (label, d)
+        assert report.holds, (label, d)
+        scanned = 0
+        for el in group.elements:
+            if el.length == 2 * group.ctx.N // d and group.is_regular_eigenspace(
+                    *group.eigenspace_basis(el.index, d)):
+                scanned += 1
+                if el.word == report.witness_word:
+                    break
+        assert report.candidates_checked == scanned, (label, d)
+
+
 def test_regular_identity_no_regular_element():
     with pytest.raises(ValueError, match="no regular element"):
         verify_regular_braid_identity(cached_datum("A2"), 4)

@@ -188,6 +188,16 @@ class TestDegenerate:
                              "--factors", "1:2", "--E", "/nonexistent.json")
         assert code == 1
 
+    def test_mixed_factors_end_within_five_seconds(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "degenerate", "--ell", "2",
+             "--factors", "6:1,1:3"],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert data["dg"]["nonzero_cohomology"] == []
+        assert data["dg"]["complete"] is True
+
 
 class TestExitCodes:
     def test_unknown_type(self, capsys):

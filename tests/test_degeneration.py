@@ -3,12 +3,15 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
+from lielocal import degeneration
 from lielocal.degeneration import (
     AbelianLGroup,
     DGAlgebraA,
+    DGReport,
     TruncatedAlgebra,
     build_isomorphism,
     convolve_group_algebra,
@@ -19,6 +22,7 @@ from lielocal.degeneration import (
     radical_to_group_algebra,
 )
 from lielocal.errors import GuardExceeded, InvariantError
+from lielocal.linalg import sparse_rank
 
 CYCLE_ON_V4 = ((0, 1), (1, 1))  # order 3 on (Z/2)^2
 SWAP_2 = ((0, 1), (1, 0))
@@ -249,6 +253,80 @@ class TestIsomorphism:
         assert iso.certificate.dim_source == 1
 
 
+def _monomials_of_degree(n, degree):
+    if degree < 0:
+        return []
+    if n == 0:
+        return [()] if degree == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for x in range(remaining + 1):
+            rec(prefix + (x,), remaining - x, slots - 1)
+
+    rec((), degree, n)
+    return out
+
+
+def _degreewise_dg_report(group, degree_bound):
+    """The whole-degree computation that dg_cohomology_check replaced, kept
+    as an oracle: per internal degree, list every cell (S, x^a), build each
+    d as one sparse matrix, and take its rank."""
+    ell, moduli = group.ell, group.moduli
+    dga = DGAlgebraA(ell=ell, moduli=moduli)
+    algebra = TruncatedAlgebra.of_group(group)
+    n = dga.n
+    h0, truncated, bad = [], [], []
+    for degree in range(degree_bound + 1):
+        layers = []
+        k = 0
+        while True:
+            layer = []
+            for subset in itertools.combinations(range(n), k):
+                rest = degree - dga.wedge_degree(subset)
+                for mono in _monomials_of_degree(n, rest):
+                    layer.append((subset, mono))
+            if not layer and k > 0:
+                break
+            layers.append(layer)
+            k += 1
+        ranks = []
+        for k in range(1, len(layers)):
+            index = {cell: i for i, cell in enumerate(layers[k - 1])}
+            rows = []
+            for subset, mono in layers[k]:
+                row = {}
+                for sgn, _, rest, bumped in dga.differential(0, subset, mono):
+                    col = index[(rest, bumped)]
+                    row[col] = (row.get(col, 0) + sgn) % ell
+                rows.append(row)
+            ranks.append(sparse_rank(rows, ell))
+        ranks.append(0)
+        for k in range(1, len(layers)):
+            h_dim = len(layers[k]) - ranks[k - 1] - ranks[k]
+            if h_dim:
+                bad.append((-k, degree, h_dim))
+        h0.append(len(layers[0]) - ranks[0])
+        truncated.append(algebra.dimension_of_degree(degree))
+    return DGReport(ell=ell, factors=group.factors, degree_bound=degree_bound,
+                    h0_dims=tuple(h0), truncated_dims=tuple(truncated),
+                    nonzero_cohomology=tuple(bad),
+                    complete=degree_bound >= algebra.top_degree)
+
+
+def _dg_complex_size(group, bound):
+    """Upper estimate for the number of cells the degreewise oracle touches
+    up to the internal degree bound."""
+    n = group.rank
+    subsets = sum(1 for k in range(n + 1)
+                  for choice in itertools.combinations(group.moduli, k)
+                  if sum(choice) <= bound)
+    return subsets * math.comb(bound + n, n)
+
+
 class TestTruncatedAlgebra:
     def test_degree_dimensions(self):
         alg = TruncatedAlgebra(ell=3, moduli=(9, 3), block_index=(0, 1))
@@ -338,3 +416,102 @@ class TestDGAlgebra:
         data = iso.to_json()
         assert data["order"] == "9"
         assert data["certificate"]["e_order"] == 2
+
+
+class TestDGByType:
+    """dg_cohomology_check ranks one Koszul block per fine-degree type; the
+    degreewise oracle builds every whole-degree matrix."""
+
+    def test_matches_degreewise_oracle(self):
+        groups = [AbelianLGroup(ell=ell, factors=factors)
+                  for ell, factors in all_groups_up_to(729)]
+        groups += [
+            AbelianLGroup(ell=2, factors=((1, 2),), e_generators=(CYCLE_ON_V4,)),
+            AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,)),
+        ]
+        compared = 0
+        for group in groups:
+            bound = 2 * max(group.moduli)
+            if _dg_complex_size(group, bound) > 400_000:
+                continue
+            assert dg_cohomology_check(group, bound).to_json() == \
+                _degreewise_dg_report(group, bound).to_json(), \
+                (group.ell, group.factors)
+            compared += 1
+        assert compared == 250
+
+    def test_type_counts_match_enumeration(self):
+        for moduli in [(2,), (4, 2), (3, 3, 9), (2, 2, 2, 8)]:
+            bound = 2 * max(moduli)
+            n = len(moduli)
+            for size in range(n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    counts = [0] * (bound + 1)
+                    for degree in range(bound + 1):
+                        for beta in _monomials_of_degree(n, degree):
+                            if subset == tuple(j for j in range(n)
+                                               if beta[j] >= moduli[j]):
+                                counts[degree] += 1
+                    assert degeneration._type_counts(moduli, subset, bound) \
+                        == counts, (moduli, subset)
+
+    def test_layer_sizes_match_enumeration(self):
+        for moduli in [(), (2,), (4, 2), (3, 3, 9), (2, 2, 2, 8)]:
+            bound = 2 * max(moduli, default=1)
+            n = len(moduli)
+            dga = DGAlgebraA(ell=2, moduli=moduli)
+            sizes = [[sum(len(_monomials_of_degree(n, d - dga.wedge_degree(s)))
+                          for s in itertools.combinations(range(n), k))
+                      for d in range(bound + 1)] for k in range(n + 1)]
+            assert degeneration._layer_sizes(moduli, bound) == sizes, moduli
+
+    def test_largest_groups_end_quickly(self):
+        started = time.perf_counter()
+        for ell, factors in [(2, ((6, 1), (1, 3))), (2, ((2, 1), (1, 10))),
+                             (691, ((1, 1),)), (3, ((2, 1), (1, 5)))]:
+            group = AbelianLGroup(ell=ell, factors=factors)
+            report = dg_cohomology_check(group, 2 * max(group.moduli))
+            assert not report.nonzero_cohomology, (ell, factors)
+        assert time.perf_counter() - started < 5.0
+
+    def test_tampered_type_count_trips_layer_sizes(self, monkeypatch):
+        real = degeneration._type_counts
+
+        def tampered(moduli, subset, bound):
+            counts = real(moduli, subset, bound)
+            if not subset:
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(degeneration, "_type_counts", tampered)
+        group = AbelianLGroup(ell=3, factors=((2, 1), (1, 2)))
+        with pytest.raises(InvariantError, match="layer sizes"):
+            dg_cohomology_check(group, 18)
+
+    def test_flipped_sign_trips_cohomology(self, monkeypatch):
+        real = DGAlgebraA.differential
+
+        def flipped(self, t_power, subset, monomial):
+            out = real(self, t_power, subset, monomial)
+            if subset == (0, 1):
+                sgn, tp, rest, bumped = out[0]
+                out[0] = (-sgn % self.ell, tp, rest, bumped)
+            return out
+
+        monkeypatch.setattr(DGAlgebraA, "differential", flipped)
+        group = AbelianLGroup(ell=3, factors=((2, 1), (1, 2)))
+        with pytest.raises(InvariantError, match="cohomology outside degree zero"):
+            dg_cohomology_check(group, 18)
+
+    def test_image_outside_block_trips(self, monkeypatch):
+        real = DGAlgebraA.differential
+
+        def leaking(self, t_power, subset, monomial):
+            return [(sgn, tp, rest, bumped[:-1] + (bumped[-1] + 1,))
+                    for sgn, tp, rest, bumped in real(self, t_power, subset,
+                                                      monomial)]
+
+        monkeypatch.setattr(DGAlgebraA, "differential", leaking)
+        group = AbelianLGroup(ell=3, factors=((1, 2),))
+        with pytest.raises(InvariantError, match="leaves the block"):
+            dg_cohomology_check(group, 6)

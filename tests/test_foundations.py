@@ -69,6 +69,11 @@ SPARSE_CASES = {
 }
 
 
+# small random Laurent polynomials: up to four terms, exponents in [-4, 4]
+_laurents = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5),
+                            max_size=4).map(Laurent)
+
+
 class TestLaurent:
     def test_ring_ops(self):
         v = Laurent.variable()
@@ -91,6 +96,36 @@ class TestLaurent:
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
+
+    @given(_laurents, _laurents, _laurents)
+    def test_ring_axioms_property(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert a + b == b + a
+        assert a * (b + c) == a * b + a * c
+        assert a * 1 == a and a + 0 == a and a - a == 0
+
+    @given(_laurents, _laurents)
+    def test_bar_is_an_involutive_ring_map(self, a, b):
+        assert a.bar().bar() == a
+        assert (a + b).bar() == a.bar() + b.bar()
+        assert (a * b).bar() == a.bar() * b.bar()
+        assert Laurent(1).bar() == 1
+        assert Laurent.variable().bar() == Laurent({-1: 1})
+
+    @given(_laurents, _laurents)
+    def test_exact_div_round_trip(self, a, b):
+        assume(b)
+        assert (a * b).exact_div(b) == a
+
+    @given(_laurents, _laurents)
+    def test_exact_div_rejects_a_non_multiple(self, a, b):
+        # b divides a*b + 1 only when b is a unit, that is +-v^k
+        terms = list(b.items())
+        assume(terms and not (len(terms) == 1 and abs(terms[0][1]) == 1))
+        with pytest.raises(ValueError):
+            (a * b + 1).exact_div(b)
 
     def test_bar(self):
         p = Laurent({2: 3, -1: 5, 0: 7})
