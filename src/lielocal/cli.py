@@ -177,11 +177,17 @@ def _run_degenerate(args) -> None:
     generators: tuple = ()
     if args.E is not None:
         with open(args.E, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, list):
-            raise ValueError("matrix file must hold a list of matrices")
-        generators = tuple(tuple(tuple(int(x) for x in row) for row in mat)
-                           for mat in raw)
+            try:
+                raw = json.load(handle)
+            except RecursionError:
+                raw = None  # nested far deeper than a list of matrices
+        if not (isinstance(raw, list) and all(
+                isinstance(mat, list) and all(
+                    isinstance(row, list) and all(type(x) is int for x in row)
+                    for row in mat)
+                for mat in raw)):
+            raise ValueError("matrix file must hold a list of integer matrices")
+        generators = tuple(tuple(tuple(row) for row in mat) for mat in raw)
     group = AbelianLGroup(ell=args.ell, factors=_parse_factors(args.factors),
                           e_generators=generators)
     iso = build_isomorphism(group)

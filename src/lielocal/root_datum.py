@@ -111,7 +111,7 @@ def _chain_edges(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _cartan_matrix(family: str, n: int) -> list[list[int]]:
+def cartan_matrix(family: str, n: int) -> list[list[int]]:
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def bond(i, j, cij=-1, cji=-1):
@@ -382,7 +382,7 @@ def build_root_datum(type_label: str) -> RootDatum:
     """Construct the simply connected root datum named by ``type_label``
     ("A3", "2A3", "3D4", "G2", ...)."""
     twist, family, n = parse_label(type_label)
-    cartan = _cartan_matrix(family, n)
+    cartan = cartan_matrix(family, n)
     phi = _diagram_automorphism(family, n, twist)
     return _finish_datum(type_label, cartan, phi)
 

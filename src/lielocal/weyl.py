@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .cyclotomic import (CycloField, cyclo_rref, cyclotomic, euler_phi,
-                         factor_into_cyclotomics, poly_mul)
+from .cyclotomic import CycloField, cyclo_rref, cyclotomic, euler_phi
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
 from .linalg import closure, identity, kernel_basis, mat_mul, mat_vec, rank, reduce_against
 from .root_datum import RootDatum, parse_label, split_degrees
@@ -367,38 +366,13 @@ class WeylGroup:
             self._cache[key] = candidates[0]
         return self._cache[key]
 
-    # Poincaré polynomial and degrees -------------------------------------------
+    # Poincaré polynomial ------------------------------------------------------
 
     def poincare_polynomial(self) -> list[int]:
         out = [0] * (self.ctx.N + 1)
         for el in self.elements:
             out[el.length] += 1
         return out
-
-    def degrees(self) -> tuple[int, ...]:
-        """Reflection degrees, recovered by factoring P(x)·(x-1)^n into
-        cyclotomic polynomials and peeling off x^{d_i} - 1 factors."""
-        key = "degrees"
-        if key in self._cache:
-            return self._cache[key]
-        n = self.ctx.dim  # = rank for root data; includes the fixed line in GL mode
-        q = self.poincare_polynomial()
-        for _ in range(n):
-            q = poly_mul(q, [-1, 1])
-        exps = factor_into_cyclotomics(q, range(1, self.ctx.N + n + 1))
-        degrees = []
-        for _ in range(n):
-            d = max(e for e, c in exps.items() if c > 0)
-            degrees.append(d)
-            for e in list(exps):
-                if d % e == 0:
-                    exps[e] -= 1
-        check(all(c == 0 for c in exps.values()), "degree recovery left factors over")
-        degrees.sort()
-        check(math.prod(degrees) == len(self), "product of degrees != |W|")
-        check(sum(d - 1 for d in degrees) == self.ctx.N, "sum of (d_i - 1) != N")
-        self._cache[key] = tuple(degrees)
-        return self._cache[key]
 
     # F-conjugacy ---------------------------------------------------------------
 
@@ -494,10 +468,15 @@ class WeylGroup:
         key = ("dims", d)
         if key in self._cache:
             return self._cache[key]
+        n = self.ctx.dim
+        if d > 2 * n * n:
+            # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
+            # and phi(d) >= sqrt(d/2), so Phi_d need not be built
+            self._cache[key] = [0] * len(self)
+            return self._cache[key]
         phi_poly = cyclotomic(d)
         deg = euler_phi(d)
         dims = [0] * len(self)
-        n = self.ctx.dim
         for cls in self.f_conjugacy_classes():
             m = self._twisted_matrix(cls.representative.index)
             acc = identity(n)  # Phi_d is monic: Horner from the top

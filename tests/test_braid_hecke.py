@@ -2,14 +2,20 @@
 regular-element power identities, and Hecke algebra arithmetic."""
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lielocal.braid_hecke
+from lielocal import cli
 from lielocal.braid_hecke import (
     BraidWord,
     GarsideNF,
     HeckeAlgebra,
+    _orbit_chain_poincare,
     braid_relation_order,
     garside_nf,
     hecke_poincare,
@@ -18,9 +24,10 @@ from lielocal.braid_hecke import (
     specialize,
     verify_regular_braid_identity,
 )
-from lielocal.laurent import Laurent
-from lielocal.root_datum import cached_datum
-from lielocal.weyl import context_from_datum, generate_weyl, gl_context
+from lielocal.errors import InvariantError
+from lielocal.laurent import Laurent, poly_from_coeffs
+from lielocal.root_datum import ALL_LABELS as EVERY_LABEL, cached_datum, cartan_matrix, labels_of_rank
+from lielocal.weyl import context_from_datum, generate_weyl, gl_context, gl_weyl
 
 ALL_LABELS = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
@@ -368,3 +375,49 @@ def test_hecke_poincare_large_types_product_route():
     assert hecke_poincare("F4")(1) == 1152
     with pytest.raises(ValueError):
         hecke_poincare("H3")
+
+
+# ---------------------------------------------------------------------------
+# the parabolic orbit chain that checks the degree product
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4) + [f"GL{n}" for n in range(1, 7)])
+def test_orbit_chain_matches_enumeration(label):
+    if label.startswith("GL"):
+        n = int(label[2:])
+        cartan, group = cartan_matrix("A", n - 1), gl_weyl(n)
+    else:
+        cartan, group = cached_datum(label).cartan, generate_weyl(cached_datum(label))
+    assert _orbit_chain_poincare(cartan) == poly_from_coeffs(group.poincare_polynomial())
+
+
+def test_every_label_is_checked_by_the_orbit_chain(monkeypatch):
+    calls = []
+    real = lielocal.braid_hecke._orbit_chain_poincare
+    monkeypatch.setattr(lielocal.braid_hecke, "_orbit_chain_poincare",
+                        lambda cartan: calls.append(cartan) or real(cartan))
+    labels = list(EVERY_LABEL) + [f"GL{n}" for n in range(1, 10)]
+    for label in labels:
+        hecke_poincare(label)
+    assert len(calls) == len(labels)
+
+
+@pytest.mark.parametrize("label, wrong", [
+    ("E8", [2, 6, 8, 10, 12, 14, 18, 30]),  # E7's degrees and a 30
+    ("GL5", [2, 4, 6, 8]),  # B4's degrees for A4
+])
+def test_tampered_degrees_are_caught(label, wrong, monkeypatch, capsys):
+    monkeypatch.setattr(lielocal.braid_hecke, "split_degrees", lambda family, rank: wrong)
+    with pytest.raises(InvariantError):
+        hecke_poincare(label)
+    assert cli.main(["hecke", "poincare", label]) == 2
+    assert "invariant violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label, at_one", [("GL9", "362880"), ("E8", "696729600")])
+def test_poincare_cli_ends_within_five_seconds(label, at_one):
+    result = subprocess.run(
+        [sys.executable, "-m", "lielocal", "hecke", "poincare", label],
+        capture_output=True, text=True, check=False, timeout=5)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["at_one"] == at_one

@@ -74,6 +74,14 @@ class TestWeyl:
         data = json.loads(result.stdout)
         assert (data["order"], data["class_count"]) == ("51840", 25)
 
+    @pytest.mark.parametrize("d", ["30030", "1000000", "1000000000000"])
+    def test_huge_d_ends_within_five_seconds(self, d):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "weyl", "regular", "A2", "--d", d],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"type": "A2", "d": int(d), "regular": False}
+
 
 class TestSylow:
     def test_split_case(self, capsys):
@@ -121,6 +129,15 @@ class TestBraidHecke:
     def test_verify_regular(self, capsys):
         data = run_json(capsys, "braid", "verify-regular", "A2", "--d", "3")
         assert data["holds"] is True
+
+    @pytest.mark.parametrize("d", ["30030", "1000000", "1000000000000"])
+    def test_verify_regular_huge_d_ends_within_five_seconds(self, d):
+        result = subprocess.run(
+            [sys.executable, "-m", "lielocal", "braid", "verify-regular", "A2", "--d", d],
+            capture_output=True, text=True, check=False, timeout=5)
+        assert result.returncode == 1
+        assert "error: no regular element" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_poincare(self, capsys):
         data = run_json(capsys, "hecke", "poincare", "C2")
@@ -182,6 +199,17 @@ class TestDegenerate:
                                "--factors", "nonsense")
         assert code == 1
         assert "factors" in err
+
+    @pytest.mark.parametrize("text", [
+        "[1]", "[[1]]", "[[[null]]]", "[[[1.5]]]", "[[[true]]]", "[" * 100000 + "]" * 100000,
+    ], ids=["flat", "matrix", "null", "float", "bool", "deep"])
+    def test_malformed_action_file(self, capsys, tmp_path, text):
+        path = tmp_path / "gens.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "degenerate", "--ell", "3",
+                                 "--factors", "1:1", "--E", str(path))
+        assert (code, out) == (1, "")
+        assert "error: matrix file must hold a list of integer matrices" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "degenerate", "--ell", "2",
@@ -248,6 +276,38 @@ class TestExitCodes:
         assert result.returncode == 0
         d = json.loads(result.stdout)["d"]
         assert d == (ell - 1) // 2 and pow(4, d, ell) == 1
+
+    def test_hostile_argv_exit_cleanly(self, capsys, tmp_path):
+        matrix_files = []
+        for i, text in enumerate(["[1]", "[[1]]", "[[[null]]]", "[[[1.5]]]",
+                                  "[" * 100000 + "]" * 100000]):
+            path = tmp_path / f"e{i}.json"
+            path.write_text(text)
+            matrix_files.append(str(path))
+        hostile = [
+            (["weyl", "regular", "A2", "--d", "30030"], 0),
+            (["weyl", "regular", "A2", "--d", "1000000"], 0),
+            (["weyl", "regular", "A2", "--d", "1000000000000"], 0),
+            (["braid", "verify-regular", "A2", "--d", "1000000"], 1),
+            (["braid", "verify-regular", "A2", "--d", "1000000000000"], 1),
+            (["llt", "--n", "-1", "--d", "2"], 1),
+            (["llt", "--n", "3", "--d", "0"], 1),
+            (["weyl", "regular", "A2", "--d", "0"], 1),
+            (["braid", "verify-regular", "A2", "--d", "0"], 1),
+            (["sylow", "A2", "--q", "1", "--ell", "5"], 1),
+            (["sylow", "A2", "--q", "6", "--ell", "5"], 1),
+            (["sylow", "GL3", "--q", "1", "--ell", "5"], 1),
+            (["sylow", "GL3", "--q", "6", "--ell", "5"], 1),
+            (["degenerate", "--ell", "2", "--factors", "0:1"], 1),
+            (["degenerate", "--ell", "2", "--factors", "abc"], 1),
+            (["order", "GL0"], 1),
+            (["hecke", "poincare", "GL0"], 1),
+        ] + [(["degenerate", "--ell", "3", "--factors", "1:1", "--E", path], 1)
+             for path in matrix_files]
+        for argv, expected in hostile:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == expected, (argv, err)
+            assert "Traceback" not in err, argv
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")

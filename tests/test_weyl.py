@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lielocal.weyl
+from lielocal.braid_hecke import hecke_poincare
 from lielocal.cyclotomic import cyclo_rref, cyclotomic, euler_phi
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
+from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import closure, identity, mat_mul, rank
-from lielocal.root_datum import build_root_datum, cached_datum, from_cartan, labels_of_rank
+from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, labels_of_rank,
+                                 parse_label, split_degrees)
 from lielocal.weyl import (
     TwistedClass,
     WeylGroup,
@@ -25,6 +28,14 @@ from lielocal.weyl import (
 
 def group(label):
     return generate_weyl(build_root_datum(label))
+
+
+def degree_product(degrees):
+    """prod_i [d_i]_x = prod_i (1 + x + ... + x^{d_i - 1})."""
+    out = Laurent(1)
+    for d in degrees:
+        out = out * poly_from_coeffs([1] * d)
+    return out
 
 
 class TestEnumeration:
@@ -69,7 +80,8 @@ class TestEnumeration:
         w = gl_weyl(4)
         assert len(w) == 24
         assert w.ctx.N == 6
-        assert w.degrees() == (1, 2, 3, 4)
+        poincare = poly_from_coeffs(w.poincare_polynomial())
+        assert poincare == hecke_poincare("GL4") == degree_product((1, 2, 3, 4))
 
 
 class TestDegrees:
@@ -80,7 +92,8 @@ class TestDegrees:
         ("2A3", (2, 3, 4)), ("3D4", (2, 4, 4, 6)),
     ])
     def test_degree_tables(self, label, degs):
-        assert group(label).degrees() == degs
+        poincare = poly_from_coeffs(group(label).poincare_polynomial())
+        assert poincare == hecke_poincare(label) == degree_product(degs)
 
     def test_poincare_symmetry(self):
         p = group("B2").poincare_polynomial()
@@ -211,8 +224,16 @@ def element_matrices(w):
     return mats
 
 
-def divisors_of_degrees(w):
-    return sorted({d for deg in w.degrees() for d in range(1, deg + 1) if deg % d == 0})
+def label_degrees(label):
+    """Reflection degrees of the label's Weyl group; GL_n has 1, 2, ..., n."""
+    if label.startswith("GL"):
+        return list(range(1, int(label[2:]) + 1))
+    _, family, rank = parse_label(label)
+    return split_degrees(family, rank)
+
+
+def divisors_of_degrees(label):
+    return sorted({d for deg in label_degrees(label) for d in range(1, deg + 1) if deg % d == 0})
 
 
 def per_element_dims(w, d):
@@ -280,8 +301,25 @@ class TestPerClassRoute:
     @pytest.mark.parametrize("label", ORACLE_LABELS)
     def test_phi_d_dimensions_match_per_element_ranks(self, label):
         w = oracle_group(label)
-        for d in divisors_of_degrees(w):
+        for d in divisors_of_degrees(label):
             assert w.phi_d_dimensions(d) == per_element_dims(w, d), d
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "2A2", "GL3"])
+    def test_phi_d_dimensions_past_the_totient_bound(self, label):
+        w = oracle_group(label)
+        bound = 2 * w.ctx.dim ** 2
+        for d in range(bound - 2, bound + 12):
+            assert w.phi_d_dimensions(d) == per_element_dims(w, d), d
+
+    def test_huge_d_builds_no_cyclotomic_polynomial(self, monkeypatch):
+        w = WeylGroup(context_from_datum(build_root_datum("A2")))
+
+        def refuse(d):
+            raise AssertionError(f"Phi_{d} built")
+
+        monkeypatch.setattr(lielocal.weyl, "cyclotomic", refuse)
+        assert w.phi_d_dimensions(10**12) == [0] * len(w)
+        assert w.regular_elements(10**12) is None
 
     def test_one_rank_per_class(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("B3")))
@@ -302,7 +340,7 @@ class TestPerClassRoute:
     def test_centralizer_verdict_matches_matrix_closure(self, label):
         w = group(label)
         # an eigenvalue of w·phi has order dividing d_i·|phi| for a degree d_i
-        for d in range(1, 3 * max(w.degrees()) + 1):
+        for d in range(1, 3 * max(label_degrees(label)) + 1):
             report = w.regular_elements(d)
             if report is not None:
                 assert (report.centralizer_order, report.centralizer_is_reflection_group
