@@ -490,6 +490,7 @@ def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
     twist-stable I pairs the weights of X'_I with the unipotent radical of the
     standard parabolic whose Levi has simple roots Delta - I.  The total is
     q^rank, matching the number of simple modules."""
+    _check_q(q)
     _check_weight_guard(datum, q)
     delta = tuple(range(datum.rank))
     entries = []

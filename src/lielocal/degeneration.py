@@ -471,8 +471,10 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     supposed to make all four true for every valid input.
     """
     if group.order > DEGEN_GUARD:
-        raise GuardExceeded("group order %d exceeds guard %d"
-                            % (group.order, DEGEN_GUARD))
+        # the order can be ell^99999, too long to print
+        exponent = sum(r * n for r, n in group.factors)
+        raise GuardExceeded("group order %d^%d exceeds guard %d"
+                            % (group.ell, exponent, DEGEN_GUARD))
     section = radical_section(group)
     algebra = TruncatedAlgebra.of_group(group)
     ell = group.ell

@@ -12,34 +12,35 @@ kappa d-regular; the vectors
 
     A(lambda) = V_{nu_1} V_{nu_2} ... (ladder monomial of kappa) |empty>
 
-are fixed by the bar involution and span the degree-n part, so they
-determine it: one exact solve at v = 2^64 gives the bar matrix, whose
-Laurent entries are the balanced base-2^64 digits of its values.  A
-correction recursion against that matrix yields the canonical basis: the
+are fixed by the bar involution and span the degree-n part.  The
+involution itself comes from q-wedges (Leclerc-Thibon): |lambda> is the
+wedge u_{k_0} ^ ... ^ u_{k_{r-1}} with k_j = lambda_j - j, and its bar image
+is the reversed wedge straightened back to normal order, up to a unit
+monomial.  The resulting matrix W is unitriangular, with entries in
+Z[v, 1/v].  A correction recursion against W yields the canonical basis: the
 unique bar-invariant vectors G(lambda) = |lambda> + sum of v Z[v] multiples
 of smaller |mu>.  Evaluating the coefficient matrix at v = 1 gives, for d the
 multiplicative order of q modulo ell and ell large, the conjectural square
 part of the unipotent decomposition matrix of GL_n(q); outputs are generic
 in that sense and carry no effective bound on ell.
 
-Every elimination step checks its own preconditions (bar-symmetric pivots,
-exact divisions); a violation means the combinatorial conventions broke and
-raises InvariantError rather than returning a wrong matrix.  The finished
-basis is checked once more, independently of the bar matrix: re-expanded
-over the family at eight exact points, one d-core block at a time, with a
-fraction-free solve in integer arithmetic.
+Every step checks its own preconditions (unit diagonals, antisymmetric
+corrections, exact divisions); a violation means the combinatorial
+conventions broke and raises InvariantError rather than returning a wrong
+matrix.  The finished basis is checked once more, as identities over
+Z[v, 1/v]: W fixes every family vector and squares to 1, the family is
+nonsingular on each d-core block, so W is the bar involution, and W fixes
+every G.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
-from .linalg import add_scaled, add_term, fraction_free_solve, rref
+from .linalg import GF, add_scaled, add_term, rank
 
 LLT_GUARD = 12
 
@@ -408,63 +409,87 @@ class FockMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _laurent_at(value: Fraction, t: int) -> Laurent:
-    """The Laurent polynomial f with f(t) = value and every coefficient in
-    [-t/2, t/2), for t a power of two: the balanced base-t digits of value,
-    scaled by the least power of t that clears its denominator."""
-    den = value.denominator
-    if den & (den - 1):
-        raise InvariantError(f"{value} has a denominator that is not a power of two")
-    bits = t.bit_length() - 1
-    low = -(-(den.bit_length() - 1) // bits)
-    rest = value.numerator * (t**low // den)
-    half = t // 2
-    terms = {}
-    exponent = -low
-    while rest:
-        digit = (rest + half) % t - half
-        terms[exponent] = digit
-        rest = (rest - digit) // t
-        exponent += 1
-    return Laurent(terms)
+# ---------------------------------------------------------------------------
+# the bar involution, by straightening q-wedges (Leclerc-Thibon)
 
 
-def _bar_matrix(labels: list[Partition],
-                family: dict[Partition, FockVector]) -> dict[Partition, FockVector]:
-    """Matrix of the bar involution on the standard basis, as columns.
+_ONE = Laurent(1)
+_ZERO = Laurent(0)
 
-    The involution fixes every family vector, which pins it down: writing M
-    for the family matrix, bar on standard coordinates is W = M(v) M(1/v)^-1.
-    Its entries are Laurent polynomials over Z, so one exact solve at
-    v = t = 2^64 gives W(t), and each entry is read off the balanced base-t
-    digits of its value.  The candidate is returned only if it passes the
-    symbolic identities W(v) M(1/v) = M(v) and W(v) W(1/v) = 1, which have
-    W as their only solution; a singular solve, a value that is not a
-    Laurent polynomial at t, or a failed identity squares t and retries.
+
+def _wedge_pair(low: int, high: int, d: int) -> list[tuple[int, int, Laurent]]:
+    """u_low ^ u_high, for low < high, as terms (a, b, c) of c u_a ^ u_b
+    with a > b.
+
+    With i = (high - low) mod d: u_l ^ u_m = -u_m ^ u_l when i = 0, and
+    otherwise -v^-1 u_m ^ u_l + (v^-2 - 1) sum_j (-1)^j v^-j
+    u_{m-s_j} ^ u_{l+s_j}, where s_{2k} = kd + i, s_{2k+1} = (k+1)d and the
+    sum runs while m - s_j > l + s_j.
     """
-    t = 2**64
-    for _ in range(4):
-        try:
-            w_tr = _family_solve(_family_rows(labels, family, Fraction(1, t)),
-                                 _family_rows(labels, family, t))
-            candidate = {col: {row: e for row, x in zip(labels, w_col)
-                               if (e := _laurent_at(x, t))}
-                         for col, w_col in zip(labels, w_tr)}
-        except InvariantError:
-            pass
-        else:
-            if _bar_matrix_valid(labels, family, candidate):
-                return candidate
-        t *= t
-    raise InvariantError("bar involution could not be read off an exact evaluation")
+    i = (high - low) % d
+    if i == 0:
+        return [(high, low, Laurent(-1))]
+    out = [(high, low, Laurent({-1: -1}))]
+    j = 0
+    while True:
+        s = (j // 2) * d + (i if j % 2 == 0 else d)
+        if high - s <= low + s:
+            return out
+        sign = -1 if j % 2 else 1
+        out.append((high - s, low + s, Laurent({-j - 2: sign, -j: -sign})))
+        j += 1
 
 
-def _bar_matrix_valid(labels, family, columns) -> bool:
-    """Symbolic check of W(v) M(1/v) = M(v) and W(v) W(1/v) = identity: the
-    candidate bar fixes every family vector and squares to the identity."""
-    return all(_bar_apply(columns, family[p]) == family[p]
-               and _bar_apply(columns, columns[p]) == {p: Laurent(1)}
-               for p in labels)
+def _insert(wedge: tuple[int, ...], x: int, d: int, memo: dict) -> dict:
+    """u_x ^ wedge, for a normal-ordered (decreasing) wedge, straightened
+    to normal-ordered wedges with Laurent coefficients."""
+    if not wedge or x > wedge[0]:
+        return {(x,) + wedge: _ONE}
+    if x == wedge[0]:
+        return {}  # u_x ^ u_x = 0
+    key = (wedge, x)
+    hit = memo.get(key)
+    if hit is None:
+        hit = {}
+        for a, b, c in _wedge_pair(x, wedge[0], d):
+            for rest, c_rest in _insert(wedge[1:], b, d, memo).items():
+                for out, c_out in _insert(rest, a, d, memo).items():
+                    add_term(hit, out, c * c_rest * c_out)
+        memo[key] = hit
+    return hit
+
+
+def _bar_columns(labels, slots: int, d: int) -> dict[Partition, FockVector]:
+    """Matrix of the bar involution on the standard basis, as columns:
+    column lambda is bar|lambda>, with entries in Z[v, 1/v].
+
+    lambda is the wedge u_{k_0} ^ ... ^ u_{k_{slots-1}}, k_j = lambda_j - j.
+    Up to a factor +-v^e, its bar image is the reversed wedge straightened
+    back to normal order, one factor at a time from the right; the factor
+    is the one that makes the diagonal coefficient 1.  Any slots >= n gives
+    the same columns.
+    """
+    memo: dict = {}
+    columns = {}
+    for label in labels:
+        k = [(label[j] if j < len(label) else 0) - j for j in range(slots)]
+        wedge = {(k[0],): _ONE}
+        for x in k[1:]:
+            grown: dict = {}
+            for normal, c in wedge.items():
+                for out, c_out in _insert(normal, x, d, memo).items():
+                    add_term(grown, out, c * c_out)
+            wedge = grown
+        column = {tuple(part for j, e in enumerate(normal) if (part := e + j)): c
+                  for normal, c in wedge.items()}
+        diagonal = column.get(label, _ZERO)
+        terms = list(diagonal.items())
+        if len(terms) != 1 or terms[0][1] not in (1, -1):
+            raise InvariantError(f"straightened wedge of {label} has diagonal "
+                                 f"coefficient {diagonal.to_string('v')}, not +-v^e")
+        (e, sign), = terms
+        columns[label] = {mu: c.shifted(-e) * sign for mu, c in column.items()}
+    return columns
 
 
 def _bar_apply(columns: dict[Partition, FockVector], vec: FockVector) -> FockVector:
@@ -484,11 +509,11 @@ def _antisymmetric_positive_part(r: Laurent) -> Laurent:
 def llt_canonical_basis(n: int, d: int) -> FockMatrix:
     """Canonical basis of the degree-n part of the Fock space.
 
-    The bar involution is reconstructed from the invariant family one d-core
-    block at a time, then each G(lambda) = |lambda> + lower terms is produced
-    by the usual correction recursion: while bar(g) differs from g, the top
-    coefficient of the difference is antisymmetric and determines a unique
-    correction in vZ[v] by an already-finished smaller G.
+    Each G(lambda) = |lambda> + lower terms is produced by the usual
+    correction recursion against the straightened bar involution: while
+    bar(g) differs from g, the top coefficient of the difference is
+    antisymmetric and determines a unique correction in vZ[v] by an
+    already-finished smaller G.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -500,36 +525,45 @@ def llt_canonical_basis(n: int, d: int) -> FockMatrix:
 
 
 def _cached_basis(n: int, d: int) -> FockMatrix:
+    """The canonical basis for (n, d), built once per process.
+
+    The bar involution W comes from straightening q-wedges, and the
+    recursion runs against it in label order.  Adding q G(mu) to g adds
+    (q(1/v) - q) G(mu) to bar(g) - g, as G(mu) is already bar-invariant, so
+    W is applied once per label.  Each top of bar(g) - g must lie strictly
+    below the last, so the recursion ends even for a wrong W.  The finished
+    matrix then goes through verify_bar_invariance, which checks W and
+    every G symbolically, and through shape_check.
+    """
     key = (n, d)
     hit = _BASIS_CACHE.get(key)
     if hit is not None:
         return hit
     labels = partitions(n)
     family = bar_invariant_family(n, d)
+    bar = _bar_columns(labels, max(n, 1), d)
     position = {p: k for k, p in enumerate(labels)}
 
     basis: dict[Partition, FockVector] = {}
-    for block in _core_blocks(labels, d, family):
-        columns = _bar_matrix(block, family)
-        for p in block:
-            g: FockVector = {p: Laurent(1)}
-            while True:
-                delta = add_scaled(_bar_apply(columns, g), g, -1)
-                if not delta:
-                    break
-                top = max(delta, key=position.__getitem__)
-                check(position[top] < position[p],
-                      f"bar image of G({p}) sticks out above")
-                q = _antisymmetric_positive_part(delta[top])
-                add_scaled(g, basis[top], q)
-            basis[p] = g
+    for p in labels:
+        g: FockVector = {p: _ONE}
+        delta = add_scaled(dict(bar[p]), g, -1)  # bar(g) - g
+        bound = position[p]
+        while delta:
+            top = max(delta, key=position.__getitem__)
+            check(position[top] < bound, f"bar image of G({p}) sticks out above")
+            bound = position[top]
+            q = _antisymmetric_positive_part(delta[top])
+            add_scaled(g, basis[top], q)
+            add_scaled(delta, basis[top], q.bar() - q)
+        basis[p] = g
 
     entries = tuple(
-        tuple(basis[row].get(col, Laurent(0)) for col in labels)
+        tuple(basis[row].get(col, _ZERO) for col in labels)
         for row in labels
     )
     matrix = FockMatrix(n=n, d=d, labels=tuple(labels), entries=entries)
-    verify_bar_invariance(matrix, family)
+    verify_bar_invariance(matrix, family, bar)
     report = shape_check(matrix)
     check(report.unitriangular and report.unit_diagonal and report.positive_shift,
           f"canonical basis shape violation: {report.failures}")
@@ -555,86 +589,47 @@ def _core_blocks(labels, d: int, family) -> list[list[Partition]]:
     return list(blocks.values())
 
 
-_BAR_CHECK_POINTS = (
-    Fraction(2), Fraction(3), Fraction(5), Fraction(7),
-    Fraction(-2), Fraction(-3), Fraction(7, 2), Fraction(-5, 3),
-)
+# the family's rank is taken mod this prime at v = 2
+_RANK_PRIME = 2**61 - 1
 
 
-def _family_rows(labels, family, x) -> list[list[Fraction]]:
-    """The family matrix at v = x, transposed: row c is A(labels[c])."""
-    return [[family[a].get(p, Laurent(0))(x) for p in labels] for a in labels]
+def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
+    """Check, symbolically over Z[v, 1/v], that every G is bar-invariant.
 
-
-def _family_solve(mat: list[list[Fraction]],
-                  rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve mat * X = rhs over Q, for a square family matrix mat.
-
-    This stays a ``Fraction`` elimination: at v = 2^64 a fraction-free
-    solve carries determinant-sized integers, and on the n = 8 and n = 10
-    blocks it measured 5 to 18 times slower."""
-    size = len(mat)
-    red, pivots = rref([row + r for row, r in zip(mat, rhs)])
-    check(pivots[:size] == list(range(size)), "family matrix is singular at a check point")
-    return [row[size:] for row in red]
-
-
-def _cleared_values(entries, num: int, den: int, low: int, high: int) -> list[list[int]]:
-    """den^high * num^-low * f(num/den) for each Laurent f in ``entries``
-    (lists of (exponent, coefficient) pairs with exponents in [low, high]):
-    the values at v = num/den with one common denominator cleared."""
-    num_pows = [num**k for k in range(high - low + 1)]
-    den_pows = [den**k for k in range(high - low + 1)]
-    return [[sum(c * num_pows[e - low] * den_pows[high - e] for e, c in f)
-             for f in row] for row in entries]
-
-
-def verify_bar_invariance(matrix: FockMatrix, family=None) -> None:
-    """Check bar-invariance of every G by re-expansion over the family,
-    one d-core block at a time, in integer arithmetic.
-
-    Each G is a combination sum c_A(v) A of family vectors that the bar
-    involution fixes, so its bar image is the combination with v-negated
-    coefficients.  The coefficients are rational functions of v, so the
-    identity 'negate the c_A and re-expand' is verified at a fixed panel of
-    exact rational points t: solve for the c_A at v = 1/t and re-expand at
-    v = t, which must reproduce G evaluated at t.
-
-    The family matrix M is block-diagonal by d-core (checked here too), so
-    the identity splits exactly into one identity per block B, over the
-    columns in B and the rows G(lambda) with an entry there.  At each t
-    both sides are scaled by one power product that clears every
-    denominator; the solve is fraction-free, returning det * c_A, and the
-    re-expansion is compared with det * G(t) in Z.
+    ``bar`` (by default the straightened involution) is a matrix W given
+    as columns.  Per d-core block it must be unitriangular with unit
+    diagonal, keep each column inside the block, fix every family vector
+    and satisfy W W(1/v) = 1.  The family must also be nonsingular on the
+    block: full rank mod a large prime at v = 2.  A semilinear map that
+    fixes a basis is determined by it, so W is then the bar involution,
+    whatever produced it.  Last, W must fix every row G of the matrix.
     """
     labels = matrix.labels
     if family is None:
         family = bar_invariant_family(matrix.n, matrix.d)
+    if bar is None:
+        bar = _bar_columns(labels, max(matrix.n, 1), matrix.d)
     position = {p: k for k, p in enumerate(labels)}
-    zero = Laurent(0)
     for block in _core_blocks(labels, matrix.d, family):
-        cols = [position[p] for p in block]
-        rows = [lam for lam, row in enumerate(matrix.entries)
-                if any(row[c] for c in cols)]
-        # transposed: one row per column label mu of the block
-        fam = [[list(family[a].get(mu, zero).items()) for a in block] for mu in block]
-        g = [[list(matrix.entries[lam][c].items()) for lam in rows] for c in cols]
-        exponents = [e for row in fam + g for f in row for e, _ in f]
-        low, high = min(exponents, default=0), max(exponents, default=0)
-        for t in _BAR_CHECK_POINTS:
-            num, den = t.numerator, t.denominator
-            # at v = 1/t the roles of numerator and denominator swap
-            det, coeffs = fraction_free_solve(_cleared_values(fam, den, num, low, high),
-                                              _cleared_values(g, den, num, low, high))
-            check(det != 0, "family matrix is singular at a check point")
-            by_g = list(zip(*coeffs))  # det * c_A, one tuple per G
-            for j, (fam_t, g_t) in enumerate(zip(_cleared_values(fam, num, den, low, high),
-                                                 _cleared_values(g, num, den, low, high))):
-                for k, (coeff, value) in enumerate(zip(by_g, g_t)):
-                    if sum(map(operator.mul, fam_t, coeff)) != det * value:
-                        raise InvariantError(
-                            f"G({labels[rows[k]]}) is not bar-invariant "
-                            f"(coefficient of {block[j]} at v = {t})")
+        members = set(block)
+        for p in block:
+            column = bar[p]
+            check(set(column) <= members, f"bar image of {p} leaves its d-core block")
+            check(column.get(p) == _ONE
+                  and all(position[mu] < position[p] for mu in column if mu != p),
+                  f"bar image of {p} is not |{p}> plus lower terms")
+        for p in block:
+            check(_bar_apply(bar, family[p]) == family[p],
+                  f"bar involution does not fix the family vector of {p}")
+            check(_bar_apply(bar, bar[p]) == {p: _ONE},
+                  f"bar involution does not square to 1 on {p}")
+        values = [[family[a].get(mu, _ZERO).eval_mod(2, _RANK_PRIME) for mu in block]
+                  for a in block]
+        check(rank(values, GF(_RANK_PRIME)) == len(block),
+              f"family is singular on the d-core block of {block[0]}")
+    for p, row in zip(labels, matrix.entries):
+        g = {mu: e for mu, e in zip(labels, row) if e}
+        check(_bar_apply(bar, g) == g, f"G({p}) is not bar-invariant")
 
 
 def generic_decomposition_matrix(n: int, d: int) -> list[list[int]]:

@@ -300,6 +300,10 @@ class TestExitCodes:
             (["sylow", "GL3", "--q", "6", "--ell", "5"], 1),
             (["degenerate", "--ell", "2", "--factors", "0:1"], 1),
             (["degenerate", "--ell", "2", "--factors", "abc"], 1),
+            (["degenerate", "--ell", "2", "--factors", "99999:1"], 1),
+            (["degenerate", "--ell", "2", "--factors", "1:99999"], 1),
+            (["alperin", "A1", "--q", "6"], 1),
+            (["alperin", "A1", "--q", "0"], 1),
             (["order", "GL0"], 1),
             (["hecke", "poincare", "GL0"], 1),
         ] + [(["degenerate", "--ell", "3", "--factors", "1:1", "--E", path], 1)
@@ -308,6 +312,16 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == expected, (argv, err)
             assert "Traceback" not in err, argv
+
+    def test_guard_and_q_messages(self, capsys):
+        # the order 2^99999 has too many digits to print in decimal
+        code, _, err = run_cli(capsys, "degenerate", "--ell", "2", "--factors", "99999:1")
+        assert code == 1
+        assert "group order 2^99999 exceeds guard" in err
+        for q in ("6", "0"):
+            code, _, err = run_cli(capsys, "alperin", "A1", "--q", q)
+            assert code == 1
+            assert f"q = {q} is not a prime power" in err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")

@@ -3,8 +3,10 @@
 import itertools
 from fractions import Fraction
 
+import bar_oracle
 import pytest
-from hypothesis import given
+from bar_oracle import _BAR_CHECK_POINTS, numeric_bar_check
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielocal import fock_llt
@@ -363,7 +365,7 @@ def _whole_matrix_bar_check(matrix, family):
     def family_rows(x):
         return [[family[a].get(p, ZERO)(x) for p in labels] for a in labels]
 
-    for t in fock_llt._BAR_CHECK_POINTS:
+    for t in _BAR_CHECK_POINTS:
         m_at_inv = [list(col) for col in zip(*family_rows(1 / t))]
         a_at_t = family_rows(t)
         g_at_inv = [[matrix.entries[c][r](1 / t) for c in range(size)]
@@ -389,8 +391,18 @@ def _with_entry_added(matrix, row_label, col_label, extra):
                       entries=tuple(tuple(row) for row in rows))
 
 
+def _block_sizes(matrix):
+    """The sizes of the d-core blocks of a FockMatrix, sorted."""
+    blocks = {}
+    for p in matrix.labels:
+        core = d_core(p, matrix.d)
+        blocks[core] = blocks.get(core, 0) + 1
+    return sorted(blocks.values())
+
+
 class TestBarVerification:
-    """verify_bar_invariance against the whole-matrix Fraction oracle."""
+    """verify_bar_invariance against two numeric oracles: the eight-point
+    check by blocks, and the whole-matrix Fraction check."""
 
     @pytest.mark.parametrize("d", (2, 3, 4))
     def test_both_accept_every_small_basis(self, d):
@@ -398,11 +410,14 @@ class TestBarVerification:
             matrix = llt_canonical_basis(n, d)
             family = bar_invariant_family(n, d)
             verify_bar_invariance(matrix, family)
+            numeric_bar_check(matrix, family)
             _whole_matrix_bar_check(matrix, family)
 
     def _both_reject(self, matrix, family):
         with pytest.raises(InvariantError):
             verify_bar_invariance(matrix, family)
+        with pytest.raises(InvariantError):
+            numeric_bar_check(matrix, family)
         with pytest.raises(InvariantError):
             _whole_matrix_bar_check(matrix, family)
 
@@ -434,19 +449,25 @@ class TestBarVerification:
         with pytest.raises(InvariantError):
             _whole_matrix_bar_check(matrix, family)
 
-    def test_one_solve_per_block_and_point(self, monkeypatch):
+    def test_one_rank_per_block(self, monkeypatch):
         matrix = llt_canonical_basis(8, 3)
-        solve = fock_llt.fraction_free_solve
+        rank = fock_llt.rank
         sizes = []
-        monkeypatch.setattr(fock_llt, "fraction_free_solve",
-                            lambda a, b: sizes.append(len(a)) or solve(a, b))
+        monkeypatch.setattr(fock_llt, "rank",
+                            lambda a, field: sizes.append(len(a)) or rank(a, field))
         verify_bar_invariance(matrix)
-        blocks = {}
-        for p in matrix.labels:
-            blocks[d_core(p, 3)] = blocks.get(d_core(p, 3), 0) + 1
-        points = len(fock_llt._BAR_CHECK_POINTS)
+        assert sorted(sizes) == _block_sizes(matrix)
+
+    def test_oracle_solves_once_per_block_and_point(self, monkeypatch):
+        matrix = llt_canonical_basis(8, 3)
+        solve = bar_oracle.fraction_free_solve
+        sizes = []
+        monkeypatch.setattr(bar_oracle, "fraction_free_solve",
+                            lambda a, b: sizes.append(len(a)) or solve(a, b))
+        numeric_bar_check(matrix, bar_invariant_family(8, 3))
+        points = len(_BAR_CHECK_POINTS)
         assert points == 8
-        assert sorted(sizes) == sorted(list(blocks.values()) * points)
+        assert sorted(sizes) == sorted(_block_sizes(matrix) * points)
 
     def test_huge_d_gives_singleton_blocks(self):
         matrix = llt_canonical_basis(6, 10**12)
@@ -466,32 +487,34 @@ def _block_and_family(n, d):
 
 
 class TestBarMatrix:
+    """The numeric bar matrix, kept in bar_oracle as an independent route."""
+
     @given(st.dictionaries(st.integers(-40, 40),
                            st.integers(-(T // 2) + 1, T // 2 - 1), max_size=12))
     def test_digit_reader_round_trips(self, terms):
         f = Laurent(terms)
-        assert fock_llt._laurent_at(Fraction(f(T)), T) == f
+        assert bar_oracle._laurent_at(Fraction(f(T)), T) == f
 
     def test_digit_reader_rejects_odd_denominators(self):
         with pytest.raises(InvariantError, match="power of two"):
-            fock_llt._laurent_at(Fraction(1, 3), T)
+            bar_oracle._laurent_at(Fraction(1, 3), T)
         with pytest.raises(InvariantError, match="power of two"):
-            fock_llt._laurent_at(Fraction(5, 3 * T), T)
+            bar_oracle._laurent_at(Fraction(5, 3 * T), T)
 
     def test_one_solve_per_block(self, monkeypatch):
-        solve = fock_llt._family_solve
+        solve = bar_oracle._family_solve
         calls = []
-        monkeypatch.setattr(fock_llt, "_family_solve",
+        monkeypatch.setattr(bar_oracle, "_family_solve",
                             lambda *args: calls.append(1) or solve(*args))
         block, family = _block_and_family(6, 2)
-        columns = fock_llt._bar_matrix(block, family)
+        columns = bar_oracle._bar_matrix(block, family)
         assert len(calls) == 1
-        assert fock_llt._bar_matrix_valid(block, family, columns)
+        assert bar_oracle._bar_matrix_valid(block, family, columns)
 
     def test_retries_with_a_larger_t(self, monkeypatch):
         block, family = _block_and_family(6, 2)
-        expected = fock_llt._bar_matrix(block, family)
-        solve = fock_llt._family_solve
+        expected = bar_oracle._bar_matrix(block, family)
+        solve = bar_oracle._family_solve
         calls = []
 
         def singular_once(mat, rhs):
@@ -500,15 +523,106 @@ class TestBarMatrix:
                 raise InvariantError("family matrix is singular at a check point")
             return solve(mat, rhs)
 
-        monkeypatch.setattr(fock_llt, "_family_solve", singular_once)
-        assert fock_llt._bar_matrix(block, family) == expected
+        monkeypatch.setattr(bar_oracle, "_family_solve", singular_once)
+        assert bar_oracle._bar_matrix(block, family) == expected
         assert len(calls) == 2
 
     def test_never_returns_an_unverified_candidate(self, monkeypatch):
-        monkeypatch.setattr(fock_llt, "_bar_matrix_valid", lambda *args: False)
+        monkeypatch.setattr(bar_oracle, "_bar_matrix_valid", lambda *args: False)
         block, family = _block_and_family(4, 2)
         with pytest.raises(InvariantError):
-            fock_llt._bar_matrix(block, family)
+            bar_oracle._bar_matrix(block, family)
+
+    def test_oracle_agrees_with_straightening(self):
+        for n in range(9):
+            for d in (2, 3, 4, 5):
+                labels = partitions(n)
+                family = bar_invariant_family(n, d)
+                columns = fock_llt._bar_columns(labels, max(n, 1), d)
+                for block in fock_llt._core_blocks(labels, d, family):
+                    assert bar_oracle._bar_matrix(block, family) == {
+                        p: columns[p] for p in block}, (n, d, block[0])
+
+
+def _bar_squared(columns):
+    """W W(1/v), as columns."""
+    return {p: fock_llt._bar_apply(columns, column) for p, column in columns.items()}
+
+
+class TestStraightening:
+    """The q-wedge bar involution and the symbolic verifier's checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.integers(2, 7).flatmap(
+        lambda d: st.tuples(st.just(n), st.just(d), st.integers(max(n, 1), n + 2 * d)))))
+    def test_columns_do_not_depend_on_the_slot_count(self, case):
+        n, d, slots = case
+        labels = partitions(n)
+        columns = fock_llt._bar_columns(labels, slots, d)
+        assert columns == fock_llt._bar_columns(labels, max(n, 1), d)
+        assert _bar_squared(columns) == {p: {p: ONE} for p in labels}
+
+    def test_small_columns(self):
+        antisym = V - V.shifted(-2)  # v - 1/v
+        assert fock_llt._bar_columns(partitions(2), 2, 2) == {
+            (1, 1): {(1, 1): ONE}, (2,): {(2,): ONE, (1, 1): antisym}}
+        assert fock_llt._bar_columns(partitions(2), 2, 3) == {
+            (1, 1): {(1, 1): ONE}, (2,): {(2,): ONE}}
+        assert fock_llt._bar_columns(partitions(3), 3, 3)[(3,)] == {
+            (3,): ONE, (2, 1): antisym, (1, 1, 1): V.shifted(-3) - ONE}
+
+    def _matrix_family_bar(self, n=7, d=3):
+        matrix = llt_canonical_basis(n, d)
+        family = bar_invariant_family(n, d)
+        bar = fock_llt._bar_columns(matrix.labels, n, d)
+        verify_bar_invariance(matrix, family, bar)
+        return matrix, family, bar
+
+    def test_rejects_a_changed_bar_entry(self):
+        matrix, family, bar = self._matrix_family_bar()
+        p = (7,)
+        mu = next(mu for mu in bar[p] if mu != p)
+        tampered = dict(bar)
+        tampered[p] = {**bar[p], mu: bar[p][mu] + V}
+        with pytest.raises(InvariantError, match="bar involution does not"):
+            verify_bar_invariance(matrix, family, tampered)
+
+    def test_rejects_a_bar_column_that_is_not_unitriangular(self):
+        matrix, family, bar = self._matrix_family_bar()
+        tampered = dict(bar)
+        tampered[(7,)] = {**bar[(7,)], (7,): V}
+        with pytest.raises(InvariantError, match="lower terms"):
+            verify_bar_invariance(matrix, family, tampered)
+
+    def test_rejects_a_changed_g_entry(self):
+        matrix, family, bar = self._matrix_family_bar()
+        row = matrix.labels[-1]
+        col = next(mu for mu in reversed(matrix.labels[:-1])
+                   if d_core(mu, 3) == d_core(row, 3))
+        with pytest.raises(InvariantError, match="is not bar-invariant"):
+            verify_bar_invariance(_with_entry_added(matrix, row, col, V), family, bar)
+
+    def test_rejects_a_family_vector_that_bar_moves(self):
+        matrix, family, bar = self._matrix_family_bar()
+        family = dict(family)
+        family[(7,)] = fock_add(family[(7,)], {(7,): V})
+        with pytest.raises(InvariantError, match="does not fix the family vector"):
+            verify_bar_invariance(matrix, family, bar)
+
+    def test_rejects_a_singular_family(self):
+        matrix, family, bar = self._matrix_family_bar()
+        family = dict(family)
+        block = [p for p in matrix.labels if d_core(p, 3) == d_core((7,), 3)]
+        family[block[-1]] = family[block[-2]]  # bar-invariant, but a repeat
+        with pytest.raises(InvariantError, match="singular"):
+            verify_bar_invariance(matrix, family, bar)
+
+    def test_rejects_a_pair_rule_with_a_non_unit_diagonal(self, monkeypatch):
+        pair = fock_llt._wedge_pair
+        monkeypatch.setattr(fock_llt, "_wedge_pair", lambda low, high, d: [
+            (a, b, c * 2) for a, b, c in pair(low, high, d)])
+        with pytest.raises(InvariantError, match="diagonal"):
+            fock_llt._bar_columns(partitions(4), 4, 2)
 
 
 class TestEvaluationAndOutput:

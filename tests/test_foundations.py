@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from bar_oracle import _family_solve
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from lielocal.cyclotomic import (
     poly_mul,
 )
 from lielocal.errors import GuardExceeded, InvariantError
-from lielocal.fock_llt import _family_solve
 from lielocal.laurent import Laurent, poly_from_coeffs, quantum_factorial, quantum_integer
 from lielocal.linalg import (
     GF,
@@ -207,7 +207,8 @@ class TestLinalg:
                 assert not field.nonzero(total)
 
     def test_family_solve_rejects_a_singular_matrix(self):
-        # _bar_matrix catches this InvariantError and retries with a larger t
+        # the oracle's _bar_matrix catches this InvariantError and retries
+        # with a larger t
         singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(InvariantError, match="singular"):
             _family_solve(singular, [[Fraction(1)], [Fraction(0)]])

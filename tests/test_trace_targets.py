@@ -8,7 +8,9 @@ catches a rename in the fast suite instead of in a benchmark run.
 
 import ast
 import importlib
+import importlib.util
 import os
+import pkgutil
 
 import pytest
 
@@ -38,3 +40,45 @@ def test_trace_target_resolves(target):
 def test_guard_constant_resolves(name, module_name):
     value = getattr(importlib.import_module("lielocal." + module_name), name)
     assert type(value) is int and value > 0
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_llt_query_calls_every_fock_llt_target(monkeypatch, capsys):
+    """A traced ``llt`` query records a call to each fock_llt target, so a
+    call dropped from the LLT path fails here and not as a zero per-layer
+    metric in a benchmark run."""
+    import lielocal
+
+    tracer = _load_tracer()
+    # the tracer rebinds names in place; record every binding so that
+    # monkeypatch puts the untraced ones back afterwards
+    for info in pkgutil.iter_modules(lielocal.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module("lielocal." + info.name)
+            for key, value in list(vars(module).items()):
+                monkeypatch.setattr(module, key, value)
+    for target in tracer.TARGETS:
+        module_name, *path = target.split(".")
+        if len(path) > 1:
+            owner = getattr(importlib.import_module("lielocal." + module_name), path[0])
+            monkeypatch.setattr(owner, path[-1], getattr(owner, path[-1]))
+    weyl_group = importlib.import_module("lielocal.weyl").WeylGroup
+    monkeypatch.setattr(weyl_group, "__init__", weyl_group.__init__)
+    fock_llt = importlib.import_module("lielocal.fock_llt")
+    monkeypatch.setattr(fock_llt, "_BASIS_CACHE", {})
+
+    rec = tracer.Recorder()
+    tracer.install(rec)
+    assert importlib.import_module("lielocal.cli").main(["llt", "--n", "6", "--d", "2"]) == 0
+    capsys.readouterr()
+    calls = {name: count for name, (_, count) in tracer.self_times(rec.spans).items()}
+    targets = [tracer.span_name(t) for t in tracer.TARGETS if t.startswith("fock_llt.")]
+    assert targets
+    assert [name for name in targets if not calls.get(name)] == []
+    assert rec.counters["fock_llt.labels"] == 11
