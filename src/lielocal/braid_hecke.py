@@ -220,23 +220,23 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
     pi_nf = GarsideNF(delta_power=2, factors=())
     dims = group.phi_d_dimensions(d)  # cached by regular_elements above
     checked = 0
-    for el in group.elements:
-        if el.length != target_length or not dims[el.index]:
+    for w, word in enumerate(group.words):
+        if len(word) != target_length or not dims[w]:
             continue
-        field, basis = group.eigenspace_basis(el.index, d)
-        check(len(basis) == dims[el.index], "cyclotomic kernel dim mismatch")
+        field, basis = group.eigenspace_basis(w, d)
+        check(len(basis) == dims[w], "cyclotomic kernel dim mismatch")
         if not group.is_regular_eigenspace(field, basis):
             continue
         checked += 1
         letters = []
         for k in range(d):
-            image = el.word
+            image = word
             for _ in range(k):
                 image = tuple(phi_simple[i] for i in image)
             letters.extend(image)
         if garside_nf(ctx, BraidWord(tuple(letters))) == pi_nf:
             return RegularBraidReport(label=ctx.label, d=d, holds=True,
-                                      witness_word=el.word,
+                                      witness_word=word,
                                       candidates_checked=checked)
     return RegularBraidReport(label=ctx.label, d=d, holds=False,
                               witness_word=None, candidates_checked=checked)
@@ -268,12 +268,12 @@ class HeckeAlgebra:
 
     def _times_generator(self, support: dict[int, Laurent], i: int) -> dict:
         group = self.group
-        right = group.right
+        right, perms, n_pos = group.right, group.elements, group.ctx.N
         x = self.x
         out: dict[int, Laurent] = {}
         for w, c in support.items():
             ws = right[w][i]
-            if group.elements[ws].length > group.elements[w].length:
+            if perms[w][i] < n_pos:  # l(w s_i) = l(w) + 1
                 add_term(out, ws, c)
             else:
                 add_term(out, ws, x * c)
@@ -286,7 +286,7 @@ class HeckeAlgebra:
         out: dict[int, Laurent] = {}
         for v, c in b.support.items():
             acc = {w: cw * c for w, cw in a.support.items()}
-            for letter in self.group.elements[v].word:
+            for letter in self.group.words[v]:
                 acc = self._times_generator(acc, letter)
             add_scaled(out, acc)
         return self.element(out)
@@ -335,7 +335,7 @@ class HeckeElement:
     def to_json(self) -> dict:
         words = {}
         for w, c in self.support.items():
-            word = self.algebra.group.elements[w].word
+            word = self.algebra.group.words[w]
             key = ".".join(str(i + 1) for i in word) if word else "e"
             words[key] = c.to_json()
         return {"coeffs": {k: words[k] for k in sorted(words)}}

@@ -87,7 +87,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
     witness, dim = group.max_phi_d_eigenspace(d)
     if dim == 0:
         raise ValueError(f"no Phi_{d}-torus in type {ctx.label}")
-    field, basis = group.eigenspace_basis(witness.index, d)
+    field, basis = group.eigenspace_basis(witness, d)
     check(len(basis) == dim, "eigenspace basis size disagrees with its dimension")
     red_rows, pivots = cyclo_rref(field, [list(v) for v in basis])
     check(len(pivots) == dim, "eigenspace basis is not independent")
@@ -134,7 +134,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
         label=ctx.label,
         d=d,
         eigenspace_dim=dim,
-        witness_word=witness.word,
+        witness_word=group.words[witness],
         root_subsystem=tuple(ctx.pos_roots[k] for k in levi_idx),
         w_L_order=len(w_l),
         orthogonal_system=tuple(ctx.pos_roots[k] for k in orth_idx),
@@ -213,7 +213,7 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
     check(levi.eigenspace_dim == a_d,
           "maximal eigenspace dimension disagrees with the Phi_d-exponent")
     witness, _ = group.max_phi_d_eigenspace(d)
-    relative = len(group.centralizer_of_twisted(witness.index))
+    relative = len(group.centralizer_of_twisted(witness))
     return SylowReport(
         label=label, ell=ell, q=q, d=d, nu=nu,
         abelian=(levi.w_prime_order % ell != 0),

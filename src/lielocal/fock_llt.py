@@ -164,37 +164,33 @@ def _partition_from_core_quotient(core: Partition, quotient, d: int,
     return _partition_from_beta(beta)
 
 
-def _single_ribbon_removals(p: Partition, d: int):
-    """(smaller partition, height - 1) per removable rim d-ribbon, by
-    decreasing head position.  On the abacus a ribbon removal moves a bead
-    down d steps; height - 1 counts the beads it jumps over."""
-    slots = _slots_for(max(sum(p), 1), d)
-    beta = set(_beta_set(p, slots))
-    out = []
-    for b in sorted(beta, reverse=True):
-        if b - d >= 0 and (b - d) not in beta:
-            jumped = sum(1 for c in beta if b - d < c < b)
-            nb = set(beta)
-            nb.remove(b)
-            nb.add(b - d)
-            out.append((_partition_from_beta(sorted(nb)), jumped))
-    return out
-
-
 def ribbon_strip_spin(outer: Partition, inner: Partition, d: int) -> int:
     """Spin sum(height - 1) of the horizontal-strip tiling of outer/inner.
 
     A skew can have several d-ribbon tilings with different spins; the
-    horizontal strip one peels the ribbon with the rightmost head first.
+    horizontal strip one peels the ribbon with the rightmost head first.  On
+    the abacus a ribbon removal moves a bead down d steps, and height - 1
+    counts the beads it jumps over.  With one slot count for both shapes, a
+    partition contains inner exactly when its descending beta set is
+    elementwise >= inner's, so each step moves the highest bead whose move
+    keeps that.
     """
+    slots = _slots_for(max(sum(outer), sum(inner), 1), d)
+    beta = _beta_set(outer, slots)  # descending
+    target = _beta_set(inner, slots)
     total = 0
-    current = outer
-    while current != inner:
-        for smaller, jumped in _single_ribbon_removals(current, d):
-            if all(a >= b for a, b in itertools.zip_longest(smaller, inner,
-                                                            fillvalue=0)):
-                total += jumped
-                current = smaller
+    while beta != target:
+        for i, b in enumerate(beta):
+            low = b - d
+            if low < 0 or low in beta:
+                continue
+            j = i + 1  # the bead lands below the beads in (low, b)
+            while j < slots and beta[j] > low:
+                j += 1
+            moved = beta[i + 1:j] + [low]
+            if all(x >= y for x, y in zip(moved, target[i:j])):
+                total += j - i - 1
+                beta[i:j] = moved
                 break
         else:
             raise InvariantError(

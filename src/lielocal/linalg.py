@@ -5,9 +5,7 @@ uses :class:`fractions.Fraction`, integer work stays in Z, modular work
 reduces eagerly.  Sizes in this package never exceed a few hundred rows, so
 simple Gaussian elimination is the right tool; one elimination serves every
 field, passed as a field object (``QQ``, ``GF(p)`` or a ``CycloField``).
-Square integer systems go through one fraction-free Gauss-Jordan elimination,
-``fraction_free_solve``, which never leaves Z and also gives ``det``.  The
-Smith normal form keeps its own loop: it works with unimodular row and
+The Smith normal form keeps its own loop: it works with unimodular row and
 column operations over Z.
 """
 
@@ -173,58 +171,6 @@ def solve(a: Sequence[Sequence], b: Sequence, field=QQ) -> list | None:
     for i, p in enumerate(pivots):
         x[p] = r[i][cols]
     return x
-
-
-_QUOTIENT = operator.itemgetter(0)
-_REMAINDER = operator.itemgetter(1)
-
-
-def fraction_free_solve(a: Sequence[Sequence[int]],
-                        b: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | None]:
-    """(det a, det(a) * X) for the solution X of a @ X = b, all in Z.
-
-    ``a`` is a square integer matrix and ``b`` has one row per row of ``a``.
-    Fraction-free Gauss-Jordan elimination (Bareiss): after step k every row
-    is scaled so that the leading block is the k-th pivot times the identity,
-    and each update (p_k * x - f * y) / p_(k-1) divides exactly.  Every such
-    division is checked, so a remainder raises InvariantError instead of
-    going unnoticed.  A singular ``a`` gives (0, None).
-    """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for row in a) \
-            or len({len(rhs) for rhs in b}) > 1:
-        raise ValueError("shape mismatch")
-    m = [[operator.index(x) for x in row] + [operator.index(x) for x in rhs]
-         for row, rhs in zip(a, b)]
-    prev, sign = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        row_k = m[k]
-        p = row_k[k]
-        tail_k = row_k[k + 1:]
-        for i in range(n):
-            if i == k:
-                continue
-            row = m[i]
-            f = row[k]
-            steps = [divmod(p * x - f * y, prev) for x, y in zip(row[k + 1:], tail_k)]
-            check(not any(map(_REMAINDER, steps)),
-                  "fraction-free elimination met an inexact division")
-            # columns up to k are never read again; keep the row's width
-            row[k + 1:] = map(_QUOTIENT, steps)
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: the last fraction-free pivot,
-    with the sign of the row swaps; 0 when ``a`` is singular."""
-    return fraction_free_solve(a, [()] * len(a))[0]
 
 
 def mat_inverse(a: Sequence[Sequence], field=QQ) -> list[list]:

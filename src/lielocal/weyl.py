@@ -1,15 +1,17 @@
 """Finite Weyl groups: exact enumeration, twisted classes, regular elements.
 
-An element is a permutation of the 2N signed roots (indices 0..N-1 the
-positive roots, N+k the negative of root k), stored as ``bytes`` (2N <= 240
-for every supported type, E8 included), together with its least reduced
-word.  Composition is one ``bytes.translate`` and a permutation hashes once,
-so length and descent queries and the dict from permutation to element are
-cheap.  Enumeration also fills a table of right multiplication by the simple
-reflections, so F-conjugacy orbits and Hecke products step by integer
-lookups and compose no permutation.  No matrix is stored: eigenspace work
-rebuilds the weight-lattice matrix of the few elements it needs from the
-word, and eigenspace dimensions are computed once per F-conjugacy class.
+An element is its index w into the enumeration.  Two parallel lists hold
+it: ``elements[w]``, the permutation of the 2N signed roots (indices 0..N-1
+the positive roots, N+k the negative of root k) as ``bytes`` (2N <= 240 for
+every supported type, E8 included), and ``words[w]``, its least reduced
+word, whose length is the length of w.  Composition is one
+``bytes.translate`` and a permutation hashes once, so length and descent
+queries and the dict from permutation to index are cheap.  Enumeration also
+fills a table of right multiplication by the simple reflections, so
+F-conjugacy orbits and Hecke products step by integer lookups and compose no
+permutation.  No matrix is stored: eigenspace work rebuilds the
+weight-lattice matrix of the few elements it needs from the word, and
+eigenspace dimensions are computed once per F-conjugacy class.
 
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
@@ -225,36 +227,26 @@ def predicted_weyl_order(label: str) -> int | None:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """One group element: permutation of signed roots, a lexicographically
-    least reduced word, and its length."""
-
-    index: int
-    word: tuple[int, ...]
-    length: int
-    perm: bytes
-
-
-@dataclass(frozen=True)
 class TwistedClass:
-    """An F-conjugacy class: the orbit of w under w -> v^{-1} w phi(v)."""
+    """An F-conjugacy class: the orbit of w under w -> v^{-1} w phi(v), as
+    sorted element indices, with the least reduced word of the first."""
 
-    representatives: tuple[WeylElement, ...]
+    members: tuple[int, ...]
+    word: tuple[int, ...]
     twisted: bool
 
     @property
-    def representative(self) -> WeylElement:
-        return self.representatives[0]
+    def representative(self) -> int:
+        return self.members[0]
 
     @property
     def size(self) -> int:
-        return len(self.representatives)
+        return len(self.members)
 
     def to_json(self) -> dict:
-        rep = self.representative
         return {
-            "representative_word": [i + 1 for i in rep.word],
-            "representative_length": rep.length,
+            "representative_word": [i + 1 for i in self.word],
+            "representative_length": len(self.word),
             "size": self.size,
             "twisted": self.twisted,
         }
@@ -265,8 +257,8 @@ class RegularReport:
     """Witness data for a d-regular twisted element."""
 
     d: int
-    zeta_order: int
-    witness_w: WeylElement
+    witness: int
+    witness_word: tuple[int, ...]
     eigenspace_dim: int
     centralizer_order: int
     centralizer_is_reflection_group: bool
@@ -274,9 +266,9 @@ class RegularReport:
     def to_json(self) -> dict:
         return {
             "d": self.d,
-            "zeta_order": self.zeta_order,
-            "witness_word": [i + 1 for i in self.witness_w.word],
-            "witness_length": self.witness_w.length,
+            "zeta_order": self.d,
+            "witness_word": [i + 1 for i in self.witness_word],
+            "witness_length": len(self.witness_word),
             "eigenspace_dim": self.eigenspace_dim,
             "centralizer_order": self.centralizer_order,
             "centralizer_is_reflection_group": self.centralizer_is_reflection_group,
@@ -286,57 +278,50 @@ class RegularReport:
 class WeylGroup:
     """Fully enumerated reflection group over a :class:`ReflectionContext`.
 
-    BFS from the identity appending generators in ascending index yields, for
-    every element, the lexicographically least reduced word; elements are
-    listed in (length, word) order, which downstream code uses as the
-    canonical tie-break.  ``right[w][i]`` is the index of w·s_i."""
+    An element is an index w.  ``elements[w]`` is its signed-root
+    permutation, ``words[w]`` its lexicographically least reduced word,
+    ``index_of`` maps a permutation back to w, and ``right[w][i]`` is the
+    index of w·s_i.  BFS from the identity, appending generators in
+    ascending order, lists the elements in (length, word) order, which
+    downstream code uses as the canonical tie-break."""
 
     def __init__(self, ctx: ReflectionContext):
         if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
             raise GuardExceeded(f"Weyl group of {ctx.label} has order "
                                 f"{ctx.predicted_order} > guard {WEYL_GUARD}")
         self.ctx = ctx
-        n_gens = ctx.n_gens
-        elements: list[WeylElement] = []
-        index_of: dict[bytes, int] = {}
-        right: list[list[int]] = []
-
-        def add(perm, word):
-            el = WeylElement(index=len(elements), word=word,
-                             length=ctx.length(perm), perm=perm)
-            check(el.length == len(word), "stored word is not reduced")
-            elements.append(el)
-            index_of[perm] = el.index
-            right.append([-1] * n_gens)
-            return el
-
-        add(ctx.identity_perm, ())
-        frontier = [elements[0]]
-        while frontier:
-            next_frontier = []
-            for el in frontier:
-                for i in range(n_gens):
-                    if el.perm[i] < ctx.N:  # l(w s_i) = l(w) + 1
-                        perm = ctx.compose(el.perm, ctx.gen_perms[i])
-                        ws = index_of.get(perm)
-                        if ws is None:
-                            new = add(perm, el.word + (i,))
-                            next_frontier.append(new)
-                            ws = new.index
-                        # s_i is an involution: (w s_i) s_i = w
-                        right[el.index][i] = ws
-                        right[ws][i] = el.index
-            frontier = next_frontier
-            if len(elements) > WEYL_GUARD:
-                raise GuardExceeded(
-                    f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
-        self.elements = elements
-        self.index_of = index_of
+        n_gens, N, compose, gen_perms = ctx.n_gens, ctx.N, ctx.compose, ctx.gen_perms
+        perms = [ctx.identity_perm]
+        words = [()]
+        index_of = {ctx.identity_perm: 0}
+        right = [[-1] * n_gens]
+        for w, perm in enumerate(perms):  # grows while it is walked
+            for i in range(n_gens):
+                if perm[i] < N:  # l(w s_i) = l(w) + 1
+                    p = compose(perm, gen_perms[i])
+                    ws = index_of.get(p)
+                    if ws is None:
+                        ws = len(perms)
+                        if ws >= WEYL_GUARD:
+                            raise GuardExceeded(
+                                f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
+                        perms.append(p)
+                        words.append(words[w] + (i,))
+                        index_of[p] = ws
+                        right.append([-1] * n_gens)
+                    # s_i is an involution: (w s_i) s_i = w
+                    right[w][i] = ws
+                    right[ws][i] = w
+        check(all(ctx.length(p) == len(word) for p, word in zip(perms, words)),
+              "stored word is not reduced")
         if ctx.predicted_order is not None:
-            check(len(elements) == ctx.predicted_order,
-                  f"enumerated {len(elements)} elements, classical order {ctx.predicted_order}")
+            check(len(perms) == ctx.predicted_order,
+                  f"enumerated {len(perms)} elements, classical order {ctx.predicted_order}")
         # every descent w s_i < w was set as the ascent of the shorter w s_i
         check(not any(-1 in row for row in right), "right multiplication table has holes")
+        self.elements = perms
+        self.words = words
+        self.index_of = index_of
         self.right = [tuple(row) for row in right]
         self._cache: dict = {}
 
@@ -346,22 +331,21 @@ class WeylGroup:
         return len(self.elements)
 
     def multiply(self, a: int, b: int) -> int:
-        return self.index_of[self.ctx.compose(self.elements[a].perm, self.elements[b].perm)]
+        return self.index_of[self.ctx.compose(self.elements[a], self.elements[b])]
 
     def inverse(self, a: int) -> int:
         return self._inverses()[a]
 
     def phi_image(self, a: int) -> int:
         ctx = self.ctx
-        p = ctx.compose(ctx.phi_perm, ctx.compose(self.elements[a].perm,
-                                                  ctx.invert(ctx.phi_perm)))
+        p = ctx.compose(ctx.phi_perm, ctx.compose(self.elements[a], ctx.invert(ctx.phi_perm)))
         return self.index_of[p]
 
     @property
-    def longest(self) -> WeylElement:
+    def longest(self) -> int:
         key = "longest"
         if key not in self._cache:
-            candidates = [el for el in self.elements if el.length == self.ctx.N]
+            candidates = [w for w, word in enumerate(self.words) if len(word) == self.ctx.N]
             check(len(candidates) == 1, "longest element is not unique")
             self._cache[key] = candidates[0]
         return self._cache[key]
@@ -370,8 +354,8 @@ class WeylGroup:
 
     def poincare_polynomial(self) -> list[int]:
         out = [0] * (self.ctx.N + 1)
-        for el in self.elements:
-            out[el.length] += 1
+        for word in self.words:
+            out[len(word)] += 1
         return out
 
     # F-conjugacy ---------------------------------------------------------------
@@ -383,9 +367,9 @@ class WeylGroup:
         if key not in self._cache:
             right = self.right
             inv = []
-            for el in self.elements:
+            for word in self.words:
                 v = 0
-                for i in reversed(el.word):
+                for i in reversed(word):
                     v = right[v][i]
                 inv.append(v)
             check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
@@ -394,7 +378,8 @@ class WeylGroup:
 
     def f_conjugacy_classes(self) -> list[TwistedClass]:
         """Orbits of w -> s_i w phi(s_i), with members and classes in
-        (length, word) order, which is index order.
+        (length, word) order, which is index order.  The class index of
+        every element is cached as ``_cache["owner"]``.
 
         phi(s_i) = s_{pi(i)} for the permutation pi of the simple roots, so
         a step is w -> s_i (w s_{pi(i)}): one right multiplication, and the
@@ -430,9 +415,10 @@ class WeylGroup:
                     elif owner[v] != k:
                         raise InvariantError("classes do not partition W")
             orbit.sort()
-            classes.append(TwistedClass(representatives=tuple(self.elements[w] for w in orbit),
+            classes.append(TwistedClass(members=tuple(orbit), word=self.words[orbit[0]],
                                         twisted=twisted))
         check(sum(c.size for c in classes) == len(self), "classes do not partition W")
+        self._cache["owner"] = owner
         self._cache[key] = classes
         return classes
 
@@ -440,12 +426,11 @@ class WeylGroup:
         """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan, checked
         against the orbit-stabilizer count |C_W(w phi)|·|F-class of w| = |W|."""
         ctx = self.ctx
-        sigma = ctx.compose(self.elements[w].perm, ctx.phi_perm)
-        centralizer = [el.index for el in self.elements
-                       if ctx.compose(el.perm, sigma) == ctx.compose(sigma, el.perm)]
-        size = next((c.size for c in self.f_conjugacy_classes()
-                     if any(el.index == w for el in c.representatives)), 0)
-        check(len(centralizer) * size == len(self),
+        sigma = ctx.compose(self.elements[w], ctx.phi_perm)
+        centralizer = [v for v, p in enumerate(self.elements)
+                       if ctx.compose(p, sigma) == ctx.compose(sigma, p)]
+        classes = self.f_conjugacy_classes()
+        check(len(centralizer) * classes[self._cache["owner"][w]].size == len(self),
               "centralizer order times F-class size is not |W|")
         return centralizer
 
@@ -453,7 +438,7 @@ class WeylGroup:
 
     def _matrix(self, w: int):
         """Weight-lattice matrix of w: the generator matrices along its word."""
-        return reduce(mat_mul, (self.ctx.gen_matrices[i] for i in self.elements[w].word),
+        return reduce(mat_mul, (self.ctx.gen_matrices[i] for i in self.words[w]),
                       identity(self.ctx.dim))
 
     def _twisted_matrix(self, w: int):
@@ -478,7 +463,7 @@ class WeylGroup:
         deg = euler_phi(d)
         dims = [0] * len(self)
         for cls in self.f_conjugacy_classes():
-            m = self._twisted_matrix(cls.representative.index)
+            m = self._twisted_matrix(cls.representative)
             acc = identity(n)  # Phi_d is monic: Horner from the top
             for c in reversed(phi_poly[:-1]):
                 acc = mat_mul(acc, m)
@@ -486,18 +471,18 @@ class WeylGroup:
                     acc[i][i] += c
             dim_q = n - rank(acc)
             check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
-            for el in cls.representatives:
-                dims[el.index] = dim_q // deg
+            for w in cls.members:
+                dims[w] = dim_q // deg
         self._cache[key] = dims
         return dims
 
-    def max_phi_d_eigenspace(self, d: int) -> tuple[WeylElement, int]:
-        """Witness maximizing the zeta_d-eigenspace dimension; ties broken by
-        least length then lexicographically least reduced word (= BFS order)."""
+    def max_phi_d_eigenspace(self, d: int) -> tuple[int, int]:
+        """(witness, dimension) for the witness maximizing the zeta_d-eigenspace
+        dimension; ties broken by least length then lexicographically least
+        reduced word, which is index order."""
         dims = self.phi_d_dimensions(d)
         best = max(dims)
-        witness = dims.index(best)  # elements are listed in (length, word) order
-        return self.elements[witness], best
+        return dims.index(best), best
 
     def eigenspace_basis(self, w: int, d: int):
         """Basis over K = Q(zeta_d) of ker(w phi - zeta_d) in X ⊗ K."""
@@ -529,7 +514,7 @@ class WeylGroup:
             centralizer = self.centralizer_of_twisted(w)
             is_refl = self._centralizer_reflection_check(w, d, field, basis, centralizer)
             return RegularReport(
-                d=d, zeta_order=d, witness_w=self.elements[w],
+                d=d, witness=w, witness_word=self.words[w],
                 eigenspace_dim=dims[w], centralizer_order=len(centralizer),
                 centralizer_is_reflection_group=is_refl,
             )

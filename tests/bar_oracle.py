@@ -9,19 +9,72 @@ which shares none of that code, as an independent check at small sizes:
   returns it only after the symbolic identities W M(1/v) = M(v) and
   W W(1/v) = 1 hold;
 * ``numeric_bar_check`` re-expands every G over the family at eight exact
-  points, one d-core block at a time, with a fraction-free solve in
-  integer arithmetic.
+  points, one d-core block at a time, with ``fraction_free_solve``, a
+  Bareiss solve in integer arithmetic that also gives ``det``.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from typing import Sequence
 
 from lielocal.errors import InvariantError, check
 from lielocal.fock_llt import FockVector, Partition, _bar_apply, _core_blocks
 from lielocal.laurent import Laurent
-from lielocal.linalg import fraction_free_solve, rref
+from lielocal.linalg import rref
+
+_QUOTIENT = operator.itemgetter(0)
+_REMAINDER = operator.itemgetter(1)
+
+
+def fraction_free_solve(a: Sequence[Sequence[int]],
+                        b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det a, det(a) * X) for the solution X of a @ X = b, all in Z.
+
+    ``a`` is a square integer matrix and ``b`` has one row per row of ``a``.
+    Fraction-free Gauss-Jordan elimination (Bareiss): after step k every row
+    is scaled so that the leading block is the k-th pivot times the identity,
+    and each update (p_k * x - f * y) / p_(k-1) divides exactly.  Every such
+    division is checked, so a remainder raises InvariantError instead of
+    going unnoticed.  A singular ``a`` gives (0, None).
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a) \
+            or len({len(rhs) for rhs in b}) > 1:
+        raise ValueError("shape mismatch")
+    m = [[operator.index(x) for x in row] + [operator.index(x) for x in rhs]
+         for row, rhs in zip(a, b)]
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        row_k = m[k]
+        p = row_k[k]
+        tail_k = row_k[k + 1:]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            steps = [divmod(p * x - f * y, prev) for x, y in zip(row[k + 1:], tail_k)]
+            check(not any(map(_REMAINDER, steps)),
+                  "fraction-free elimination met an inexact division")
+            # columns up to k are never read again; keep the row's width
+            row[k + 1:] = map(_QUOTIENT, steps)
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
+def det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last fraction-free pivot,
+    with the sign of the row swaps; 0 when ``a`` is singular."""
+    return fraction_free_solve(a, [()] * len(a))[0]
+
 
 _BAR_CHECK_POINTS = (
     Fraction(2), Fraction(3), Fraction(5), Fraction(7),

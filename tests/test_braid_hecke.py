@@ -1,6 +1,7 @@
 """Garside normal forms against an exhaustive braid-rewriting oracle,
 regular-element power identities, and Hecke algebra arithmetic."""
 
+import functools
 import itertools
 import json
 import random
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lielocal.braid_hecke
 from lielocal import cli
@@ -129,6 +132,26 @@ def test_nf_matches_oracle_random_rank34():
         _check_nf_against_oracle(ctx, words)
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_ctx(label):
+    return _ctx(label)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_nf_invariant_under_one_braid_relation(data):
+    """The rank-2 to 4 oracle above never reaches the exceptional types; here
+    one braid relation is applied inside random words of larger types."""
+    ctx = _cached_ctx(data.draw(st.sampled_from(["E6", "E7", "E8", "F4", "2E6", "3D4"])))
+    letters = st.lists(st.integers(0, ctx.n_gens - 1), max_size=16).map(tuple)
+    u, v = data.draw(letters), data.draw(letters)
+    i, j = data.draw(st.sampled_from(list(itertools.permutations(range(ctx.n_gens), 2))))
+    m = braid_relation_order(ctx, i, j)
+    nf = garside_nf(ctx, BraidWord(u + _alternating(i, j, m) + v))
+    assert nf == garside_nf(ctx, BraidWord(u + _alternating(j, i, m) + v))
+    assert nf.total_letters(ctx.N) == len(u) + m + len(v)
+
+
 def test_nf_examples():
     ctx = _ctx("A2")
     assert garside_nf(ctx, BraidWord(())) == GarsideNF(0, ())
@@ -154,8 +177,8 @@ def test_lambda_lift_is_word_independent():
                 for w in reduced_words(shorter):
                     yield w + (i,)
 
-    for el in group.elements:
-        forms = {garside_nf(ctx, BraidWord(w)) for w in reduced_words(el.perm)}
+    for perm in group.elements:
+        forms = {garside_nf(ctx, BraidWord(w)) for w in reduced_words(perm)}
         assert len(forms) == 1
 
 
@@ -235,11 +258,11 @@ def test_regular_identity_skips_zero_dimensional_eigenspaces(monkeypatch):
         assert kernels and all(dims[w] for w, _ in kernels), (label, d)
         assert report.holds, (label, d)
         scanned = 0
-        for el in group.elements:
-            if el.length == 2 * group.ctx.N // d and group.is_regular_eigenspace(
-                    *group.eigenspace_basis(el.index, d)):
+        for w, word in enumerate(group.words):
+            if len(word) == 2 * group.ctx.N // d and group.is_regular_eigenspace(
+                    *group.eigenspace_basis(w, d)):
                 scanned += 1
-                if el.word == report.witness_word:
+                if word == report.witness_word:
                     break
         assert report.candidates_checked == scanned, (label, d)
 
@@ -289,14 +312,14 @@ def test_hecke_unit_and_braid_relation():
     lhs = h.generator(0) * h.generator(1) * h.generator(0)
     rhs = h.generator(1) * h.generator(0) * h.generator(1)
     assert lhs == rhs
-    w0 = h.group.longest.index
+    w0 = h.group.longest
     assert lhs == h.basis_element(w0)
 
 
 def test_hecke_from_word():
     h = _algebra("B2")
-    for el in h.group.elements:
-        assert h.from_word(el.word) == h.basis_element(el.index)
+    for w, word in enumerate(h.group.words):
+        assert h.from_word(word) == h.basis_element(w)
 
 
 def test_hecke_associativity_exhaustive_rank2():

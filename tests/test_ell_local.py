@@ -285,21 +285,21 @@ def test_abelian_cases_pass_reflection_check():
         assert report.abelian is True
         group = generate_weyl(cached_datum(label))
         witness, _ = group.max_phi_d_eigenspace(report.d)
-        field, basis = group.eigenspace_basis(witness.index, report.d)
-        centralizer = group.centralizer_of_twisted(witness.index)
+        field, basis = group.eigenspace_basis(witness, report.d)
+        centralizer = group.centralizer_of_twisted(witness)
         assert len(centralizer) == report.relative_weyl_order
         assert group._centralizer_reflection_check(
-            witness.index, report.d, field, basis, centralizer)
+            witness, report.d, field, basis, centralizer)
 
 
 def test_gl_reflection_check_on_abelian_case():
     report = gl_sylow_structure(3, 2, 7)
     group = gl_weyl(3)
     witness, _ = group.max_phi_d_eigenspace(report.d)
-    field, basis = group.eigenspace_basis(witness.index, report.d)
-    centralizer = group.centralizer_of_twisted(witness.index)
+    field, basis = group.eigenspace_basis(witness, report.d)
+    centralizer = group.centralizer_of_twisted(witness)
     assert group._centralizer_reflection_check(
-        witness.index, report.d, field, basis, centralizer)
+        witness, report.d, field, basis, centralizer)
 
 
 def test_sylow_report_serialization():

@@ -182,6 +182,57 @@ class TestCoresAndRibbons:
         with pytest.raises(InvariantError):
             ribbon_strip_spin((2, 2), (1, 1, 1), 2)
 
+    def test_spin_matches_the_peeling_oracle(self, monkeypatch):
+        # every spin bar_invariant_family asks for, for n <= 9 and d in 2..4
+        calls = []
+        monkeypatch.setattr(fock_llt, "ribbon_strip_spin",
+                            lambda *args: calls.append(args) or ribbon_strip_spin(*args))
+        for n in range(10):
+            for d in (2, 3, 4):
+                bar_invariant_family(n, d)
+        monkeypatch.undo()
+        assert len(calls) == 1903
+        for outer, inner, d in set(calls):
+            assert ribbon_strip_spin(outer, inner, d) == _peeled_spin(outer, inner, d)
+
+    def test_spin_rejections_match_the_peeling_oracle(self):
+        for d in (2, 3):
+            for n in range(7):
+                for outer in partitions(n):
+                    for k in range(n + 1):
+                        for inner in partitions(k):
+                            try:
+                                want = _peeled_spin(outer, inner, d)
+                            except InvariantError:
+                                with pytest.raises(InvariantError, match="not tileable"):
+                                    ribbon_strip_spin(outer, inner, d)
+                            else:
+                                assert ribbon_strip_spin(outer, inner, d) == want
+
+
+def _peeled_spin(outer, inner, d):
+    """The earlier ribbon_strip_spin, kept as an oracle: list every
+    removable d-ribbon by decreasing head, each as a whole partition at a
+    slot count fitted to it, and peel the first that stays above inner."""
+
+    def removals(p):
+        slots = fock_llt._slots_for(max(sum(p), 1), d)
+        beta = set(fock_llt._beta_set(p, slots))
+        for b in sorted(beta, reverse=True):
+            if b - d >= 0 and (b - d) not in beta:
+                jumped = sum(1 for c in beta if b - d < c < b)
+                yield fock_llt._partition_from_beta(sorted(beta - {b} | {b - d})), jumped
+
+    total, current = 0, outer
+    while current != inner:
+        for smaller, jumped in removals(current):
+            if all(a >= b for a, b in itertools.zip_longest(smaller, inner, fillvalue=0)):
+                total, current = total + jumped, smaller
+                break
+        else:
+            raise InvariantError(f"skew {outer}/{inner} is not tileable by {d}-ribbons")
+    return total
+
 
 class TestOperators:
     def test_f_single_box(self):

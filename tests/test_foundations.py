@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from bar_oracle import _family_solve
+from bar_oracle import _family_solve, det, fraction_free_solve
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -26,8 +26,6 @@ from lielocal.linalg import (
     add_scaled,
     add_term,
     closure,
-    det,
-    fraction_free_solve,
     identity,
     kernel_basis,
     mat_inverse,

@@ -47,8 +47,8 @@ class TestEnumeration:
     def test_orders_and_longest(self, label, order, max_len):
         w = group(label)
         assert len(w) == order
-        assert max(el.length for el in w.elements) == max_len
-        assert w.longest.length == max_len
+        assert max(len(word) for word in w.words) == max_len
+        assert len(w.words[w.longest]) == max_len
 
     def test_guard_rejects_large(self):
         for label in ("E7", "E8"):
@@ -58,17 +58,17 @@ class TestEnumeration:
 
     def test_lex_least_words(self):
         w = group("A2")
-        words = sorted(el.word for el in w.elements)
+        words = sorted(w.words)
         assert words == [(), (0,), (0, 1), (0, 1, 0), (1,), (1, 0)]
 
     def test_length_identities(self):
         for label in ("A2", "B2", "G2"):
             w = group(label)
             n = w.ctx.N
-            w0 = w.longest.index
-            for el in w.elements:
-                assert w.elements[w.inverse(el.index)].length == el.length
-                assert w.elements[w.multiply(w0, el.index)].length == n - el.length
+            w0 = w.longest
+            for v, word in enumerate(w.words):
+                assert len(w.words[w.inverse(v)]) == len(word)
+                assert len(w.words[w.multiply(w0, v)]) == n - len(word)
 
     def test_group_closure_small(self):
         w = group("B2")
@@ -132,7 +132,7 @@ class TestRegularElements:
     def test_a1_d2(self):
         rep = group("A1").regular_elements(2)
         assert rep is not None
-        assert rep.witness_w.word == (0,)
+        assert rep.witness_word == (0,)
         assert rep.eigenspace_dim == 1
         assert rep.centralizer_order == 2
         assert rep.centralizer_is_reflection_group
@@ -140,7 +140,7 @@ class TestRegularElements:
     def test_a2_d3_coxeter(self):
         rep = group("A2").regular_elements(3)
         assert rep is not None
-        assert rep.witness_w.length == 2
+        assert len(rep.witness_word) == 2
         assert rep.centralizer_order == 3
         assert rep.eigenspace_dim == 1
         assert rep.centralizer_is_reflection_group
@@ -151,7 +151,7 @@ class TestRegularElements:
     def test_a2_d1_identity(self):
         rep = group("A2").regular_elements(1)
         assert rep is not None
-        assert rep.witness_w.word == ()
+        assert rep.witness_word == ()
         assert rep.eigenspace_dim == 2
         assert rep.centralizer_order == 6
         assert rep.centralizer_is_reflection_group
@@ -162,10 +162,10 @@ class TestRegularElements:
         assert have == {1, 2, 6}
         rep2 = w.regular_elements(2)
         assert rep2.eigenspace_dim == 2  # w0·phi acts as -1
-        assert rep2.witness_w.length == 3
+        assert len(rep2.witness_word) == 3
         rep6 = w.regular_elements(6)
         assert rep6.eigenspace_dim == 1
-        assert rep6.witness_w.length == 1  # twisted Coxeter element s_1·phi
+        assert len(rep6.witness_word) == 1  # twisted Coxeter element s_1·phi
 
     def test_centralizer_order_times_class_size(self):
         w = group("B2")
@@ -174,7 +174,7 @@ class TestRegularElements:
             assert rep is not None
             # |C_W(w phi)| * |F-class of w| = |W|
             size = next(c.size for c in w.f_conjugacy_classes()
-                        if any(m.index == rep.witness_w.index for m in c.representatives))
+                        if rep.witness in c.members)
             assert rep.centralizer_order * size == len(w)
 
 
@@ -192,14 +192,14 @@ class TestEigenspaces:
     def test_witness_tie_break_is_bfs_order(self):
         w = group("A2")
         witness, dim = w.max_phi_d_eigenspace(1)
-        assert witness.word == ()
+        assert witness == 0 and w.words[witness] == ()
         assert dim == 2
 
     def test_eigenspace_basis_matches_dims(self):
         w = group("G2")
         for d in (1, 2, 3, 6):
-            el, dim = w.max_phi_d_eigenspace(d)
-            _, basis = w.eigenspace_basis(el.index, d)
+            witness, dim = w.max_phi_d_eigenspace(d)
+            _, basis = w.eigenspace_basis(witness, d)
             assert len(basis) == dim
 
 
@@ -218,9 +218,9 @@ def oracle_group(label):
 def element_matrices(w):
     """Weight-lattice matrix of every element, each from its parent's."""
     mats = [identity(w.ctx.dim)]
-    for el in w.elements[1:]:
-        parent = w.index_of[w.ctx.compose(el.perm, w.ctx.gen_perms[el.word[-1]])]
-        mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[el.word[-1]]))
+    for perm, word in zip(w.elements[1:], w.words[1:]):
+        parent = w.index_of[w.ctx.compose(perm, w.ctx.gen_perms[word[-1]])]
+        mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[word[-1]]))
     return mats
 
 
@@ -333,8 +333,8 @@ class TestPerClassRoute:
     @pytest.mark.parametrize("label", ["B3", "G2", "3D4", "GL4"])
     def test_matrix_from_word_permutes_roots_as_perm(self, label):
         w = oracle_group(label)
-        for el in w.elements:
-            assert w.ctx._perm_of_matrix(w._matrix(el.index)) == el.perm
+        for v, perm in enumerate(w.elements):
+            assert w.ctx._perm_of_matrix(w._matrix(v)) == perm
 
     @pytest.mark.parametrize("label", labels_of_rank(4))
     def test_centralizer_verdict_matches_matrix_closure(self, label):
@@ -344,12 +344,12 @@ class TestPerClassRoute:
             report = w.regular_elements(d)
             if report is not None:
                 assert (report.centralizer_order, report.centralizer_is_reflection_group
-                        ) == matrix_closure_verdict(w, d, report.witness_w.index), d
+                        ) == matrix_closure_verdict(w, d, report.witness), d
 
     def test_restriction_rejects_a_matrix_that_moves_the_span(self):
         w = group("A2")
         witness, _ = w.max_phi_d_eigenspace(3)
-        field, basis = w.eigenspace_basis(witness.index, 3)
+        field, basis = w.eigenspace_basis(witness, 3)
         rows, pivots = cyclo_rref(field, [list(v) for v in basis])
         with pytest.raises(InvariantError, match="does not preserve"):
             _restrict_to_span(field, w.ctx.gen_matrices[0], rows, pivots)
@@ -371,7 +371,7 @@ def multiply_closure_classes(w):
         return w.multiply(w.multiply(pair[0], x), pair[1])
 
     def key(i):
-        return w.elements[i].length, w.elements[i].word
+        return len(w.words[i]), w.words[i]
 
     seen = set()
     classes = []
@@ -398,27 +398,47 @@ class TestLookupTables:
     @pytest.mark.parametrize("label", TABLE_LABELS)
     def test_classes_match_multiply_closure(self, label):
         w = oracle_group(label)
-        got = [[el.index for el in c.representatives] for c in w.f_conjugacy_classes()]
+        got = [list(c.members) for c in w.f_conjugacy_classes()]
         assert got == multiply_closure_classes(w)
 
     @pytest.mark.parametrize("label", TABLE_LABELS)
     def test_right_table_and_inverses_match_composition(self, label):
         w = oracle_group(label)
         ctx = w.ctx
-        for el in w.elements:
+        for v, perm in enumerate(w.elements):
             for i, gen in enumerate(ctx.gen_perms):
-                assert w.right[el.index][i] == w.index_of[ctx.compose(el.perm, gen)]
-            assert w.inverse(el.index) == w.index_of[ctx.invert(el.perm)]
+                assert w.right[v][i] == w.index_of[ctx.compose(perm, gen)]
+            assert w.inverse(v) == w.index_of[ctx.invert(perm)]
 
     def test_tampered_class_list_trips_orbit_stabilizer(self):
         w = WeylGroup(context_from_datum(build_root_datum("B2")))
         classes = w.f_conjugacy_classes()
         victim = next(c for c in classes if c.size > 1)
         w._cache["fclasses"] = [
-            TwistedClass(representatives=c.representatives[:-1], twisted=c.twisted)
+            TwistedClass(members=c.members[:-1], word=c.word, twisted=c.twisted)
             if c is victim else c for c in classes]
         with pytest.raises(InvariantError, match="F-class size"):
-            w.centralizer_of_twisted(victim.representative.index)
+            w.centralizer_of_twisted(victim.representative)
+
+    @pytest.mark.parametrize("label", ["B3", "2A3", "G2", "GL4"])
+    def test_owner_array_class_size_matches_a_scan(self, label):
+        w = oracle_group(label)
+        classes = w.f_conjugacy_classes()
+        owner = w._cache["owner"]
+        for v in range(len(w)):
+            scanned = next(c.size for c in classes if v in c.members)
+            assert classes[owner[v]].size == scanned
+            assert len(w.centralizer_of_twisted(v)) * scanned == len(w)
+
+    def test_guard_counts_enumerated_elements(self, monkeypatch):
+        # an unlabelled Cartan datum has no classical order to refuse up front
+        ctx = context_from_datum(from_cartan("A1xA1", [[2, 0], [0, 2]]))
+        assert ctx.predicted_order is None
+        monkeypatch.setattr(lielocal.weyl, "WEYL_GUARD", 4)
+        assert len(WeylGroup(ctx)) == 4
+        monkeypatch.setattr(lielocal.weyl, "WEYL_GUARD", 3)
+        with pytest.raises(GuardExceeded, match="exceeded guard 3"):
+            WeylGroup(ctx)
 
     def test_more_than_256_signed_roots_refused(self):
         e8 = build_root_datum("E8").cartan
