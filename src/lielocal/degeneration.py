@@ -470,9 +470,11 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     on generators.  A failure raises InvariantError: the construction is
     supposed to make all four true for every valid input.
     """
-    if group.order > DEGEN_GUARD:
-        # the order can be ell^99999, too long to print
-        exponent = sum(r * n for r, n in group.factors)
+    exponent = sum(r * n for r, n in group.factors)
+    # ell^exponent with exponent >= bit_length(guard) exceeds the guard for
+    # any ell >= 2, and is not formed: at exponent 10^12 it would not fit in
+    # memory, and even ell^99999 is too long to print
+    if exponent >= DEGEN_GUARD.bit_length() or group.order > DEGEN_GUARD:
         raise GuardExceeded("group order %d^%d exceeds guard %d"
                             % (group.ell, exponent, DEGEN_GUARD))
     section = radical_section(group)

@@ -12,8 +12,12 @@ This module computes that picture exactly over Q(zeta_d):
 
 * the canonical eigenspace witness w (from the Weyl-group machinery),
 * the root subsystem of L = roots whose coroot vanishes on the eigenspace,
-* the orthogonal system: roots orthogonal to all of Phi_L that stabilize
-  the eigenspace and act on it nontrivially, generating W',
+* the orthogonal system generating W': the roots beta whose reflection
+  stabilizes the eigenspace and acts on it nontrivially.  That happens
+  exactly when beta lies in the eigenspace, and a rational root can only
+  do so when w phi fixes it (d = 1) or negates it (d = 2), so the system is
+  read off the signed-root permutation of w phi and W' = 1 for d >= 3.
+  Such roots pair to zero with every coroot of L, which is checked,
 * the abelianity criterion and the relative Weyl group order |C_W(w phi)|.
 
 Both the root-datum groups and GL_n (symmetric group action on Z^n) are
@@ -24,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycloField, cyclo_rref
+from .cyclotomic import cyclo_rref
 from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
-from .linalg import closure, reduce_against
+from .linalg import closure
 from .root_datum import RootDatum
 from .weyl import WeylGroup, generate_weyl, gl_weyl, vanishes_on
 
@@ -49,9 +53,11 @@ __all__ = [
 class LeviData:
     """Root-theoretic data of the centralizer Levi of a Phi_d-torus.
 
-    root_subsystem lists the positive roots of L (those vanishing on the
-    eigenspace); orthogonal_system lists the positive roots generating W'.
-    Orders are computed by honest subgroup generation, not formulas.
+    root_subsystem lists the positive roots of L (those whose coroot
+    vanishes on the eigenspace); orthogonal_system lists the positive roots
+    generating W': those w phi fixes when d = 1 or negates when d = 2, and
+    none when d >= 3, where W' = 1.  Orders are computed by honest subgroup
+    generation, not formulas.
     """
 
     label: str
@@ -76,12 +82,6 @@ class LeviData:
         }
 
 
-def _reflection_image(field: CycloField, root, coroot, vec):
-    """s_beta(v) = v - <v, beta^vee> beta, computed over K."""
-    pairing = field.dot(coroot, vec)
-    return tuple(field.sub(x, field.scale(b, pairing)) for x, b in zip(vec, root))
-
-
 def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
     ctx = group.ctx
     witness, dim = group.max_phi_d_eigenspace(d)
@@ -89,44 +89,33 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
         raise ValueError(f"no Phi_{d}-torus in type {ctx.label}")
     field, basis = group.eigenspace_basis(witness, d)
     check(len(basis) == dim, "eigenspace basis size disagrees with its dimension")
-    red_rows, pivots = cyclo_rref(field, [list(v) for v in basis])
+    _, pivots = cyclo_rref(field, [list(v) for v in basis])
     check(len(pivots) == dim, "eigenspace basis is not independent")
 
     levi_idx = [k for k in range(ctx.N) if vanishes_on(field, ctx.coroots[k], basis)]
-    levi_set = set(levi_idx)
 
-    orth_idx = []
-    for k in range(ctx.N):
-        if k in levi_set:
-            continue
-        if any(ctx.root_inner(k, j) != 0 for j in levi_idx):
-            continue
-        stabilizes = True
-        acts_trivially = True
-        for v in basis:
-            image = _reflection_image(field, ctx.pos_roots[k], ctx.coroots[k], v)
-            if image != tuple(v):
-                acts_trivially = False
-            residual = reduce_against(red_rows, pivots, image, field)
-            if not all(field.is_zero(x) for x in residual):
-                stabilizes = False
-                break
-        if stabilizes and not acts_trivially:
-            orth_idx.append(k)
-    orth_set = set(orth_idx)
+    # s_beta stabilizes the eigenspace E and moves it exactly when beta lies
+    # in E.  A root is rational, so w phi must fix it (d = 1) or negate it
+    # (d = 2); for d >= 3 no root lies in E.
+    sigma = ctx.compose(group.elements[witness], ctx.phi_perm)
+    shift = {1: 0, 2: ctx.N}.get(d)
+    orth_idx = [] if shift is None else [k for k in range(ctx.N) if sigma[k] == k + shift]
+    check(all(ctx.pairing(k, j) == 0 for k in orth_idx for j in levi_idx),
+          "an orthogonal root pairs with a Levi coroot")
 
+    reflection = {k: ctx.reflection_perm_of_root(k) for k in levi_idx + orth_idx}
     # both root sets must be closed under their own reflections
-    for name, idx_set in (("Levi", levi_set), ("orthogonal", orth_set)):
-        for k in idx_set:
-            perm = ctx.reflection_perm_of_root(k)
-            for j in idx_set:
+    for name, idx in (("Levi", levi_idx), ("orthogonal", orth_idx)):
+        idx_set = set(idx)
+        for k in idx:
+            perm = reflection[k]
+            for j in idx:
                 image = perm[j] if perm[j] < ctx.N else perm[j] - ctx.N
                 check(image in idx_set, f"{name} root set is not closed")
 
     # subgroups of the enumerated W, so they need no guard of their own
-    reflection = ctx.reflection_perm_of_root
-    w_l = closure((ctx.identity_perm,), [reflection(k) for k in levi_idx], ctx.compose)
-    w_prime = closure((ctx.identity_perm,), [reflection(k) for k in orth_idx], ctx.compose)
+    w_l = closure((ctx.identity_perm,), [reflection[k] for k in levi_idx], ctx.compose)
+    w_prime = closure((ctx.identity_perm,), [reflection[k] for k in orth_idx], ctx.compose)
     check(w_l & w_prime == {ctx.identity_perm},
           "Levi and orthogonal reflection groups overlap")
 

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, UnsupportedTypeError, check
-from .linalg import mat_inverse
 
 MAX_RANK = 8
 
@@ -307,17 +306,6 @@ class RootDatum:
                     if b:
                         total += a * b * self.symmetrizer[i] * self.cartan[i][j]
         return total
-
-    def weight_gram(self) -> list[list[Fraction]]:
-        """Gram matrix of the invariant form in fundamental-weight
-        coordinates (rational)."""
-        ainv = mat_inverse([list(r) for r in self.cartan])
-        m = [[Fraction(self.symmetrizer[i] * self.cartan[i][j]) for j in range(self.rank)]
-             for i in range(self.rank)]
-        # weight lambda has root coords A^{-1} lambda; form = (A^-1)^T M (A^-1)
-        at = [list(col) for col in zip(*ainv)]
-        from .linalg import mat_mul
-        return mat_mul(mat_mul(at, m), ainv)
 
     # -- serialization --------------------------------------------------------
 

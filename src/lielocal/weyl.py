@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .cyclotomic import CycloField, cyclo_rref, cyclotomic, euler_phi
@@ -49,7 +48,7 @@ class ReflectionContext:
     :func:`~lielocal.root_datum.from_cartan` datum can exceed that."""
 
     def __init__(self, label: str, gen_matrices, pos_root_vectors,
-                 coroot_functionals, phi_matrix, gram, predicted_order: int | None):
+                 coroot_functionals, phi_matrix, predicted_order: int | None):
         self.label = label
         self.dim = len(gen_matrices[0]) if gen_matrices else len(phi_matrix)
         self.n_gens = len(gen_matrices)
@@ -65,7 +64,6 @@ class ReflectionContext:
         self._is_negative = bytes(int(x >= self.N) for x in range(256))
         self.coroots = [tuple(c) for c in coroot_functionals]
         self.phi_mat = tuple(tuple(row) for row in phi_matrix)
-        self.gram = gram  # rational Gram matrix of the invariant form
         self.predicted_order = predicted_order
         self._index = {}
         for k, v in enumerate(self.pos_roots):
@@ -135,11 +133,9 @@ class ReflectionContext:
         """Signed-root permutation of s_beta for a positive root index."""
         return self._perm_of_matrix(self.reflection_matrix_of_root(root_idx))
 
-    def root_inner(self, i: int, j: int) -> Fraction:
-        vi = self.pos_roots[i]
-        vj = self.pos_roots[j]
-        return sum(vi[r] * self.gram[r][c] * vj[c]
-                   for r in range(self.dim) for c in range(self.dim))
+    def pairing(self, k: int, j: int) -> int:
+        """<beta_k, alpha_j^vee> for positive root indices k and j."""
+        return sum(a * b for a, b in zip(self.pos_roots[k], self.coroots[j]))
 
     def longest_element_perm(self) -> bytes:
         """Permutation of w_0, found by greedy descent ascent from the
@@ -172,7 +168,6 @@ def context_from_datum(datum: RootDatum) -> ReflectionContext:
         pos_root_vectors=roots_sorted,
         coroot_functionals=coroots_sorted,
         phi_matrix=datum.phi_matrix(),
-        gram=datum.weight_gram(),
         predicted_order=predicted_weyl_order(datum.label),
     )
     _fix_right_descents(ctx)
@@ -198,14 +193,12 @@ def gl_context(n: int) -> ReflectionContext:
         m[k][k] = m[k + 1][k + 1] = 0
         m[k][k + 1] = m[k + 1][k] = 1
         gens.append(m)
-    gram = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     ctx = ReflectionContext(
         label=f"GL{n}",
         gen_matrices=gens,
         pos_root_vectors=roots,
         coroot_functionals=roots,
         phi_matrix=identity(n),
-        gram=gram,
         predicted_order=math.factorial(n),
     )
     _fix_right_descents(ctx)

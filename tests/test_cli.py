@@ -1,16 +1,20 @@
 """The command line interface: output schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lielocal import cli
 from lielocal.errors import InvariantError
 from lielocal.generic_order import CycloFactorization, generic_order
 from lielocal.laurent import Laurent
-from lielocal.root_datum import cached_datum
+from lielocal.root_datum import cached_datum, labels_of_rank
 
 
 def run_cli(capsys, *argv):
@@ -302,6 +306,8 @@ class TestExitCodes:
             (["degenerate", "--ell", "2", "--factors", "abc"], 1),
             (["degenerate", "--ell", "2", "--factors", "99999:1"], 1),
             (["degenerate", "--ell", "2", "--factors", "1:99999"], 1),
+            (["degenerate", "--ell", "2", "--factors", "1000000000000:1"], 1),
+            (["degenerate", "--ell", "2", "--factors", "1:1000000000000"], 1),
             (["alperin", "A1", "--q", "6"], 1),
             (["alperin", "A1", "--q", "0"], 1),
             (["order", "GL0"], 1),
@@ -340,3 +346,71 @@ class TestDeterminism:
             capture_output=True, text=True, check=False)
         assert result.returncode == 0
         assert json.loads(result.stdout)["value"] == "6"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv drawn from a small grammar of the real interface
+
+
+_LABELS = st.sampled_from(labels_of_rank(3) + [f"GL{n}" for n in range(1, 5)]
+                          + ["", "Z9", "A0", "A99", "GL0", "GL", "2B2", "A1xA1", "--q", "-1"])
+_INT = (st.integers(-3, 40) | st.just(10**12)).map(str)
+_SMALL_Q = st.integers(-3, 16).map(str)
+_EXTRA_TOKENS = ["--q", "--ell", "--d", "--n", "--csv", "--v", "--at-1", "--json", "x"]
+
+
+def _opt(tokens):
+    return st.just([]) | tokens
+
+
+def _args(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps
+                                             for t in ([p] if isinstance(p, str) else p)])
+
+
+_FACTORS = (st.lists(st.tuples(_INT, _INT).map(":".join), min_size=1, max_size=2)
+            .map(",".join)) | st.sampled_from(["", "abc", "1:", ":1", "1:1:1", "1:1,"])
+
+_COMMANDS = st.one_of(
+    _args(st.just("order"), _LABELS, _opt(_args(st.just("--q"), _INT)),
+          _opt(_args(st.just("--ell"), _INT))),
+    _args(st.just("weyl"), st.just("classes"), _LABELS),
+    _args(st.just("weyl"), st.just("regular"), _LABELS, st.just("--d"), _INT),
+    _args(st.just("sylow"), _LABELS, st.just("--q"), _INT, st.just("--ell"), _INT),
+    _args(st.just("blocks"), _LABELS, st.just("--q"), _SMALL_Q, _opt(st.just(["--json"]))),
+    _args(st.just("alperin"), _LABELS, st.just("--q"), _SMALL_Q),
+    _args(st.just("kr-sum"), _LABELS, st.just("--q"), _INT),
+    _args(st.just("braid"), st.just("verify-regular"), _LABELS, st.just("--d"), _INT),
+    _args(st.just("hecke"), st.just("poincare"), _LABELS),
+    _args(st.just("llt"), st.just("--n"), st.integers(-3, 8).map(str), st.just("--d"), _INT,
+          st.sampled_from([[], ["--v"], ["--at-1"], ["--v", "--at-1"]]),
+          _opt(st.just(["--csv"]))),
+    _args(st.just("degenerate"), st.just("--ell"), _INT, st.just("--factors"), _FACTORS,
+          _opt(st.just(["--E", "/nonexistent/gens.json"]))),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed command, then maybe one token dropped or replaced, or
+    a short run of tokens taken from the whole vocabulary."""
+    argv = draw(_COMMANDS)
+    how = draw(st.sampled_from(["keep", "keep", "drop", "replace", "junk"]))
+    if how == "junk":
+        vocab = st.sampled_from(argv + _EXTRA_TOKENS + ["weyl", "braid", "hecke", "llt"])
+        return draw(st.lists(vocab | _INT | _LABELS, max_size=5))
+    if how != "keep":
+        i = draw(st.integers(0, len(argv) - 1))
+        replacement = [] if how == "drop" else [draw(st.sampled_from(_EXTRA_TOKENS) | _INT)]
+        argv = argv[:i] + replacement + argv[i + 1:]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from lielocal.cyclotomic import cyclotomic, poly_eval
+import lielocal.ell_local as ell_local
+from lielocal.cyclotomic import cyclo_rref, cyclotomic, poly_eval
+from lielocal.errors import InvariantError
 from lielocal.ell_local import (
     centralizer_levi,
     gl_centralizer_levi,
@@ -19,8 +21,9 @@ from lielocal.generic_order import (
     multiplicative_order,
     valuation,
 )
-from lielocal.root_datum import cached_datum
-from lielocal.weyl import generate_weyl, gl_weyl
+from lielocal.linalg import reduce_against
+from lielocal.root_datum import cached_datum, gl_rank, labels_of_rank
+from lielocal.weyl import generate_weyl, gl_weyl, vanishes_on
 
 from groundtruth import sylow_gl2
 
@@ -134,6 +137,64 @@ def test_levi_eigenspace_dim_matches_order_exponent():
         for d, a_d in factorization.exponents:
             levi = centralizer_levi(cached_datum(label), d)
             assert levi.eigenspace_dim == a_d
+
+
+def _stabilizer_orthogonal_system(group, d):
+    """The orthogonal system by direct linear algebra over Q(zeta_d): roots
+    outside Phi_L that pair to zero with its coroots and whose reflection
+    maps each eigenspace basis vector back into the eigenspace, moving at
+    least one of them."""
+    ctx = group.ctx
+    witness, _ = group.max_phi_d_eigenspace(d)
+    field, basis = group.eigenspace_basis(witness, d)
+    rows, pivots = cyclo_rref(field, [list(v) for v in basis])
+    levi = [k for k in range(ctx.N) if vanishes_on(field, ctx.coroots[k], basis)]
+    chosen = []
+    for k, beta in enumerate(ctx.pos_roots):
+        if k in levi or any(sum(a * b for a, b in zip(beta, ctx.coroots[j]))
+                            for j in levi):
+            continue
+        images = [tuple(field.sub(x, field.scale(b, field.dot(ctx.coroots[k], v)))
+                        for x, b in zip(v, beta))
+                  for v in basis]
+        stabilizes = all(not any(map(field.nonzero, reduce_against(rows, pivots, im, field)))
+                         for im in images)
+        if stabilizes and any(im != tuple(v) for im, v in zip(images, basis)):
+            chosen.append(beta)
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4) + [f"GL{n}" for n in range(1, 7)])
+def test_orthogonal_system_matches_stabilizer_oracle(label):
+    n = gl_rank(label)
+    if n is not None:
+        group, factorization = gl_weyl(n), gl_order(n)
+        levi_of = lambda d: gl_centralizer_levi(n, d)
+    else:
+        datum = cached_datum(label)
+        group, factorization = generate_weyl(datum), generic_order(datum)
+        levi_of = lambda d: centralizer_levi(datum, d)
+    for d, _ in factorization.exponents:
+        assert levi_of(d).orthogonal_system == _stabilizer_orthogonal_system(group, d), d
+
+
+def test_orthogonal_root_pairing_with_a_levi_coroot_is_caught(monkeypatch):
+    # A coroot that vanishes on the eigenspace pairs to zero with every root
+    # lying in it, so the check can only trip when the Levi selection itself
+    # is wrong.  A3 at d = 1 is the full torus: Phi_L is empty and all six
+    # roots are orthogonal.  Treating alpha_1^vee as vanishing on the
+    # eigenspace makes alpha_1 a Levi root that alpha_1 and its neighbours
+    # pair with.
+    datum = cached_datum("A3")
+    levi = centralizer_levi(datum, 1)
+    assert levi.root_subsystem == () and len(levi.orthogonal_system) == 6
+    alpha_1_vee = generate_weyl(datum).ctx.coroots[0]
+    real = ell_local.vanishes_on
+    monkeypatch.setattr(ell_local, "vanishes_on",
+                        lambda field, coroot, basis: coroot == alpha_1_vee
+                        or real(field, coroot, basis))
+    with pytest.raises(InvariantError, match="pairs with a Levi coroot"):
+        centralizer_levi(datum, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -128,15 +128,6 @@ class TestGeometry:
         assert datum.phi_on_weight(lam) == (3, 2, 1)
         assert tuple(mat_vec(datum.phi_matrix(), lam)) == (3, 2, 1)
 
-    def test_weight_gram_positive_diagonal(self):
-        for label in ("A2", "B2", "G2"):
-            datum = build_root_datum(label)
-            g = datum.weight_gram()
-            for i in range(datum.rank):
-                assert g[i][i] > 0
-                for j in range(datum.rank):
-                    assert g[i][j] == g[j][i]
-
 
 class TestFromCartan:
     def test_a1xa1_swap(self):
