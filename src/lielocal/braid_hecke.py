@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cyclotomic import euler_phi
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
 from .linalg import add_scaled, add_term
@@ -219,13 +220,14 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
     target_length = 2 * ctx.N // d
     pi_nf = GarsideNF(delta_power=2, factors=())
     dims = group.phi_d_dimensions(d)  # cached by regular_elements above
+    deg = euler_phi(d)
     checked = 0
     for w, word in enumerate(group.words):
         if len(word) != target_length or not dims[w]:
             continue
-        field, basis = group.eigenspace_basis(w, d)
-        check(len(basis) == dims[w], "cyclotomic kernel dim mismatch")
-        if not group.is_regular_eigenspace(field, basis):
+        basis, _ = group.eigenspace_basis(w, d)
+        check(len(basis) == deg * dims[w], "cyclotomic kernel dim mismatch")
+        if not group.is_regular_eigenspace(basis):
             continue
         checked += 1
         letters = []

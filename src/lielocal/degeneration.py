@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import GuardExceeded, check
-from .generic_order import is_prime
+from .generic_order import is_prime, valuation
 from .linalg import GF, add_scaled, add_term, closure, mat_inverse, sparse_rank
 
 DEGEN_GUARD = 4096
@@ -90,9 +90,12 @@ class AbelianLGroup:
     def _validate_generator(self, mat) -> None:
         blocks = self.block_index
         rank = self.rank
+        # ell^{r_i} | off-block entry of row r, by valuation: r_i is not yet guarded
         for r in range(rank):
+            r_i = self.factors[blocks[r]][0]
             for c in range(rank):
-                if blocks[r] != blocks[c] and mat[r][c] % self.moduli[r]:
+                x = mat[r][c]
+                if blocks[r] != blocks[c] and x and valuation(x, self.ell) < r_i:
                     raise ValueError(
                         "automorphism does not preserve the factor decomposition")
         # invertibility mod ell of each diagonal block
@@ -116,7 +119,7 @@ class AbelianLGroup:
             out.extend([i] * n)
         return tuple(out)
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         out = []
         for r, n in self.factors:

@@ -8,7 +8,8 @@ Sylow l-subgroup is then an extension of the l-part of Z(L)^F by a Sylow
 l-subgroup of the reflection group W' attached to L.  In particular the
 Sylow subgroup is abelian exactly when l does not divide |W'|.
 
-This module computes that picture exactly over Q(zeta_d):
+This module computes that picture exactly over Q, on the rational kernel
+of Phi_d(w phi) (:mod:`lielocal.weyl` says why that is exact):
 
 * the canonical eigenspace witness w (from the Weyl-group machinery),
 * the root subsystem of L = roots whose coroot vanishes on the eigenspace,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import cyclo_rref
+from .cyclotomic import euler_phi
 from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
 from .linalg import closure
@@ -87,12 +88,12 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
     witness, dim = group.max_phi_d_eigenspace(d)
     if dim == 0:
         raise ValueError(f"no Phi_{d}-torus in type {ctx.label}")
-    field, basis = group.eigenspace_basis(witness, d)
-    check(len(basis) == dim, "eigenspace basis size disagrees with its dimension")
-    _, pivots = cyclo_rref(field, [list(v) for v in basis])
-    check(len(pivots) == dim, "eigenspace basis is not independent")
+    basis, pivots = group.eigenspace_basis(witness, d)
+    deg = euler_phi(d)
+    check(len(basis) == deg * dim, "eigenspace basis size disagrees with its dimension")
+    check(len(pivots) == deg * dim, "eigenspace basis is not independent")
 
-    levi_idx = [k for k in range(ctx.N) if vanishes_on(field, ctx.coroots[k], basis)]
+    levi_idx = [k for k in range(ctx.N) if vanishes_on(ctx.coroots[k], basis)]
 
     # s_beta stabilizes the eigenspace E and moves it exactly when beta lies
     # in E.  A root is rational, so w phi must fix it (d = 1) or negate it

@@ -1,10 +1,10 @@
-"""Exact linear algebra over Q, F_p, Q(zeta_d) and Z on small dense matrices.
+"""Exact linear algebra over Q, F_p and Z on small dense matrices.
 
 Matrices are plain lists of row lists.  Everything is exact: rational work
 uses :class:`fractions.Fraction`, integer work stays in Z, modular work
 reduces eagerly.  Sizes in this package never exceed a few hundred rows, so
 simple Gaussian elimination is the right tool; one elimination serves every
-field, passed as a field object (``QQ``, ``GF(p)`` or a ``CycloField``).
+field, passed as a field object (``QQ`` or ``GF(p)``).
 The Smith normal form keeps its own loop: it works with unimodular row and
 column operations over Z.
 """
@@ -41,8 +41,7 @@ class Rationals:
     A field object works on whole rows so the elimination's inner loops stay
     list comprehensions: ``coerce`` a row, test an entry with ``nonzero``,
     ``inv`` and ``neg`` an entry, ``scale_row`` by an entry, and ``sub_row``
-    a multiple of a pivot row.  ``GF`` and ``cyclotomic.CycloField`` offer
-    the same members."""
+    a multiple of a pivot row.  ``GF`` offers the same members."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -145,18 +144,6 @@ def kernel_basis(a: Sequence[Sequence], field=QQ) -> list[list]:
             v[p] = field.neg(r[i][f])
         basis.append(v)
     return basis
-
-
-def reduce_against(rows: Sequence[Sequence], pivots: Sequence[int], vec: Sequence,
-                   field=QQ) -> list:
-    """Residual of ``vec`` after elimination by the rows of a row-reduced
-    echelon form with the given pivot columns; zero iff ``vec`` lies in
-    their span."""
-    residual = list(vec)
-    for row, p in zip(rows, pivots):
-        if field.nonzero(residual[p]):
-            residual = field.sub_row(residual, residual[p], row)
-    return residual
 
 
 def solve(a: Sequence[Sequence], b: Sequence, field=QQ) -> list | None:

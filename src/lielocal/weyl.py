@@ -13,6 +13,15 @@ permutation.  No matrix is stored: eigenspace work rebuilds the
 weight-lattice matrix of the few elements it needs from the word, and
 eigenspace dimensions are computed once per F-conjugacy class.
 
+Eigenspace work is done over Q, by Galois descent.  For K = Q(zeta_d),
+V_d = ker_Q Phi_d(w phi) has V_d ⊗ K equal to the sum of the zeta_d^k-
+eigenspaces of w·phi over k prime to d, permuted transitively by Gal(K/Q).
+So a rational functional vanishes on the zeta_d-eigenspace E exactly when it
+vanishes on V_d, and dim_Q(V_d ∩ U) = phi(d)·dim_K(E ∩ U_K) for a rational
+U stable under w·phi.  With U = ker(M_v - 1), v in C_W(w phi) acts on E as
+the identity, or as a pseudo-reflection, exactly when that is phi(d)·dim E,
+or phi(d)·(dim E - 1).
+
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
 Z^n (GL mode), via :class:`ReflectionContext`.
@@ -28,9 +37,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .cyclotomic import CycloField, cyclo_rref, cyclotomic, euler_phi
+from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
-from .linalg import closure, identity, kernel_basis, mat_mul, mat_vec, rank, reduce_against
+from .linalg import closure, identity, mat_mul, mat_vec, rank
 from .root_datum import RootDatum, parse_label, split_degrees
 
 WEYL_GUARD = 10**6
@@ -69,6 +78,10 @@ class ReflectionContext:
         for k, v in enumerate(self.pos_roots):
             self._index[v] = k
             self._index[tuple(-x for x in v)] = k + self.N
+        # right_descents reads where w sends the i-th SIMPLE root, so the
+        # simple roots must be the first n_gens entries of pos_roots
+        check(all(self._index[self.pos_roots[i]] == i for i in range(self.n_gens)),
+              "simple roots are not listed first")
         self.gen_perms = [self._perm_of_matrix(m) for m in self.gen_matrices]
         self.phi_perm = self._perm_of_matrix(self.phi_mat)
         self.identity_perm = bytes(range(2 * self.N))
@@ -122,16 +135,11 @@ class ReflectionContext:
             raise InvariantError("descent walk did not terminate at the identity")
         return tuple(reversed(word))
 
-    def reflection_matrix_of_root(self, root_idx: int):
-        """s_beta for the root with index root_idx (positive list)."""
-        beta = self.pos_roots[root_idx]
-        func = self.coroots[root_idx]
-        return [[(1 if r == c else 0) - beta[r] * func[c] for c in range(self.dim)]
-                for r in range(self.dim)]
-
     def reflection_perm_of_root(self, root_idx: int) -> bytes:
         """Signed-root permutation of s_beta for a positive root index."""
-        return self._perm_of_matrix(self.reflection_matrix_of_root(root_idx))
+        beta, func = self.pos_roots[root_idx], self.coroots[root_idx]
+        return self._perm_of_matrix([[(r == c) - beta[r] * func[c] for c in range(self.dim)]
+                                     for r in range(self.dim)])
 
     def pairing(self, k: int, j: int) -> int:
         """<beta_k, alpha_j^vee> for positive root indices k and j."""
@@ -148,21 +156,13 @@ class ReflectionContext:
             cur = self.compose(cur, self.gen_perms[i])
 
 
-def _fix_right_descents(ctx: ReflectionContext):
-    # right_descents above must look up where w sends the i-th SIMPLE root;
-    # the simple roots are the first n_gens entries of pos_roots by
-    # construction, asserted here once per context.
-    for i in range(ctx.n_gens):
-        check(ctx._index[ctx.pos_roots[i]] == i, "simple roots are not listed first")
-
-
 def context_from_datum(datum: RootDatum) -> ReflectionContext:
     roots_w = [datum.root_weight_coords(r) for r in datum.pos_roots]
     order = [i for i, _ in sorted(enumerate(datum.pos_roots),
                                   key=lambda t: (sum(t[1]), tuple(-x for x in t[1])))]
     roots_sorted = [roots_w[i] for i in order]
     coroots_sorted = [datum.pos_coroots[i] for i in order]
-    ctx = ReflectionContext(
+    return ReflectionContext(
         label=datum.label,
         gen_matrices=[datum.reflection_matrix(i) for i in range(datum.rank)],
         pos_root_vectors=roots_sorted,
@@ -170,8 +170,6 @@ def context_from_datum(datum: RootDatum) -> ReflectionContext:
         phi_matrix=datum.phi_matrix(),
         predicted_order=predicted_weyl_order(datum.label),
     )
-    _fix_right_descents(ctx)
-    return ctx
 
 
 def gl_context(n: int) -> ReflectionContext:
@@ -193,7 +191,7 @@ def gl_context(n: int) -> ReflectionContext:
         m[k][k] = m[k + 1][k + 1] = 0
         m[k][k + 1] = m[k + 1][k] = 1
         gens.append(m)
-    ctx = ReflectionContext(
+    return ReflectionContext(
         label=f"GL{n}",
         gen_matrices=gens,
         pos_root_vectors=roots,
@@ -201,8 +199,6 @@ def gl_context(n: int) -> ReflectionContext:
         phi_matrix=identity(n),
         predicted_order=math.factorial(n),
     )
-    _fix_right_descents(ctx)
-    return ctx
 
 
 def predicted_weyl_order(label: str) -> int | None:
@@ -452,17 +448,10 @@ class WeylGroup:
             # and phi(d) >= sqrt(d/2), so Phi_d need not be built
             self._cache[key] = [0] * len(self)
             return self._cache[key]
-        phi_poly = cyclotomic(d)
         deg = euler_phi(d)
         dims = [0] * len(self)
         for cls in self.f_conjugacy_classes():
-            m = self._twisted_matrix(cls.representative)
-            acc = identity(n)  # Phi_d is monic: Horner from the top
-            for c in reversed(phi_poly[:-1]):
-                acc = mat_mul(acc, m)
-                for i in range(n):
-                    acc[i][i] += c
-            dim_q = n - rank(acc)
+            dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))
             check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
             for w in cls.members:
                 dims[w] = dim_q // deg
@@ -477,17 +466,14 @@ class WeylGroup:
         best = max(dims)
         return dims.index(best), best
 
-    def eigenspace_basis(self, w: int, d: int):
-        """Basis over K = Q(zeta_d) of ker(w phi - zeta_d) in X ⊗ K."""
-        field = CycloField(d)
-        km = [[field.from_rational(x) for x in row] for row in self._twisted_matrix(w)]
-        for i, row in enumerate(km):
-            row[i] = field.sub(row[i], field.zeta())
-        return field, kernel_basis(km, field)
+    def eigenspace_basis(self, w: int, d: int) -> tuple[list[list], list[int]]:
+        """Row-reduced rational basis of V_d = ker_Q Phi_d(w phi), which stands
+        in for the zeta_d-eigenspace (module docstring), with its pivots."""
+        return cyclo_rref(self._twisted_matrix(w), d)
 
-    def is_regular_eigenspace(self, field: CycloField, basis) -> bool:
+    def is_regular_eigenspace(self, basis) -> bool:
         """True when the eigenspace is nonzero and in no root hyperplane."""
-        return bool(basis) and not any(vanishes_on(field, coroot, basis)
+        return bool(basis) and not any(vanishes_on(coroot, basis)
                                        for coroot in self.ctx.coroots)
 
     def regular_elements(self, d: int) -> RegularReport | None:
@@ -497,15 +483,16 @@ class WeylGroup:
         best = max(dims)
         if best == 0:
             return None
+        deg = euler_phi(d)
         for w in range(len(self)):
             if dims[w] != best:
                 continue
-            field, basis = self.eigenspace_basis(w, d)
-            check(len(basis) == dims[w], "cyclotomic kernel dim mismatch")
-            if not self.is_regular_eigenspace(field, basis):
+            basis, pivots = self.eigenspace_basis(w, d)
+            check(len(basis) == deg * dims[w], "cyclotomic kernel dim mismatch")
+            if not self.is_regular_eigenspace(basis):
                 continue
             centralizer = self.centralizer_of_twisted(w)
-            is_refl = self._centralizer_reflection_check(w, d, field, basis, centralizer)
+            is_refl = self._centralizer_reflection_check(w, d, basis, pivots, centralizer)
             return RegularReport(
                 d=d, witness=w, witness_word=self.words[w],
                 eigenspace_dim=dims[w], centralizer_order=len(centralizer),
@@ -513,46 +500,43 @@ class WeylGroup:
             )
         return None
 
-    def _centralizer_reflection_check(self, w, d, field, basis, centralizer) -> bool:
-        """Restrict C_W(w phi) to the eigenspace and test whether it is
-        generated by the elements acting there as pseudo-reflections
-        (rank(R - 1) = 1).  The restriction is faithful on a regular
-        eigenspace (Springer), which is checked, so the generated subgroup is
-        compared with the centralizer as a set of element indices."""
-        rows, pivots = cyclo_rref(field, [list(v) for v in basis])
-        check(len(pivots) == len(basis), "eigenspace basis is not independent")
-        one = field.one
-        images = set()
-        reflections = []
+    def _eigenspace_action(self, w, d, basis, pivots, centralizer) -> tuple[list[int], list[int]]:
+        """(identity, pseudo-reflections) among ``centralizer`` on the
+        eigenspace, read off dim V_d ∩ ker(M_v - 1): the nullity of
+        Phi_d(w phi) stacked on M_v - 1 (module docstring)."""
+        deg = euler_phi(d)
+        full = len(basis)
+        check(len(pivots) == full, "eigenspace basis is not independent")
+        sigma = self._twisted_matrix(w)
+        phi_rows = [row for row in phi_d_matrix(sigma, d) if any(row)]
+        n = self.ctx.dim
+        trivial, reflections = [], []
         for v in centralizer:
-            r = _restrict_to_span(field, self._matrix(v), rows, pivots)
-            images.add(r)
-            if rank([[field.sub(x, one) if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(r)], field) == 1:
+            m = self._matrix(v)
+            check(mat_mul(m, sigma) == mat_mul(sigma, m),
+                  "centralizer does not preserve the eigenspace")
+            fixed = n - rank(phi_rows + [[x - (i == j) for j, x in enumerate(row)]
+                                         for i, row in enumerate(m)])
+            check(fixed % deg == 0, "fixed space in V_d has dimension not divisible by phi(d)")
+            if fixed == full:
+                trivial.append(v)
+            elif fixed == full - deg:
                 reflections.append(v)
-        check(len(images) == len(centralizer),
-              "centralizer does not act faithfully on the eigenspace")
+        return trivial, reflections
+
+    def _centralizer_reflection_check(self, w, d, basis, pivots, centralizer) -> bool:
+        """Test whether C_W(w phi) is generated by the elements acting on the
+        eigenspace as pseudo-reflections.  The action is faithful on a
+        regular eigenspace (Springer), which is checked, so the generated
+        subgroup is compared with the centralizer as a set of indices."""
+        trivial, reflections = self._eigenspace_action(w, d, basis, pivots, centralizer)
+        check(len(trivial) == 1, "centralizer does not act faithfully on the eigenspace")
         return closure((0,), reflections, self.multiply) == set(centralizer)
 
 
-def vanishes_on(field: CycloField, coroot, basis) -> bool:
-    """True when the integer functional ``coroot`` is zero on span(basis),
-    that is, the span lies in the coroot's hyperplane."""
-    return all(field.is_zero(field.dot(coroot, v)) for v in basis)
-
-
-def _restrict_to_span(field: CycloField, int_matrix, rows, pivots):
-    """Matrix of an integer matrix's action on the span of row-reduced
-    ``rows``, in that basis; raises if the span is not preserved.  A vector
-    of the span is the combination of the rows whose coefficients are its
-    entries at the pivot columns, so each image is read off there."""
-    cols = []
-    for row in rows:
-        image = [field.dot(m_row, row) for m_row in int_matrix]
-        check(not any(map(field.nonzero, reduce_against(rows, pivots, image, field))),
-              "centralizer does not preserve the eigenspace")
-        cols.append([image[p] for p in pivots])
-    return tuple(zip(*cols))
+def vanishes_on(coroot, basis) -> bool:
+    """True when span(basis) lies in the hyperplane of the functional ``coroot``."""
+    return not any(mat_vec(basis, coroot))
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,8 @@ class TestExitCodes:
             path = tmp_path / f"e{i}.json"
             path.write_text(text)
             matrix_files.append(str(path))
+        identity_2 = tmp_path / "identity2.json"
+        identity_2.write_text("[[[1, 0], [0, 1]]]")
         hostile = [
             (["weyl", "regular", "A2", "--d", "30030"], 0),
             (["weyl", "regular", "A2", "--d", "1000000"], 0),
@@ -308,6 +310,8 @@ class TestExitCodes:
             (["degenerate", "--ell", "2", "--factors", "1:99999"], 1),
             (["degenerate", "--ell", "2", "--factors", "1000000000000:1"], 1),
             (["degenerate", "--ell", "2", "--factors", "1:1000000000000"], 1),
+            (["degenerate", "--ell", "2", "--factors", "1000000000000:1,1:1",
+              "--E", str(identity_2)], 1),
             (["alperin", "A1", "--q", "6"], 1),
             (["alperin", "A1", "--q", "0"], 1),
             (["order", "GL0"], 1),

@@ -239,6 +239,20 @@ class TestIsomorphism:
         with pytest.raises(GuardExceeded):
             build_isomorphism(g)
 
+    def test_huge_exponent_validates_without_forming_the_power(self):
+        # ell^(10^12) would not fit in memory; validation compares valuations
+        factors = ((10**12, 1), (1, 1))
+        g = AbelianLGroup(ell=2, factors=factors, e_generators=(((1, 0), (0, 1)),))
+        assert "moduli" not in vars(g)
+        with pytest.raises(GuardExceeded, match=r"2\^1000000000001 exceeds"):
+            build_isomorphism(g)
+        with pytest.raises(ValueError, match="factor decomposition"):
+            AbelianLGroup(ell=2, factors=factors, e_generators=(((1, 2**40), (0, 1)),))
+        # an off-block entry divisible by ell^{r_i} of its row is allowed
+        AbelianLGroup(ell=3, factors=((2, 1), (1, 1)), e_generators=(((1, 9), (3, 1)),))
+        with pytest.raises(ValueError, match="factor decomposition"):
+            AbelianLGroup(ell=3, factors=((2, 1), (1, 1)), e_generators=(((1, 3), (3, 1)),))
+
     def test_every_group_up_to_729(self):
         groups = all_groups_up_to(729)
         assert len(groups) > 200

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 from bar_oracle import _family_solve, det, fraction_free_solve
+from cyclo_oracle import CycloField
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lielocal import defining_char, degeneration, fock_llt, weyl
 from lielocal.cyclotomic import (
-    CycloField,
     cyclotomic,
     euler_phi,
     factor_into_cyclotomics,

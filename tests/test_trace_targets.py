@@ -15,6 +15,7 @@ import pkgutil
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+RUN = os.path.join(os.path.dirname(TRACER), "run.py")
 
 
 def _tracer_constant(name: str):
@@ -49,10 +50,38 @@ def _load_tracer():
     return module
 
 
-def test_traced_llt_query_calls_every_fock_llt_target(monkeypatch, capsys):
-    """A traced ``llt`` query records a call to each fock_llt target, so a
-    call dropped from the LLT path fails here and not as a zero per-layer
-    metric in a benchmark run."""
+def _run_constant(name: str):
+    """A module-level constant of perfbench/run.py, read with ``ast``: tuple
+    and string literals, the names bound before it, and ``+`` of those."""
+    with open(RUN, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    env = {}
+
+    def value(node):
+        if isinstance(node, ast.Name):
+            return env[node.id]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return value(node.left) + value(node.right)
+        if isinstance(node, ast.Dict):
+            return {ast.literal_eval(k): value(v) for k, v in zip(node.keys, node.values)}
+        return ast.literal_eval(node)
+
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(
+                node.targets[0], ast.Name):
+            try:
+                env[node.targets[0].id] = value(node.value)
+            except (ValueError, KeyError):
+                continue  # not a literal; no constant read here depends on it
+            if node.targets[0].id == name:
+                return env[name]
+    raise LookupError(f"perfbench/run.py defines no {name}")
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """The benchmark's tracer installed on lielocal; every binding it
+    rebinds is put back afterwards.  Yields (tracer module, recorder)."""
     import lielocal
 
     tracer = _load_tracer()
@@ -75,6 +104,14 @@ def test_traced_llt_query_calls_every_fock_llt_target(monkeypatch, capsys):
 
     rec = tracer.Recorder()
     tracer.install(rec)
+    yield tracer, rec
+
+
+def test_traced_llt_query_calls_every_fock_llt_target(traced, capsys):
+    """A traced ``llt`` query records a call to each fock_llt target, so a
+    call dropped from the LLT path fails here and not as a zero per-layer
+    metric in a benchmark run."""
+    tracer, rec = traced
     assert importlib.import_module("lielocal.cli").main(["llt", "--n", "6", "--d", "2"]) == 0
     capsys.readouterr()
     calls = {name: count for name, (_, count) in tracer.self_times(rec.spans).items()}
@@ -82,3 +119,28 @@ def test_traced_llt_query_calls_every_fock_llt_target(monkeypatch, capsys):
     assert targets
     assert [name for name in targets if not calls.get(name)] == []
     assert rec.counters["fock_llt.labels"] == 11
+
+
+def test_traced_cli_weyl_queries_call_every_required_span(traced, capsys):
+    """The benchmark's ``cli-weyl`` queries, traced in-process, call every
+    span whose per-layer metric perfbench/run.py requires to read nonzero on
+    that workload; a call dropped from the Weyl path fails here and not in a
+    traced benchmark run."""
+    tracer, rec = traced
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(os.path.dirname(TRACER), "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    spans = {tracer.span_name(t) for t in tracer.TARGETS}
+    required = sorted({metric.rsplit(".", 1)[0]
+                       for metric, where in _run_constant("NONZERO").items()
+                       if "cli-weyl" in where} & spans)
+    assert "cyclotomic.cyclo_rref" in required and "weyl.eigenspace_basis" in required
+    main = importlib.import_module("lielocal.cli").main
+    queries = workloads.WORKLOADS["cli-weyl"]
+    assert len(queries) == 11
+    for argv in queries:
+        assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    calls = {name: count for name, (_, count) in tracer.self_times(rec.spans).items()}
+    assert [name for name in required if not calls.get(name)] == []

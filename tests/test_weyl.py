@@ -2,13 +2,15 @@
 
 from functools import lru_cache, reduce
 
+import cyclo_oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lielocal.cyclotomic
 import lielocal.weyl
-from lielocal.braid_hecke import hecke_poincare
-from lielocal.cyclotomic import cyclo_rref, cyclotomic, euler_phi
+from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
+from lielocal.cyclotomic import cyclotomic, euler_phi
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import closure, identity, mat_mul, rank
@@ -17,7 +19,6 @@ from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, la
 from lielocal.weyl import (
     TwistedClass,
     WeylGroup,
-    _restrict_to_span,
     context_from_datum,
     generate_weyl,
     gl_context,
@@ -199,8 +200,10 @@ class TestEigenspaces:
         w = group("G2")
         for d in (1, 2, 3, 6):
             witness, dim = w.max_phi_d_eigenspace(d)
-            _, basis = w.eigenspace_basis(witness, d)
-            assert len(basis) == dim
+            basis, pivots = w.eigenspace_basis(witness, d)
+            assert len(basis) == len(pivots) == euler_phi(d) * dim
+            _, k_basis = cyclo_oracle.eigenspace_basis(w, witness, d)
+            assert len(k_basis) == dim
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +279,14 @@ def matrix_closure_verdict(w, d, witness):
     mats = element_matrices(w)
     sigma = mat_mul(mats[witness], w.ctx.phi_mat)
     centralizer = [m for m in mats if mat_mul(m, sigma) == mat_mul(sigma, m)]
-    field, basis = w.eigenspace_basis(witness, d)
+    field, basis = cyclo_oracle.eigenspace_basis(w, witness, d)
     n, k = len(basis[0]), len(basis)
     images = set()
     for m in centralizer:
         cols = [[field.dot(row, b) for row in m] for b in basis]
         aug = [[basis[j][i] for j in range(k)] + [cols[j][i] for j in range(k)]
                for i in range(n)]
-        red, pivots = cyclo_rref(field, aug)
+        red, pivots = cyclo_oracle.cyclo_rref(field, aug)
         assert pivots == list(range(k))
         images.add(tuple(tuple(red[i][k + j] for j in range(k)) for i in range(k)))
     rational = {rational_matrix(field, r) for r in images}
@@ -317,7 +320,7 @@ class TestPerClassRoute:
         def refuse(d):
             raise AssertionError(f"Phi_{d} built")
 
-        monkeypatch.setattr(lielocal.weyl, "cyclotomic", refuse)
+        monkeypatch.setattr(lielocal.cyclotomic, "cyclotomic", refuse)
         assert w.phi_d_dimensions(10**12) == [0] * len(w)
         assert w.regular_elements(10**12) is None
 
@@ -349,10 +352,108 @@ class TestPerClassRoute:
     def test_restriction_rejects_a_matrix_that_moves_the_span(self):
         w = group("A2")
         witness, _ = w.max_phi_d_eigenspace(3)
-        field, basis = w.eigenspace_basis(witness, 3)
-        rows, pivots = cyclo_rref(field, [list(v) for v in basis])
+        field, basis = cyclo_oracle.eigenspace_basis(w, witness, 3)
+        rows, pivots = cyclo_oracle.cyclo_rref(field, [list(v) for v in basis])
         with pytest.raises(InvariantError, match="does not preserve"):
-            _restrict_to_span(field, w.ctx.gen_matrices[0], rows, pivots)
+            cyclo_oracle.restrict_to_span(field, w.ctx.gen_matrices[0], rows, pivots)
+
+
+# ---------------------------------------------------------------------------
+# The rational route against the Q(zeta_d) oracle: regularity, vanishing
+# coroots, and which centralizer elements act on the eigenspace as the
+# identity or as pseudo-reflections.
+
+DESCENT_LABELS = labels_of_rank(3) + [f"GL{n}" for n in range(1, 5)]
+
+
+def assert_same_action(w, d, witness, matrices):
+    basis, pivots = w.eigenspace_basis(witness, d)
+    centralizer = w.centralizer_of_twisted(witness)
+    assert (w._eigenspace_action(witness, d, basis, pivots, centralizer)
+            == cyclo_oracle.eigenspace_action(w, witness, d, centralizer, matrices)
+            ), (d, witness)
+
+
+def regular_witness(w, d):
+    """The witness that regular_elements reports, found without running its
+    centralizer check."""
+    dims = w.phi_d_dimensions(d)
+    best = max(dims)
+    return next((v for v in range(len(w)) if best and dims[v] == best
+                 and w.is_regular_eigenspace(w.eigenspace_basis(v, d)[0])), None)
+
+
+class TestRationalRoute:
+    @pytest.mark.parametrize("label", DESCENT_LABELS)
+    def test_every_element_matches_the_oracle(self, label):
+        w = oracle_group(label)
+        coroots = w.ctx.coroots
+        matrices = element_matrices(w)
+        for d in divisors_of_degrees(label):
+            for v in range(len(w)):
+                basis, _ = w.eigenspace_basis(v, d)
+                field, k_basis = cyclo_oracle.eigenspace_basis(w, v, d)
+                assert ([lielocal.weyl.vanishes_on(c, basis) for c in coroots]
+                        == [cyclo_oracle.vanishes_on(field, c, k_basis) for c in coroots])
+                regular = w.is_regular_eigenspace(basis)
+                assert regular == cyclo_oracle.is_regular_eigenspace(w, field, k_basis)
+                if regular:
+                    assert_same_action(w, d, v, matrices)
+
+    @pytest.mark.parametrize("label", sorted(set(labels_of_rank(4)) - set(labels_of_rank(3))))
+    def test_regular_witnesses_match_the_oracle(self, label):
+        w = group(label)
+        matrices = element_matrices(w)
+        for d in divisors_of_degrees(label):
+            witness = regular_witness(w, d)
+            if witness is not None:
+                assert_same_action(w, d, witness, matrices)
+
+    def test_a_non_commuting_element_is_caught(self):
+        w = group("A2")
+        witness = w.regular_elements(3).witness
+        basis, pivots = w.eigenspace_basis(witness, 3)
+        centralizer = w.centralizer_of_twisted(witness)
+        mover = w.index_of[w.ctx.gen_perms[0]]
+        assert mover not in centralizer
+        with pytest.raises(InvariantError, match="does not preserve"):
+            w._centralizer_reflection_check(witness, 3, basis, pivots, centralizer + [mover])
+
+    def test_a_second_trivial_element_is_caught(self):
+        w = group("B2")
+        witness = w.regular_elements(4).witness
+        basis, pivots = w.eigenspace_basis(witness, 4)
+        centralizer = w.centralizer_of_twisted(witness)
+        with pytest.raises(InvariantError, match="does not act faithfully"):
+            w._centralizer_reflection_check(witness, 4, basis, pivots, centralizer + [0])
+
+    def test_a_fixed_dimension_off_the_totient_is_caught(self, monkeypatch):
+        w = group("A2")
+        witness = w.regular_elements(3).witness
+        basis, pivots = w.eigenspace_basis(witness, 3)
+        centralizer = w.centralizer_of_twisted(witness)
+        real = lielocal.weyl.rank
+        monkeypatch.setattr(lielocal.weyl, "rank", lambda *a: real(*a) + 1)
+        with pytest.raises(InvariantError, match="not divisible by phi"):
+            w._centralizer_reflection_check(witness, 3, basis, pivots, centralizer)
+
+    def test_a_short_basis_is_caught(self, monkeypatch):
+        datum = build_root_datum("G2")
+        w = generate_weyl(datum)
+        real = WeylGroup.eigenspace_basis
+        report = w.regular_elements(6)
+
+        def short(self, v, d):
+            basis, pivots = real(self, v, d)
+            return basis[1:], pivots
+
+        monkeypatch.setattr(WeylGroup, "eigenspace_basis", short)
+        with pytest.raises(InvariantError, match="kernel dim mismatch"):
+            w.regular_elements(6)
+        # the braid loop checks each candidate's basis on its own
+        monkeypatch.setattr(WeylGroup, "regular_elements", lambda self, d: report)
+        with pytest.raises(InvariantError, match="kernel dim mismatch"):
+            verify_regular_braid_identity(datum, 6)
 
 
 # ---------------------------------------------------------------------------
