@@ -84,9 +84,6 @@ class GarsideNF:
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
 
-    def total_letters(self, n_pos_roots: int) -> int:
-        return self.delta_power * n_pos_roots + sum(len(f) for f in self.factors)
-
     def to_json(self) -> dict:
         return {
             "delta_power": self.delta_power,
@@ -293,13 +290,6 @@ class HeckeAlgebra:
             add_scaled(out, acc)
         return self.element(out)
 
-    def from_word(self, word) -> "HeckeElement":
-        out = self.unit()
-        for letter in word:
-            out = self.multiply(out, self.generator(letter))
-        return out
-
-
 class HeckeElement:
     """Sparse T-basis vector: element index -> Laurent coefficient in x."""
 
@@ -330,9 +320,6 @@ class HeckeElement:
         if isinstance(c, int):
             c = Laurent(c)
         return self.algebra.element({w: c * v for w, v in self.support.items()})
-
-    def coefficient(self, w: int) -> Laurent:
-        return self.support.get(w, Laurent(0))
 
     def to_json(self) -> dict:
         words = {}

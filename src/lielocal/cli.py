@@ -12,7 +12,13 @@ invariant is violated, which signals a bug rather than a usage error.
 Size guards are the module constants weyl.WEYL_GUARD (10^6 elements),
 defining_char.WEIGHT_GUARD (10^7 listed restricted weights),
 fock_llt.LLT_GUARD (n <= 12) and degeneration.DEGEN_GUARD (4096); the CLI
-uses their values.
+uses their values.  A value with more decimal digits than the interpreter
+converts to a string (sys.get_int_max_str_digits) is refused with exit 1.
+
+Modules are imported on use: each subcommand handler imports the modules
+its command needs when it runs, so a cold `llt` query loads the Fock-space
+code and its arithmetic but no Weyl group, and `order` loads no Weyl,
+braid, defining-characteristic, ell-local, LLT or degeneration code.
 """
 
 from __future__ import annotations
@@ -21,19 +27,7 @@ import argparse
 import json
 import sys
 
-from .braid_hecke import hecke_poincare, verify_regular_braid_identity
-from .defining_char import (
-    alperin_weights,
-    block_partition,
-    knorr_robinson_sum,
-)
-from .degeneration import AbelianLGroup, build_isomorphism, dg_cohomology_check
-from .ell_local import gl_sylow_structure, sylow_structure
 from .errors import InvariantError
-from .fock_llt import llt_canonical_basis
-from .generic_order import ell_part, evaluate_order, generic_order, gl_order
-from .root_datum import cached_datum, gl_rank
-from .weyl import generate_weyl, gl_weyl
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +44,20 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
+def _check_printable(what: str, *values: int) -> None:
+    """Refuse values with more decimal digits than the interpreter converts
+    (``sys.get_int_max_str_digits``), before any conversion is tried: the
+    conversion takes time quadratic in the length."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= 10**limit for v in values):
+        raise ValueError(f"{what} has more than {limit} decimal digits, "
+                         "too many to print")
+
+
 def _weyl_group(label: str):
+    from .root_datum import cached_datum, gl_rank
+    from .weyl import generate_weyl, gl_weyl
+
     n = gl_rank(label)
     if n is not None:
         return gl_weyl(n)
@@ -58,10 +65,13 @@ def _weyl_group(label: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each imports only the modules its command needs
 
 
 def _run_order(args) -> None:
+    from .generic_order import ell_part, evaluate_order, generic_order, gl_order
+    from .root_datum import cached_datum, gl_rank
+
     n = gl_rank(args.type)
     factorization = gl_order(n) if n is not None else \
         generic_order(cached_datum(args.type))
@@ -69,7 +79,9 @@ def _run_order(args) -> None:
     if args.ell is not None and args.q is None:
         raise ValueError("--ell requires --q")
     if args.q is not None:
-        data["value"] = str(evaluate_order(factorization, args.q))
+        value = evaluate_order(factorization, args.q)
+        _check_printable("|G(q)|", value)
+        data["value"] = str(value)
         data["q"] = str(args.q)
     if args.ell is not None:
         d, nu = ell_part(factorization, args.q, args.ell)
@@ -101,6 +113,9 @@ def _run_weyl(args) -> None:
 
 
 def _run_sylow(args) -> None:
+    from .ell_local import gl_sylow_structure, sylow_structure
+    from .root_datum import cached_datum, gl_rank
+
     n = gl_rank(args.type)
     if n is not None:
         report = gl_sylow_structure(n, args.q, args.ell)
@@ -110,6 +125,9 @@ def _run_sylow(args) -> None:
 
 
 def _run_blocks(args) -> None:
+    from .defining_char import block_partition
+    from .root_datum import cached_datum
+
     report = block_partition(cached_datum(args.type), args.q)
     trivial = report.block_of(report.center.zero()).size
     nontrivial = sum(b.size for b in report.blocks) - trivial
@@ -123,22 +141,35 @@ def _run_blocks(args) -> None:
 
 
 def _run_alperin(args) -> None:
+    from .defining_char import alperin_weights
+    from .root_datum import cached_datum
+
     _emit(alperin_weights(cached_datum(args.type), args.q).to_json())
 
 
 def _run_kr_sum(args) -> None:
+    from .defining_char import knorr_robinson_sum
+    from .root_datum import cached_datum
+
     report = knorr_robinson_sum(cached_datum(args.type), args.q)
+    _check_printable("a chain-sum term", report.head_term,
+                     *(t for _, t in report.chain_terms))
     data = report.to_json()
     data["sum"] = str(report.total)
     _emit(data)
 
 
 def _run_braid(args) -> None:
+    from .braid_hecke import verify_regular_braid_identity
+    from .root_datum import cached_datum
+
     report = verify_regular_braid_identity(cached_datum(args.type), args.d)
     _emit(report.to_json())
 
 
 def _run_hecke(args) -> None:
+    from .braid_hecke import hecke_poincare
+
     poincare = hecke_poincare(args.type)
     _emit({
         "type": args.type,
@@ -148,6 +179,8 @@ def _run_hecke(args) -> None:
 
 
 def _run_llt(args) -> None:
+    from .fock_llt import llt_canonical_basis
+
     matrix = llt_canonical_basis(args.n, args.d)
     if args.csv:
         sys.stdout.write(matrix.to_csv(at_one=args.at_1))
@@ -174,6 +207,8 @@ def _parse_factors(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _run_degenerate(args) -> None:
+    from .degeneration import AbelianLGroup, build_isomorphism, dg_cohomology_check
+
     generators: tuple = ()
     if args.E is not None:
         with open(args.E, encoding="utf-8") as handle:

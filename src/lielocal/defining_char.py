@@ -174,15 +174,6 @@ def steinberg_weight(datum: RootDatum, q: int) -> tuple[int, ...]:
     return (q - 1,) * datum.rank
 
 
-def stratum_of(datum: RootDatum, q: int, lam) -> tuple[int, ...]:
-    """I(lam): the union of twist-orbits meeting {a : lam_a != q-1}."""
-    members: set[int] = set()
-    for orbit in phi_orbits(datum):
-        if any(lam[i] != q - 1 for i in orbit):
-            members.update(orbit)
-    return tuple(sorted(members))
-
-
 def stratum_size(datum: RootDatum, q: int, subset) -> int:
     """Closed form |X'_I| = prod over orbits inside I of (q^{|o|} - 1)."""
     size = 1

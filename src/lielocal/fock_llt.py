@@ -225,18 +225,6 @@ def _horizontal_strip_additions(p: Partition, size: int):
 # Fock vectors and operators
 
 
-def fock_add(a: FockVector, b: FockVector) -> FockVector:
-    return add_scaled(dict(a), b)
-
-
-def fock_scale(c: Laurent | int, a: FockVector) -> FockVector:
-    if isinstance(c, int):
-        c = Laurent(c)
-    if not c:
-        return {}
-    return {p: c * x for p, x in a.items()}
-
-
 def _cells_with_residue(p: Partition, d: int, i: int, addable: bool):
     """Addable or removable boxes of residue i, listed by increasing row."""
     rows = len(p) + (1 if addable else 0)
@@ -626,13 +614,6 @@ def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
     for p, row in zip(labels, matrix.entries):
         g = {mu: e for mu, e in zip(labels, row) if e}
         check(_bar_apply(bar, g) == g, f"G({p}) is not bar-invariant")
-
-
-def generic_decomposition_matrix(n: int, d: int) -> list[list[int]]:
-    """Canonical basis evaluated at v = 1: for d the order of q mod ell and
-    ell large, the conjectural square unipotent decomposition matrix of
-    GL_n(q) (no effective bound on ell is known)."""
-    return llt_canonical_basis(n, d).evaluate(1)
 
 
 @dataclass(frozen=True)

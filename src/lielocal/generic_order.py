@@ -80,18 +80,6 @@ class CycloFactorization:
             "factor_pairs": [[d, [o, e]] for d, (o, e) in self.factor_pairs],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CycloFactorization":
-        return cls(
-            label=data["type"],
-            rank=int(data["rank"]),
-            qpower=int(data["qpower"]),
-            exponents=tuple(sorted((int(d), int(a)) for d, a in data["exponents"].items())),
-            factor_pairs=tuple((int(d), (int(o), int(e)))
-                               for d, (o, e) in data["factor_pairs"]),
-        )
-
-
 def _expand_and_factor(label: str, rank: int, qpower: int,
                        pairs: list[tuple[int, tuple[int, int]]]) -> CycloFactorization:
     check(sum(d for d, _ in pairs) == qpower + rank,

@@ -28,10 +28,6 @@ class Laurent:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "Laurent":
-        return cls({exponent: coeff})
-
-    @classmethod
     def variable(cls) -> "Laurent":
         return cls({1: 1})
 
@@ -199,11 +195,6 @@ class Laurent:
     def to_json(self) -> dict[str, str]:
         """Exponent -> coefficient, both as decimal strings."""
         return {str(e): str(c) for e, c in sorted(self._c.items())}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, str]) -> "Laurent":
-        return cls({int(e): int(c) for e, c in data.items()})
-
 
 def quantum_integer(k: int) -> Laurent:
     """[k] = (v^k - v^-k)/(v - v^-1) = v^(k-1) + v^(k-3) + ... + v^(1-k)."""

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GuardExceeded, check
+from .errors import GuardExceeded
 
 IntMatrix = list[list[int]]
 
@@ -144,20 +144,6 @@ def kernel_basis(a: Sequence[Sequence], field=QQ) -> list[list]:
             v[p] = field.neg(r[i][f])
         basis.append(v)
     return basis
-
-
-def solve(a: Sequence[Sequence], b: Sequence, field=QQ) -> list | None:
-    """One solution of a @ x = b over ``field``, or None if inconsistent."""
-    if not a:
-        return None if any(map(field.nonzero, field.coerce(b))) else []
-    cols = len(a[0])
-    r, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)], field)
-    if cols in pivots:
-        return None
-    x = [field.zero] * cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][cols]
-    return x
 
 
 def mat_inverse(a: Sequence[Sequence], field=QQ) -> list[list]:

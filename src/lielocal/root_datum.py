@@ -20,7 +20,8 @@ Conventions, fixed once for the whole package:
 Simple groups of types A..G with rank at most 8 are supported, split or
 twisted (2A, 2D, 3D4, 2E6).  The very twisted Suzuki/Ree families need a
 square-root twist that is not a Frobenius endomorphism over F_q and are
-rejected.
+rejected.  So is an explicit Cartan matrix (``from_cartan``) whose symmetrized
+form is not positive definite: its root system is infinite.
 """
 
 from __future__ import annotations
@@ -269,11 +270,6 @@ class RootDatum:
         return tuple(sum(self.cartan[i][j] * root[j] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def simple_reflection(self, i: int, lam: tuple[int, ...]) -> tuple[int, ...]:
-        """s_i acting on a weight: lam - <lam, alpha_i_vee> alpha_i."""
-        li = lam[i]
-        return tuple(lam[j] - li * self.cartan[j][i] for j in range(self.rank))
-
     def reflection_matrix(self, i: int) -> list[list[int]]:
         """Matrix of s_i on X (columns = images of fundamental weights)."""
         n = self.rank
@@ -289,23 +285,6 @@ class RootDatum:
         for i in range(n):
             m[self.phi[i]][i] = 1
         return m
-
-    def phi_on_weight(self, lam: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.rank
-        for i in range(self.rank):
-            out[self.phi[i]] = lam[i]
-        return tuple(out)
-
-    def root_inner(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
-        """(r1, r2) in the W-invariant form, roots in simple-root coords;
-        (alpha_i, alpha_j) = d_i * cartan[i][j], short roots have norm 2."""
-        total = 0
-        for i, a in enumerate(r1):
-            if a:
-                for j, b in enumerate(r2):
-                    if b:
-                        total += a * b * self.symmetrizer[i] * self.cartan[i][j]
-        return total
 
     # -- serialization --------------------------------------------------------
 
@@ -351,7 +330,25 @@ def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, 
     return roots, [seen[r] for r in roots]
 
 
+def _check_finite_type(cartan, symmetrizer: tuple[int, ...]) -> None:
+    """Refuse a Cartan matrix of infinite type, on which the root closure
+    would never end.  A symmetrizable Cartan matrix is of finite type exactly
+    when diag(symmetrizer)·A is positive definite, that is when every pivot
+    of its elimination over Q without row swaps is positive."""
+    n = len(cartan)
+    m = [[Fraction(symmetrizer[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            raise UnsupportedTypeError("Cartan matrix is not of finite type")
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+
+
 def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
+    _check_cartan_entries(cartan)
+    symmetrizer = _symmetrizer([list(r) for r in cartan])
+    _check_finite_type(cartan, symmetrizer)
     roots, coroots = _reflection_closure(cartan)
     datum = RootDatum(
         label=label,
@@ -360,7 +357,7 @@ def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
         phi=phi,
         pos_roots=tuple(roots),
         pos_coroots=tuple(coroots),
-        symmetrizer=_symmetrizer([list(r) for r in cartan]),
+        symmetrizer=symmetrizer,
     )
     _validate(datum)
     return datum
@@ -383,15 +380,21 @@ def from_cartan(label: str, cartan, phi=None) -> RootDatum:
     return _finish_datum(label, cartan, phi)
 
 
-def _validate(datum: RootDatum) -> None:
-    n = datum.rank
-    a = datum.cartan
+def _check_cartan_entries(a) -> None:
+    """The entry conditions of a Cartan matrix; the symmetrizer divides by
+    the off-diagonal entries, so they are checked before it runs."""
+    n = len(a)
     for i in range(n):
         check(a[i][i] == 2, f"cartan[{i}][{i}] != 2")
         for j in range(n):
             if i != j:
                 check(a[i][j] <= 0, "positive off-diagonal Cartan entry")
                 check((a[i][j] == 0) == (a[j][i] == 0), "asymmetric Cartan zero pattern")
+
+
+def _validate(datum: RootDatum) -> None:
+    n = datum.rank
+    a = datum.cartan
     p = datum.phi
     check(sorted(p) == list(range(n)), "phi is not a permutation")
     for i in range(n):

@@ -339,14 +339,6 @@ class WeylGroup:
             self._cache[key] = candidates[0]
         return self._cache[key]
 
-    # Poincaré polynomial ------------------------------------------------------
-
-    def poincare_polynomial(self) -> list[int]:
-        out = [0] * (self.ctx.N + 1)
-        for word in self.words:
-            out[len(word)] += 1
-        return out
-
     # F-conjugacy ---------------------------------------------------------------
 
     def _inverses(self) -> list[int]:

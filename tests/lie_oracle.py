@@ -1,0 +1,60 @@
+"""Test-only oracles on Weyl groups, root data and weights, and readers for
+the package's JSON output.
+
+Each is the direct definition of something the package computes another
+way or never needs: the Poincaré polynomial counted from an enumerated
+group (the package takes the degree product and checks it against a
+parabolic orbit chain), the stratum of one weight (the package counts and
+lists whole strata), and the W-invariant form on roots.  The readers invert
+``to_json`` so that tests can compare printed output with objects.
+"""
+
+from __future__ import annotations
+
+from lielocal.defining_char import phi_orbits
+from lielocal.generic_order import CycloFactorization
+from lielocal.laurent import Laurent
+
+
+def poincare_polynomial(group) -> list[int]:
+    """Coefficient k is the number of elements of length k."""
+    out = [0] * (group.ctx.N + 1)
+    for word in group.words:
+        out[len(word)] += 1
+    return out
+
+
+def stratum_of(datum, q: int, lam) -> tuple[int, ...]:
+    """I(lam): the union of twist-orbits meeting {a : lam_a != q-1}."""
+    members: set[int] = set()
+    for orbit in phi_orbits(datum):
+        if any(lam[i] != q - 1 for i in orbit):
+            members.update(orbit)
+    return tuple(sorted(members))
+
+
+def root_inner(datum, r1, r2) -> int:
+    """(r1, r2) in the W-invariant form, roots in simple-root coords;
+    (alpha_i, alpha_j) = d_i * cartan[i][j], short roots have norm 2."""
+    total = 0
+    for i, a in enumerate(r1):
+        if a:
+            for j, b in enumerate(r2):
+                if b:
+                    total += a * b * datum.symmetrizer[i] * datum.cartan[i][j]
+    return total
+
+
+def laurent_from_json(data) -> Laurent:
+    return Laurent({int(e): int(c) for e, c in data.items()})
+
+
+def factorization_from_json(data) -> CycloFactorization:
+    return CycloFactorization(
+        label=data["type"],
+        rank=int(data["rank"]),
+        qpower=int(data["qpower"]),
+        exponents=tuple(sorted((int(d), int(a)) for d, a in data["exponents"].items())),
+        factor_pairs=tuple((int(d), (int(o), int(e)))
+                           for d, (o, e) in data["factor_pairs"]),
+    )

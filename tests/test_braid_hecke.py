@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lie_oracle import poincare_polynomial
 
 import lielocal.braid_hecke
 from lielocal import cli
@@ -90,7 +91,7 @@ def _check_nf_against_oracle(ctx, words):
         forms = {garside_nf(ctx, BraidWord(w)) for w in cls}
         assert len(forms) == 1, f"equivalent words got different normal forms: {canon}"
         nf = forms.pop()
-        assert nf.total_letters(ctx.N) == len(word)
+        assert nf.delta_power * ctx.N + sum(map(len, nf.factors)) == len(word)
         for f in nf.factors:
             assert 1 <= len(f) <= ctx.N - 1
         nf_of_class[canon] = nf
@@ -137,7 +138,7 @@ def _cached_ctx(label):
     return _ctx(label)
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True)
 @given(st.data())
 def test_nf_invariant_under_one_braid_relation(data):
     """The rank-2 to 4 oracle above never reaches the exceptional types; here
@@ -149,7 +150,7 @@ def test_nf_invariant_under_one_braid_relation(data):
     m = braid_relation_order(ctx, i, j)
     nf = garside_nf(ctx, BraidWord(u + _alternating(i, j, m) + v))
     assert nf == garside_nf(ctx, BraidWord(u + _alternating(j, i, m) + v))
-    assert nf.total_letters(ctx.N) == len(u) + m + len(v)
+    assert nf.delta_power * ctx.N + sum(map(len, nf.factors)) == len(u) + m + len(v)
 
 
 def test_nf_examples():
@@ -319,7 +320,10 @@ def test_hecke_unit_and_braid_relation():
 def test_hecke_from_word():
     h = _algebra("B2")
     for w, word in enumerate(h.group.words):
-        assert h.from_word(word) == h.basis_element(w)
+        product = h.unit()
+        for letter in word:
+            product = product * h.generator(letter)
+        assert product == h.basis_element(w)
 
 
 def test_hecke_associativity_exhaustive_rank2():
@@ -411,7 +415,7 @@ def test_orbit_chain_matches_enumeration(label):
         cartan, group = cartan_matrix("A", n - 1), gl_weyl(n)
     else:
         cartan, group = cached_datum(label).cartan, generate_weyl(cached_datum(label))
-    assert _orbit_chain_poincare(cartan) == poly_from_coeffs(group.poincare_polynomial())
+    assert _orbit_chain_poincare(cartan) == poly_from_coeffs(poincare_polynomial(group))
 
 
 def test_every_label_is_checked_by_the_orbit_chain(monkeypatch):

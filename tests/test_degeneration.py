@@ -6,6 +6,14 @@ import random
 import time
 
 import pytest
+from degeneration_oracle import (
+    check_d_squared,
+    check_leibniz,
+    convolve_group_algebra,
+    group_elements,
+    image_of_monomial,
+    radical_to_group_algebra,
+)
 
 from lielocal import degeneration
 from lielocal.degeneration import (
@@ -14,12 +22,10 @@ from lielocal.degeneration import (
     DGReport,
     TruncatedAlgebra,
     build_isomorphism,
-    convolve_group_algebra,
     dg_cohomology_check,
     group_algebra_to_radical,
     group_element_to_radical,
     radical_section,
-    radical_to_group_algebra,
 )
 from lielocal.errors import GuardExceeded, InvariantError
 from lielocal.linalg import sparse_rank
@@ -82,7 +88,7 @@ class TestGroupValidation:
         assert g.order == 243
         assert g.moduli == (9, 9, 3)
         assert g.block_index == (0, 0, 1)
-        assert len(list(g.group_elements())) == 243
+        assert len(list(group_elements(g))) == 243
 
     def test_automorphism_group_sizes(self):
         swap = AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,))
@@ -104,7 +110,7 @@ class TestRadicalCoordinates:
 
     def test_round_trip_on_basis(self):
         for g in self.GROUPS:
-            for x in g.group_elements():
+            for x in group_elements(g):
                 poly = group_element_to_radical(x, g.moduli, g.ell)
                 back = radical_to_group_algebra(poly, g.moduli, g.ell)
                 assert back == {x: 1}, (g.factors, x)
@@ -128,7 +134,7 @@ class TestRadicalCoordinates:
     def test_freshmans_dream_in_group_algebra(self):
         rng = random.Random(11)
         for g in self.GROUPS:
-            elements = list(g.group_elements())
+            elements = list(group_elements(g))
 
             def power(elem, k):
                 out = {tuple(0 for _ in g.moduli): 1}
@@ -229,9 +235,9 @@ class TestIsomorphism:
                 prod = tuple(x + y for x, y in zip(a, b))
                 if any(e >= m for e, m in zip(prod, alg.moduli)):
                     continue
-                lhs = iso.image_of_monomial(prod)
-                rhs = alg.multiply(iso.image_of_monomial(a),
-                                   iso.image_of_monomial(b))
+                lhs = image_of_monomial(iso, prod)
+                rhs = alg.multiply(image_of_monomial(iso, a),
+                                   image_of_monomial(iso, b))
                 assert lhs == rhs
 
     def test_guard(self):
@@ -368,7 +374,7 @@ class TestDGAlgebra:
         for moduli in [(2,), (2, 2), (4, 2), (9, 9), (3, 3, 3)]:
             ell = 2 if moduli[0] % 2 == 0 else 3
             dga = DGAlgebraA(ell=ell, moduli=moduli)
-            dga.check_d_squared()
+            check_d_squared(dga)
 
     def test_leibniz(self):
         rng = random.Random(5)
@@ -386,7 +392,7 @@ class TestDGAlgebra:
                  (0, (), tuple(rng.randrange(0, 2) for _ in range(3))):
                      rng.randrange(1, 3)}
             pairs.append((a, b))
-        dga.check_leibniz(pairs)
+        check_leibniz(dga, pairs)
 
     def test_cohomology_cyclic(self):
         for ell in (2, 3, 5):

@@ -19,9 +19,6 @@ from lielocal.fock_llt import (
     d_core_and_quotient,
     f_action,
     f_once,
-    fock_add,
-    fock_scale,
-    generic_decomposition_matrix,
     is_d_regular,
     ladder_monomial,
     ladder_sequence,
@@ -33,7 +30,7 @@ from lielocal.fock_llt import (
     verify_bar_invariance,
 )
 from lielocal.laurent import Laurent
-from lielocal.linalg import rref
+from lielocal.linalg import add_scaled, rref
 
 V = Laurent.variable()
 ONE = Laurent(1)
@@ -299,13 +296,13 @@ class TestOperators:
                     for seed in seeds:
                         a = f_once(i, boson_strip(k, seed, d), d)
                         b = boson_strip(k, f_once(i, seed, d), d)
-                        assert fock_add(a, fock_scale(-1, b)) == {}
+                        assert add_scaled(dict(a), b, -1) == {}
         for d in (2, 3):
             for j, k in ((1, 2), (2, 3)):
                 for seed in seeds[:3]:
                     a = boson_strip(j, boson_strip(k, seed, d), d)
                     b = boson_strip(k, boson_strip(j, seed, d), d)
-                    assert fock_add(a, fock_scale(-1, b)) == {}
+                    assert add_scaled(dict(a), b, -1) == {}
 
     def test_ladder_sequence(self):
         assert ladder_sequence((2,), 2) == [(0, 1), (1, 1)]
@@ -494,7 +491,7 @@ class TestBarVerification:
         member = (7,)
         outsider = next(p for p in matrix.labels
                         if d_core(p, 3) != d_core(member, 3))
-        family[member] = fock_add(family[member], {outsider: V})
+        family[member] = add_scaled(dict(family[member]), {outsider: V})
         with pytest.raises(InvariantError, match="leaves its d-core block"):
             verify_bar_invariance(matrix, family)
         with pytest.raises(InvariantError):
@@ -540,6 +537,7 @@ def _block_and_family(n, d):
 class TestBarMatrix:
     """The numeric bar matrix, kept in bar_oracle as an independent route."""
 
+    @settings(derandomize=True)
     @given(st.dictionaries(st.integers(-40, 40),
                            st.integers(-(T // 2) + 1, T // 2 - 1), max_size=12))
     def test_digit_reader_round_trips(self, terms):
@@ -603,7 +601,7 @@ def _bar_squared(columns):
 class TestStraightening:
     """The q-wedge bar involution and the symbolic verifier's checks."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 8).flatmap(lambda n: st.integers(2, 7).flatmap(
         lambda d: st.tuples(st.just(n), st.just(d), st.integers(max(n, 1), n + 2 * d)))))
     def test_columns_do_not_depend_on_the_slot_count(self, case):
@@ -656,7 +654,7 @@ class TestStraightening:
     def test_rejects_a_family_vector_that_bar_moves(self):
         matrix, family, bar = self._matrix_family_bar()
         family = dict(family)
-        family[(7,)] = fock_add(family[(7,)], {(7,): V})
+        family[(7,)] = add_scaled(dict(family[(7,)]), {(7,): V})
         with pytest.raises(InvariantError, match="does not fix the family vector"):
             verify_bar_invariance(matrix, family, bar)
 
@@ -678,10 +676,10 @@ class TestStraightening:
 
 class TestEvaluationAndOutput:
     def test_decomposition_matrix_two_boxes(self):
-        assert generic_decomposition_matrix(2, 2) == [[1, 0], [1, 1]]
+        assert llt_canonical_basis(2, 2).evaluate(1) == [[1, 0], [1, 1]]
 
     def test_decomposition_matrix_four_boxes(self):
-        m = generic_decomposition_matrix(4, 2)
+        m = llt_canonical_basis(4, 2).evaluate(1)
         assert m == [
             [1, 0, 0, 0, 0],
             [1, 1, 0, 0, 0],

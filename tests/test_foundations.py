@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from bar_oracle import _family_solve, det, fraction_free_solve
 from cyclo_oracle import CycloField
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lie_oracle import laurent_from_json
 
 from lielocal import defining_char, degeneration, fock_llt, weyl
 from lielocal.cyclotomic import (
@@ -34,7 +35,6 @@ from lielocal.linalg import (
     rank,
     rref,
     smith_normal_form,
-    solve,
 )
 from lielocal.root_datum import cached_datum
 from test_degeneration import CYCLE_ON_V4
@@ -95,6 +95,7 @@ class TestLaurent:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
 
+    @settings(derandomize=True)
     @given(_laurents, _laurents, _laurents)
     def test_ring_axioms_property(self, a, b, c):
         assert (a * b) * c == a * (b * c)
@@ -104,6 +105,7 @@ class TestLaurent:
         assert a * (b + c) == a * b + a * c
         assert a * 1 == a and a + 0 == a and a - a == 0
 
+    @settings(derandomize=True)
     @given(_laurents, _laurents)
     def test_bar_is_an_involutive_ring_map(self, a, b):
         assert a.bar().bar() == a
@@ -112,11 +114,13 @@ class TestLaurent:
         assert Laurent(1).bar() == 1
         assert Laurent.variable().bar() == Laurent({-1: 1})
 
+    @settings(derandomize=True)
     @given(_laurents, _laurents)
     def test_exact_div_round_trip(self, a, b):
         assume(b)
         assert (a * b).exact_div(b) == a
 
+    @settings(derandomize=True)
     @given(_laurents, _laurents)
     def test_exact_div_rejects_a_non_multiple(self, a, b):
         # b divides a*b + 1 only when b is a unit, that is +-v^k
@@ -161,7 +165,7 @@ class TestLaurent:
 
     def test_json_round_trip(self):
         p = Laurent({-2: 3, 5: -17})
-        assert Laurent.from_json(p.to_json()) == p
+        assert laurent_from_json(p.to_json()) == p
 
     def test_poly_from_coeffs(self):
         assert poly_from_coeffs([1, 0, 2]) == Laurent({0: 1, 2: 2})
@@ -175,13 +179,6 @@ class TestLinalg:
         assert len(ker) == 1
         for v in ker:
             assert all(x == 0 for x in mat_vec(a, v))
-
-    def test_solve(self):
-        a = [[2, 1], [1, 3]]
-        x = solve(a, [5, 10])
-        assert x is not None
-        assert mat_vec(a, x) == [5, 10]
-        assert solve([[1, 1], [1, 1]], [0, 1]) is None
 
     def test_det_and_inverse(self):
         a = [[2, 1], [1, 3]]
@@ -273,6 +270,7 @@ class TestLinalg:
         u, s, v = smith_normal_form([[2, 0], [0, 3]])
         assert [s[0][0], s[1][1]] == [1, 6]
 
+    @settings(derandomize=True)
     @given(st.data())
     def test_fraction_free_solve_matches_rref(self, data):
         n = data.draw(st.integers(1, 5))
@@ -290,6 +288,7 @@ class TestLinalg:
         assert [[Fraction(x, d) for x in row] for row in scaled] == \
             [row[n:] for row in red]
 
+    @settings(derandomize=True)
     @given(st.integers(0, 5).flatmap(lambda n: st.lists(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_det_matches_a_fraction_determinant(self, a):
@@ -306,6 +305,7 @@ class TestLinalg:
         with pytest.raises(TypeError):
             det([[Fraction(1, 2)]])
 
+    @settings(derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
                            min_size=m, max_size=m))))

@@ -8,10 +8,11 @@ from groundtruth import (
     order_sp4_counted,
     order_su3_counted,
 )
+from lie_oracle import factorization_from_json
+
 from lielocal.cyclotomic import cyclotomic, poly_eval
 from lielocal.errors import InvariantError
 from lielocal.generic_order import (
-    CycloFactorization,
     ell_part,
     evaluate_order,
     factor_pairs_for,
@@ -250,7 +251,7 @@ def test_json_round_trip():
     data = f.to_json()
     assert data["qpower"] == "3"
     assert data["exponents"] == {"1": "1", "2": "2", "6": "1"}
-    assert CycloFactorization.from_json(data) == f
+    assert factorization_from_json(data) == f
 
 
 def test_cyclotomic_values_positive_at_prime_powers():

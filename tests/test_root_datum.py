@@ -1,6 +1,10 @@
 """Root datum construction, pairings, and closure invariants."""
 
+import subprocess
+import sys
+
 import pytest
+from lie_oracle import root_inner
 
 from lielocal.errors import UnsupportedTypeError
 from lielocal.root_datum import (
@@ -97,7 +101,7 @@ class TestGeometry:
     def test_symmetrizer_short_norm(self):
         for label, short_norms in [("A2", {2}), ("B2", {2, 4}), ("G2", {2, 6}), ("F4", {2, 4})]:
             datum = build_root_datum(label)
-            norms = {datum.root_inner(r, r) for r in datum.pos_roots}
+            norms = {root_inner(datum, r, r) for r in datum.pos_roots}
             assert norms == short_norms
             assert min(norms) == 2
 
@@ -106,7 +110,7 @@ class TestGeometry:
         roots = datum.pos_roots
         for r1 in roots[:6]:
             for r2 in roots[:6]:
-                assert datum.root_inner(r1, r2) == datum.root_inner(r2, r1)
+                assert root_inner(datum, r1, r2) == root_inner(datum, r2, r1)
 
     def test_reflection_matrix_involution(self):
         from lielocal.linalg import mat_mul, identity
@@ -119,13 +123,17 @@ class TestGeometry:
     def test_simple_reflection_on_rho(self):
         datum = build_root_datum("A2")
         # s_1(rho) = rho - alpha_1 = (1,1) - (2,-1) = (-1,2)
-        assert datum.simple_reflection(0, (1, 1)) == (-1, 2)
+        from lielocal.linalg import mat_vec
+        assert mat_vec(datum.reflection_matrix(0), (1, 1)) == [-1, 2]
 
     def test_phi_on_weights_and_matrix(self):
         datum = build_root_datum("2A3")
         lam = (1, 2, 3)
         from lielocal.linalg import mat_vec
-        assert datum.phi_on_weight(lam) == (3, 2, 1)
+        image = [0] * datum.rank
+        for i, x in enumerate(lam):
+            image[datum.phi[i]] = x  # phi sends omega_i to omega_phi(i)
+        assert tuple(image) == (3, 2, 1)
         assert tuple(mat_vec(datum.phi_matrix(), lam)) == (3, 2, 1)
 
 
@@ -134,6 +142,34 @@ class TestFromCartan:
         datum = from_cartan("A1xA1", [[2, 0], [0, 2]], phi=(1, 0))
         assert datum.N == 2
         assert datum.delta == 2
+
+    def test_infinite_type_is_refused_quickly(self):
+        # the root closure never ends on an affine or hyperbolic matrix, so
+        # run it in a child process that a timeout can stop
+        child = (
+            "import time\n"
+            "from lielocal.errors import UnsupportedTypeError\n"
+            "from lielocal.root_datum import from_cartan\n"
+            "for m in ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]]):\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        from_cartan('aff', m)\n"
+            "    except UnsupportedTypeError as exc:\n"
+            "        print(time.perf_counter() - start, exc)\n")
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                text=True, check=False, timeout=30)
+        lines = result.stdout.splitlines()
+        assert result.returncode == 0 and len(lines) == 2, result.stderr
+        for line in lines:
+            seconds, message = line.split(" ", 1)
+            assert float(seconds) < 1.0
+            assert message == "Cartan matrix is not of finite type"
+
+    def test_finite_types_still_build(self):
+        assert from_cartan("A1xA1", [[2, 0], [0, 2]]).N == 2
+        for label in ALL_LABELS:
+            datum = build_root_datum(label)
+            assert from_cartan(label, datum.cartan, datum.phi) == datum
 
     def test_json(self):
         datum = build_root_datum("2A2")
