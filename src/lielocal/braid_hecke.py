@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import euler_phi
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
 from .linalg import add_scaled, add_term
@@ -205,33 +204,24 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
     ctx = group.ctx
     if group.regular_elements(d) is None:
         raise ValueError(f"no regular element for d={d} in type {ctx.label}")
-    phi_simple = [None] * ctx.n_gens
-    for i in range(ctx.n_gens):
-        image = ctx.phi_perm[i]
-        check(image < ctx.N and image < ctx.n_gens,
-              "diagram automorphism does not permute the simple roots")
-        phi_simple[i] = image
     if (2 * ctx.N) % d != 0:
         return RegularBraidReport(label=ctx.label, d=d, holds=False,
                                   witness_word=None, candidates_checked=0)
     target_length = 2 * ctx.N // d
     pi_nf = GarsideNF(delta_power=2, factors=())
     dims = group.phi_d_dimensions(d)  # cached by regular_elements above
-    deg = euler_phi(d)
     checked = 0
     for w, word in enumerate(group.words):
         if len(word) != target_length or not dims[w]:
             continue
-        basis, _ = group.eigenspace_basis(w, d)
-        check(len(basis) == deg * dims[w], "cyclotomic kernel dim mismatch")
-        if not group.is_regular_eigenspace(basis):
+        if not group.is_regular_eigenspace(group.eigenspace_basis(w, d)):
             continue
         checked += 1
         letters = []
         for k in range(d):
             image = word
             for _ in range(k):
-                image = tuple(phi_simple[i] for i in image)
+                image = tuple(ctx.phi_simple[i] for i in image)
             letters.extend(image)
         if garside_nf(ctx, BraidWord(tuple(letters))) == pi_nf:
             return RegularBraidReport(label=ctx.label, d=d, holds=True,
@@ -250,7 +240,7 @@ class HeckeAlgebra:
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self.gen_index = [group.index_of[p] for p in group.ctx.gen_perms]
+        self.gen_index = group.right[0]
         self.x = Laurent.variable()
 
     def element(self, support: dict[int, Laurent]) -> "HeckeElement":

@@ -48,9 +48,10 @@ def _check_q(q: int) -> None:
 
 
 def _check_weight_guard(datum: RootDatum, q: int) -> None:
+    # q^rank may have too many digits to print, so the message names the rank
     if q**datum.rank > WEIGHT_GUARD:
         raise GuardExceeded(
-            f"q^rank = {q**datum.rank} exceeds the weight guard {WEIGHT_GUARD}")
+            f"q^rank exceeds the weight guard {WEIGHT_GUARD} at rank {datum.rank}")
 
 
 def phi_orbits(datum: RootDatum) -> tuple[tuple[int, ...], ...]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import euler_phi
 from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
 from .linalg import closure
@@ -83,16 +82,13 @@ class LeviData:
         }
 
 
-def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
+def _levi_of_group(group: WeylGroup, d: int) -> tuple[int, LeviData]:
+    """(witness, Levi data) for the maximal zeta_d-eigenspace witness."""
     ctx = group.ctx
     witness, dim = group.max_phi_d_eigenspace(d)
     if dim == 0:
         raise ValueError(f"no Phi_{d}-torus in type {ctx.label}")
-    basis, pivots = group.eigenspace_basis(witness, d)
-    deg = euler_phi(d)
-    check(len(basis) == deg * dim, "eigenspace basis size disagrees with its dimension")
-    check(len(pivots) == deg * dim, "eigenspace basis is not independent")
-
+    basis = group.eigenspace_basis(witness, d)
     levi_idx = [k for k in range(ctx.N) if vanishes_on(ctx.coroots[k], basis)]
 
     # s_beta stabilizes the eigenspace E and moves it exactly when beta lies
@@ -120,7 +116,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> LeviData:
     check(w_l & w_prime == {ctx.identity_perm},
           "Levi and orthogonal reflection groups overlap")
 
-    return LeviData(
+    return witness, LeviData(
         label=ctx.label,
         d=d,
         eigenspace_dim=dim,
@@ -136,14 +132,14 @@ def centralizer_levi(datum: RootDatum, d: int) -> LeviData:
     """Levi data of the maximal zeta_d-eigenspace witness for a root datum."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return _levi_of_group(generate_weyl(datum), d)
+    return _levi_of_group(generate_weyl(datum), d)[1]
 
 
 def gl_centralizer_levi(n: int, d: int) -> LeviData:
     """Same as centralizer_levi for GL_n (S_n acting on Z^n)."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return _levi_of_group(gl_weyl(n), d)
+    return _levi_of_group(gl_weyl(n), d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +195,9 @@ def _sylow_of_group(group: WeylGroup, factorization: CycloFactorization,
             relative_weyl_order=1, outside_hypotheses=outside,
             levi=None,
         )
-    levi = _levi_of_group(group, d)
+    witness, levi = _levi_of_group(group, d)
     check(levi.eigenspace_dim == a_d,
           "maximal eigenspace dimension disagrees with the Phi_d-exponent")
-    witness, _ = group.max_phi_d_eigenspace(d)
     relative = len(group.centralizer_of_twisted(witness))
     return SylowReport(
         label=label, ell=ell, q=q, d=d, nu=nu,

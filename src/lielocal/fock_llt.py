@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
@@ -508,6 +509,7 @@ def llt_canonical_basis(n: int, d: int) -> FockMatrix:
     return _cached_basis(n, d)
 
 
+@lru_cache(maxsize=None)
 def _cached_basis(n: int, d: int) -> FockMatrix:
     """The canonical basis for (n, d), built once per process.
 
@@ -519,10 +521,6 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
     matrix then goes through verify_bar_invariance, which checks W and
     every G symbolically, and through shape_check.
     """
-    key = (n, d)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
     labels = partitions(n)
     family = bar_invariant_family(n, d)
     bar = _bar_columns(labels, max(n, 1), d)
@@ -551,11 +549,7 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
     report = shape_check(matrix)
     check(report.unitriangular and report.unit_diagonal and report.positive_shift,
           f"canonical basis shape violation: {report.failures}")
-    _BASIS_CACHE[key] = matrix
     return matrix
-
-
-_BASIS_CACHE: dict[tuple[int, int], FockMatrix] = {}
 
 
 def _core_blocks(labels, d: int, family) -> list[list[Partition]]:

@@ -5,11 +5,12 @@ it: ``elements[w]``, the permutation of the 2N signed roots (indices 0..N-1
 the positive roots, N+k the negative of root k) as ``bytes`` (2N <= 240 for
 every supported type, E8 included), and ``words[w]``, its least reduced
 word, whose length is the length of w.  Composition is one
-``bytes.translate`` and a permutation hashes once, so length and descent
-queries and the dict from permutation to index are cheap.  Enumeration also
-fills a table of right multiplication by the simple reflections, so
-F-conjugacy orbits and Hecke products step by integer lookups and compose no
-permutation.  No matrix is stored: eigenspace work rebuilds the
+``bytes.translate``, so length and descent queries are cheap.  Enumeration
+fills a table of right multiplication by the simple reflections, and after
+it the group answers from ``elements``, ``words`` and that table alone
+(Casselman, "Machine calculations in Weyl groups", Invent. Math. 116, 1994):
+F-conjugacy orbits, inverses and Hecke products step by integer lookups and
+compose no permutation.  No matrix is stored: eigenspace work rebuilds the
 weight-lattice matrix of the few elements it needs from the word, and
 eigenspace dimensions are computed once per F-conjugacy class.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
@@ -85,6 +86,12 @@ class ReflectionContext:
         self.gen_perms = [self._perm_of_matrix(m) for m in self.gen_matrices]
         self.phi_perm = self._perm_of_matrix(self.phi_mat)
         self.identity_perm = bytes(range(2 * self.N))
+        # phi_simple[i] = j where phi(s_i) = s_j
+        self.phi_simple = tuple(self.phi_perm[:self.n_gens])
+        phi_inv = self.invert(self.phi_perm)
+        check(all(j < self.n_gens and self.compose(self.phi_perm, self.compose(g, phi_inv))
+                  == self.gen_perms[j] for g, j in zip(self.gen_perms, self.phi_simple)),
+              "phi does not map a simple reflection to a simple reflection")
 
     def _signed_vector(self, idx: int) -> tuple[int, ...]:
         if idx < self.N:
@@ -268,11 +275,11 @@ class WeylGroup:
     """Fully enumerated reflection group over a :class:`ReflectionContext`.
 
     An element is an index w.  ``elements[w]`` is its signed-root
-    permutation, ``words[w]`` its lexicographically least reduced word,
-    ``index_of`` maps a permutation back to w, and ``right[w][i]`` is the
-    index of w·s_i.  BFS from the identity, appending generators in
-    ascending order, lists the elements in (length, word) order, which
-    downstream code uses as the canonical tie-break."""
+    permutation, ``words[w]`` its lexicographically least reduced word, and
+    ``right[w][i]`` the index of w·s_i, so ``right[0][i]`` is s_i.  BFS from
+    the identity, appending generators in ascending order, lists the
+    elements in (length, word) order, which downstream code uses as the
+    canonical tie-break."""
 
     def __init__(self, ctx: ReflectionContext):
         if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
@@ -282,13 +289,13 @@ class WeylGroup:
         n_gens, N, compose, gen_perms = ctx.n_gens, ctx.N, ctx.compose, ctx.gen_perms
         perms = [ctx.identity_perm]
         words = [()]
-        index_of = {ctx.identity_perm: 0}
+        position = {ctx.identity_perm: 0}  # only while enumerating
         right = [[-1] * n_gens]
         for w, perm in enumerate(perms):  # grows while it is walked
             for i in range(n_gens):
                 if perm[i] < N:  # l(w s_i) = l(w) + 1
                     p = compose(perm, gen_perms[i])
-                    ws = index_of.get(p)
+                    ws = position.get(p)
                     if ws is None:
                         ws = len(perms)
                         if ws >= WEYL_GUARD:
@@ -296,7 +303,7 @@ class WeylGroup:
                                 f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
                         perms.append(p)
                         words.append(words[w] + (i,))
-                        index_of[p] = ws
+                        position[p] = ws
                         right.append([-1] * n_gens)
                     # s_i is an involution: (w s_i) s_i = w
                     right[w][i] = ws
@@ -310,75 +317,40 @@ class WeylGroup:
         check(not any(-1 in row for row in right), "right multiplication table has holes")
         self.elements = perms
         self.words = words
-        self.index_of = index_of
         self.right = [tuple(row) for row in right]
-        self._cache: dict = {}
-
-    # basic group ops ----------------------------------------------------------
+        self._dims: dict[int, list[int]] = {}  # d -> phi_d_dimensions(d)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def multiply(self, a: int, b: int) -> int:
-        return self.index_of[self.ctx.compose(self.elements[a], self.elements[b])]
-
-    def inverse(self, a: int) -> int:
-        return self._inverses()[a]
-
-    def phi_image(self, a: int) -> int:
-        ctx = self.ctx
-        p = ctx.compose(ctx.phi_perm, ctx.compose(self.elements[a], ctx.invert(ctx.phi_perm)))
-        return self.index_of[p]
-
-    @property
-    def longest(self) -> int:
-        key = "longest"
-        if key not in self._cache:
-            candidates = [w for w, word in enumerate(self.words) if len(word) == self.ctx.N]
-            check(len(candidates) == 1, "longest element is not unique")
-            self._cache[key] = candidates[0]
-        return self._cache[key]
-
     # F-conjugacy ---------------------------------------------------------------
 
-    def _inverses(self) -> list[int]:
-        """``_inverses()[w]`` is the index of w^{-1}, found by walking the
+    @cached_property
+    def inverses(self) -> list[int]:
+        """``inverses[w]`` is the index of w^{-1}, found by walking the
         reversed word of w through the right multiplication table."""
-        key = "inverses"
-        if key not in self._cache:
-            right = self.right
-            inv = []
-            for word in self.words:
-                v = 0
-                for i in reversed(word):
-                    v = right[v][i]
-                inv.append(v)
-            check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
-            self._cache[key] = inv
-        return self._cache[key]
+        right = self.right
+        inv = []
+        for word in self.words:
+            v = 0
+            for i in reversed(word):
+                v = right[v][i]
+            inv.append(v)
+        check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
+        return inv
 
-    def f_conjugacy_classes(self) -> list[TwistedClass]:
-        """Orbits of w -> s_i w phi(s_i), with members and classes in
-        (length, word) order, which is index order.  The class index of
-        every element is cached as ``_cache["owner"]``.
+    @cached_property
+    def _partition(self) -> tuple[list[TwistedClass], list[int]]:
+        """The F-conjugacy classes, and the class index of every element.
 
-        phi(s_i) = s_{pi(i)} for the permutation pi of the simple roots, so
-        a step is w -> s_i (w s_{pi(i)}): one right multiplication, and the
-        left one as an inverse, right multiplication and inverse again."""
-        key = "fclasses"
-        if key in self._cache:
-            return self._cache[key]
+        phi(s_i) = s_{phi_simple[i]} (checked by the context), so a step
+        w -> s_i w phi(s_i) is one right multiplication, and the left one as
+        an inverse, right multiplication and inverse again."""
         ctx = self.ctx
         twisted = ctx.phi_perm != ctx.identity_perm
-        gen_indices = [self.index_of[p] for p in ctx.gen_perms]
-        steps = []
-        for i, g in enumerate(gen_indices):
-            j = ctx.phi_perm[i]
-            check(j < ctx.n_gens and self.phi_image(g) == gen_indices[j],
-                  "phi does not map a simple reflection to a simple reflection")
-            steps.append((j, i))
+        steps = [(j, i) for i, j in enumerate(ctx.phi_simple)]
         right = self.right
-        inv = self._inverses()
+        inv = self.inverses
         owner = [-1] * len(self)
         classes = []
         for start in range(len(self)):
@@ -399,9 +371,12 @@ class WeylGroup:
             classes.append(TwistedClass(members=tuple(orbit), word=self.words[orbit[0]],
                                         twisted=twisted))
         check(sum(c.size for c in classes) == len(self), "classes do not partition W")
-        self._cache["owner"] = owner
-        self._cache[key] = classes
-        return classes
+        return classes, owner
+
+    def f_conjugacy_classes(self) -> list[TwistedClass]:
+        """Orbits of w -> v^{-1} w phi(v), with members and classes in
+        (length, word) order, which is index order."""
+        return self._partition[0]
 
     def centralizer_of_twisted(self, w: int) -> list[int]:
         """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan, checked
@@ -410,8 +385,8 @@ class WeylGroup:
         sigma = ctx.compose(self.elements[w], ctx.phi_perm)
         centralizer = [v for v, p in enumerate(self.elements)
                        if ctx.compose(p, sigma) == ctx.compose(sigma, p)]
-        classes = self.f_conjugacy_classes()
-        check(len(centralizer) * classes[self._cache["owner"][w]].size == len(self),
+        classes, owner = self._partition
+        check(len(centralizer) * classes[owner[w]].size == len(self),
               "centralizer order times F-class size is not |W|")
         return centralizer
 
@@ -431,23 +406,20 @@ class WeylGroup:
         F-class function, since v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one
         rank is taken per class of :meth:`f_conjugacy_classes` and copied to
         its members."""
-        key = ("dims", d)
-        if key in self._cache:
-            return self._cache[key]
+        if d in self._dims:
+            return self._dims[d]
         n = self.ctx.dim
-        if d > 2 * n * n:
-            # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
-            # and phi(d) >= sqrt(d/2), so Phi_d need not be built
-            self._cache[key] = [0] * len(self)
-            return self._cache[key]
-        deg = euler_phi(d)
         dims = [0] * len(self)
-        for cls in self.f_conjugacy_classes():
-            dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))
-            check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
-            for w in cls.members:
-                dims[w] = dim_q // deg
-        self._cache[key] = dims
+        # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
+        # and phi(d) >= sqrt(d/2), so past 2n^2 Phi_d need not be built
+        if d <= 2 * n * n:
+            deg = euler_phi(d)
+            for cls in self.f_conjugacy_classes():
+                dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))
+                check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
+                for w in cls.members:
+                    dims[w] = dim_q // deg
+        self._dims[d] = dims
         return dims
 
     def max_phi_d_eigenspace(self, d: int) -> tuple[int, int]:
@@ -458,10 +430,15 @@ class WeylGroup:
         best = max(dims)
         return dims.index(best), best
 
-    def eigenspace_basis(self, w: int, d: int) -> tuple[list[list], list[int]]:
+    def eigenspace_basis(self, w: int, d: int) -> list[list]:
         """Row-reduced rational basis of V_d = ker_Q Phi_d(w phi), which stands
-        in for the zeta_d-eigenspace (module docstring), with its pivots."""
-        return cyclo_rref(self._twisted_matrix(w), d)
+        in for the zeta_d-eigenspace (module docstring).  Its size is checked
+        against :meth:`phi_d_dimensions`, which takes the rank another way,
+        and its rows are checked independent."""
+        basis, pivots = cyclo_rref(self._twisted_matrix(w), d)
+        check(len(basis) == len(pivots) == euler_phi(d) * self.phi_d_dimensions(d)[w],
+              "cyclotomic kernel dim mismatch")
+        return basis
 
     def is_regular_eigenspace(self, basis) -> bool:
         """True when the eigenspace is nonzero and in no root hyperplane."""
@@ -475,16 +452,14 @@ class WeylGroup:
         best = max(dims)
         if best == 0:
             return None
-        deg = euler_phi(d)
         for w in range(len(self)):
             if dims[w] != best:
                 continue
-            basis, pivots = self.eigenspace_basis(w, d)
-            check(len(basis) == deg * dims[w], "cyclotomic kernel dim mismatch")
+            basis = self.eigenspace_basis(w, d)
             if not self.is_regular_eigenspace(basis):
                 continue
             centralizer = self.centralizer_of_twisted(w)
-            is_refl = self._centralizer_reflection_check(w, d, basis, pivots, centralizer)
+            is_refl = self._centralizer_reflection_check(w, d, basis, centralizer)
             return RegularReport(
                 d=d, witness=w, witness_word=self.words[w],
                 eigenspace_dim=dims[w], centralizer_order=len(centralizer),
@@ -492,13 +467,12 @@ class WeylGroup:
             )
         return None
 
-    def _eigenspace_action(self, w, d, basis, pivots, centralizer) -> tuple[list[int], list[int]]:
+    def _eigenspace_action(self, w, d, basis, centralizer) -> tuple[list[int], list[int]]:
         """(identity, pseudo-reflections) among ``centralizer`` on the
         eigenspace, read off dim V_d ∩ ker(M_v - 1): the nullity of
         Phi_d(w phi) stacked on M_v - 1 (module docstring)."""
         deg = euler_phi(d)
         full = len(basis)
-        check(len(pivots) == full, "eigenspace basis is not independent")
         sigma = self._twisted_matrix(w)
         phi_rows = [row for row in phi_d_matrix(sigma, d) if any(row)]
         n = self.ctx.dim
@@ -516,14 +490,17 @@ class WeylGroup:
                 reflections.append(v)
         return trivial, reflections
 
-    def _centralizer_reflection_check(self, w, d, basis, pivots, centralizer) -> bool:
+    def _centralizer_reflection_check(self, w, d, basis, centralizer) -> bool:
         """Test whether C_W(w phi) is generated by the elements acting on the
         eigenspace as pseudo-reflections.  The action is faithful on a
-        regular eigenspace (Springer), which is checked, so the generated
-        subgroup is compared with the centralizer as a set of indices."""
-        trivial, reflections = self._eigenspace_action(w, d, basis, pivots, centralizer)
+        regular eigenspace (Springer), which is checked, so the subgroup the
+        pseudo-reflections generate is compared with the centralizer as a
+        set of permutations."""
+        trivial, reflections = self._eigenspace_action(w, d, basis, centralizer)
         check(len(trivial) == 1, "centralizer does not act faithfully on the eigenspace")
-        return closure((0,), reflections, self.multiply) == set(centralizer)
+        ctx, perms = self.ctx, self.elements
+        generated = closure((ctx.identity_perm,), [perms[v] for v in reflections], ctx.compose)
+        return generated == {perms[v] for v in centralizer}
 
 
 def vanishes_on(coroot, basis) -> bool:
@@ -538,7 +515,7 @@ def vanishes_on(coroot, basis) -> bool:
 # The caches are keyed without WEYL_GUARD: a group cached before the guard
 # was lowered is still returned, since a guard bounds work and a hit does none.
 @lru_cache(maxsize=32)
-def _cached_group(label: str) -> WeylGroup:
+def _group_of_label(label: str) -> WeylGroup:
     from .root_datum import cached_datum
     return WeylGroup(context_from_datum(cached_datum(label)))
 
@@ -546,7 +523,7 @@ def _cached_group(label: str) -> WeylGroup:
 def generate_weyl(datum: RootDatum) -> WeylGroup:
     """Enumerate the Weyl group of a root datum (guarded by WEYL_GUARD)."""
     if datum.label and predicted_weyl_order(datum.label) is not None:
-        return _cached_group(datum.label)
+        return _group_of_label(datum.label)
     return WeylGroup(context_from_datum(datum))
 
 

@@ -2,18 +2,51 @@
 the package's JSON output.
 
 Each is the direct definition of something the package computes another
-way or never needs: the Poincaré polynomial counted from an enumerated
-group (the package takes the degree product and checks it against a
-parabolic orbit chain), the stratum of one weight (the package counts and
-lists whole strata), and the W-invariant form on roots.  The readers invert
-``to_json`` so that tests can compare printed output with objects.
+way or never needs: products, inverses, the longest element and the twist
+of an enumerated group by composing signed-root permutations (the package
+steps through its right multiplication table instead), the Poincaré
+polynomial counted from an enumerated group (the package takes the degree
+product and checks it against a parabolic orbit chain), the stratum of one
+weight (the package counts and lists whole strata), and the W-invariant
+form on roots.  The readers invert ``to_json`` so that tests can compare
+printed output with objects.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from lielocal.defining_char import phi_orbits
 from lielocal.generic_order import CycloFactorization
 from lielocal.laurent import Laurent
+
+
+@lru_cache(maxsize=None)
+def index_of(group) -> dict[bytes, int]:
+    """Signed-root permutation -> element index of an enumerated group."""
+    return {p: w for w, p in enumerate(group.elements)}
+
+
+def multiply(group, a: int, b: int) -> int:
+    return index_of(group)[group.ctx.compose(group.elements[a], group.elements[b])]
+
+
+def inverse(group, a: int) -> int:
+    return index_of(group)[group.ctx.invert(group.elements[a])]
+
+
+def phi_image(group, a: int) -> int:
+    """phi w phi^{-1}, by composing with the twist's permutation."""
+    ctx = group.ctx
+    p = ctx.compose(ctx.phi_perm, ctx.compose(group.elements[a], ctx.invert(ctx.phi_perm)))
+    return index_of(group)[p]
+
+
+def longest(group) -> int:
+    """The unique element of length N."""
+    candidates = [w for w, word in enumerate(group.words) if len(word) == group.ctx.N]
+    assert len(candidates) == 1, "longest element is not unique"
+    return candidates[0]
 
 
 def poincare_polynomial(group) -> list[int]:

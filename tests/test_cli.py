@@ -323,10 +323,16 @@ class TestExitCodes:
             (["kr-sum", "A2", "--q", str(2**14000)], 1),
         ] + [(["degenerate", "--ell", "3", "--factors", "1:1", "--E", path], 1)
              for path in matrix_files]
+        # q^rank has about 8,400 digits: the weight guard must not print it
+        weight_guarded = [[command, "A2", "--q", str(2**14000)]
+                          for command in ("blocks", "alperin")]
+        hostile += [(argv, 1) for argv in weight_guarded]
         for argv, expected in hostile:
             code, _, err = run_cli(capsys, *argv)
             assert code == expected, (argv, err)
             assert "Traceback" not in err, argv
+            if argv in weight_guarded:
+                assert "exceeds the weight guard" in err and len(err.encode()) < 200, argv
 
     def test_guard_and_q_messages(self, capsys):
         # the order 2^99999 has too many digits to print in decimal

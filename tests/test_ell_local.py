@@ -346,21 +346,21 @@ def test_abelian_cases_pass_reflection_check():
         assert report.abelian is True
         group = generate_weyl(cached_datum(label))
         witness, _ = group.max_phi_d_eigenspace(report.d)
-        basis, pivots = group.eigenspace_basis(witness, report.d)
+        basis = group.eigenspace_basis(witness, report.d)
         centralizer = group.centralizer_of_twisted(witness)
         assert len(centralizer) == report.relative_weyl_order
         assert group._centralizer_reflection_check(
-            witness, report.d, basis, pivots, centralizer)
+            witness, report.d, basis, centralizer)
 
 
 def test_gl_reflection_check_on_abelian_case():
     report = gl_sylow_structure(3, 2, 7)
     group = gl_weyl(3)
     witness, _ = group.max_phi_d_eigenspace(report.d)
-    basis, pivots = group.eigenspace_basis(witness, report.d)
+    basis = group.eigenspace_basis(witness, report.d)
     centralizer = group.centralizer_of_twisted(witness)
     assert group._centralizer_reflection_check(
-        witness, report.d, basis, pivots, centralizer)
+        witness, report.d, basis, centralizer)
 
 
 def test_sylow_report_serialization():

@@ -1,0 +1,39 @@
+"""Full stdout of a few Weyl-group queries, pinned by its sha256.
+
+tests/test_bench_answers.py compares only the answer fields of the
+benchmark queries.  These queries reach the eigenspace, centralizer,
+F-class and braid code on larger groups (E6, 2E6, F4, 3D4, GL6), and every
+byte they print is pinned, so a refactor of those layers that changes any
+output fails here.  The digests were recorded with the code before the
+Weyl group dropped its permutation-to-index dict.
+"""
+
+import hashlib
+
+import pytest
+
+from lielocal import cli
+
+GOLDEN = {
+    "weyl regular E6 --d 9":
+        "505bca004a2d04793f161fa1dac4ddf12b62d713953c304cef08a99e7b17445f",
+    "weyl regular F4 --d 2":
+        "94a6d06bd4a90e833e4079910bf072393dc6ff0a8fb7d75715f29b0e06acbaca",
+    "weyl regular 3D4 --d 12":
+        "5bc420c07c7b41c636c7bff939ef782a6e1132b17f3efbf5739bf5d78ed6e7a2",
+    "braid verify-regular E6 --d 9":
+        "582a7e3623e114a329e55be2725e60e1af87de082491a2f63b84d6ee678c6db6",
+    "weyl classes 2E6":
+        "51ff0997f7309f484b5f3b6ade5810135f04ab8eeacaf97741c78cf92ca0ef33",
+    "sylow E6 --q 2 --ell 7":
+        "3ff304d39b69cb2520619a78c19eeecfe75cc246d3232d4ef9a39e7cf210f20e",
+    "sylow GL6 --q 2 --ell 5":
+        "42ca5f353b97eec6c73f5ab7a695e63703faa7978f49b17cd9e053f24a20842c",
+}
+
+
+@pytest.mark.parametrize("query", sorted(GOLDEN))
+def test_stdout_matches_its_recorded_digest(capsys, query):
+    assert cli.main(query.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[query]

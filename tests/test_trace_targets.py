@@ -99,8 +99,8 @@ def traced(monkeypatch):
             monkeypatch.setattr(owner, path[-1], getattr(owner, path[-1]))
     weyl_group = importlib.import_module("lielocal.weyl").WeylGroup
     monkeypatch.setattr(weyl_group, "__init__", weyl_group.__init__)
-    fock_llt = importlib.import_module("lielocal.fock_llt")
-    monkeypatch.setattr(fock_llt, "_BASIS_CACHE", {})
+    # an empty cache, so the llt query builds its basis under the tracer
+    importlib.import_module("lielocal.fock_llt")._cached_basis.cache_clear()
 
     rec = tracer.Recorder()
     tracer.install(rec)

@@ -6,18 +6,20 @@ import cyclo_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lie_oracle import poincare_polynomial
+from lie_oracle import index_of, inverse, longest, multiply, phi_image, poincare_polynomial
 
 import lielocal.cyclotomic
 import lielocal.weyl
 from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
 from lielocal.cyclotomic import cyclotomic, euler_phi
+from lielocal.ell_local import sylow_structure
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import closure, identity, mat_mul, rank
 from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, labels_of_rank,
                                  parse_label, split_degrees)
 from lielocal.weyl import (
+    ReflectionContext,
     TwistedClass,
     WeylGroup,
     context_from_datum,
@@ -50,7 +52,7 @@ class TestEnumeration:
         w = group(label)
         assert len(w) == order
         assert max(len(word) for word in w.words) == max_len
-        assert len(w.words[w.longest]) == max_len
+        assert len(w.words[longest(w)]) == max_len
 
     def test_guard_rejects_large(self):
         for label in ("E7", "E8"):
@@ -67,16 +69,16 @@ class TestEnumeration:
         for label in ("A2", "B2", "G2"):
             w = group(label)
             n = w.ctx.N
-            w0 = w.longest
+            w0 = longest(w)
             for v, word in enumerate(w.words):
-                assert len(w.words[w.inverse(v)]) == len(word)
-                assert len(w.words[w.multiply(w0, v)]) == n - len(word)
+                assert len(w.words[w.inverses[v]]) == len(word)
+                assert len(w.words[multiply(w, w0, v)]) == n - len(word)
 
     def test_group_closure_small(self):
         w = group("B2")
         for a in range(len(w)):
             for b in range(len(w)):
-                w.multiply(a, b)  # raises KeyError if not closed
+                multiply(w, a, b)  # raises KeyError if not closed
 
     def test_gl_mode(self):
         w = gl_weyl(4)
@@ -84,6 +86,15 @@ class TestEnumeration:
         assert w.ctx.N == 6
         poincare = poly_from_coeffs(poincare_polynomial(w))
         assert poincare == hecke_poincare("GL4") == degree_product((1, 2, 3, 4))
+
+    def test_twist_must_permute_the_simple_reflections(self):
+        # s_1 permutes the roots of A2 but sends alpha_1 to -alpha_1
+        ctx = context_from_datum(build_root_datum("A2"))
+        args = (ctx.label, ctx.gen_matrices, ctx.pos_roots, ctx.coroots)
+        assert ReflectionContext(*args, ctx.phi_mat, 6).phi_simple == (0, 1)
+        with pytest.raises(InvariantError, match="simple reflection"):
+            ReflectionContext(*args, ctx.gen_matrices[0], 6)
+        assert context_from_datum(build_root_datum("2A2")).phi_simple == (1, 0)
 
 
 class TestDegrees:
@@ -201,8 +212,8 @@ class TestEigenspaces:
         w = group("G2")
         for d in (1, 2, 3, 6):
             witness, dim = w.max_phi_d_eigenspace(d)
-            basis, pivots = w.eigenspace_basis(witness, d)
-            assert len(basis) == len(pivots) == euler_phi(d) * dim
+            basis = w.eigenspace_basis(witness, d)
+            assert len(basis) == rank(basis) == euler_phi(d) * dim
             _, k_basis = cyclo_oracle.eigenspace_basis(w, witness, d)
             assert len(k_basis) == dim
 
@@ -223,7 +234,7 @@ def element_matrices(w):
     """Weight-lattice matrix of every element, each from its parent's."""
     mats = [identity(w.ctx.dim)]
     for perm, word in zip(w.elements[1:], w.words[1:]):
-        parent = w.index_of[w.ctx.compose(perm, w.ctx.gen_perms[word[-1]])]
+        parent = index_of(w)[w.ctx.compose(perm, w.ctx.gen_perms[word[-1]])]
         mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[word[-1]]))
     return mats
 
@@ -368,9 +379,9 @@ DESCENT_LABELS = labels_of_rank(3) + [f"GL{n}" for n in range(1, 5)]
 
 
 def assert_same_action(w, d, witness, matrices):
-    basis, pivots = w.eigenspace_basis(witness, d)
+    basis = w.eigenspace_basis(witness, d)
     centralizer = w.centralizer_of_twisted(witness)
-    assert (w._eigenspace_action(witness, d, basis, pivots, centralizer)
+    assert (w._eigenspace_action(witness, d, basis, centralizer)
             == cyclo_oracle.eigenspace_action(w, witness, d, centralizer, matrices)
             ), (d, witness)
 
@@ -381,7 +392,7 @@ def regular_witness(w, d):
     dims = w.phi_d_dimensions(d)
     best = max(dims)
     return next((v for v in range(len(w)) if best and dims[v] == best
-                 and w.is_regular_eigenspace(w.eigenspace_basis(v, d)[0])), None)
+                 and w.is_regular_eigenspace(w.eigenspace_basis(v, d))), None)
 
 
 class TestRationalRoute:
@@ -392,7 +403,7 @@ class TestRationalRoute:
         matrices = element_matrices(w)
         for d in divisors_of_degrees(label):
             for v in range(len(w)):
-                basis, _ = w.eigenspace_basis(v, d)
+                basis = w.eigenspace_basis(v, d)
                 field, k_basis = cyclo_oracle.eigenspace_basis(w, v, d)
                 assert ([lielocal.weyl.vanishes_on(c, basis) for c in coroots]
                         == [cyclo_oracle.vanishes_on(field, c, k_basis) for c in coroots])
@@ -413,48 +424,51 @@ class TestRationalRoute:
     def test_a_non_commuting_element_is_caught(self):
         w = group("A2")
         witness = w.regular_elements(3).witness
-        basis, pivots = w.eigenspace_basis(witness, 3)
+        basis = w.eigenspace_basis(witness, 3)
         centralizer = w.centralizer_of_twisted(witness)
-        mover = w.index_of[w.ctx.gen_perms[0]]
+        mover = index_of(w)[w.ctx.gen_perms[0]]
         assert mover not in centralizer
         with pytest.raises(InvariantError, match="does not preserve"):
-            w._centralizer_reflection_check(witness, 3, basis, pivots, centralizer + [mover])
+            w._centralizer_reflection_check(witness, 3, basis, centralizer + [mover])
 
     def test_a_second_trivial_element_is_caught(self):
         w = group("B2")
         witness = w.regular_elements(4).witness
-        basis, pivots = w.eigenspace_basis(witness, 4)
+        basis = w.eigenspace_basis(witness, 4)
         centralizer = w.centralizer_of_twisted(witness)
         with pytest.raises(InvariantError, match="does not act faithfully"):
-            w._centralizer_reflection_check(witness, 4, basis, pivots, centralizer + [0])
+            w._centralizer_reflection_check(witness, 4, basis, centralizer + [0])
 
     def test_a_fixed_dimension_off_the_totient_is_caught(self, monkeypatch):
         w = group("A2")
         witness = w.regular_elements(3).witness
-        basis, pivots = w.eigenspace_basis(witness, 3)
+        basis = w.eigenspace_basis(witness, 3)
         centralizer = w.centralizer_of_twisted(witness)
         real = lielocal.weyl.rank
         monkeypatch.setattr(lielocal.weyl, "rank", lambda *a: real(*a) + 1)
         with pytest.raises(InvariantError, match="not divisible by phi"):
-            w._centralizer_reflection_check(witness, 3, basis, pivots, centralizer)
+            w._centralizer_reflection_check(witness, 3, basis, centralizer)
 
     def test_a_short_basis_is_caught(self, monkeypatch):
         datum = build_root_datum("G2")
         w = generate_weyl(datum)
-        real = WeylGroup.eigenspace_basis
+        real = lielocal.weyl.cyclo_rref
         report = w.regular_elements(6)
 
-        def short(self, v, d):
-            basis, pivots = real(self, v, d)
-            return basis[1:], pivots
+        def short(m, d):
+            basis, pivots = real(m, d)
+            return basis[1:], pivots[1:]
 
-        monkeypatch.setattr(WeylGroup, "eigenspace_basis", short)
+        monkeypatch.setattr(lielocal.weyl, "cyclo_rref", short)
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             w.regular_elements(6)
-        # the braid loop checks each candidate's basis on its own
+        # the braid loop and the Levi data each read bases of their own
         monkeypatch.setattr(WeylGroup, "regular_elements", lambda self, d: report)
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             verify_regular_braid_identity(datum, 6)
+        # 3 has order 6 mod 7
+        with pytest.raises(InvariantError, match="kernel dim mismatch"):
+            sylow_structure(datum, 3, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +481,10 @@ TABLE_LABELS = labels_of_rank(4) + ["2D5", "GL1", "GL4"]
 def multiply_closure_classes(w):
     """F-classes as orbits of x -> s_g x phi(s_g), each step two products in
     W, with members and classes in (length, word) order, as element indices."""
-    pairs = [(g, w.phi_image(g)) for g in (w.index_of[p] for p in w.ctx.gen_perms)]
+    pairs = [(g, phi_image(w, g)) for g in (index_of(w)[p] for p in w.ctx.gen_perms)]
 
     def act(x, pair):
-        return w.multiply(w.multiply(pair[0], x), pair[1])
+        return multiply(w, multiply(w, pair[0], x), pair[1])
 
     def key(i):
         return len(w.words[i]), w.words[i]
@@ -509,16 +523,16 @@ class TestLookupTables:
         ctx = w.ctx
         for v, perm in enumerate(w.elements):
             for i, gen in enumerate(ctx.gen_perms):
-                assert w.right[v][i] == w.index_of[ctx.compose(perm, gen)]
-            assert w.inverse(v) == w.index_of[ctx.invert(perm)]
+                assert w.right[v][i] == index_of(w)[ctx.compose(perm, gen)]
+            assert w.inverses[v] == inverse(w, v)
 
     def test_tampered_class_list_trips_orbit_stabilizer(self):
         w = WeylGroup(context_from_datum(build_root_datum("B2")))
-        classes = w.f_conjugacy_classes()
+        classes, owner = w._partition
         victim = next(c for c in classes if c.size > 1)
-        w._cache["fclasses"] = [
+        w._partition = ([
             TwistedClass(members=c.members[:-1], word=c.word, twisted=c.twisted)
-            if c is victim else c for c in classes]
+            if c is victim else c for c in classes], owner)
         with pytest.raises(InvariantError, match="F-class size"):
             w.centralizer_of_twisted(victim.representative)
 
@@ -526,7 +540,7 @@ class TestLookupTables:
     def test_owner_array_class_size_matches_a_scan(self, label):
         w = oracle_group(label)
         classes = w.f_conjugacy_classes()
-        owner = w._cache["owner"]
+        owner = w._partition[1]
         for v in range(len(w)):
             scanned = next(c.size for c in classes if v in c.members)
             assert classes[owner[v]].size == scanned
