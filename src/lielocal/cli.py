@@ -24,10 +24,13 @@ braid, defining-characteristic, ell-local, LLT or degeneration code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .errors import InvariantError
+
+_EMIT_BATCH = 65536  # encoder chunks joined per write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    """Write `json.dumps(data, sort_keys=True, indent=2)` and a newline to
+    stdout, in batches of encoder chunks, so that a large listing is never
+    held as one list of chunks and one string."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+    write = sys.stdout.write
+    while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
+        write("".join(batch))
+    write("\n")
 
 
 def _check_printable(what: str, *values: int) -> None:

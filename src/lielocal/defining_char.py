@@ -26,12 +26,18 @@ orbits, each orbit without its all-(q-1) point, shifted by the fixed
 coordinates.  WEIGHT_GUARD bounds only the functions that list weights:
 `restricted_weights`, `block_partition` and `alperin_weights`.  Listings
 are checked against the closed forms and the convolved counts.
+
+A listed weight is a tuple, built once: a stratum is one `itertools.product`
+over the twist-orbits, and `to_json` hands out the report's immutable
+tuples of weights rather than copying them into lists (`json` writes both
+alike).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, check
@@ -186,23 +192,29 @@ def stratum_size(datum: RootDatum, q: int, subset) -> int:
 
 
 def stratum_members(datum: RootDatum, q: int, subset):
-    """Iterate the weights of X'_I in lexicographic order."""
+    """The weights of X'_I, as an iterator.
+
+    One column per twist-orbit, in `phi_orbits` order: inside I the orbit's
+    value tuples other than all-(q-1), outside I that tuple alone.  The
+    weights come in lexicographic order of these orbit values, each orbit's
+    values read in its sorted index order.  For split types every orbit is
+    one index, so this is lexicographic order on weights; for twisted types
+    it is not (2A3 at q = 3 starts (0,0,0), (0,1,0), (0,0,1)).  CLI output
+    depends on this order."""
     inside = set(subset)
-    orbits_in = [o for o in phi_orbits(datum) if set(o) <= inside]
-    check(all(set(o) <= inside or not (set(o) & inside) for o in phi_orbits(datum)),
+    orbits = phi_orbits(datum)
+    check(all(set(o) <= inside or not (set(o) & inside) for o in orbits),
           "stratum index must be a union of twist-orbits")
-    base = [q - 1] * datum.rank
-    choices = []
-    for orbit in orbits_in:
-        full = [c for c in itertools.product(range(q), repeat=len(orbit))
-                if any(x != q - 1 for x in c)]
-        choices.append(full)
-    for combo in itertools.product(*choices):
-        lam = list(base)
-        for orbit, values in zip(orbits_in, combo):
-            for idx, val in zip(orbit, values):
-                lam[idx] = val
-        yield tuple(lam)
+    columns = []
+    for orbit in orbits:
+        values = list(itertools.product(range(q), repeat=len(orbit)))
+        columns.append(values[:-1] if set(orbit) <= inside else values[-1:])
+    weights = map(sum, itertools.product(*columns), itertools.repeat(()))
+    order = [i for orbit in orbits for i in orbit]
+    if order != sorted(order):
+        weights = map(operator.itemgetter(*map(order.index, range(datum.rank))),
+                      weights)
+    return weights
 
 
 def _indexed(center: CenterDual):
@@ -259,7 +271,7 @@ class BlockData:
 
     def to_json(self) -> dict:
         return {"zeta": list(self.zeta), "size": str(self.size),
-                "weights": [list(w) for w in self.members]}
+                "weights": self.members}
 
 
 @dataclass(frozen=True)
@@ -461,7 +473,7 @@ class AlperinEntry:
         return {"subset": [i + 1 for i in self.subset],
                 "levi": [i + 1 for i in self.levi],
                 "size": str(self.size),
-                "weights": [list(w) for w in self.members]}
+                "weights": self.members}
 
 
 @dataclass(frozen=True)
@@ -501,6 +513,25 @@ def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
                          entries=tuple(entries), total=total)
 
 
+def _levi_count(orbit_sizes, q: int, levi: int) -> int:
+    """`levi_irreducible_count` for the Levi whose twist-orbits are the set
+    bits of `levi`, orbit k having orbit_sizes[k] simple roots."""
+    factors = [q**n - 1 for n in orbit_sizes]
+    # the twist-stable J' inside the Levi are the submasks of `levi`, and
+    # |X'_{Delta - J'}| is the product of the factors of the orbits not in J'
+    total = 0
+    inner = levi
+    while True:
+        total += math.prod(f for k, f in enumerate(factors) if not inner >> k & 1)
+        if not inner:
+            break
+        inner = (inner - 1) & levi
+    closed = math.prod(f + 1 if levi >> k & 1 else f
+                       for k, f in enumerate(factors))
+    check(total == closed, "Levi weight count disagrees with the closed form")
+    return total
+
+
 def levi_irreducible_count(datum: RootDatum, q: int, levi_subset) -> int:
     """Number of simple modules of the standard Levi with the given simple
     roots (a twist-stable subset), in the defining characteristic: the sum of
@@ -511,22 +542,8 @@ def levi_irreducible_count(datum: RootDatum, q: int, levi_subset) -> int:
     check(all(datum.phi[i] in levi for i in levi),
           "Levi subset must be twist-stable")
     orbits = phi_orbits(datum)
-    delta = tuple(range(datum.rank))
-    total = 0
-    inner = [o for o in orbits if set(o) <= levi]
-    for bits in itertools.product((0, 1), repeat=len(inner)):
-        chosen: set[int] = set()
-        for take, orbit in zip(bits, inner):
-            if take:
-                chosen.update(orbit)
-        complement = tuple(i for i in delta if i not in chosen)
-        total += stratum_size(datum, q, complement)
-    closed = q ** len(levi)
-    for orbit in orbits:
-        if not (set(orbit) <= levi):
-            closed *= q ** len(orbit) - 1
-    check(total == closed, "Levi weight count disagrees with the closed form")
-    return total
+    mask = sum(1 << k for k, orbit in enumerate(orbits) if orbit[0] in levi)
+    return _levi_count([len(o) for o in orbits], q, mask)
 
 
 @dataclass(frozen=True)
@@ -551,24 +568,21 @@ def knorr_robinson_sum(datum: RootDatum, q: int) -> KnorrRobinsonReport:
     simple modules of the Levi on J_j.  The total vanishes; a nonzero value is
     an invariant breach."""
     _check_q(q)
-    proper = [s for s in phi_stable_subsets(datum) if len(s) < datum.rank]
-    irr = {s: levi_irreducible_count(datum, q, s) for s in proper}
+    sizes = [len(o) for o in phi_orbits(datum)]
+    n = len(sizes)
+    # a twist-stable subset is a bitmask over the orbits; the proper ones
+    # are 0 .. full - 1, and a strict subset of s is a smaller number
+    full = (1 << n) - 1
+    below = [[t for t in range(s) if not t & ~s] for s in range(full)]
 
-    # h[s][j] = sum of irr(last element) over chains of length j starting at s
-    max_len = len(phi_orbits(datum))
-    h: dict[tuple[int, ...], list[int]] = {
-        s: [0] * (max_len + 1) for s in proper}
-    for s in proper:
-        h[s][1] = irr[s]
-    for j in range(2, max_len + 1):
-        for s in proper:
-            h[s][j] = sum(h[t][j - 1] for t in proper
-                          if len(t) < len(s) and set(t) < set(s))
+    # h[s] = sum of the Levi count of the last element over the chains of
+    # the current length starting at s
+    h = [_levi_count(sizes, q, s) for s in range(full)]
     by_length = {}
-    for j in range(1, max_len + 1):
-        term = sum(h[s][j] for s in proper)
-        if term:
+    for j in range(1, n + 1):
+        if term := sum(h):
             by_length[j] = (-1 if j % 2 else 1) * term
+        h = [sum(h[t] for t in below[s]) for s in range(full)]
 
     head = q**datum.rank - 1
     total = head + sum(by_length.values())

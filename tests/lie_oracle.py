@@ -7,16 +7,20 @@ of an enumerated group by composing signed-root permutations (the package
 steps through its right multiplication table instead), the Poincaré
 polynomial counted from an enumerated group (the package takes the degree
 product and checks it against a parabolic orbit chain), the stratum of one
-weight (the package counts and lists whole strata), and the W-invariant
-form on roots.  The readers invert ``to_json`` so that tests can compare
-printed output with objects.
+weight (the package counts and lists whole strata), a stratum's weights
+built one by one (the package takes one product over the twist-orbits),
+the Knörr–Robinson chain terms from every chain listed (the package runs a
+recursion over orbit bitmasks), and the W-invariant form on roots.  The
+readers invert ``to_json`` so that tests can compare printed output with
+objects.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
-from lielocal.defining_char import phi_orbits
+from lielocal.defining_char import phi_orbits, phi_stable_subsets, stratum_size
 from lielocal.generic_order import CycloFactorization
 from lielocal.laurent import Laurent
 
@@ -64,6 +68,49 @@ def stratum_of(datum, q: int, lam) -> tuple[int, ...]:
         if any(lam[i] != q - 1 for i in orbit):
             members.update(orbit)
     return tuple(sorted(members))
+
+
+def stratum_members_by_weight(datum, q: int, subset):
+    """The weights of X'_I built one at a time: each orbit inside I takes
+    every value tuple but all-(q-1), every other coordinate is q-1.  The
+    package takes one product over all orbits instead."""
+    inside = set(subset)
+    orbits_in = [o for o in phi_orbits(datum) if set(o) <= inside]
+    choices = [[c for c in itertools.product(range(q), repeat=len(orbit))
+                if any(x != q - 1 for x in c)] for orbit in orbits_in]
+    for combo in itertools.product(*choices):
+        lam = [q - 1] * datum.rank
+        for orbit, values in zip(orbits_in, combo):
+            for idx, val in zip(orbit, values):
+                lam[idx] = val
+        yield tuple(lam)
+
+
+def knorr_robinson_chains(datum, q: int) -> dict[int, int]:
+    """Signed chain terms of the Knörr–Robinson sum by listing every chain
+    J_1 > ... > J_j of proper twist-stable subsets, each chain contributing
+    (-1)^j times the Levi count of J_j summed over strata; nonzero terms
+    only.  The package runs a recursion over orbit bitmasks instead."""
+    proper = [frozenset(s) for s in phi_stable_subsets(datum)
+              if len(s) < datum.rank]
+    delta = frozenset(range(datum.rank))
+
+    def levi_count(levi):
+        return sum(stratum_size(datum, q, tuple(sorted(delta - inner)))
+                   for inner in proper if inner <= levi)
+
+    terms: dict[int, int] = {}
+
+    def extend(chain):
+        j = len(chain)
+        terms[j] = terms.get(j, 0) + (-1) ** j * levi_count(chain[-1])
+        for t in proper:
+            if t < chain[-1]:
+                extend(chain + [t])
+
+    for s in proper:
+        extend([s])
+    return {j: t for j, t in terms.items() if t}
 
 
 def root_inner(datum, r1, r2) -> int:

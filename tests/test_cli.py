@@ -373,6 +373,31 @@ class TestDeterminism:
         assert json.loads(result.stdout)["value"] == "6"
 
 
+class TestEmit:
+    """`_emit` writes `json.dumps(data, sort_keys=True, indent=2)` and a
+    newline, whatever the number of batches."""
+
+    @staticmethod
+    def _check(capsys, data):
+        cli._emit(data)
+        assert capsys.readouterr().out == json.dumps(data, sort_keys=True,
+                                                     indent=2) + "\n"
+
+    def test_empty(self, capsys):
+        self._check(capsys, {})
+
+    def test_small_report(self, capsys):
+        report = defining_char.alperin_weights(cached_datum("2A3"), 3)
+        self._check(capsys, report.to_json())
+
+    def test_several_batches(self, capsys):
+        data = {"b": [(i, -i) for i in range(50000)],
+                "a": {"z": None, "y": "\u00e9"}}
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+        assert sum(1 for _ in chunks) > 2 * cli._EMIT_BATCH
+        self._check(capsys, data)
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: argv drawn from a small grammar of the real interface
 
@@ -469,18 +494,25 @@ def test_command_loads_only_its_modules(argv, absent):
     assert [m for m in absent if "lielocal." + m in loaded] == []
 
 
-# Sets the limits on this process only, then runs the CLI.  Core dumps are
-# switched off so that a limit kill leaves no file behind.
+# Sets the limits on this process only, then runs the CLI: the first
+# argument is the address space in bytes, the rest is the argv.  Core dumps
+# are switched off so that a limit kill leaves no file behind.
 _LIMITED_CLI = """
 import resource, sys
-for res, cap in ((resource.RLIMIT_AS, 512 << 20), (resource.RLIMIT_CPU, 10),
+for res, cap in ((resource.RLIMIT_AS, int(sys.argv[1])), (resource.RLIMIT_CPU, 10),
                  (resource.RLIMIT_CORE, 0)):
     hard = resource.getrlimit(res)[1]
     cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
     resource.setrlimit(res, (cap, cap))
 from lielocal.cli import main
-raise SystemExit(main(sys.argv[1:]))
+raise SystemExit(main(sys.argv[2:]))
 """
+
+
+def _limited_cli(address_mib: int, argv) -> list[str]:
+    """The command running `argv` with `address_mib` MiB of address space
+    and 10 s of CPU."""
+    return [sys.executable, "-c", _LIMITED_CLI, str(address_mib << 20), *argv]
 
 
 def test_hostile_argv_end_within_resource_limits(tmp_path):
@@ -533,9 +565,22 @@ def test_hostile_argv_end_within_resource_limits(tmp_path):
         ["llt", "--n", "12", "--d", "1000000000000"],
     ]
     for argv in argvs:
-        result = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
-                                capture_output=True, text=True, check=False, timeout=60)
+        result = subprocess.run(_limited_cli(512, argv), capture_output=True,
+                                text=True, check=False, timeout=60)
         shown = [a if len(a) < 40 else a[:12] + "..." for a in argv]
         assert result.returncode in (0, 1, 2), (shown, result.returncode)
         assert "Traceback" not in result.stderr, (shown, result.stderr[-2000:])
         assert "MemoryError" not in result.stderr, shown
+
+
+@pytest.mark.parametrize("argv", [["blocks", "A6", "--q", "8"],
+                                  ["alperin", "A6", "--q", "8"]])
+def test_weight_listing_fits_in_128_mib(argv):
+    """A listing of 262,143 weights (about 26 MB of JSON) is written with
+    128 MiB of address space: the report's weight tuples go to the encoder
+    as they are, and stdout is written in batches."""
+    result = subprocess.run(_limited_cli(128, argv), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, check=False,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stderr == ""

@@ -4,7 +4,7 @@ weight tallies, and the alternating chain sum."""
 import time
 
 import pytest
-from lie_oracle import stratum_of
+from lie_oracle import knorr_robinson_chains, stratum_members_by_weight, stratum_of
 
 from lielocal import defining_char
 from lielocal.defining_char import (
@@ -22,7 +22,7 @@ from lielocal.defining_char import (
     stratum_size,
 )
 from lielocal.errors import GuardExceeded, InvariantError
-from lielocal.root_datum import cached_datum, labels_of_rank
+from lielocal.root_datum import ALL_LABELS, cached_datum, labels_of_rank
 
 ORACLE_Q = (2, 3, 4, 5, 7)
 
@@ -139,6 +139,33 @@ def test_stratum_sizes_partition():
                 assert all(stratum_of(datum, q, lam) == subset for lam in members)
                 total += size
             assert total == q**datum.rank
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_stratum_members_match_the_weight_by_weight_oracle(label):
+    datum = cached_datum(label)
+    for q in (2, 3, 4):
+        if q**datum.rank > 70000:
+            continue
+        for subset in phi_stable_subsets(datum):
+            assert list(stratum_members(datum, q, subset)) == \
+                list(stratum_members_by_weight(datum, q, subset)), (q, subset)
+
+
+def test_twisted_strata_list_in_orbit_value_order():
+    # orbits (0, 2) and (1,): the middle coordinate runs fastest
+    members = list(stratum_members(cached_datum("2A3"), 3, (0, 1, 2)))
+    assert members[:3] == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert members[-1] == (2, 1, 1)
+    with pytest.raises(InvariantError, match="union of twist-orbits"):
+        stratum_members(cached_datum("2A3"), 3, (0, 1))
+
+
+def test_stratum_listing_is_checked_against_the_closed_form(monkeypatch):
+    monkeypatch.setattr(defining_char, "stratum_size",
+                        lambda *args: stratum_size(*args) + 1)
+    with pytest.raises(InvariantError, match="disagrees with the closed form"):
+        alperin_weights(cached_datum("A2"), 3)
 
 
 def test_block_partition_sl2_q5():
@@ -311,6 +338,22 @@ def test_knorr_robinson_large_rank():
     # closed forms only, no weight enumeration: big rank stays cheap
     assert knorr_robinson_sum(cached_datum("E8"), 7).total == 0
     assert knorr_robinson_sum(cached_datum("2E6"), 3).total == 0
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4))
+def test_knorr_robinson_matches_the_chain_listing_oracle(label):
+    datum = cached_datum(label)
+    for q in (2, 3, 4):
+        assert dict(knorr_robinson_sum(datum, q).chain_terms) == \
+            knorr_robinson_chains(datum, q), q
+
+
+def test_knorr_robinson_total_is_checked(monkeypatch):
+    real = defining_char._levi_count
+    monkeypatch.setattr(defining_char, "_levi_count",
+                        lambda sizes, q, levi: real(sizes, q, levi) + (levi == 0))
+    with pytest.raises(InvariantError, match="chain sum"):
+        knorr_robinson_sum(cached_datum("A2"), 2)
 
 
 def test_reports_serialize():

@@ -1,11 +1,15 @@
-"""Full stdout of a few Weyl-group queries, pinned by its sha256.
+"""Full stdout of a few Weyl-group queries and two weight listings, pinned
+by its sha256.
 
 tests/test_bench_answers.py compares only the answer fields of the
 benchmark queries.  These queries reach the eigenspace, centralizer,
 F-class and braid code on larger groups (E6, 2E6, F4, 3D4, GL6), and every
 byte they print is pinned, so a refactor of those layers that changes any
-output fails here.  The digests were recorded with the code before the
-Weyl group dropped its permutation-to-index dict.
+output fails here.  The Weyl digests were recorded with the code before the
+Weyl group dropped its permutation-to-index dict.  The `blocks` and
+`alperin` digests pin the order of 262,143 listed weights and the JSON
+layout; they were recorded with the code that built each stratum weight by
+weight, copied the weights into lists and printed one `json.dumps` string.
 """
 
 import hashlib
@@ -29,6 +33,10 @@ GOLDEN = {
         "3ff304d39b69cb2520619a78c19eeecfe75cc246d3232d4ef9a39e7cf210f20e",
     "sylow GL6 --q 2 --ell 5":
         "42ca5f353b97eec6c73f5ab7a695e63703faa7978f49b17cd9e053f24a20842c",
+    "blocks A6 --q 8":
+        "01bf3ba7bae3f8d0518205dcb77d056fe90e13da8e68933ac999ccb34cc162bf",
+    "alperin A6 --q 8":
+        "cb8ce2a5af5b0f6b8d5886c7c5c0028d2bef9b7f16a8736ce699967bf3e11fab",
 }
 
 
