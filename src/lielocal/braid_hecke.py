@@ -25,6 +25,7 @@ recovers the group algebra ZW.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -202,27 +203,25 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
         raise ValueError("d must be a positive integer")
     group = generate_weyl(datum)
     ctx = group.ctx
-    if group.regular_elements(d) is None:
+    witnesses = group.regular_witnesses(d)
+    first = next(witnesses, None)
+    if first is None:
         raise ValueError(f"no regular element for d={d} in type {ctx.label}")
-    if (2 * ctx.N) % d != 0:
-        return RegularBraidReport(label=ctx.label, d=d, holds=False,
-                                  witness_word=None, candidates_checked=0)
-    target_length = 2 * ctx.N // d
+    target_length, rest = divmod(2 * ctx.N, d)
     pi_nf = GarsideNF(delta_power=2, factors=())
-    dims = group.phi_d_dimensions(d)  # cached by regular_elements above
     checked = 0
-    for w, word in enumerate(group.words):
-        if len(word) != target_length or not dims[w]:
-            continue
-        if not group.is_regular_eigenspace(group.eigenspace_basis(w, d)):
+    # witnesses come in index order, which is length order
+    for w, _ in itertools.chain([first], witnesses):
+        word = group.words[w]
+        if rest or len(word) > target_length:
+            break
+        if len(word) < target_length:
             continue
         checked += 1
-        letters = []
-        for k in range(d):
-            image = word
-            for _ in range(k):
-                image = tuple(ctx.phi_simple[i] for i in image)
+        letters, image = [], word
+        for _ in range(d):
             letters.extend(image)
+            image = tuple(ctx.phi_simple[i] for i in image)
         if garside_nf(ctx, BraidWord(tuple(letters))) == pi_nf:
             return RegularBraidReport(label=ctx.label, d=d, holds=True,
                                       witness_word=word,

@@ -224,8 +224,8 @@ def _run_degenerate(args) -> None:
         with open(args.E, encoding="utf-8") as handle:
             try:
                 raw = json.load(handle)
-            except RecursionError:
-                raw = None  # nested far deeper than a list of matrices
+            except (RecursionError, json.JSONDecodeError, UnicodeDecodeError):
+                raw = None  # not UTF-8 JSON, or nested far deeper than any matrix list
         if not (isinstance(raw, list) and all(
                 isinstance(mat, list) and all(
                     isinstance(row, list) and all(type(x) is int for x in row)

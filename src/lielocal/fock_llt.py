@@ -546,9 +546,7 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
     )
     matrix = FockMatrix(n=n, d=d, labels=tuple(labels), entries=entries)
     verify_bar_invariance(matrix, family, bar)
-    report = shape_check(matrix)
-    check(report.unitriangular and report.unit_diagonal and report.positive_shift,
-          f"canonical basis shape violation: {report.failures}")
+    shape_check(matrix)
     return matrix
 
 
@@ -610,56 +608,18 @@ def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
         check(_bar_apply(bar, g) == g, f"G({p}) is not bar-invariant")
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    """Outcome of the triangularity and positivity checks on a FockMatrix."""
-
-    unitriangular: bool
-    unit_diagonal: bool
-    positive_shift: bool  # off-diagonal entries in v Z>=0 [v]
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.unitriangular and self.unit_diagonal and self.positive_shift
-
-    def to_json(self) -> dict:
-        return {
-            "unitriangular": self.unitriangular,
-            "unit_diagonal": self.unit_diagonal,
-            "positive_shift": self.positive_shift,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
-
-
-def shape_check(matrix: FockMatrix) -> ShapeReport:
+def shape_check(matrix: FockMatrix) -> None:
     """Check lower-unitriangularity, unit diagonal, and that off-diagonal
-    entries lie in v Z>=0 [v]; failures carry their location."""
+    entries lie in v Z>=0 [v].  One InvariantError lists every failure with
+    its location."""
     failures = []
-    unitriangular = True
-    unit_diagonal = True
-    positive = True
-    size = len(matrix.labels)
-    for r in range(size):
-        for c in range(size):
-            e = matrix.entries[r][c]
+    for r, row in enumerate(matrix.entries):
+        for c, e in enumerate(row):
             where = f"({matrix.labels[r]}, {matrix.labels[c]})"
-            if r == c:
-                if e != Laurent(1):
-                    unit_diagonal = False
-                    failures.append(f"diagonal {where} = {e.to_string('v')}")
-            elif c > r:
-                if e:
-                    unitriangular = False
-                    failures.append(f"upper entry {where} = {e.to_string('v')}")
-            elif e:
-                if e.min_degree() < 1 or any(co < 0 for _, co in e.items()):
-                    positive = False
-                    failures.append(f"entry {where} = {e.to_string('v')}")
-    return ShapeReport(
-        unitriangular=unitriangular,
-        unit_diagonal=unit_diagonal,
-        positive_shift=positive,
-        failures=tuple(failures),
-    )
+            if r == c and e != _ONE:
+                failures.append(f"diagonal {where} = {e.to_string('v')}")
+            elif c > r and e:
+                failures.append(f"upper entry {where} = {e.to_string('v')}")
+            elif c < r and e and (e.min_degree() < 1 or any(co < 0 for _, co in e.items())):
+                failures.append(f"entry {where} = {e.to_string('v')} is not in v Z>=0 [v]")
+    check(not failures, "canonical basis shape violation: " + "; ".join(failures))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import Iterator
 
 from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
@@ -250,14 +251,14 @@ class TwistedClass:
 
 @dataclass(frozen=True)
 class RegularReport:
-    """Witness data for a d-regular twisted element."""
+    """Witness data for a d-regular twisted element, made only once its
+    centralizer is checked to be a reflection group on the eigenspace."""
 
     d: int
     witness: int
     witness_word: tuple[int, ...]
     eigenspace_dim: int
     centralizer_order: int
-    centralizer_is_reflection_group: bool
 
     def to_json(self) -> dict:
         return {
@@ -267,7 +268,7 @@ class RegularReport:
             "witness_length": len(self.witness_word),
             "eigenspace_dim": self.eigenspace_dim,
             "centralizer_order": self.centralizer_order,
-            "centralizer_is_reflection_group": self.centralizer_is_reflection_group,
+            "centralizer_is_reflection_group": True,
         }
 
 
@@ -445,26 +446,29 @@ class WeylGroup:
         return bool(basis) and not any(vanishes_on(coroot, basis)
                                        for coroot in self.ctx.coroots)
 
-    def regular_elements(self, d: int) -> RegularReport | None:
-        """Scan W for d-regular twisted elements; return the canonical witness
-        (max eigenspace dimension, first in BFS order) or None."""
+    def regular_witnesses(self, d: int) -> Iterator[tuple[int, list[list]]]:
+        """Yield ``(w, eigenspace_basis(w, d))`` in index order for every
+        d-regular w: its zeta_d-eigenspace is nonzero, of the largest
+        dimension over W (as every regular one is, by Springer), and in no
+        root hyperplane.  No centralizer is computed."""
         dims = self.phi_d_dimensions(d)
         best = max(dims)
-        if best == 0:
-            return None
-        for w in range(len(self)):
-            if dims[w] != best:
-                continue
-            basis = self.eigenspace_basis(w, d)
-            if not self.is_regular_eigenspace(basis):
-                continue
+        for w, dim in enumerate(dims):
+            if best and dim == best:
+                basis = self.eigenspace_basis(w, d)
+                if self.is_regular_eigenspace(basis):
+                    yield w, basis
+
+    def regular_elements(self, d: int) -> RegularReport | None:
+        """The canonical d-regular witness, the first of
+        :meth:`regular_witnesses`, once its centralizer has passed
+        :meth:`_centralizer_reflection_check`; None if there is none."""
+        for w, basis in self.regular_witnesses(d):
             centralizer = self.centralizer_of_twisted(w)
-            is_refl = self._centralizer_reflection_check(w, d, basis, centralizer)
-            return RegularReport(
-                d=d, witness=w, witness_word=self.words[w],
-                eigenspace_dim=dims[w], centralizer_order=len(centralizer),
-                centralizer_is_reflection_group=is_refl,
-            )
+            self._centralizer_reflection_check(w, d, basis, centralizer)
+            return RegularReport(d=d, witness=w, witness_word=self.words[w],
+                                 eigenspace_dim=self.phi_d_dimensions(d)[w],
+                                 centralizer_order=len(centralizer))
         return None
 
     def _eigenspace_action(self, w, d, basis, centralizer) -> tuple[list[int], list[int]]:
@@ -490,8 +494,8 @@ class WeylGroup:
                 reflections.append(v)
         return trivial, reflections
 
-    def _centralizer_reflection_check(self, w, d, basis, centralizer) -> bool:
-        """Test whether C_W(w phi) is generated by the elements acting on the
+    def _centralizer_reflection_check(self, w, d, basis, centralizer) -> None:
+        """Check that C_W(w phi) is generated by the elements acting on the
         eigenspace as pseudo-reflections.  The action is faithful on a
         regular eigenspace (Springer), which is checked, so the subgroup the
         pseudo-reflections generate is compared with the centralizer as a
@@ -500,7 +504,8 @@ class WeylGroup:
         check(len(trivial) == 1, "centralizer does not act faithfully on the eigenspace")
         ctx, perms = self.ctx, self.elements
         generated = closure((ctx.identity_perm,), [perms[v] for v in reflections], ctx.compose)
-        return generated == {perms[v] for v in centralizer}
+        check(generated == {perms[v] for v in centralizer},
+              "centralizer is not generated by its pseudo-reflections")
 
 
 def vanishes_on(coroot, basis) -> bool:

@@ -1,0 +1,114 @@
+"""Compare the CLI output of two source trees, argv by argv.
+
+    python tests/stdout_parity.py PARENT_SRC [CHANGE_SRC]
+
+Each SRC is a directory that holds the ``lielocal`` package, such as the
+``src`` of another checkout; CHANGE_SRC defaults to this checkout's
+``src``.  One child process per tree runs every argv through
+``lielocal.cli.main`` in turn and records its exit code, the sha256 of its
+stdout, and its stderr.  Every argv whose records differ is printed, and the
+exit status is 1 when any does.
+
+The argv are the queries of tests/test_golden_stdout.py, the cold-CLI
+queries of perfbench/workloads.py, and ``weyl regular`` and ``braid
+verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
+to 2 * (largest degree) * (twist order).  The list is built from
+CHANGE_SRC.  Both children run at once; the 669 argv took about 40 s on a
+2-CPU machine.
+
+This is a tool for checking that a refactor keeps every output; it is not a
+test module, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+_CHILD = """
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import lielocal
+from lielocal import cli
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    records.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                    err.getvalue()])
+json.dump({"package": lielocal.__file__, "records": records}, sys.stdout)
+"""
+
+
+def argv_list(src: str) -> list[list[str]]:
+    """The argv to compare, with the labels and degrees read from ``src``."""
+    sys.path[:0] = [src, HERE, ROOT]
+    from lielocal.root_datum import labels_of_rank, parse_label, split_degrees
+    from perfbench.workloads import CLI_LLT, CLI_WEYL
+    from test_golden_stdout import GOLDEN
+
+    queries = [q.split() for q in sorted(GOLDEN)] + [q.split() for q in CLI_WEYL + CLI_LLT]
+    bounds = []
+    for label in labels_of_rank(4):
+        twist, family, n = parse_label(label)
+        bounds.append((label, 2 * max(split_degrees(family, n)) * twist))
+    bounds += [(f"GL{n}", 2 * n) for n in range(1, 7)]
+    for label, top in bounds:
+        for d in range(1, top + 1):
+            queries.append(["weyl", "regular", label, "--d", str(d)])
+            queries.append(["braid", "verify-regular", label, "--d", str(d)])
+    return queries
+
+
+def run_all(srcs: list[str], queries: list[list[str]]) -> list[list]:
+    """The records of every query, one list per tree, the trees run at once."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    children = [subprocess.Popen([sys.executable, "-c", _CHILD, src], stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, text=True, env=env)
+                for src in srcs]
+    for child in children:
+        child.stdin.write(json.dumps(queries))
+        child.stdin.close()
+    results = []
+    for src, child in zip(srcs, children):
+        text = child.stdout.read()
+        if child.wait() != 0:
+            raise SystemExit(f"the child for {src} failed with exit code {child.returncode}")
+        result = json.loads(text)
+        package = os.path.realpath(result["package"])
+        if not package.startswith(os.path.realpath(src) + os.sep):
+            raise SystemExit(f"the child for {src} imported lielocal from {package}")
+        results.append(result["records"])
+    return results
+
+
+def main(args: list[str]) -> int:
+    if len(args) not in (1, 2):
+        print("usage: python tests/stdout_parity.py PARENT_SRC [CHANGE_SRC]", file=sys.stderr)
+        return 2
+    srcs = [os.path.abspath(args[0]),
+            os.path.abspath(args[1] if len(args) == 2 else os.path.join(ROOT, "src"))]
+    queries = argv_list(srcs[1])
+    parent, change = run_all(srcs, queries)
+    differ = 0
+    for argv, old, new in zip(queries, parent, change):
+        if old != new:
+            differ += 1
+            fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
+                      if a != b]
+            print(" ".join(argv), "--", ", ".join(fields), "differ")
+    print(f"{len(queries)} argv compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

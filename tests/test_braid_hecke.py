@@ -268,6 +268,30 @@ def test_regular_identity_skips_zero_dimensional_eigenspaces(monkeypatch):
         assert report.candidates_checked == scanned, (label, d)
 
 
+def test_regular_identity_runs_no_centralizer_check(monkeypatch):
+    """The search prints no centralizer, so it builds none: with the
+    centralizer scan and the eigenspace action refused, the reports are the
+    ones recorded with the code that still ran the centralizer check."""
+    from lielocal.weyl import WeylGroup
+
+    def refuse(*args):
+        raise AssertionError("centralizer work in the braid search")
+
+    monkeypatch.setattr(WeylGroup, "centralizer_of_twisted", refuse)
+    monkeypatch.setattr(WeylGroup, "_eigenspace_action", refuse)
+    d6_witness = (0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 4, 3, 2, 1, 0,
+                  5, 3, 2, 1, 0, 4, 3, 2, 1, 5, 3, 2, 4, 3, 5)
+    for label, d, witness in [("E6", 9, (0, 1, 2, 3, 1, 4, 3, 5)),
+                              ("2E6", 18, (0, 1, 2, 3)),
+                              ("G2", 6, (0, 1)),
+                              ("D6", 2, d6_witness)]:
+        report = verify_regular_braid_identity(cached_datum(label), d)
+        assert (report.holds, report.witness_word, report.candidates_checked
+                ) == (True, witness, 1), (label, d)
+    with pytest.raises(ValueError, match="no regular element"):
+        verify_regular_braid_identity(cached_datum("A2"), 4)
+
+
 def test_regular_identity_no_regular_element():
     with pytest.raises(ValueError, match="no regular element"):
         verify_regular_braid_identity(cached_datum("A2"), 4)

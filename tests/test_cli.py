@@ -285,10 +285,11 @@ class TestExitCodes:
 
     def test_hostile_argv_exit_cleanly(self, capsys, tmp_path):
         matrix_files = []
-        for i, text in enumerate(["[1]", "[[1]]", "[[[null]]]", "[[[1.5]]]",
-                                  "[" * 100000 + "]" * 100000]):
+        for i, data in enumerate([b"[1]", b"[[1]]", b"[[[null]]]", b"[[[1.5]]]",
+                                  b"[" * 100000 + b"]" * 100000,
+                                  b"", b"[[[1]]", b"[[[\xff\xfe]]]"]):
             path = tmp_path / f"e{i}.json"
-            path.write_text(text)
+            path.write_bytes(data)
             matrix_files.append(str(path))
         identity_2 = tmp_path / "identity2.json"
         identity_2.write_text("[[[1, 0], [0, 1]]]")
@@ -333,6 +334,8 @@ class TestExitCodes:
             assert "Traceback" not in err, argv
             if argv in weight_guarded:
                 assert "exceeds the weight guard" in err and len(err.encode()) < 200, argv
+            if "--E" in argv and argv[-1] in matrix_files:
+                assert err == "error: matrix file must hold a list of integer matrices\n", argv
 
     def test_guard_and_q_messages(self, capsys):
         # the order 2^99999 has too many digits to print in decimal
@@ -558,6 +561,7 @@ def test_hostile_argv_end_within_resource_limits(tmp_path):
         ["weyl", "classes", "E7"],
         ["weyl", "regular", "A2", "--d", "1000000000000"],
         ["braid", "verify-regular", "E8", "--d", "30"],
+        ["braid", "verify-regular", "D6", "--d", "2"],
         ["hecke", "poincare", "E8"],
         ["blocks", "E8", "--q", "9"],
         ["alperin", "A1", "--q", "1000000000000"],

@@ -356,14 +356,12 @@ class TestCanonicalBasis:
     def test_shape_small_grid(self):
         for n in range(9):
             for d in (2, 3, 4):
-                report = shape_check(llt_canonical_basis(n, d))
-                assert report.passed, (n, d, report.failures)
+                shape_check(llt_canonical_basis(n, d))
 
     def test_shape_n_nine_ten(self):
         for n in (9, 10):
             for d in (2, 3, 4):
-                report = shape_check(llt_canonical_basis(n, d))
-                assert report.passed, (n, d, report.failures)
+                shape_check(llt_canonical_basis(n, d))
 
     def test_core_refinement(self):
         for n in range(2, 9):
@@ -710,10 +708,9 @@ class TestEvaluationAndOutput:
         labels = ((1, 1), (2,))
         bad = FockMatrix(n=2, d=2, labels=labels,
                          entries=((ONE, V), (ONE + V, Laurent(2))))
-        report = shape_check(bad)
-        assert not report.passed
-        assert not report.unitriangular
-        assert not report.unit_diagonal
-        assert not report.positive_shift
-        assert any("diagonal" in f for f in report.failures)
-        assert any("upper" in f for f in report.failures)
+        with pytest.raises(InvariantError, match="canonical basis shape violation") as caught:
+            shape_check(bad)
+        message = str(caught.value)
+        assert "diagonal ((2,), (2,)) = 2" in message
+        assert "upper entry ((1, 1), (2,)) = v" in message
+        assert "entry ((2,), (1, 1)) = 1 + v is not in v Z>=0 [v]" in message

@@ -6,7 +6,9 @@ benchmark queries.  These queries reach the eigenspace, centralizer,
 F-class and braid code on larger groups (E6, 2E6, F4, 3D4, GL6), and every
 byte they print is pinned, so a refactor of those layers that changes any
 output fails here.  The Weyl digests were recorded with the code before the
-Weyl group dropped its permutation-to-index dict.  The `blocks` and
+Weyl group dropped its permutation-to-index dict, except that of `braid
+verify-regular D6 --d 2`, recorded while the braid search still ran the
+centralizer check of `weyl regular` on its first witness.  The `blocks` and
 `alperin` digests pin the order of 262,143 listed weights and the JSON
 layout; they were recorded with the code that built each stratum weight by
 weight, copied the weights into lists and printed one `json.dumps` string.
@@ -27,6 +29,8 @@ GOLDEN = {
         "5bc420c07c7b41c636c7bff939ef782a6e1132b17f3efbf5739bf5d78ed6e7a2",
     "braid verify-regular E6 --d 9":
         "582a7e3623e114a329e55be2725e60e1af87de082491a2f63b84d6ee678c6db6",
+    "braid verify-regular D6 --d 2":
+        "cce4a0375539dfa9e3b17984e357d1ea042f82d075e405323cbc473db8a437b6",
     "weyl classes 2E6":
         "51ff0997f7309f484b5f3b6ade5810135f04ab8eeacaf97741c78cf92ca0ef33",
     "sylow E6 --q 2 --ell 7":

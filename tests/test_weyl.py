@@ -148,7 +148,7 @@ class TestRegularElements:
         assert rep.witness_word == (0,)
         assert rep.eigenspace_dim == 1
         assert rep.centralizer_order == 2
-        assert rep.centralizer_is_reflection_group
+        assert rep.to_json()["centralizer_is_reflection_group"] is True
 
     def test_a2_d3_coxeter(self):
         rep = group("A2").regular_elements(3)
@@ -156,7 +156,7 @@ class TestRegularElements:
         assert len(rep.witness_word) == 2
         assert rep.centralizer_order == 3
         assert rep.eigenspace_dim == 1
-        assert rep.centralizer_is_reflection_group
+        assert rep.to_json()["centralizer_is_reflection_group"] is True
 
     def test_a2_d6_none(self):
         assert group("A2").regular_elements(6) is None
@@ -167,7 +167,7 @@ class TestRegularElements:
         assert rep.witness_word == ()
         assert rep.eigenspace_dim == 2
         assert rep.centralizer_order == 6
-        assert rep.centralizer_is_reflection_group
+        assert rep.to_json()["centralizer_is_reflection_group"] is True
 
     def test_2a2_regular_ds(self):
         w = group("2A2")
@@ -358,8 +358,8 @@ class TestPerClassRoute:
         for d in range(1, 3 * max(label_degrees(label)) + 1):
             report = w.regular_elements(d)
             if report is not None:
-                assert (report.centralizer_order, report.centralizer_is_reflection_group
-                        ) == matrix_closure_verdict(w, d, report.witness), d
+                assert matrix_closure_verdict(w, d, report.witness) == (
+                    report.centralizer_order, True), d
 
     def test_restriction_rejects_a_matrix_that_moves_the_span(self):
         w = group("A2")
@@ -386,15 +386,6 @@ def assert_same_action(w, d, witness, matrices):
             ), (d, witness)
 
 
-def regular_witness(w, d):
-    """The witness that regular_elements reports, found without running its
-    centralizer check."""
-    dims = w.phi_d_dimensions(d)
-    best = max(dims)
-    return next((v for v in range(len(w)) if best and dims[v] == best
-                 and w.is_regular_eigenspace(w.eigenspace_basis(v, d))), None)
-
-
 class TestRationalRoute:
     @pytest.mark.parametrize("label", DESCENT_LABELS)
     def test_every_element_matches_the_oracle(self, label):
@@ -417,7 +408,7 @@ class TestRationalRoute:
         w = group(label)
         matrices = element_matrices(w)
         for d in divisors_of_degrees(label):
-            witness = regular_witness(w, d)
+            witness, _ = next(w.regular_witnesses(d), (None, None))
             if witness is not None:
                 assert_same_action(w, d, witness, matrices)
 
@@ -439,6 +430,21 @@ class TestRationalRoute:
         with pytest.raises(InvariantError, match="does not act faithfully"):
             w._centralizer_reflection_check(witness, 4, basis, centralizer + [0])
 
+    def test_a_missing_reflection_is_caught(self, monkeypatch):
+        w = group("B2")
+        witness = w.regular_elements(1).witness
+        basis = w.eigenspace_basis(witness, 1)
+        centralizer = w.centralizer_of_twisted(witness)
+        real = WeylGroup._eigenspace_action
+
+        def one_reflection(self, *args):
+            trivial, reflections = real(self, *args)
+            return trivial, reflections[:1]
+
+        monkeypatch.setattr(WeylGroup, "_eigenspace_action", one_reflection)
+        with pytest.raises(InvariantError, match="not generated by its pseudo-reflections"):
+            w._centralizer_reflection_check(witness, 1, basis, centralizer)
+
     def test_a_fixed_dimension_off_the_totient_is_caught(self, monkeypatch):
         w = group("A2")
         witness = w.regular_elements(3).witness
@@ -453,7 +459,6 @@ class TestRationalRoute:
         datum = build_root_datum("G2")
         w = generate_weyl(datum)
         real = lielocal.weyl.cyclo_rref
-        report = w.regular_elements(6)
 
         def short(m, d):
             basis, pivots = real(m, d)
@@ -462,8 +467,7 @@ class TestRationalRoute:
         monkeypatch.setattr(lielocal.weyl, "cyclo_rref", short)
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             w.regular_elements(6)
-        # the braid loop and the Levi data each read bases of their own
-        monkeypatch.setattr(WeylGroup, "regular_elements", lambda self, d: report)
+        # the braid search and the Levi data each read bases of their own
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             verify_regular_braid_identity(datum, 6)
         # 3 has order 6 mod 7
