@@ -212,7 +212,7 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
     checked = 0
     # witnesses come in index order, which is length order
     for w, _ in itertools.chain([first], witnesses):
-        word = group.words[w]
+        word = group.word(w)
         if rest or len(word) > target_length:
             break
         if len(word) < target_length:
@@ -239,7 +239,7 @@ class HeckeAlgebra:
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self.gen_index = group.right[0]
+        self.gen_index = [col[0] for col in group.right]
         self.x = Laurent.variable()
 
     def element(self, support: dict[int, Laurent]) -> "HeckeElement":
@@ -255,13 +255,11 @@ class HeckeAlgebra:
         return self.basis_element(self.gen_index[i])
 
     def _times_generator(self, support: dict[int, Laurent], i: int) -> dict:
-        group = self.group
-        right, perms, n_pos = group.right, group.elements, group.ctx.N
-        x = self.x
+        col, x = self.group.right[i], self.x
         out: dict[int, Laurent] = {}
         for w, c in support.items():
-            ws = right[w][i]
-            if perms[w][i] < n_pos:  # l(w s_i) = l(w) + 1
+            ws = col[w]
+            if ws > w:  # index order is length order: l(w s_i) = l(w) + 1
                 add_term(out, ws, c)
             else:
                 add_term(out, ws, x * c)
@@ -274,7 +272,7 @@ class HeckeAlgebra:
         out: dict[int, Laurent] = {}
         for v, c in b.support.items():
             acc = {w: cw * c for w, cw in a.support.items()}
-            for letter in self.group.words[v]:
+            for letter in self.group.word(v):
                 acc = self._times_generator(acc, letter)
             add_scaled(out, acc)
         return self.element(out)
@@ -313,7 +311,7 @@ class HeckeElement:
     def to_json(self) -> dict:
         words = {}
         for w, c in self.support.items():
-            word = self.algebra.group.words[w]
+            word = self.algebra.group.word(w)
             key = ".".join(str(i + 1) for i in word) if word else "e"
             words[key] = c.to_json()
         return {"coeffs": {k: words[k] for k in sorted(words)}}

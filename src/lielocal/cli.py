@@ -107,7 +107,7 @@ def _run_weyl(args) -> None:
         classes = group.f_conjugacy_classes()
         _emit({
             "type": args.type,
-            "order": str(len(group.elements)),
+            "order": str(len(group)),
             "class_count": len(classes),
             "classes": [c.to_json() for c in classes],
         })

@@ -94,7 +94,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> tuple[int, LeviData]:
     # s_beta stabilizes the eigenspace E and moves it exactly when beta lies
     # in E.  A root is rational, so w phi must fix it (d = 1) or negate it
     # (d = 2); for d >= 3 no root lies in E.
-    sigma = ctx.compose(group.elements[witness], ctx.phi_perm)
+    sigma = ctx.compose(group.perm(witness), ctx.phi_perm)
     shift = {1: 0, 2: ctx.N}.get(d)
     orth_idx = [] if shift is None else [k for k in range(ctx.N) if sigma[k] == k + shift]
     check(all(ctx.pairing(k, j) == 0 for k in orth_idx for j in levi_idx),
@@ -120,7 +120,7 @@ def _levi_of_group(group: WeylGroup, d: int) -> tuple[int, LeviData]:
         label=ctx.label,
         d=d,
         eigenspace_dim=dim,
-        witness_word=group.words[witness],
+        witness_word=group.word(witness),
         root_subsystem=tuple(ctx.pos_roots[k] for k in levi_idx),
         w_L_order=len(w_l),
         orthogonal_system=tuple(ctx.pos_roots[k] for k in orth_idx),

@@ -1,16 +1,17 @@
 """Finite Weyl groups: exact enumeration, twisted classes, regular elements.
 
-An element is its index w into the enumeration.  Two parallel lists hold
-it: ``elements[w]``, the permutation of the 2N signed roots (indices 0..N-1
-the positive roots, N+k the negative of root k) as ``bytes`` (2N <= 240 for
-every supported type, E8 included), and ``words[w]``, its least reduced
-word, whose length is the length of w.  Composition is one
-``bytes.translate``, so length and descent queries are cheap.  Enumeration
-fills a table of right multiplication by the simple reflections, and after
-it the group answers from ``elements``, ``words`` and that table alone
-(Casselman, "Machine calculations in Weyl groups", Invent. Math. 116, 1994):
-F-conjugacy orbits, inverses and Hecke products step by integer lookups and
-compose no permutation.  No matrix is stored: eigenspace work rebuilds the
+An element is its index w into the enumeration, and the group keeps no
+Python object per element.  Three flat columns hold it: the permutations of
+the 2N signed roots (indices 0..N-1 the positive roots, N+k the negative of
+root k), 2N bytes each in one ``bytearray`` (2N <= 240 for every supported
+type, E8 included); the last letter of each element's least reduced word,
+whose length is the length of w; and, per generator s_i, an ``array`` of the
+indices of w·s_i.  Composition is one ``bytes.translate``, so length and
+descent queries are cheap.  After enumeration the group answers from these
+columns alone (Casselman, "Machine calculations in Weyl groups", Invent.
+Math. 116, 1994): words are read back through the table, and F-conjugacy
+orbits, inverses and Hecke products step by integer lookups and compose no
+permutation.  No matrix is stored: eigenspace work rebuilds the
 weight-lattice matrix of the few elements it needs from the word, and
 eigenspace dimensions are computed once per F-conjugacy class.
 
@@ -35,6 +36,7 @@ elements and refuses those types.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
@@ -275,68 +277,122 @@ class RegularReport:
 class WeylGroup:
     """Fully enumerated reflection group over a :class:`ReflectionContext`.
 
-    An element is an index w.  ``elements[w]`` is its signed-root
-    permutation, ``words[w]`` its lexicographically least reduced word, and
-    ``right[w][i]`` the index of w·s_i, so ``right[0][i]`` is s_i.  BFS from
-    the identity, appending generators in ascending order, lists the
-    elements in (length, word) order, which downstream code uses as the
-    canonical tie-break."""
+    An element is an index w, and ``elements`` is ``range(|W|)``.  Three flat
+    columns hold the group: ``perms``, the 2N-byte signed-root permutations
+    end to end (:meth:`perm`); ``last``, the last letter of each element's
+    lexicographically least reduced word (:meth:`word`); and ``right``, one
+    ``array('i')`` per generator with ``right[i][w]`` the index of w·s_i, so
+    ``right[i][0]`` is s_i.  BFS from the identity, appending generators in
+    ascending order, lists the elements in (length, word) order, which
+    downstream code uses as the canonical tie-break.  Index order is
+    therefore length order, and w·s_i is an ascent exactly when
+    ``right[i][w] > w``.
+
+    The BFS walks one length at a time.  An ascent w·s_i of an element of
+    length k has length k + 1, so it can only equal an element of the next
+    length, and the permutation-to-index dict is kept for that length
+    alone."""
 
     def __init__(self, ctx: ReflectionContext):
         if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
             raise GuardExceeded(f"Weyl group of {ctx.label} has order "
                                 f"{ctx.predicted_order} > guard {WEYL_GUARD}")
         self.ctx = ctx
-        n_gens, N, compose, gen_perms = ctx.n_gens, ctx.N, ctx.compose, ctx.gen_perms
-        perms = [ctx.identity_perm]
-        words = [()]
-        position = {ctx.identity_perm: 0}  # only while enumerating
-        right = [[-1] * n_gens]
-        for w, perm in enumerate(perms):  # grows while it is walked
-            for i in range(n_gens):
-                if perm[i] < N:  # l(w s_i) = l(w) + 1
-                    p = compose(perm, gen_perms[i])
-                    ws = position.get(p)
-                    if ws is None:
-                        ws = len(perms)
-                        if ws >= WEYL_GUARD:
-                            raise GuardExceeded(
-                                f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
-                        perms.append(p)
-                        words.append(words[w] + (i,))
-                        position[p] = ws
-                        right.append([-1] * n_gens)
-                    # s_i is an involution: (w s_i) s_i = w
-                    right[w][i] = ws
-                    right[ws][i] = w
-        check(all(ctx.length(p) == len(word) for p, word in zip(perms, words)),
-              "stored word is not reduced")
+        N, length, pad = ctx.N, ctx.length, ctx._pad
+        # grown by doubling past the classical order, then cut to |W|
+        size = ctx.predicted_order or 1
+        right = [array("i", [-1]) * size for _ in range(ctx.n_gens)]
+        gens = list(zip(range(ctx.n_gens), ctx.gen_perms, right))
+        perms = bytearray()
+        last = bytearray(1)  # the identity's word is empty: last[0] is unused
+        start, depth, level = 0, 0, (ctx.identity_perm,)
+        while level:
+            check(all(length(p) == depth for p in level), "stored word is not reduced")
+            perms += b"".join(level)
+            upper = {}  # permutation -> index, for length depth + 1 only
+            for w, perm in enumerate(level, start):
+                table = perm + pad  # w·s_i is gen.translate(table)
+                for i, gen, col in gens:
+                    if perm[i] < N:  # l(w s_i) = l(w) + 1
+                        p = gen.translate(table)
+                        ws = upper.get(p)
+                        if ws is None:
+                            ws = len(last)
+                            if ws >= WEYL_GUARD:
+                                raise GuardExceeded(
+                                    f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
+                            if ws == size:
+                                for c in right:
+                                    c.extend(array("i", [-1]) * size)
+                                size *= 2
+                            upper[p] = ws
+                            last.append(i)
+                        # s_i is an involution: (w s_i) s_i = w
+                        col[w] = ws
+                        col[ws] = w
+            start += len(level)
+            depth += 1
+            level = upper
+        count = len(last)
         if ctx.predicted_order is not None:
-            check(len(perms) == ctx.predicted_order,
-                  f"enumerated {len(perms)} elements, classical order {ctx.predicted_order}")
+            check(count == ctx.predicted_order,
+                  f"enumerated {count} elements, classical order {ctx.predicted_order}")
+        for col in right:
+            del col[count:]
         # every descent w s_i < w was set as the ascent of the shorter w s_i
-        check(not any(-1 in row for row in right), "right multiplication table has holes")
-        self.elements = perms
-        self.words = words
-        self.right = [tuple(row) for row in right]
+        check(all(-1 not in col for col in right), "right multiplication table has holes")
+        self.elements = range(count)
+        self.perms = perms
+        self.last = last
+        self.right = right
         self._dims: dict[int, list[int]] = {}  # d -> phi_d_dimensions(d)
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def perm(self, w: int) -> bytes:
+        """The signed-root permutation of w."""
+        m = 2 * self.ctx.N
+        return bytes(self.perms[w * m:(w + 1) * m])
+
+    def word(self, w: int) -> tuple[int, ...]:
+        """The lexicographically least reduced word of w, read back through
+        its BFS parents w·s_i, i = ``last[w]``."""
+        right, last = self.right, self.last
+        letters = []
+        while w:
+            i = last[w]
+            letters.append(i)
+            w = right[i][w]
+        return tuple(reversed(letters))
+
     # F-conjugacy ---------------------------------------------------------------
 
     @cached_property
-    def inverses(self) -> list[int]:
-        """``inverses[w]`` is the index of w^{-1}, found by walking the
-        reversed word of w through the right multiplication table."""
-        right = self.right
-        inv = []
-        for word in self.words:
-            v = 0
-            for i in reversed(word):
-                v = right[v][i]
-            inv.append(v)
+    def inverses(self) -> array:
+        """``inverses[w]`` is the index of w^{-1}.
+
+        Write w = s_j·q with j the first letter of the word of w, so that
+        w^{-1} = q^{-1}·s_j, one lookup in the right multiplication table once
+        q^{-1} is known; q is shorter than w, so it comes first in index
+        order.  q itself follows from the BFS parent p = w·s_i: if p = s_j·t,
+        then q = t·s_i."""
+        right, last = self.right, self.last
+        n = len(self)
+        inv = array("i", [0]) * n
+        tail = array("i", [0]) * n  # tail[w] = s_j·w, j = first[w]
+        first = bytearray(n)
+        for w in range(1, n):
+            i = last[w]
+            col = right[i]
+            p = col[w]
+            if p:
+                j = first[w] = first[p]
+                q = tail[w] = col[tail[p]]
+            else:  # w = s_i
+                j = first[w] = i
+                q = 0
+            inv[w] = right[j][inv[q]]
         check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
         return inv
 
@@ -349,8 +405,7 @@ class WeylGroup:
         an inverse, right multiplication and inverse again."""
         ctx = self.ctx
         twisted = ctx.phi_perm != ctx.identity_perm
-        steps = [(j, i) for i, j in enumerate(ctx.phi_simple)]
-        right = self.right
+        steps = [(self.right[j], col) for col, j in zip(self.right, ctx.phi_simple)]
         inv = self.inverses
         owner = [-1] * len(self)
         classes = []
@@ -361,15 +416,15 @@ class WeylGroup:
             owner[start] = k
             orbit = [start]
             for w in orbit:  # grows while it is walked
-                for j, i in steps:
-                    v = inv[right[inv[right[w][j]]][i]]
+                for left, col in steps:
+                    v = inv[col[inv[left[w]]]]
                     if owner[v] < 0:
                         owner[v] = k
                         orbit.append(v)
                     elif owner[v] != k:
                         raise InvariantError("classes do not partition W")
             orbit.sort()
-            classes.append(TwistedClass(members=tuple(orbit), word=self.words[orbit[0]],
+            classes.append(TwistedClass(members=tuple(orbit), word=self.word(orbit[0]),
                                         twisted=twisted))
         check(sum(c.size for c in classes) == len(self), "classes do not partition W")
         return classes, owner
@@ -380,12 +435,23 @@ class WeylGroup:
         return self._partition[0]
 
     def centralizer_of_twisted(self, w: int) -> list[int]:
-        """C_W(w phi) = {v : v (w phi) = (w phi) v} by direct scan, checked
-        against the orbit-stabilizer count |C_W(w phi)|·|F-class of w| = |W|."""
-        ctx = self.ctx
-        sigma = ctx.compose(self.elements[w], ctx.phi_perm)
-        centralizer = [v for v, p in enumerate(self.elements)
-                       if ctx.compose(p, sigma) == ctx.compose(sigma, p)]
+        """C_W(w phi) = {v : v (w phi) = (w phi) v} by a scan of the
+        permutation table, checked against the orbit-stabilizer count
+        |C_W(w phi)|·|F-class of w| = |W|."""
+        ctx, perms, m = self.ctx, self.perms, 2 * self.ctx.N
+        sigma = ctx.compose(self.perm(w), ctx.phi_perm)
+        candidates = self.elements
+        if m:
+            # v·sigma = sigma·v needs v[sigma[0]] = sigma[v[0]]: two columns
+            # of the permutation table, compared for every v at once
+            column = perms[::m].translate(sigma + ctx._pad)
+            candidates = [v for v, (x, y) in enumerate(zip(perms[sigma[0]::m], column))
+                          if x == y]
+        centralizer = []
+        for v in candidates:
+            p = perms[v * m:(v + 1) * m]
+            if ctx.compose(p, sigma) == ctx.compose(sigma, p):
+                centralizer.append(v)
         classes, owner = self._partition
         check(len(centralizer) * classes[owner[w]].size == len(self),
               "centralizer order times F-class size is not |W|")
@@ -395,7 +461,7 @@ class WeylGroup:
 
     def _matrix(self, w: int):
         """Weight-lattice matrix of w: the generator matrices along its word."""
-        return reduce(mat_mul, (self.ctx.gen_matrices[i] for i in self.words[w]),
+        return reduce(mat_mul, (self.ctx.gen_matrices[i] for i in self.word(w)),
                       identity(self.ctx.dim))
 
     def _twisted_matrix(self, w: int):
@@ -466,7 +532,7 @@ class WeylGroup:
         for w, basis in self.regular_witnesses(d):
             centralizer = self.centralizer_of_twisted(w)
             self._centralizer_reflection_check(w, d, basis, centralizer)
-            return RegularReport(d=d, witness=w, witness_word=self.words[w],
+            return RegularReport(d=d, witness=w, witness_word=self.word(w),
                                  eigenspace_dim=self.phi_d_dimensions(d)[w],
                                  centralizer_order=len(centralizer))
         return None
@@ -502,9 +568,9 @@ class WeylGroup:
         set of permutations."""
         trivial, reflections = self._eigenspace_action(w, d, basis, centralizer)
         check(len(trivial) == 1, "centralizer does not act faithfully on the eigenspace")
-        ctx, perms = self.ctx, self.elements
-        generated = closure((ctx.identity_perm,), [perms[v] for v in reflections], ctx.compose)
-        check(generated == {perms[v] for v in centralizer},
+        ctx, perm = self.ctx, self.perm
+        generated = closure((ctx.identity_perm,), [perm(v) for v in reflections], ctx.compose)
+        check(generated == {perm(v) for v in centralizer},
               "centralizer is not generated by its pseudo-reflections")
 
 

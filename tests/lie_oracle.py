@@ -2,9 +2,11 @@
 the package's JSON output.
 
 Each is the direct definition of something the package computes another
-way or never needs: products, inverses, the longest element and the twist
-of an enumerated group by composing signed-root permutations (the package
-steps through its right multiplication table instead), the Poincaré
+way or never needs: the whole group by one BFS with a dict over every
+permutation (the package walks one length at a time and keeps flat
+columns), products, inverses, the longest element and the twist of an
+enumerated group by composing signed-root permutations (the package steps
+through its right multiplication table instead), the Poincaré
 polynomial counted from an enumerated group (the package takes the degree
 product and checks it against a parabolic orbit chain), the stratum of one
 weight (the package counts and lists whole strata), a stratum's weights
@@ -25,30 +27,56 @@ from lielocal.generic_order import CycloFactorization
 from lielocal.laurent import Laurent
 
 
+def bfs_enumeration(ctx):
+    """(permutations, words, right rows) of the whole group by one BFS from
+    the identity, generators in ascending order, with one dict from every
+    permutation to its index: ``right[w][i]`` is the index of w·s_i.  The
+    package walks one length at a time and keeps flat columns instead."""
+    n_gens, N, compose, gen_perms = ctx.n_gens, ctx.N, ctx.compose, ctx.gen_perms
+    perms = [ctx.identity_perm]
+    words = [()]
+    position = {ctx.identity_perm: 0}
+    right = [[-1] * n_gens]
+    for w, perm in enumerate(perms):  # grows while it is walked
+        for i in range(n_gens):
+            if perm[i] < N:  # l(w s_i) = l(w) + 1
+                p = compose(perm, gen_perms[i])
+                ws = position.get(p)
+                if ws is None:
+                    ws = len(perms)
+                    perms.append(p)
+                    words.append(words[w] + (i,))
+                    position[p] = ws
+                    right.append([-1] * n_gens)
+                right[w][i] = ws
+                right[ws][i] = w
+    return perms, words, right
+
+
 @lru_cache(maxsize=None)
 def index_of(group) -> dict[bytes, int]:
     """Signed-root permutation -> element index of an enumerated group."""
-    return {p: w for w, p in enumerate(group.elements)}
+    return {group.perm(w): w for w in group.elements}
 
 
 def multiply(group, a: int, b: int) -> int:
-    return index_of(group)[group.ctx.compose(group.elements[a], group.elements[b])]
+    return index_of(group)[group.ctx.compose(group.perm(a), group.perm(b))]
 
 
 def inverse(group, a: int) -> int:
-    return index_of(group)[group.ctx.invert(group.elements[a])]
+    return index_of(group)[group.ctx.invert(group.perm(a))]
 
 
 def phi_image(group, a: int) -> int:
     """phi w phi^{-1}, by composing with the twist's permutation."""
     ctx = group.ctx
-    p = ctx.compose(ctx.phi_perm, ctx.compose(group.elements[a], ctx.invert(ctx.phi_perm)))
+    p = ctx.compose(ctx.phi_perm, ctx.compose(group.perm(a), ctx.invert(ctx.phi_perm)))
     return index_of(group)[p]
 
 
 def longest(group) -> int:
     """The unique element of length N."""
-    candidates = [w for w, word in enumerate(group.words) if len(word) == group.ctx.N]
+    candidates = [w for w in group.elements if group.ctx.length(group.perm(w)) == group.ctx.N]
     assert len(candidates) == 1, "longest element is not unique"
     return candidates[0]
 
@@ -56,8 +84,8 @@ def longest(group) -> int:
 def poincare_polynomial(group) -> list[int]:
     """Coefficient k is the number of elements of length k."""
     out = [0] * (group.ctx.N + 1)
-    for word in group.words:
-        out[len(word)] += 1
+    for w in group.elements:
+        out[len(group.word(w))] += 1
     return out
 
 

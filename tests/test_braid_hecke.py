@@ -178,7 +178,7 @@ def test_lambda_lift_is_word_independent():
                 for w in reduced_words(shorter):
                     yield w + (i,)
 
-    for perm in group.elements:
+    for perm in map(group.perm, group.elements):
         forms = {garside_nf(ctx, BraidWord(w)) for w in reduced_words(perm)}
         assert len(forms) == 1
 
@@ -259,7 +259,8 @@ def test_regular_identity_skips_zero_dimensional_eigenspaces(monkeypatch):
         assert kernels and all(dims[w] for w, _ in kernels), (label, d)
         assert report.holds, (label, d)
         scanned = 0
-        for w, word in enumerate(group.words):
+        for w in group.elements:
+            word = group.word(w)
             if len(word) == 2 * group.ctx.N // d and group.is_regular_eigenspace(
                     group.eigenspace_basis(w, d)):
                 scanned += 1
@@ -343,7 +344,8 @@ def test_hecke_unit_and_braid_relation():
 
 def test_hecke_from_word():
     h = _algebra("B2")
-    for w, word in enumerate(h.group.words):
+    for w in h.group.elements:
+        word = h.group.word(w)
         product = h.unit()
         for letter in word:
             product = product * h.generator(letter)

@@ -577,6 +577,19 @@ def test_hostile_argv_end_within_resource_limits(tmp_path):
         assert "MemoryError" not in result.stderr, shown
 
 
+@pytest.mark.parametrize("label", ["E6", "GL8"])
+def test_weyl_classes_fit_in_40_mib(label):
+    """The 51,840 elements of W(E6) and the 40,320 of S_8 are enumerated and
+    split into F-classes with 40 MiB of address space: the group is held in
+    flat columns, and a permutation dict is kept for one length at a time.
+    Each needed more while the group kept four Python objects per element."""
+    result = subprocess.run(_limited_cli(40, ["weyl", "classes", label]),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True, check=False, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("argv", [["blocks", "A6", "--q", "8"],
                                   ["alperin", "A6", "--q", "8"]])
 def test_weight_listing_fits_in_128_mib(argv):

@@ -1,15 +1,19 @@
 """Weyl group enumeration, degrees, twisted classes, regular elements."""
 
+import json
+from array import array
 from functools import lru_cache, reduce
 
 import cyclo_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lie_oracle import index_of, inverse, longest, multiply, phi_image, poincare_polynomial
+from lie_oracle import (bfs_enumeration, index_of, inverse, longest, multiply, phi_image,
+                        poincare_polynomial)
 
 import lielocal.cyclotomic
 import lielocal.weyl
+from lielocal import cli
 from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
 from lielocal.cyclotomic import cyclotomic, euler_phi
 from lielocal.ell_local import sylow_structure
@@ -51,8 +55,8 @@ class TestEnumeration:
     def test_orders_and_longest(self, label, order, max_len):
         w = group(label)
         assert len(w) == order
-        assert max(len(word) for word in w.words) == max_len
-        assert len(w.words[longest(w)]) == max_len
+        assert max(len(w.word(v)) for v in w.elements) == max_len
+        assert len(w.word(longest(w))) == max_len
 
     def test_guard_rejects_large(self):
         for label in ("E7", "E8"):
@@ -62,7 +66,7 @@ class TestEnumeration:
 
     def test_lex_least_words(self):
         w = group("A2")
-        words = sorted(w.words)
+        words = sorted(map(w.word, w.elements))
         assert words == [(), (0,), (0, 1), (0, 1, 0), (1,), (1, 0)]
 
     def test_length_identities(self):
@@ -70,9 +74,10 @@ class TestEnumeration:
             w = group(label)
             n = w.ctx.N
             w0 = longest(w)
-            for v, word in enumerate(w.words):
-                assert len(w.words[w.inverses[v]]) == len(word)
-                assert len(w.words[multiply(w, w0, v)]) == n - len(word)
+            for v in w.elements:
+                word = w.word(v)
+                assert len(w.word(w.inverses[v])) == len(word)
+                assert len(w.word(multiply(w, w0, v))) == n - len(word)
 
     def test_group_closure_small(self):
         w = group("B2")
@@ -80,12 +85,23 @@ class TestEnumeration:
             for b in range(len(w)):
                 multiply(w, a, b)  # raises KeyError if not closed
 
-    def test_gl_mode(self):
+    def test_gl_mode(self, capsys):
         w = gl_weyl(4)
         assert len(w) == 24
         assert w.ctx.N == 6
         poincare = poly_from_coeffs(poincare_polynomial(w))
         assert poincare == hecke_poincare("GL4") == degree_product((1, 2, 3, 4))
+        # GL1 has no generators, so no right multiplication column to count
+        # its one element
+        assert len(gl_weyl(1)) == 1 and gl_weyl(1).right == []
+        assert cli.main(["weyl", "regular", "GL1", "--d", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "centralizer_is_reflection_group": True, "centralizer_order": 1, "d": 1,
+            "eigenspace_dim": 1, "regular": True, "type": "GL1", "witness_length": 0,
+            "witness_word": [], "zeta_order": 1}
+        assert cli.main(["weyl", "regular", "GL1", "--d", "2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"d": 2, "regular": False,
+                                                       "type": "GL1"}
 
     def test_twist_must_permute_the_simple_reflections(self):
         # s_1 permutes the roots of A2 but sends alpha_1 to -alpha_1
@@ -205,7 +221,7 @@ class TestEigenspaces:
     def test_witness_tie_break_is_bfs_order(self):
         w = group("A2")
         witness, dim = w.max_phi_d_eigenspace(1)
-        assert witness == 0 and w.words[witness] == ()
+        assert witness == 0 and w.word(witness) == ()
         assert dim == 2
 
     def test_eigenspace_basis_matches_dims(self):
@@ -233,8 +249,9 @@ def oracle_group(label):
 def element_matrices(w):
     """Weight-lattice matrix of every element, each from its parent's."""
     mats = [identity(w.ctx.dim)]
-    for perm, word in zip(w.elements[1:], w.words[1:]):
-        parent = index_of(w)[w.ctx.compose(perm, w.ctx.gen_perms[word[-1]])]
+    for v in w.elements[1:]:
+        word = w.word(v)
+        parent = index_of(w)[w.ctx.compose(w.perm(v), w.ctx.gen_perms[word[-1]])]
         mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[word[-1]]))
     return mats
 
@@ -348,8 +365,8 @@ class TestPerClassRoute:
     @pytest.mark.parametrize("label", ["B3", "G2", "3D4", "GL4"])
     def test_matrix_from_word_permutes_roots_as_perm(self, label):
         w = oracle_group(label)
-        for v, perm in enumerate(w.elements):
-            assert w.ctx._perm_of_matrix(w._matrix(v)) == perm
+        for v in w.elements:
+            assert w.ctx._perm_of_matrix(w._matrix(v)) == w.perm(v)
 
     @pytest.mark.parametrize("label", labels_of_rank(4))
     def test_centralizer_verdict_matches_matrix_closure(self, label):
@@ -480,6 +497,8 @@ class TestRationalRoute:
 # signed-root permutations, and the table entries recomputed by composition.
 
 TABLE_LABELS = labels_of_rank(4) + ["2D5", "GL1", "GL4"]
+BFS_LABELS = ([label for label in labels_of_rank(6) if predicted_weyl_order(label) <= 60000]
+              + [f"GL{n}" for n in range(1, 9)])
 
 
 def multiply_closure_classes(w):
@@ -491,7 +510,7 @@ def multiply_closure_classes(w):
         return multiply(w, multiply(w, pair[0], x), pair[1])
 
     def key(i):
-        return len(w.words[i]), w.words[i]
+        return len(w.word(i)), w.word(i)
 
     seen = set()
     classes = []
@@ -525,10 +544,44 @@ class TestLookupTables:
     def test_right_table_and_inverses_match_composition(self, label):
         w = oracle_group(label)
         ctx = w.ctx
-        for v, perm in enumerate(w.elements):
+        for v in w.elements:
             for i, gen in enumerate(ctx.gen_perms):
-                assert w.right[v][i] == index_of(w)[ctx.compose(perm, gen)]
+                assert w.right[i][v] == index_of(w)[ctx.compose(w.perm(v), gen)]
             assert w.inverses[v] == inverse(w, v)
+
+    @pytest.mark.parametrize("label", BFS_LABELS)
+    def test_level_walk_matches_the_dict_bfs(self, label):
+        ctx = reflection_context(label)
+        w = WeylGroup(ctx)
+        perms, words, right = bfs_enumeration(ctx)
+        assert w.perms == b"".join(perms)
+        assert [w.word(v) for v in w.elements] == words
+        assert w.right == [array("i", col) for col in zip(*right)]
+        inverses = []
+        for word in words:
+            v = 0
+            for i in reversed(word):
+                v = right[v][i]
+            inverses.append(v)
+        assert list(w.inverses) == inverses
+
+    def test_wrong_classical_order_is_caught(self):
+        # too large leaves preallocated table entries unfilled; too small
+        # makes the table grow past it
+        for order in (5, 7):
+            ctx = context_from_datum(build_root_datum("A2"))
+            ctx.predicted_order = order
+            with pytest.raises(InvariantError, match=f"6 elements, classical order {order}"):
+                WeylGroup(ctx)
+
+    def test_a_non_simple_generator_is_caught(self):
+        # s_1 replaced by the reflection s_0 s_1 s_0 of A2: its ascents from
+        # the identity reach an element of length 3 in the first BFS level
+        ctx = context_from_datum(build_root_datum("A2"))
+        s0, s1 = ctx.gen_perms
+        ctx.gen_perms = [s0, ctx.compose(s0, ctx.compose(s1, s0))]
+        with pytest.raises(InvariantError, match="stored word is not reduced"):
+            WeylGroup(ctx)
 
     def test_tampered_class_list_trips_orbit_stabilizer(self):
         w = WeylGroup(context_from_datum(build_root_datum("B2")))
