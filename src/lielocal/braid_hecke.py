@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError, check
 from .laurent import Laurent, poly_from_coeffs
@@ -55,8 +55,7 @@ __all__ = [
 # Braid words and Garside normal form
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(NamedTuple):
     """A positive word in the braid generators, as generator indices."""
 
     letters: tuple[int, ...]
@@ -73,8 +72,7 @@ class BraidWord:
         return [i + 1 for i in self.letters]
 
 
-@dataclass(frozen=True)
-class GarsideNF:
+class GarsideNF(NamedTuple):
     """Left-greedy normal form Delta^k x_1 ... x_m.
 
     Factors are stored as the lexicographically least reduced words of the
@@ -174,8 +172,7 @@ def braid_relation_order(ctx: ReflectionContext, i: int, j: int) -> int:
 # Regular-element power identity
 
 
-@dataclass(frozen=True)
-class RegularBraidReport:
+class RegularBraidReport(NamedTuple):
     """Outcome of searching d-regular elements w of length 2N/d for the
     identity lambda(w) phi(lambda(w)) ... phi^{d-1}(lambda(w)) = pi."""
 

@@ -18,7 +18,8 @@ converts to a string (sys.get_int_max_str_digits) is refused with exit 1.
 Modules are imported on use: each subcommand handler imports the modules
 its command needs when it runs, so a cold `llt` query loads the Fock-space
 code and its arithmetic but no Weyl group, and `order` loads no Weyl,
-braid, defining-characteristic, ell-local, LLT or degeneration code.
+braid, defining-characteristic, ell-local, LLT or degeneration code.  No
+module imports `dataclasses`, which costs more to import than most queries.
 """
 
 from __future__ import annotations

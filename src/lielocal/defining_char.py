@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardExceeded, check
 from .generic_order import prime_power_base
@@ -92,8 +92,7 @@ def phi_stable_subsets(datum: RootDatum) -> list[tuple[int, ...]]:
     return sorted(subsets, key=lambda s: (len(s), s))
 
 
-@dataclass(frozen=True)
-class CenterDual:
+class CenterDual(NamedTuple):
     """The character group of the fixed-point center, as invariant factors
     plus the integer change of basis realizing lam -> gamma(lam)."""
 
@@ -263,8 +262,7 @@ def _weight_counts(center: CenterDual, index, add, datum: RootDatum,
     return counts
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(NamedTuple):
     zeta: tuple[int, ...]
     size: int
     members: tuple[tuple[int, ...], ...]
@@ -274,8 +272,7 @@ class BlockData:
                 "weights": self.members}
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     label: str
     q: int
     center: CenterDual
@@ -344,8 +341,7 @@ def block_partition(datum: RootDatum, q: int) -> BlockReport:
                        blocks=blocks, steinberg=st)
 
 
-@dataclass(frozen=True)
-class LemmaEntry:
+class LemmaEntry(NamedTuple):
     zeta: tuple[int, ...]
     formula_count: int
     direct_count: int
@@ -360,8 +356,7 @@ class LemmaEntry:
                 "criterion": self.criterion}
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     label: str
     q: int
     center: CenterDual
@@ -462,8 +457,7 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
                        entries=tuple(entries), strata=tuple(strata))
 
 
-@dataclass(frozen=True)
-class AlperinEntry:
+class AlperinEntry(NamedTuple):
     subset: tuple[int, ...]       # the stratum index I
     levi: tuple[int, ...]         # complementary simple roots
     size: int
@@ -476,8 +470,7 @@ class AlperinEntry:
                 "weights": self.members}
 
 
-@dataclass(frozen=True)
-class AlperinReport:
+class AlperinReport(NamedTuple):
     label: str
     q: int
     entries: tuple[AlperinEntry, ...]
@@ -546,8 +539,7 @@ def levi_irreducible_count(datum: RootDatum, q: int, levi_subset) -> int:
     return _levi_count([len(o) for o in orbits], q, mask)
 
 
-@dataclass(frozen=True)
-class KnorrRobinsonReport:
+class KnorrRobinsonReport(NamedTuple):
     label: str
     q: int
     head_term: int

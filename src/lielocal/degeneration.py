@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GuardExceeded, check
 from .generic_order import is_prime, valuation
-from .linalg import GF, add_scaled, add_term, closure, mat_inverse, sparse_rank
+from .linalg import (GF, add_scaled, add_term, closure, identity, mat_inverse, mat_vec,
+                     sparse_rank)
 
 DEGEN_GUARD = 4096
 
@@ -64,7 +64,6 @@ GroupElt = tuple[int, ...]
 # the group and its automorphisms
 
 
-@dataclass(frozen=True)
 class AbelianLGroup:
     """P = prod_i (Z/ell^{r_i})^{n_i} with a finite ell'-group of
     automorphisms given by integer generator matrices.
@@ -73,23 +72,43 @@ class AbelianLGroup:
     block(j) and is taken mod ell^{r_{block(j)}}.  A generator matrix M
     sends the group generator g_j to prod_k g_k^{M[k][j]}; it must be
     block diagonal with respect to the factor decomposition.
+
+    An immutable value, validated at construction; ``moduli`` and
+    ``block_index`` are computed on first use, so that a guard can refuse
+    a group whose order is too large to form.
     """
 
-    ell: int
-    factors: tuple[tuple[int, int], ...]
-    e_generators: tuple[tuple[tuple[int, ...], ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.ell):
-            raise ValueError("ell must be prime, got %r" % (self.ell,))
-        for r, n in self.factors:
+    def __init__(self, ell: int, factors: tuple[tuple[int, int], ...],
+                 e_generators: tuple[tuple[tuple[int, ...], ...], ...] = ()) -> None:
+        # straight into the instance dict, since __setattr__ refuses
+        vars(self).update(ell=ell, factors=factors, e_generators=e_generators)
+        if not is_prime(ell):
+            raise ValueError("ell must be prime, got %r" % (ell,))
+        for r, n in factors:
             if r < 1 or n < 1:
                 raise ValueError("factor (r, n) = (%d, %d) must be positive" % (r, n))
         rank = self.rank
-        for mat in self.e_generators:
+        for mat in e_generators:
             if len(mat) != rank or any(len(row) != rank for row in mat):
                 raise ValueError("automorphism matrix must be %d x %d" % (rank, rank))
             self._validate_generator(mat)
+
+    def _key(self) -> tuple:
+        return self.ell, self.factors, self.e_generators
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._key())
+
+    def __setattr__(self, name, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def _validate_generator(self, mat) -> None:
         blocks = self.block_index
@@ -116,7 +135,7 @@ class AbelianLGroup:
     def rank(self) -> int:
         return sum(n for _, n in self.factors)
 
-    @property
+    @cached_property
     def block_index(self) -> tuple[int, ...]:
         out = []
         for i, (_, n) in enumerate(self.factors):
@@ -147,17 +166,13 @@ class AbelianLGroup:
 
     def automorphism_group(self):
         """All elements of E = <generators>, as normalized matrices."""
-        identity = self._normalize(
-            [[1 if r == c else 0 for c in range(self.rank)]
-             for r in range(self.rank)])
+        one = self._normalize(identity(self.rank))
         gens = [self._normalize(m) for m in self.e_generators]
-        return sorted(closure((identity,), gens, lambda mat, g: self._compose(g, mat),
+        return sorted(closure((one,), gens, lambda mat, g: self._compose(g, mat),
                               DEGEN_GUARD))
 
     def apply_automorphism(self, mat, x: GroupElt) -> GroupElt:
-        rank = self.rank
-        return tuple(sum(mat[r][c] * x[c] for c in range(rank)) % self.moduli[r]
-                     for r in range(rank))
+        return tuple(v % m for v, m in zip(mat_vec(mat, x), self.moduli))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +233,6 @@ def group_algebra_to_radical(elem: dict[GroupElt, int], moduli: tuple[int, ...],
 # the truncated symmetric algebra
 
 
-@dataclass(frozen=True)
 class TruncatedAlgebra:
     """S(V)/(v^{ell^{r_i}} for v in V_i): monomials with per-variable
     exponent below ell^{r_i}, truncated multiplication.
@@ -226,16 +240,24 @@ class TruncatedAlgebra:
     By the freshman's dream the ideal generated by the powers of ALL
     vectors of V_i coincides with the one generated by the basis powers
     v_j^{ell^{r_i}}, so the quotient has this monomial basis.
+
+    An immutable value like :class:`AbelianLGroup`; ``hilbert_series`` is cached.
     """
 
-    ell: int
-    moduli: tuple[int, ...]
-    block_index: tuple[int, ...]
+    def __init__(self, ell: int, moduli: tuple[int, ...],
+                 block_index: tuple[int, ...]) -> None:
+        vars(self).update(ell=ell, moduli=moduli, block_index=block_index)
+
+    def _key(self) -> tuple:
+        return self.ell, self.moduli, self.block_index
+
+    __eq__, __hash__ = AbelianLGroup.__eq__, AbelianLGroup.__hash__
+    __repr__, __setattr__ = AbelianLGroup.__repr__, AbelianLGroup.__setattr__
+    __delattr__ = __setattr__
 
     @classmethod
     def of_group(cls, group: AbelianLGroup) -> "TruncatedAlgebra":
-        return cls(ell=group.ell, moduli=group.moduli,
-                   block_index=group.block_index)
+        return cls(group.ell, group.moduli, group.block_index)
 
     @property
     def dim(self) -> int:
@@ -276,8 +298,7 @@ class TruncatedAlgebra:
 # the averaged section and the isomorphism certificate
 
 
-@dataclass(frozen=True)
-class RadicalSection:
+class RadicalSection(NamedTuple):
     """An E-equivariant linear right inverse V -> J(F_ell P) of the
     projection J -> V = J/J^2, stored in radical coordinates."""
 
@@ -383,8 +404,7 @@ def _check_equivariance(section: RadicalSection) -> None:
                   "section is not equivariant at generator %d" % j)
 
 
-@dataclass(frozen=True)
-class IsomorphismCertificate:
+class IsomorphismCertificate(NamedTuple):
     """What build_isomorphism verified; every check it makes raises on
     failure, so a certificate exists only for a verified isomorphism."""
 
@@ -400,8 +420,7 @@ class IsomorphismCertificate:
         }
 
 
-@dataclass(frozen=True)
-class DegenerationIsomorphism:
+class DegenerationIsomorphism(NamedTuple):
     group: AbelianLGroup
     algebra: TruncatedAlgebra
     section: RadicalSection
@@ -481,8 +500,7 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
 # the differential graded algebra and its cohomology
 
 
-@dataclass(frozen=True)
-class DGAlgebraA:
+class DGAlgebraA(NamedTuple):
     """A = F_ell[t] (x) Lambda(V) (x) S(V), with t and S(V) in degree 0,
     V (the wedge generators) in degree -1, and d(v_j) = t v_j^{ell^{r_j}}.
 
@@ -514,8 +532,7 @@ class DGAlgebraA:
         return out
 
 
-@dataclass(frozen=True)
-class DGReport:
+class DGReport(NamedTuple):
     ell: int
     factors: tuple[tuple[int, int], ...]
     degree_bound: int

@@ -27,7 +27,7 @@ supported; the latter has its own entry points taking n instead of a datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import check
 from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
@@ -49,8 +49,7 @@ __all__ = [
 # Levi data attached to the maximal zeta_d-eigenspace
 
 
-@dataclass(frozen=True)
-class LeviData:
+class LeviData(NamedTuple):
     """Root-theoretic data of the centralizer Levi of a Phi_d-torus.
 
     root_subsystem lists the positive roots of L (those whose coroot
@@ -146,8 +145,7 @@ def gl_centralizer_levi(n: int, d: int) -> LeviData:
 # Sylow structure reports
 
 
-@dataclass(frozen=True)
-class SylowReport:
+class SylowReport(NamedTuple):
     """Shape of a Sylow l-subgroup of G(q) for l coprime to q.
 
     nu is the exact l-adic valuation of |G(q)|; abelian is decided by

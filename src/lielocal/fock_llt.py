@@ -36,8 +36,8 @@ every G.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GuardExceeded, InvariantError, check
 from .laurent import Laurent, quantum_factorial
@@ -354,8 +354,7 @@ def bar_invariant_family(n: int, d: int) -> dict[Partition, FockVector]:
 # canonical basis
 
 
-@dataclass(frozen=True)
-class FockMatrix:
+class FockMatrix(NamedTuple):
     """Canonical basis coefficients: entry[r][c] is the coefficient of the
     standard basis vector |labels[c]> in G(labels[r])."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import cyclotomic, factor_into_cyclotomics, poly_eval, poly_mul
 from .errors import InvariantError, check
@@ -58,8 +58,7 @@ def factor_pairs_for(label: str) -> list[tuple[int, tuple[int, int]]]:
     return [(d, _MINUS if d in (5, 9) else _ONE) for d in degrees]
 
 
-@dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple):
     """|G(q)| = q^qpower · prod Phi_d(q)^{exponents[d]}."""
 
     label: str

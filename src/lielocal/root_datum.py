@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvariantError, UnsupportedTypeError, check
 
@@ -223,17 +223,16 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Immutable simply connected root datum with twist."""
 
     label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     phi: tuple[int, ...]
-    pos_roots: tuple[tuple[int, ...], ...] = field(repr=False)
-    pos_coroots: tuple[tuple[int, ...], ...] = field(repr=False)
-    symmetrizer: tuple[int, ...] = field(repr=False)
+    pos_roots: tuple[tuple[int, ...], ...]
+    pos_coroots: tuple[tuple[int, ...], ...]
+    symmetrizer: tuple[int, ...]
 
     # -- derived basics ------------------------------------------------------
 

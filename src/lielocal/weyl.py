@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
@@ -225,8 +224,7 @@ def predicted_weyl_order(label: str) -> int | None:
 # Enumerated groups
 
 
-@dataclass(frozen=True)
-class TwistedClass:
+class TwistedClass(NamedTuple):
     """An F-conjugacy class: the orbit of w under w -> v^{-1} w phi(v), as
     sorted element indices, with the least reduced word of the first."""
 
@@ -251,8 +249,7 @@ class TwistedClass:
         }
 
 
-@dataclass(frozen=True)
-class RegularReport:
+class RegularReport(NamedTuple):
     """Witness data for a d-regular twisted element, made only once its
     centralizer is checked to be a reflection group on the eigenspace."""
 
