@@ -31,6 +31,13 @@ matrix.  The finished basis is checked once more, as identities over
 Z[v, 1/v]: W fixes every family vector and squares to 1, the family is
 nonsingular on each d-core block, so W is the bar involution, and W fixes
 every G.
+
+A Fock vector is a coefficient map: a dict from (partition, v-exponent) to a
+nonzero int.  Multiplying by a power of v or applying v -> 1/v re-keys it,
+and adding vectors adds ints.  The straightening, the operators, the family,
+every bar application and the correction recursion work on these maps.
+Laurent polynomials are built only for the entries of the finished
+FockMatrix, which shape_check and the output writers read.
 """
 
 from __future__ import annotations
@@ -39,14 +46,17 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+from .cyclotomic import poly_exact_div, poly_mul
 from .errors import GuardExceeded, InvariantError, check
-from .laurent import Laurent, quantum_factorial
-from .linalg import GF, add_scaled, add_term, rank
+from .laurent import Laurent
+from .linalg import GF, add_term, rank
 
 LLT_GUARD = 12
 
 Partition = tuple[int, ...]
-FockVector = dict[Partition, Laurent]
+# A Fock vector is a coefficient map: sum c v^e |p> over its items (p, e) -> c,
+# every c a nonzero int.
+FockVector = dict[tuple[Partition, int], int]
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +259,113 @@ def _add_box(p: Partition, row: int) -> Partition:
     return tuple(x for x in padded if x > 0)
 
 
+def _f_terms(p: Partition, i: int, d: int) -> list[tuple[Partition, int, int]]:
+    """f_i|p> as terms (target, v-exponent, coefficient): one box of residue
+    i added; the exponent counts addable minus removable i-boxes in strictly
+    higher rows."""
+    addable = _cells_with_residue(p, d, i, addable=True)
+    removable = _cells_with_residue(p, d, i, addable=False)
+    return [(_add_box(p, row),
+             sum(1 for r in addable if r < row) - sum(1 for r in removable if r < row), 1)
+            for row in addable]
+
+
+def _strip_terms(p: Partition, k: int, d: int) -> list[tuple[Partition, int, int]]:
+    """V_k|p> as terms (target, v-exponent, coefficient): a horizontal
+    d-ribbon strip of spin s adds (-1)^s v^-s |target>.
+
+    A horizontal d-ribbon strip is a skew shape with the same d-core whose
+    d-quotient grows by ordinary horizontal strips totalling k boxes.
+    """
+    core, quotient = d_core_and_quotient(p, d)
+    slots = _slots_for(sum(p) + d * k, d)
+    # distribute k boxes over the d quotient components
+    componentwise = [{size: _horizontal_strip_additions(component, size)
+                      for size in range(k + 1)} for component in quotient]
+    out = []
+    for split in itertools.product(range(k + 1), repeat=d):
+        if sum(split) != k:
+            continue
+        choices = [componentwise[r][split[r]] for r in range(d)]
+        for combo in itertools.product(*choices):
+            target = _partition_from_core_quotient(core, combo, d, slots)
+            spin = ribbon_strip_spin(target, p, d)
+            out.append((target, -spin, -1 if spin % 2 else 1))
+    return out
+
+
+def _nonzero(vec: dict) -> dict:
+    """vec without its zero coefficients."""
+    return {key: c for key, c in vec.items() if c}
+
+
+def _by_label(vec: FockVector) -> dict[Partition, dict[int, int]]:
+    """The coefficient of each label of vec, as a map v-exponent -> int."""
+    out: dict[Partition, dict[int, int]] = {}
+    for (p, e), c in vec.items():
+        out.setdefault(p, {})[e] = c
+    return out
+
+
+def _act(vec: FockVector, terms_of) -> FockVector:
+    """The image of vec under the operator with |p> -> terms_of(p), a list
+    of (target, v-exponent, coefficient)."""
+    out: FockVector = {}
+    for (p, e), c in vec.items():
+        for target, shift, sign in terms_of(p):
+            key = (target, e + shift)
+            out[key] = out.get(key, 0) + sign * c
+    return _nonzero(out)
+
+
+def _memo(terms, d: int):
+    """terms(p, k, d) as a function of (p, k) that computes each value once."""
+    table: dict[tuple[Partition, int], list] = {}
+
+    def lookup(p: Partition, k: int) -> list:
+        hit = table.get((p, k))
+        if hit is None:
+            hit = table[p, k] = terms(p, k, d)
+        return hit
+
+    return lookup
+
+
+def _quantum_factorial(k: int) -> list[int]:
+    """[k]! as coefficients of v^(-k(k-1)/2), v^(1-k(k-1)/2), ..., the
+    product of [m] = v^(m-1) + v^(m-3) + ... + v^(1-m) for m <= k."""
+    out = [1]
+    for m in range(2, k + 1):
+        out = poly_mul(out, [1, 0] * (m - 1) + [1])
+    return out
+
+
+def _divided_power(vec: FockVector, k: int, terms_of) -> FockVector:
+    """The operator of ``_act`` applied k times and divided by [k]!, one
+    label at a time; a quotient outside Z[v, 1/v] raises InvariantError."""
+    for _ in range(k):
+        vec = _act(vec, terms_of)
+    if k == 1:
+        return vec
+    factorial = _quantum_factorial(k)
+    quotient: FockVector = {}
+    for p, terms in _by_label(vec).items():
+        low = min(terms)
+        coeffs = poly_exact_div([terms.get(e, 0) for e in range(low, max(terms) + 1)],
+                                factorial)
+        if coeffs is None:
+            raise InvariantError(f"divided power is not integral: the coefficient "
+                                 f"of {p} is not divisible by [{k}]!")
+        # [k]! starts at v^(-k(k-1)/2)
+        low += k * (k - 1) // 2
+        quotient.update(((p, low + j), c) for j, c in enumerate(coeffs) if c)
+    return quotient
+
+
 def f_once(i: int, vec: FockVector, d: int) -> FockVector:
     """f_i: add one box of residue i; the v-exponent counts addable minus
     removable i-boxes in strictly higher rows."""
-    out: FockVector = {}
-    for p, c in vec.items():
-        addable = _cells_with_residue(p, d, i, addable=True)
-        removable = _cells_with_residue(p, d, i, addable=False)
-        for row in addable:
-            exponent = sum(1 for r in addable if r < row) \
-                - sum(1 for r in removable if r < row)
-            add_term(out, _add_box(p, row), c.shifted(exponent))
-    return out
+    return _act(vec, lambda p: _f_terms(p, i, d))
 
 
 def f_action(i: int, k: int, vec: FockVector, d: int) -> FockVector:
@@ -269,45 +374,14 @@ def f_action(i: int, k: int, vec: FockVector, d: int) -> FockVector:
         raise ValueError("divided power needs k >= 1")
     if d < 2:
         raise ValueError("d must be at least 2")
-    out = dict(vec)
-    for _ in range(k):
-        out = f_once(i, out, d)
-    factorial = quantum_factorial(k)
-    try:
-        return {p: c.exact_div(factorial) for p, c in out.items()}
-    except ValueError as exc:
-        raise InvariantError(f"divided power is not integral: {exc}") from exc
+    return _divided_power(vec, k, lambda p: _f_terms(p, i, d))
 
 
 def boson_strip(k: int, vec: FockVector, d: int) -> FockVector:
-    """V_k: add horizontal d-ribbon strips of k ribbons, weight (-1/v)^spin.
-
-    A horizontal d-ribbon strip is a skew shape with the same d-core whose
-    d-quotient grows by ordinary horizontal strips totalling k boxes.
-    """
+    """V_k: add horizontal d-ribbon strips of k ribbons, weight (-1/v)^spin."""
     if k < 1:
         raise ValueError("strip size must be positive")
-    out: FockVector = {}
-    for p, c in vec.items():
-        core, quotient = d_core_and_quotient(p, d)
-        slots = _slots_for(sum(p) + d * k, d)
-        # distribute k boxes over the d quotient components
-        componentwise = []
-        for component in quotient:
-            componentwise.append({
-                size: _horizontal_strip_additions(component, size)
-                for size in range(k + 1)
-            })
-        for split in itertools.product(range(k + 1), repeat=d):
-            if sum(split) != k:
-                continue
-            choices = [componentwise[r][split[r]] for r in range(d)]
-            for combo in itertools.product(*choices):
-                target = _partition_from_core_quotient(core, combo, d, slots)
-                spin = ribbon_strip_spin(target, p, d)
-                add_term(out, target,
-                         c.shifted(-spin) * Laurent(-1 if spin % 2 else 1))
-    return out
+    return _act(vec, lambda p: _strip_terms(p, k, d))
 
 
 def ladder_sequence(p: Partition, d: int) -> list[tuple[int, int]]:
@@ -330,22 +404,31 @@ def ladder_sequence(p: Partition, d: int) -> list[tuple[int, int]]:
 
 def ladder_monomial(kappa: Partition, d: int) -> FockVector:
     """A(kappa) = f_{i_m}^{(k_m)} ... f_{i_1}^{(k_1)} |empty> along ladders."""
+    return _ladder_monomial(kappa, d, lambda p, i: _f_terms(p, i, d))
+
+
+def _ladder_monomial(kappa: Partition, d: int, f_terms) -> FockVector:
+    """ladder_monomial, with f_i|p> listed by f_terms(p, i)."""
     check(is_d_regular(kappa, d), "ladder monomials need d-regular partitions")
-    vec: FockVector = {(): Laurent(1)}
+    vec: FockVector = {((), 0): 1}
     for residue, count in ladder_sequence(kappa, d):
-        vec = f_action(residue, count, vec, d)
+        vec = _divided_power(vec, count, lambda p: f_terms(p, residue))
     return vec
 
 
 def bar_invariant_family(n: int, d: int) -> dict[Partition, FockVector]:
     """A(lambda) = boson strips for the singular part applied to the ladder
-    monomial of the regular part; each member is fixed by the bar involution."""
+    monomial of the regular part; each member is fixed by the bar involution.
+
+    The f_i and V_k images of one partition recur across the family, so
+    their terms are listed once per family and looked up after that."""
+    f_terms, strip_terms = _memo(_f_terms, d), _memo(_strip_terms, d)
     out = {}
     for p in partitions(n):
         kappa, nu = regular_singular_split(p, d)
-        vec = ladder_monomial(kappa, d)
+        vec = _ladder_monomial(kappa, d, f_terms)
         for part in sorted(nu, reverse=True):
-            vec = boson_strip(part, vec, d)
+            vec = _act(vec, lambda q: strip_terms(q, part))
         out[p] = vec
     return out
 
@@ -401,9 +484,9 @@ _ONE = Laurent(1)
 _ZERO = Laurent(0)
 
 
-def _wedge_pair(low: int, high: int, d: int) -> list[tuple[int, int, Laurent]]:
+def _wedge_pair(low: int, high: int, d: int) -> list[tuple[int, int, tuple]]:
     """u_low ^ u_high, for low < high, as terms (a, b, c) of c u_a ^ u_b
-    with a > b.
+    with a > b, where c is a tuple of (v-exponent, coefficient) pairs.
 
     With i = (high - low) mod d: u_l ^ u_m = -u_m ^ u_l when i = 0, and
     otherwise -v^-1 u_m ^ u_l + (v^-2 - 1) sum_j (-1)^j v^-j
@@ -412,34 +495,39 @@ def _wedge_pair(low: int, high: int, d: int) -> list[tuple[int, int, Laurent]]:
     """
     i = (high - low) % d
     if i == 0:
-        return [(high, low, Laurent(-1))]
-    out = [(high, low, Laurent({-1: -1}))]
+        return [(high, low, ((0, -1),))]
+    out = [(high, low, ((-1, -1),))]
     j = 0
     while True:
         s = (j // 2) * d + (i if j % 2 == 0 else d)
         if high - s <= low + s:
             return out
         sign = -1 if j % 2 else 1
-        out.append((high - s, low + s, Laurent({-j - 2: sign, -j: -sign})))
+        out.append((high - s, low + s, ((-j - 2, sign), (-j, -sign))))
         j += 1
 
 
 def _insert(wedge: tuple[int, ...], x: int, d: int, memo: dict) -> dict:
     """u_x ^ wedge, for a normal-ordered (decreasing) wedge, straightened
-    to normal-ordered wedges with Laurent coefficients."""
+    to normal-ordered wedges: a map (wedge, v-exponent) -> int."""
     if not wedge or x > wedge[0]:
-        return {(x,) + wedge: _ONE}
+        return {((x,) + wedge, 0): 1}
     if x == wedge[0]:
         return {}  # u_x ^ u_x = 0
     key = (wedge, x)
     hit = memo.get(key)
     if hit is None:
         hit = {}
+        tail = wedge[1:]
         for a, b, c in _wedge_pair(x, wedge[0], d):
-            for rest, c_rest in _insert(wedge[1:], b, d, memo).items():
-                for out, c_out in _insert(rest, a, d, memo).items():
-                    add_term(hit, out, c * c_rest * c_out)
-        memo[key] = hit
+            for (rest, e_rest), c_rest in _insert(tail, b, d, memo).items():
+                for (out, e_out), c_out in _insert(rest, a, d, memo).items():
+                    e_rest_out = e_rest + e_out
+                    c_rest_out = c_rest * c_out
+                    for e, coeff in c:
+                        term = (out, e + e_rest_out)
+                        hit[term] = hit.get(term, 0) + coeff * c_rest_out
+        hit = memo[key] = _nonzero(hit)
     return hit
 
 
@@ -457,37 +545,33 @@ def _bar_columns(labels, slots: int, d: int) -> dict[Partition, FockVector]:
     columns = {}
     for label in labels:
         k = [(label[j] if j < len(label) else 0) - j for j in range(slots)]
-        wedge = {(k[0],): _ONE}
+        wedge = {((k[0],), 0): 1}
         for x in k[1:]:
             grown: dict = {}
-            for normal, c in wedge.items():
-                for out, c_out in _insert(normal, x, d, memo).items():
-                    add_term(grown, out, c * c_out)
-            wedge = grown
-        column = {tuple(part for j, e in enumerate(normal) if (part := e + j)): c
-                  for normal, c in wedge.items()}
-        diagonal = column.get(label, _ZERO)
-        terms = list(diagonal.items())
-        if len(terms) != 1 or terms[0][1] not in (1, -1):
+            for (normal, e), c in wedge.items():
+                for (out, e_out), c_out in _insert(normal, x, d, memo).items():
+                    term = (out, e + e_out)
+                    grown[term] = grown.get(term, 0) + c * c_out
+            wedge = _nonzero(grown)
+        column = {(tuple(part for j, k_j in enumerate(normal) if (part := k_j + j)), e): c
+                  for (normal, e), c in wedge.items()}
+        diagonal = {e: c for (mu, e), c in column.items() if mu == label}
+        if len(diagonal) != 1 or set(diagonal.values()) - {1, -1}:
             raise InvariantError(f"straightened wedge of {label} has diagonal "
-                                 f"coefficient {diagonal.to_string('v')}, not +-v^e")
-        (e, sign), = terms
-        columns[label] = {mu: c.shifted(-e) * sign for mu, c in column.items()}
+                                 f"coefficient {Laurent(diagonal).to_string('v')}, not +-v^e")
+        (e, sign), = diagonal.items()
+        columns[label] = {(mu, f - e): sign * c for (mu, f), c in column.items()}
     return columns
 
 
 def _bar_apply(columns: dict[Partition, FockVector], vec: FockVector) -> FockVector:
+    """bar(vec) = sum c v^-e bar|p> over the terms (p, e) -> c of vec."""
     out: FockVector = {}
-    for p, c in vec.items():
-        add_scaled(out, columns[p], c.bar())
-    return out
-
-
-def _antisymmetric_positive_part(r: Laurent) -> Laurent:
-    """For r with r(1/v) = -r(v), the q with r = q(v) - q(1/v), q in vZ[v]."""
-    check(r.bar() == -r, "correction coefficient is not antisymmetric")
-    terms = {e: c for e, c in r.items() if e > 0}
-    return Laurent(terms)
+    for (p, e), c in vec.items():
+        for (mu, f), x in columns[p].items():
+            term = (mu, f - e)
+            out[term] = out.get(term, 0) + c * x
+    return _nonzero(out)
 
 
 def llt_canonical_basis(n: int, d: int) -> FockMatrix:
@@ -527,40 +611,43 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
 
     basis: dict[Partition, FockVector] = {}
     for p in labels:
-        g: FockVector = {p: _ONE}
-        delta = add_scaled(dict(bar[p]), g, -1)  # bar(g) - g
+        g: FockVector = {(p, 0): 1}
+        delta = dict(bar[p])  # bar(g) - g
+        add_term(delta, (p, 0), -1)
         bound = position[p]
         while delta:
-            top = max(delta, key=position.__getitem__)
-            check(position[top] < bound, f"bar image of G({p}) sticks out above")
-            bound = position[top]
-            q = _antisymmetric_positive_part(delta[top])
-            add_scaled(g, basis[top], q)
-            add_scaled(delta, basis[top], q.bar() - q)
+            top = max(position[mu] for mu, _ in delta)
+            check(top < bound, f"bar image of G({p}) sticks out above")
+            bound = top
+            mu = labels[top]
+            r = {e: c for (nu, e), c in delta.items() if nu == mu}
+            check(all(r.get(-e) == -c for e, c in r.items()),
+                  "correction coefficient is not antisymmetric")
+            # r = q(v) - q(1/v) with q in vZ[v]: g gains q G(mu), and
+            # bar(g) - g gains (q(1/v) - q) G(mu)
+            q = [(e, c) for e, c in r.items() if e > 0]
+            for (nu, f), x in basis[mu].items():
+                for e, c in q:
+                    add_term(g, (nu, f + e), c * x)
+                    add_term(delta, (nu, f - e), c * x)
+                    add_term(delta, (nu, f + e), -c * x)
         basis[p] = g
 
-    entries = tuple(
-        tuple(basis[row].get(col, _ZERO) for col in labels)
-        for row in labels
-    )
-    matrix = FockMatrix(n=n, d=d, labels=tuple(labels), entries=entries)
+    entries = []
+    for row in labels:
+        terms = _by_label(basis[row])
+        entries.append(tuple(Laurent(terms[mu]) if mu in terms else _ZERO for mu in labels))
+    matrix = FockMatrix(n=n, d=d, labels=tuple(labels), entries=tuple(entries))
     verify_bar_invariance(matrix, family, bar)
     shape_check(matrix)
     return matrix
 
 
-def _core_blocks(labels, d: int, family) -> list[list[Partition]]:
-    """The labels grouped by d-core, each group in label order, after
-    checking that every family vector stays inside its label's group: the
-    family matrix is block-diagonal by d-core."""
+def _core_blocks(labels, d: int) -> list[list[Partition]]:
+    """The labels grouped by d-core, each group in label order."""
     blocks: dict[Partition, list[Partition]] = {}
     for p in labels:
         blocks.setdefault(d_core(p, d), []).append(p)
-    for block in blocks.values():
-        members = set(block)
-        for p in block:
-            check(set(family[p]) <= members,
-                  f"family vector for {p} leaves its d-core block")
     return list(blocks.values())
 
 
@@ -571,13 +658,15 @@ _RANK_PRIME = 2**61 - 1
 def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
     """Check, symbolically over Z[v, 1/v], that every G is bar-invariant.
 
-    ``bar`` (by default the straightened involution) is a matrix W given
-    as columns.  Per d-core block it must be unitriangular with unit
-    diagonal, keep each column inside the block, fix every family vector
-    and satisfy W W(1/v) = 1.  The family must also be nonsingular on the
-    block: full rank mod a large prime at v = 2.  A semilinear map that
-    fixes a basis is determined by it, so W is then the bar involution,
-    whatever produced it.  Last, W must fix every row G of the matrix.
+    ``family`` and ``bar`` are coefficient maps, by default the family and
+    the straightened involution.  The family matrix must be block-diagonal
+    by d-core.  ``bar`` is a matrix W given as columns.  Per d-core block
+    it must be unitriangular with unit diagonal, keep each column inside the
+    block, fix every family vector and satisfy W W(1/v) = 1.  The family
+    must also be nonsingular on the block: full rank mod a large prime at
+    v = 2.  A semilinear map that fixes a basis is determined by it, so W is
+    then the bar involution, whatever produced it.  Last, W must fix every
+    row G of the matrix.
     """
     labels = matrix.labels
     if family is None:
@@ -585,40 +674,55 @@ def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
     if bar is None:
         bar = _bar_columns(labels, max(matrix.n, 1), matrix.d)
     position = {p: k for k, p in enumerate(labels)}
-    for block in _core_blocks(labels, matrix.d, family):
+    blocks = _core_blocks(labels, matrix.d)
+    for block in blocks:
+        members = set(block)
+        for p in block:
+            check({mu for mu, _ in family[p]} <= members,
+                  f"family vector for {p} leaves its d-core block")
+    for block in blocks:
         members = set(block)
         for p in block:
             column = bar[p]
-            check(set(column) <= members, f"bar image of {p} leaves its d-core block")
-            check(column.get(p) == _ONE
-                  and all(position[mu] < position[p] for mu in column if mu != p),
+            check({mu for mu, _ in column} <= members,
+                  f"bar image of {p} leaves its d-core block")
+            check(column.get((p, 0)) == 1
+                  and all(position[mu] < position[p] for mu, e in column if (mu, e) != (p, 0)),
                   f"bar image of {p} is not |{p}> plus lower terms")
         for p in block:
             check(_bar_apply(bar, family[p]) == family[p],
                   f"bar involution does not fix the family vector of {p}")
-            check(_bar_apply(bar, bar[p]) == {p: _ONE},
+            check(_bar_apply(bar, bar[p]) == {(p, 0): 1},
                   f"bar involution does not square to 1 on {p}")
-        values = [[family[a].get(mu, _ZERO).eval_mod(2, _RANK_PRIME) for mu in block]
-                  for a in block]
+        values = []
+        for a in block:
+            at_two = dict.fromkeys(block, 0)
+            for (mu, e), c in family[a].items():
+                at_two[mu] += c * pow(2, e, _RANK_PRIME)
+            values.append(list(at_two.values()))
         check(rank(values, GF(_RANK_PRIME)) == len(block),
               f"family is singular on the d-core block of {block[0]}")
     for p, row in zip(labels, matrix.entries):
-        g = {mu: e for mu, e in zip(labels, row) if e}
+        g = {(mu, e): c for mu, entry in zip(labels, row) for e, c in entry.items()}
         check(_bar_apply(bar, g) == g, f"G({p}) is not bar-invariant")
 
 
 def shape_check(matrix: FockMatrix) -> None:
     """Check lower-unitriangularity, unit diagonal, and that off-diagonal
     entries lie in v Z>=0 [v].  One InvariantError lists every failure with
-    its location."""
+    its location; a location is formatted only for a failing entry."""
+    labels = matrix.labels
     failures = []
     for r, row in enumerate(matrix.entries):
         for c, e in enumerate(row):
-            where = f"({matrix.labels[r]}, {matrix.labels[c]})"
-            if r == c and e != _ONE:
-                failures.append(f"diagonal {where} = {e.to_string('v')}")
-            elif c > r and e:
-                failures.append(f"upper entry {where} = {e.to_string('v')}")
-            elif c < r and e and (e.min_degree() < 1 or any(co < 0 for _, co in e.items())):
-                failures.append(f"entry {where} = {e.to_string('v')} is not in v Z>=0 [v]")
+            if r == c:
+                if e != _ONE:
+                    failures.append(f"diagonal ({labels[r]}, {labels[c]}) = {e.to_string('v')}")
+            elif not e:
+                continue
+            elif c > r:
+                failures.append(f"upper entry ({labels[r]}, {labels[c]}) = {e.to_string('v')}")
+            elif e.min_degree() < 1 or any(co < 0 for _, co in e.items()):
+                failures.append(f"entry ({labels[r]}, {labels[c]}) = {e.to_string('v')} "
+                                "is not in v Z>=0 [v]")
     check(not failures, "canonical basis shape violation: " + "; ".join(failures))

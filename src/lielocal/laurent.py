@@ -1,14 +1,16 @@
 """Laurent polynomials over Z in one variable, exact.
 
-Used in two roles: Hecke-algebra coefficients (variable ``x``) and Fock-space
-coefficients (variable ``v``).  The representation is a dict mapping exponent
-(int, possibly negative) to nonzero int coefficient.  Instances are immutable
-in practice: all operations return new objects.
+Used in two roles: Hecke-algebra coefficients (variable ``x``) and the
+entries of a finished canonical-basis matrix (variable ``v``).  The Fock-space
+computation itself keeps plain integer coefficient maps (see ``fock_llt``);
+there a Laurent polynomial only carries a result to ``shape_check`` and the
+JSON and CSV writers.  The representation is a dict mapping exponent (int,
+possibly negative) to nonzero int coefficient.  Instances are immutable in
+practice: all operations return new objects.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .cyclotomic import poly_exact_div
@@ -141,14 +143,20 @@ class Laurent:
 
     def __call__(self, value):
         """Evaluate.  Exact for int/Fraction arguments; negative exponents
-        require an invertible value."""
+        require an invertible value.  At v = +-1 a negative power is the
+        positive one, so an int value stays in int arithmetic; elsewhere
+        ``fractions`` is imported on the first negative exponent."""
+        unit = isinstance(value, int) and value in (1, -1)
         total = 0
         for e, c in self._c.items():
             if e >= 0:
                 total += c * value**e
+            elif unit:
+                total += c * value ** (-e)
             else:
+                from fractions import Fraction
                 total += c * Fraction(1, 1) / Fraction(value) ** (-e)
-        if isinstance(total, Fraction) and total.denominator == 1:
+        if getattr(total, "denominator", None) == 1:
             return int(total)
         return total
 
@@ -195,19 +203,6 @@ class Laurent:
     def to_json(self) -> dict[str, str]:
         """Exponent -> coefficient, both as decimal strings."""
         return {str(e): str(c) for e, c in sorted(self._c.items())}
-
-def quantum_integer(k: int) -> Laurent:
-    """[k] = (v^k - v^-k)/(v - v^-1) = v^(k-1) + v^(k-3) + ... + v^(1-k)."""
-    if k < 0:
-        return -quantum_integer(-k)
-    return Laurent({k - 1 - 2 * i: 1 for i in range(k)})
-
-
-def quantum_factorial(k: int) -> Laurent:
-    out = Laurent(1)
-    for i in range(2, k + 1):
-        out = out * quantum_integer(i)
-    return out
 
 
 def poly_from_coeffs(coeffs: Iterable[int]) -> Laurent:

@@ -1,10 +1,11 @@
 """Exact linear algebra over Q, F_p and Z on small dense matrices.
 
 Matrices are plain lists of row lists.  Everything is exact: rational work
-uses :class:`fractions.Fraction`, integer work stays in Z, modular work
-reduces eagerly.  Sizes in this package never exceed a few hundred rows, so
-simple Gaussian elimination is the right tool; one elimination serves every
-field, passed as a field object (``QQ`` or ``GF(p)``).
+uses :class:`fractions.Fraction`, imported on first use, integer work stays
+in Z, modular work reduces eagerly.  Sizes in this package never exceed a
+few hundred rows, so simple Gaussian elimination is the right tool; one
+elimination serves every field, passed as a field object (``QQ`` or
+``GF(p)``).
 The Smith normal form keeps its own loop: it works with unimodular row and
 column operations over Z.
 """
@@ -12,10 +13,12 @@ column operations over Z.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import GuardExceeded
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
@@ -41,14 +44,26 @@ class Rationals:
     A field object works on whole rows so the elimination's inner loops stay
     list comprehensions: ``coerce`` a row, test an entry with ``nonzero``,
     ``inv`` and ``neg`` an entry, ``scale_row`` by an entry, and ``sub_row``
-    a multiple of a pivot row.  ``GF`` offers the same members."""
+    a multiple of a pivot row.  ``GF`` offers the same members.  Every
+    Fraction entry comes from ``coerce``, ``zero`` or ``one``, which import
+    ``fractions`` when first called, so a process that does no rational
+    work does not load it."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
     nonzero = staticmethod(bool)
     neg = staticmethod(operator.neg)
 
+    @property
+    def zero(self) -> Fraction:
+        from fractions import Fraction
+        return Fraction(0)
+
+    @property
+    def one(self) -> Fraction:
+        from fractions import Fraction
+        return Fraction(1)
+
     def coerce(self, row) -> list[Fraction]:
+        from fractions import Fraction
         return [Fraction(x) for x in row]
 
     def inv(self, x: Fraction) -> Fraction:

@@ -2,7 +2,9 @@
 
 The package computes the bar involution by straightening q-wedges and
 checks bar-invariance symbolically.  This module keeps the earlier route,
-which shares none of that code, as an independent check at small sizes:
+which shares none of that code, as an independent check at small sizes.
+Its Fock vectors map partitions to Laurent polynomials, as in
+tests/fock_oracle.py:
 
 * ``_bar_matrix`` reads the involution off one exact solve of the family
   matrix at v = t = 2^64, as the balanced base-t digits of each value, and
@@ -19,8 +21,10 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from fock_oracle import FockVector, _bar_apply
+
 from lielocal.errors import InvariantError, check
-from lielocal.fock_llt import FockVector, Partition, _bar_apply, _core_blocks
+from lielocal.fock_llt import Partition, _core_blocks
 from lielocal.laurent import Laurent
 from lielocal.linalg import rref
 
@@ -178,7 +182,7 @@ def numeric_bar_check(matrix, family) -> None:
     labels = matrix.labels
     position = {p: k for k, p in enumerate(labels)}
     zero = Laurent(0)
-    for block in _core_blocks(labels, matrix.d, family):
+    for block in _core_blocks(labels, matrix.d):
         cols = [position[p] for p in block]
         rows = [lam for lam, row in enumerate(matrix.entries)
                 if any(row[c] for c in cols)]

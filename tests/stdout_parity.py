@@ -10,11 +10,12 @@ stdout, and its stderr.  Every argv whose records differ is printed, and the
 exit status is 1 when any does.
 
 The argv are the queries of tests/test_golden_stdout.py, the cold-CLI
-queries of perfbench/workloads.py, and ``weyl regular`` and ``braid
+queries of perfbench/workloads.py, ``weyl regular`` and ``braid
 verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
-to 2 * (largest degree) * (twist order).  The list is built from
-CHANGE_SRC.  Both children run at once; the 669 argv took about 40 s on a
-2-CPU machine.
+to 2 * (largest degree) * (twist order), and ``llt --n N --d D`` for every
+N <= 10 and D from 2 to 5, in JSON, with ``--csv`` and with ``--at-1``.  The
+list is built from CHANGE_SRC.  Both children run at once; the 805 argv took
+about 20 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -66,6 +67,10 @@ def argv_list(src: str) -> list[list[str]]:
         for d in range(1, top + 1):
             queries.append(["weyl", "regular", label, "--d", str(d)])
             queries.append(["braid", "verify-regular", label, "--d", str(d)])
+    for n in range(11):
+        for d in range(2, 6):
+            for style in ([], ["--csv"], ["--at-1"]):
+                queries.append(["llt", "--n", str(n), "--d", str(d), *style])
     return queries
 
 

@@ -483,13 +483,16 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-# One argv per subcommand.  None loads `dataclasses` or `inspect`, whose
-# import costs a cold query more than most of its computation.
+# One argv per subcommand, and the at-1 form of `llt`.  None loads
+# `dataclasses` or `inspect`, whose import costs a cold query more than most
+# of its computation; `llt` does no rational work and loads no `fractions`.
+_NOT_LLT = ["lielocal.weyl", "lielocal.braid_hecke", "lielocal.defining_char",
+            "lielocal.degeneration", "lielocal.ell_local"]
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["llt", "--n", "1", "--d", "2"],
-     ["weyl", "braid_hecke", "defining_char", "degeneration", "ell_local", "root_datum"]),
-    (["order", "A2"],
-     ["weyl", "braid_hecke", "defining_char", "degeneration", "ell_local", "fock_llt"]),
+    (["llt", "--n", "1", "--d", "2"], _NOT_LLT + ["lielocal.root_datum", "fractions"]),
+    (["order", "A2"], _NOT_LLT + ["lielocal.fock_llt"]),
     (["weyl", "classes", "A2"], []),
     (["weyl", "regular", "A2", "--d", "3"], []),
     (["sylow", "A2", "--q", "2", "--ell", "7"], []),
@@ -499,13 +502,14 @@ print(json.dumps([code, sorted(sys.modules)]))
     (["braid", "verify-regular", "A2", "--d", "3"], []),
     (["hecke", "poincare", "A2"], []),
     (["degenerate", "--ell", "2", "--factors", "1:2"], []),
+    (["llt", "--n", "7", "--d", "3", "--at-1"], _NOT_LLT + ["lielocal.root_datum", "fractions"]),
 ])
 def test_command_loads_only_its_modules(argv, absent):
     result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
                             capture_output=True, text=True, check=False, timeout=30)
     code, loaded = json.loads(result.stdout)
     assert code == 0, result.stderr
-    unwanted = ["dataclasses", "inspect", *("lielocal." + m for m in absent)]
+    unwanted = ["dataclasses", "inspect", *absent]
     assert [m for m in unwanted if m in loaded] == []
 
 

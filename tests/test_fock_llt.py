@@ -4,8 +4,10 @@ import itertools
 from fractions import Fraction
 
 import bar_oracle
+import fock_oracle
 import pytest
 from bar_oracle import _BAR_CHECK_POINTS, numeric_bar_check
+from fock_oracle import laurent_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +37,18 @@ from lielocal.linalg import add_scaled, rref
 V = Laurent.variable()
 ONE = Laurent(1)
 ZERO = Laurent(0)
+EMPTY = {((), 0): 1}
+
+
+def _basis_vector(p):
+    """|p> as a coefficient map."""
+    return {(p, 0): 1}
+
+
+def _laurent_family(family):
+    """A family of coefficient maps in the partition -> Laurent form that
+    the numeric oracles read."""
+    return {p: laurent_vector(vec) for p, vec in family.items()}
 
 
 def _partition_count(n: int) -> int:
@@ -113,7 +127,11 @@ def _power_sum_multiply(coeffs: dict, m: int) -> dict:
 
 
 def _at_one(vec) -> dict:
-    return {p: c(1) for p, c in vec.items() if c(1)}
+    """A coefficient map at v = 1, as partition -> int."""
+    out: dict = {}
+    for (p, _), c in vec.items():
+        out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c}
 
 
 class TestPartitions:
@@ -180,7 +198,8 @@ class TestCoresAndRibbons:
             ribbon_strip_spin((2, 2), (1, 1, 1), 2)
 
     def test_spin_matches_the_peeling_oracle(self, monkeypatch):
-        # every spin bar_invariant_family asks for, for n <= 9 and d in 2..4
+        # every spin bar_invariant_family asks for, for n <= 9 and d in 2..4;
+        # each family lists the strips of one (partition, k) once
         calls = []
         monkeypatch.setattr(fock_llt, "ribbon_strip_spin",
                             lambda *args: calls.append(args) or ribbon_strip_spin(*args))
@@ -188,7 +207,7 @@ class TestCoresAndRibbons:
             for d in (2, 3, 4):
                 bar_invariant_family(n, d)
         monkeypatch.undo()
-        assert len(calls) == 1903
+        assert len(calls) == 736 and len(set(calls)) == 574
         for outer, inner, d in set(calls):
             assert ribbon_strip_spin(outer, inner, d) == _peeled_spin(outer, inner, d)
 
@@ -233,27 +252,40 @@ def _peeled_spin(outer, inner, d):
 
 class TestOperators:
     def test_f_single_box(self):
-        assert f_action(0, 1, {(): ONE}, 2) == {(1,): ONE}
-        out = f_action(1, 1, {(1,): ONE}, 2)
-        assert out == {(2,): ONE, (1, 1): V}
+        assert f_action(0, 1, EMPTY, 2) == {((1,), 0): 1}
+        out = f_action(1, 1, _basis_vector((1,)), 2)
+        assert out == {((2,), 0): 1, ((1, 1), 1): 1}
 
     def test_f_divided_power(self):
-        out = f_action(1, 2, {(1,): ONE}, 2)
-        assert out == {(2, 1): ONE}
+        out = f_action(1, 2, _basis_vector((1,)), 2)
+        assert out == {((2, 1), 0): 1}
 
     def test_f_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            f_action(0, 0, {(): ONE}, 2)
+            f_action(0, 0, EMPTY, 2)
         with pytest.raises(ValueError):
-            f_action(0, 1, {(): ONE}, 1)
+            f_action(0, 1, EMPTY, 1)
+
+    def test_non_integral_divided_power_raises(self, monkeypatch):
+        # f_i that also keeps |p>: (f_i + 1)^2 |p> has coefficient 1 at |p>,
+        # which [2]! does not divide, in f_action and in the whole basis
+        f_terms = fock_llt._f_terms
+        monkeypatch.setattr(fock_llt, "_f_terms",
+                            lambda p, i, d: f_terms(p, i, d) + [(p, 0, 1)])
+        with pytest.raises(InvariantError, match="divided power is not integral"):
+            f_action(1, 2, _basis_vector((1,)), 2)
+        fock_llt._cached_basis.cache_clear()
+        with pytest.raises(InvariantError, match="divided power is not integral"):
+            llt_canonical_basis(3, 2)
+        fock_llt._cached_basis.cache_clear()
 
     def test_boson_examples(self):
-        out = boson_strip(1, {(): ONE}, 2)
+        out = laurent_vector(boson_strip(1, EMPTY, 2))
         assert out == {(2,): ONE, (1, 1): -V.shifted(-2)}
-        out = boson_strip(2, {(): ONE}, 2)
+        out = laurent_vector(boson_strip(2, EMPTY, 2))
         assert out == {(4,): ONE, (3, 1): -V.shifted(-2),
                        (2, 2): V.shifted(-3)}
-        out = boson_strip(1, {(): ONE}, 3)
+        out = laurent_vector(boson_strip(1, EMPTY, 3))
         assert out == {(3,): ONE, (2, 1): -V.shifted(-2),
                        (1, 1, 1): V.shifted(-3)}
 
@@ -261,7 +293,7 @@ class TestOperators:
         for d in (2, 3):
             for n in range(5):
                 for p in partitions(n):
-                    vec = boson_strip(1, {p: ONE}, d)
+                    vec = laurent_vector(boson_strip(1, _basis_vector(p), d))
                     expected = {}
                     for mu, rows in _border_strip_targets(p, d):
                         coeff = (-V.shifted(-2)) ** (rows - 1)
@@ -274,13 +306,13 @@ class TestOperators:
             for p in [(), (1,), (2, 1), (1, 1)]:
                 for k in (1, 2, 3):
                     lhs = {q: k * c for q, c in
-                           _at_one(boson_strip(k, {p: ONE}, d)).items()}
+                           _at_one(boson_strip(k, _basis_vector(p), d)).items()}
                     rhs: dict = {}
                     for i in range(1, k + 1):
                         if i == k:
-                            partial = _at_one({p: ONE})
+                            partial = _at_one(_basis_vector(p))
                         else:
-                            partial = _at_one(boson_strip(k - i, {p: ONE}, d))
+                            partial = _at_one(boson_strip(k - i, _basis_vector(p), d))
                         term = _power_sum_multiply(partial, i * d)
                         for q, c in term.items():
                             rhs[q] = rhs.get(q, 0) + c
@@ -288,8 +320,8 @@ class TestOperators:
                     assert lhs == rhs, (d, p, k)
 
     def test_commutators_vanish(self):
-        seeds = [{(): ONE}, {(1,): ONE}, {(2, 1): ONE}, {(2, 2): ONE},
-                 {(3, 1): V}]
+        seeds = [EMPTY, _basis_vector((1,)), _basis_vector((2, 1)),
+                 _basis_vector((2, 2)), {((3, 1), 1): 1}]
         for d in (2, 3):
             for i in range(d):
                 for k in (1, 2):
@@ -310,8 +342,8 @@ class TestOperators:
         assert ladder_sequence((3, 1), 3) == [(0, 1), (2, 1), (1, 1), (2, 1)]
 
     def test_ladder_monomials(self):
-        assert ladder_monomial((2,), 2) == {(2,): ONE, (1, 1): V}
-        assert ladder_monomial((2, 1), 2) == {(2, 1): ONE}
+        assert laurent_vector(ladder_monomial((2,), 2)) == {(2,): ONE, (1, 1): V}
+        assert ladder_monomial((2, 1), 2) == {((2, 1), 0): 1}
         with pytest.raises(InvariantError):
             ladder_monomial((1, 1), 2)
 
@@ -320,7 +352,7 @@ class TestOperators:
             for d in (2, 3):
                 family = bar_invariant_family(n, d)
                 for p, vec in family.items():
-                    assert vec.get(p), (n, d, p)
+                    assert any(mu == p for mu, _ in vec), (n, d, p)
 
 
 class TestCanonicalBasis:
@@ -456,16 +488,16 @@ class TestBarVerification:
             matrix = llt_canonical_basis(n, d)
             family = bar_invariant_family(n, d)
             verify_bar_invariance(matrix, family)
-            numeric_bar_check(matrix, family)
-            _whole_matrix_bar_check(matrix, family)
+            numeric_bar_check(matrix, _laurent_family(family))
+            _whole_matrix_bar_check(matrix, _laurent_family(family))
 
     def _both_reject(self, matrix, family):
         with pytest.raises(InvariantError):
             verify_bar_invariance(matrix, family)
         with pytest.raises(InvariantError):
-            numeric_bar_check(matrix, family)
+            numeric_bar_check(matrix, _laurent_family(family))
         with pytest.raises(InvariantError):
-            _whole_matrix_bar_check(matrix, family)
+            _whole_matrix_bar_check(matrix, _laurent_family(family))
 
     def test_both_reject_tampering_away_from_the_empty_core(self):
         # n = 7, d = 3 has blocks of 3-core (1,), (3, 1) and (2, 1, 1)
@@ -489,11 +521,11 @@ class TestBarVerification:
         member = (7,)
         outsider = next(p for p in matrix.labels
                         if d_core(p, 3) != d_core(member, 3))
-        family[member] = add_scaled(dict(family[member]), {outsider: V})
+        family[member] = add_scaled(dict(family[member]), {(outsider, 1): 1})
         with pytest.raises(InvariantError, match="leaves its d-core block"):
             verify_bar_invariance(matrix, family)
         with pytest.raises(InvariantError):
-            _whole_matrix_bar_check(matrix, family)
+            _whole_matrix_bar_check(matrix, _laurent_family(family))
 
     def test_one_rank_per_block(self, monkeypatch):
         matrix = llt_canonical_basis(8, 3)
@@ -510,7 +542,7 @@ class TestBarVerification:
         sizes = []
         monkeypatch.setattr(bar_oracle, "fraction_free_solve",
                             lambda a, b: sizes.append(len(a)) or solve(a, b))
-        numeric_bar_check(matrix, bar_invariant_family(8, 3))
+        numeric_bar_check(matrix, _laurent_family(bar_invariant_family(8, 3)))
         points = len(_BAR_CHECK_POINTS)
         assert points == 8
         assert sorted(sizes) == sorted(_block_sizes(matrix) * points)
@@ -527,7 +559,7 @@ T = 2**64
 
 
 def _block_and_family(n, d):
-    family = bar_invariant_family(n, d)
+    family = _laurent_family(bar_invariant_family(n, d))
     block = [p for p in partitions(n) if d_core(p, d) == ()]
     return block, family
 
@@ -584,11 +616,62 @@ class TestBarMatrix:
         for n in range(9):
             for d in (2, 3, 4, 5):
                 labels = partitions(n)
-                family = bar_invariant_family(n, d)
+                family = _laurent_family(bar_invariant_family(n, d))
                 columns = fock_llt._bar_columns(labels, max(n, 1), d)
-                for block in fock_llt._core_blocks(labels, d, family):
+                for block in fock_llt._core_blocks(labels, d):
                     assert bar_oracle._bar_matrix(block, family) == {
-                        p: columns[p] for p in block}, (n, d, block[0])
+                        p: laurent_vector(columns[p]) for p in block}, (n, d, block[0])
+
+
+class TestLaurentRoute:
+    """The coefficient-map route against the Laurent-valued route kept in
+    tests/fock_oracle.py: bar columns, family vectors, operator images and
+    canonical-basis entries, index for index."""
+
+    def _assert_same(self, n, d):
+        labels = partitions(n)
+        columns = fock_llt._bar_columns(labels, max(n, 1), d)
+        assert {p: laurent_vector(columns[p]) for p in labels} == \
+            fock_oracle._bar_columns(labels, max(n, 1), d), (n, d)
+        family = bar_invariant_family(n, d)
+        oracle_family = fock_oracle.bar_invariant_family(n, d)
+        for p in labels:
+            assert laurent_vector(family[p]) == oracle_family[p], (n, d, p)
+        matrix = llt_canonical_basis(n, d)
+        basis = fock_oracle.canonical_basis(n, d)
+        for r, row in enumerate(labels):
+            for c, col in enumerate(labels):
+                assert matrix.entries[r][c] == basis[row].get(col, ZERO), (n, d, row, col)
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_every_n_up_to_nine(self, d):
+        for n in range(10):
+            self._assert_same(n, d)
+
+    def test_ten_boxes_d3(self):
+        self._assert_same(10, 3)
+
+    def test_quantum_factorials(self):
+        for k in range(1, 8):
+            low = -k * (k - 1) // 2
+            assert Laurent({low + j: c for j, c in enumerate(fock_llt._quantum_factorial(k))}) \
+                == fock_oracle.quantum_factorial(k)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_operators_on_basis_vectors(self, d):
+        for n in range(7):
+            for p in partitions(n):
+                seed = {(p, 1): 2, ((n + 1,), -1): -1}
+                laurent_seed = laurent_vector(seed)
+                for i in range(d):
+                    assert laurent_vector(f_once(i, seed, d)) == \
+                        fock_oracle.f_once(i, laurent_seed, d)
+                    for k in (2, 3):
+                        assert laurent_vector(f_action(i, k, seed, d)) == \
+                            fock_oracle.f_action(i, k, laurent_seed, d)
+                for k in (1, 2):
+                    assert laurent_vector(boson_strip(k, seed, d)) == \
+                        fock_oracle.boson_strip(k, laurent_seed, d)
 
 
 def _bar_squared(columns):
@@ -607,15 +690,19 @@ class TestStraightening:
         labels = partitions(n)
         columns = fock_llt._bar_columns(labels, slots, d)
         assert columns == fock_llt._bar_columns(labels, max(n, 1), d)
-        assert _bar_squared(columns) == {p: {p: ONE} for p in labels}
+        assert _bar_squared(columns) == {p: _basis_vector(p) for p in labels}
 
     def test_small_columns(self):
+        def columns(n, slots, d):
+            return {p: laurent_vector(column) for p, column in
+                    fock_llt._bar_columns(partitions(n), slots, d).items()}
+
         antisym = V - V.shifted(-2)  # v - 1/v
-        assert fock_llt._bar_columns(partitions(2), 2, 2) == {
+        assert columns(2, 2, 2) == {
             (1, 1): {(1, 1): ONE}, (2,): {(2,): ONE, (1, 1): antisym}}
-        assert fock_llt._bar_columns(partitions(2), 2, 3) == {
+        assert columns(2, 2, 3) == {
             (1, 1): {(1, 1): ONE}, (2,): {(2,): ONE}}
-        assert fock_llt._bar_columns(partitions(3), 3, 3)[(3,)] == {
+        assert columns(3, 3, 3)[(3,)] == {
             (3,): ONE, (2, 1): antisym, (1, 1, 1): V.shifted(-3) - ONE}
 
     def _matrix_family_bar(self, n=7, d=3):
@@ -628,16 +715,18 @@ class TestStraightening:
     def test_rejects_a_changed_bar_entry(self):
         matrix, family, bar = self._matrix_family_bar()
         p = (7,)
-        mu = next(mu for mu in bar[p] if mu != p)
+        mu = next(mu for mu, _ in bar[p] if mu != p)
         tampered = dict(bar)
-        tampered[p] = {**bar[p], mu: bar[p][mu] + V}
+        tampered[p] = add_scaled(dict(bar[p]), {(mu, 1): 1})
         with pytest.raises(InvariantError, match="bar involution does not"):
             verify_bar_invariance(matrix, family, tampered)
 
     def test_rejects_a_bar_column_that_is_not_unitriangular(self):
         matrix, family, bar = self._matrix_family_bar()
         tampered = dict(bar)
-        tampered[(7,)] = {**bar[(7,)], (7,): V}
+        column = tampered[(7,)] = dict(bar[(7,)])
+        del column[(7,), 0]
+        column[(7,), 1] = 1
         with pytest.raises(InvariantError, match="lower terms"):
             verify_bar_invariance(matrix, family, tampered)
 
@@ -652,7 +741,7 @@ class TestStraightening:
     def test_rejects_a_family_vector_that_bar_moves(self):
         matrix, family, bar = self._matrix_family_bar()
         family = dict(family)
-        family[(7,)] = add_scaled(dict(family[(7,)]), {(7,): V})
+        family[(7,)] = add_scaled(dict(family[(7,)]), {((7,), 1): 1})
         with pytest.raises(InvariantError, match="does not fix the family vector"):
             verify_bar_invariance(matrix, family, bar)
 
@@ -667,7 +756,7 @@ class TestStraightening:
     def test_rejects_a_pair_rule_with_a_non_unit_diagonal(self, monkeypatch):
         pair = fock_llt._wedge_pair
         monkeypatch.setattr(fock_llt, "_wedge_pair", lambda low, high, d: [
-            (a, b, c * 2) for a, b, c in pair(low, high, d)])
+            (a, b, tuple((e, 2 * c) for e, c in terms)) for a, b, terms in pair(low, high, d)])
         with pytest.raises(InvariantError, match="diagonal"):
             fock_llt._bar_columns(partitions(4), 4, 2)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from bar_oracle import _family_solve, det, fraction_free_solve
 from cyclo_oracle import CycloField
+from fock_oracle import quantum_factorial, quantum_integer
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from lie_oracle import laurent_from_json
@@ -20,7 +21,7 @@ from lielocal.cyclotomic import (
     poly_mul,
 )
 from lielocal.errors import GuardExceeded, InvariantError
-from lielocal.laurent import Laurent, poly_from_coeffs, quantum_factorial, quantum_integer
+from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import (
     GF,
     QQ,

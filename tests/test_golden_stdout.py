@@ -1,5 +1,5 @@
-"""Full stdout of a few Weyl-group queries and two weight listings, pinned
-by its sha256.
+"""Full stdout of a few Weyl-group queries, two weight listings and four
+canonical bases, pinned by its sha256.
 
 tests/test_bench_answers.py compares only the answer fields of the
 benchmark queries.  These queries reach the eigenspace, centralizer,
@@ -12,6 +12,9 @@ centralizer check of `weyl regular` on its first witness.  The `blocks` and
 `alperin` digests pin the order of 262,143 listed weights and the JSON
 layout; they were recorded with the code that built each stratum weight by
 weight, copied the weights into lists and printed one `json.dumps` string.
+The four `llt` digests pin the canonical-basis matrices in JSON, CSV and
+at v = 1; they were recorded while the Fock space still kept one Laurent
+polynomial per coefficient.
 """
 
 import hashlib
@@ -41,6 +44,14 @@ GOLDEN = {
         "01bf3ba7bae3f8d0518205dcb77d056fe90e13da8e68933ac999ccb34cc162bf",
     "alperin A6 --q 8":
         "cb8ce2a5af5b0f6b8d5886c7c5c0028d2bef9b7f16a8736ce699967bf3e11fab",
+    "llt --n 12 --d 2":
+        "9e3eaba841c1c4c75ab2d1f0aa8f8f5424b7208f00d8fbb3e689c1097624c2f7",
+    "llt --n 11 --d 3 --csv":
+        "071e6edf43095d36f0be9fac424f9951870c9f504e77133408ebd1273d9b534f",
+    "llt --n 10 --d 4 --at-1":
+        "550e74777572fe7baad78ab84f6c56793d55f14ca55b4219d11d4e5209b7941a",
+    "llt --n 9 --d 5":
+        "3d113cd62093d42889b304e108bfc7a38febe0dd809c9cc7589c39150833dde2",
 }
 
 
