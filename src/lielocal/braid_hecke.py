@@ -20,17 +20,21 @@ expanding the left side letter-wise and comparing normal forms.
 The Hecke algebra here is the one-parameter algebra over Z[x, 1/x] on the
 basis T_w with T_s T_w = T_{sw} when the length goes up and
 T_s T_w = x T_{sw} + (x-1) T_w when it goes down.  Specializing x -> 1
-recovers the group algebra ZW.
+recovers the group algebra ZW.  An element is a coefficient map, as a Fock
+vector is in ``fock_llt``: a dict from (element index, x-exponent) to a
+nonzero int.  A Poincaré polynomial is an ordinary coefficient tuple,
+constant term first, as every polynomial of ``cyclotomic`` is.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import InvariantError, check
-from .laurent import Laurent, poly_from_coeffs
+from .cyclotomic import poly_mul
 from .linalg import add_scaled, add_term
 from .root_datum import RootDatum, cartan_matrix, gl_rank, parse_label, split_degrees
 from .weyl import ReflectionContext, WeylGroup, generate_weyl
@@ -237,49 +241,51 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self.gen_index = [col[0] for col in group.right]
-        self.x = Laurent.variable()
 
-    def element(self, support: dict[int, Laurent]) -> "HeckeElement":
-        return HeckeElement(self, {w: c for w, c in support.items() if c})
+    def element(self, support: dict[tuple[int, int], int]) -> "HeckeElement":
+        return HeckeElement(self, {t: c for t, c in support.items() if c})
 
     def unit(self) -> "HeckeElement":
-        return self.element({0: Laurent(1)})
+        return self.basis_element(0)
 
     def basis_element(self, w: int) -> "HeckeElement":
-        return self.element({w: Laurent(1)})
+        return self.element({(w, 0): 1})
 
     def generator(self, i: int) -> "HeckeElement":
         return self.basis_element(self.gen_index[i])
 
-    def _times_generator(self, support: dict[int, Laurent], i: int) -> dict:
-        col, x = self.group.right[i], self.x
-        out: dict[int, Laurent] = {}
-        for w, c in support.items():
+    def _times_generator(self, support: dict, i: int) -> dict:
+        col = self.group.right[i]
+        out: dict[tuple[int, int], int] = {}
+        for (w, e), c in support.items():
             ws = col[w]
             if ws > w:  # index order is length order: l(w s_i) = l(w) + 1
-                add_term(out, ws, c)
-            else:
-                add_term(out, ws, x * c)
-                add_term(out, w, (x - 1) * c)
+                add_term(out, (ws, e), c)
+            else:  # T_w T_s = x T_ws + (x - 1) T_w
+                add_term(out, (ws, e + 1), c)
+                add_term(out, (w, e + 1), c)
+                add_term(out, (w, e), -c)
         return out
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement") -> "HeckeElement":
         check(a.algebra is self and b.algebra is self,
               "operands live in different algebras")
-        out: dict[int, Laurent] = {}
-        for v, c in b.support.items():
-            acc = {w: cw * c for w, cw in a.support.items()}
+        out: dict[tuple[int, int], int] = {}
+        for (v, f), c in b.support.items():
+            acc = {(w, e + f): cw * c for (w, e), cw in a.support.items()}
             for letter in self.group.word(v):
                 acc = self._times_generator(acc, letter)
             add_scaled(out, acc)
         return self.element(out)
 
+
 class HeckeElement:
-    """Sparse T-basis vector: element index -> Laurent coefficient in x."""
+    """Sparse T-basis vector: a map (element index, x-exponent) -> nonzero
+    int, the sum of c x^e T_w over its items."""
 
     __slots__ = ("algebra", "support")
 
-    def __init__(self, algebra: HeckeAlgebra, support: dict[int, Laurent]):
+    def __init__(self, algebra: HeckeAlgebra, support: dict[tuple[int, int], int]):
         self.algebra = algebra
         self.support = support
 
@@ -289,8 +295,7 @@ class HeckeElement:
         return self.algebra is other.algebra and self.support == other.support
 
     def __repr__(self) -> str:
-        terms = ", ".join(
-            f"T[{w}]*({c.to_string('x')})" for w, c in sorted(self.support.items()))
+        terms = ", ".join(f"{c}*x^{e}*T[{w}]" for (w, e), c in sorted(self.support.items()))
         return f"HeckeElement({terms or '0'})"
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
@@ -300,17 +305,22 @@ class HeckeElement:
         check(self.algebra is other.algebra, "operands live in different algebras")
         return self.algebra.element(add_scaled(dict(self.support), other.support))
 
-    def scaled(self, c) -> "HeckeElement":
+    def scaled(self, c: int | dict[int, int]) -> "HeckeElement":
+        """c times the element, for an int or a map x-exponent -> int."""
         if isinstance(c, int):
-            c = Laurent(c)
-        return self.algebra.element({w: c * v for w, v in self.support.items()})
+            c = {0: c}
+        out: dict[tuple[int, int], int] = {}
+        for (w, e), x in self.support.items():
+            for f, y in c.items():
+                add_term(out, (w, e + f), x * y)
+        return self.algebra.element(out)
 
     def to_json(self) -> dict:
-        words = {}
-        for w, c in self.support.items():
+        words: dict[str, dict[str, str]] = {}
+        for (w, e), c in sorted(self.support.items()):
             word = self.algebra.group.word(w)
             key = ".".join(str(i + 1) for i in word) if word else "e"
-            words[key] = c.to_json()
+            words.setdefault(key, {})[str(e)] = str(c)
         return {"coeffs": {k: words[k] for k in sorted(words)}}
 
 
@@ -318,24 +328,36 @@ def specialize(h: HeckeElement, x0, modulus: int | None = None) -> dict[int, obj
     """Evaluate all coefficients at x = x0 (mod modulus if given).
 
     x0 must be invertible in the target ring, since T_s is invertible only
-    when x is.
+    when x is.  A negative power of an x0 other than +-1 is an exact
+    Fraction, and ``fractions`` is imported only then.
     """
+    out: dict[int, object] = {}
     if modulus is not None:
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         if math.gcd(int(x0), modulus) != 1:
             raise ValueError(f"{x0} is not invertible mod {modulus}")
-        return {w: c.eval_mod(int(x0), modulus) for w, c in h.support.items()}
+        for (w, e), c in h.support.items():
+            out[w] = (out.get(w, 0) + c * pow(int(x0), e, modulus)) % modulus
+        return out
     if x0 == 0:
         raise ValueError("x = 0 is not invertible")
-    return {w: c(x0) for w, c in h.support.items()}
+    for (w, e), c in h.support.items():
+        if e < 0 and x0 not in (1, -1):
+            from fractions import Fraction
+            power = 1 / Fraction(x0) ** -e
+        else:
+            power = x0 ** abs(e)  # at x0 = +-1, x0^-k = x0^k
+        out[w] = out.get(w, 0) + c * power
+    return {w: int(v) if getattr(v, "denominator", None) == 1 else v
+            for w, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
 # Poincaré polynomials: the degree product, checked by a parabolic orbit chain
 
 
-def _orbit_chain_poincare(cartan) -> Laurent:
+def _orbit_chain_poincare(cartan) -> tuple[int, ...]:
     """Poincaré polynomial of the Weyl group of a Cartan matrix, read from
     the matrix alone (Humphreys, Reflection Groups and Coxeter Groups, 1990,
     sections 1.10-1.11).
@@ -347,7 +369,7 @@ def _orbit_chain_poincare(cartan) -> Laurent:
     when lambda_i > 0, so the orbit is walked level by level along such
     steps, and the level of a weight is its length.
     """
-    out = Laurent(1)
+    out = [1]
     for j in range(len(cartan)):
         level = {tuple(int(k == j) for k in range(j + 1))}
         sizes = []
@@ -355,12 +377,13 @@ def _orbit_chain_poincare(cartan) -> Laurent:
             sizes.append(len(level))
             level = {tuple(lam[k] - lam[i] * cartan[k][i] for k in range(j + 1))
                      for lam in level for i in range(j + 1) if lam[i] > 0}
-        out = out * poly_from_coeffs(sizes)
-    return out
+        out = poly_mul(out, sizes)
+    return tuple(out)
 
 
-def hecke_poincare(label: str) -> Laurent:
-    """Poincaré polynomial sum_w x^{l(w)} of the Weyl group of the label.
+def hecke_poincare(label: str) -> tuple[int, ...]:
+    """Poincaré polynomial sum_w x^{l(w)} of the Weyl group of the label, as
+    its coefficients, constant term first.
 
     Computed from the degree product formula prod_i [d_i]_x, and checked
     against the parabolic orbit chain of the Cartan matrix, which uses no
@@ -371,9 +394,8 @@ def hecke_poincare(label: str) -> Laurent:
         family, rank = "A", n - 1
     else:
         _, family, rank = parse_label(label)
-    from_degrees = Laurent(1)
-    for d in split_degrees(family, rank):
-        from_degrees = from_degrees * poly_from_coeffs([1] * d)
+    from_degrees = tuple(reduce(
+        poly_mul, ([1] * d for d in split_degrees(family, rank)), [1]))
     check(from_degrees == _orbit_chain_poincare(cartan_matrix(family, rank)),
           f"degree product and parabolic orbit chain disagree for {label}")
     return from_degrees

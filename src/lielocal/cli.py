@@ -184,8 +184,8 @@ def _run_hecke(args) -> None:
     poincare = hecke_poincare(args.type)
     _emit({
         "type": args.type,
-        "poincare": poincare.to_json(),
-        "at_one": str(poincare(1)),
+        "poincare": {str(e): str(c) for e, c in enumerate(poincare)},
+        "at_one": str(sum(poincare)),
     })
 
 

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, NamedTuple
 
+from .cyclotomic import poly_mul
 from .errors import GuardExceeded, check
 from .generic_order import is_prime, valuation
 from .linalg import (GF, add_scaled, add_term, closure, identity, mat_inverse, mat_vec,
@@ -276,14 +277,7 @@ class TruncatedAlgebra:
     def hilbert_series(self) -> tuple[int, ...]:
         """Dimension of each degree 0..top_degree: the coefficients of
         prod_j (1 + t + ... + t^(m_j - 1))."""
-        counts = [1]
-        for m in self.moduli:
-            new = [0] * (len(counts) + m - 1)
-            for d, c in enumerate(counts):
-                for e in range(m):
-                    new[d + e] += c
-            counts = new
-        return tuple(counts)
+        return tuple(reduce(poly_mul, ([1] * m for m in self.moduli), [1]))
 
     def dimension_of_degree(self, degree: int) -> int:
         series = self.hilbert_series

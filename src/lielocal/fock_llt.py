@@ -36,8 +36,9 @@ A Fock vector is a coefficient map: a dict from (partition, v-exponent) to a
 nonzero int.  Multiplying by a power of v or applying v -> 1/v re-keys it,
 and adding vectors adds ints.  The straightening, the operators, the family,
 every bar application and the correction recursion work on these maps.
-Laurent polynomials are built only for the entries of the finished
-FockMatrix, which shape_check and the output writers read.
+An entry of the finished FockMatrix, which shape_check and the output
+writers read, is a sorted tuple of (v-exponent, coefficient) pairs: () is
+zero and ((0, 1),) is one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import NamedTuple
 
 from .cyclotomic import poly_exact_div, poly_mul
 from .errors import GuardExceeded, InvariantError, check
-from .laurent import Laurent
 from .linalg import GF, add_term, rank
 
 LLT_GUARD = 12
@@ -57,6 +57,8 @@ Partition = tuple[int, ...]
 # A Fock vector is a coefficient map: sum c v^e |p> over its items (p, e) -> c,
 # every c a nonzero int.
 FockVector = dict[tuple[Partition, int], int]
+# A FockMatrix entry: sum c v^e over its pairs (e, c), sorted by e.
+Entry = tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +446,23 @@ class FockMatrix(NamedTuple):
     n: int
     d: int
     labels: tuple[Partition, ...]
-    entries: tuple[tuple[Laurent, ...], ...]
+    entries: tuple[tuple[Entry, ...], ...]
 
-    def entry(self, row_label: Partition, col_label: Partition) -> Laurent:
+    def entry(self, row_label: Partition, col_label: Partition) -> Entry:
         r = self.labels.index(row_label)
         c = self.labels.index(col_label)
         return self.entries[r][c]
 
     def evaluate(self, v: int) -> list[list[int]]:
-        return [[e(v) for e in row] for row in self.entries]
+        return [[sum(c * v**e for e, c in entry) for entry in row] for row in self.entries]
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "d": self.d,
             "labels": [list(p) for p in self.labels],
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": [[{str(e): str(c) for e, c in entry} for entry in row]
+                        for row in self.entries],
         }
 
     def to_csv(self, at_one: bool = False) -> str:
@@ -469,19 +472,30 @@ class FockMatrix(NamedTuple):
         lines = ["label," + ",".join(name(p) for p in self.labels)]
         for label, row in zip(self.labels, self.entries):
             if at_one:
-                cells = [str(e(1)) for e in row]
+                cells = [str(sum(c for _, c in entry)) for entry in row]
             else:
-                cells = [e.to_string("v").replace(" ", "") for e in row]
+                cells = [_entry_string(entry).replace(" ", "") for entry in row]
             lines.append(name(label) + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
 
+def _entry_string(entry: Entry) -> str:
+    """An entry as text, lowest power first: "1 + v - 2*v^3", "0" for zero."""
+    out = ""
+    for e, c in entry:
+        if e == 0:
+            term = str(abs(c))
+        else:
+            term = ("" if abs(c) == 1 else f"{abs(c)}*") + ("v" if e == 1 else f"v^{e}")
+        if out:
+            out += (" - " if c < 0 else " + ") + term
+        else:
+            out = ("-" if c < 0 else "") + term
+    return out or "0"
+
+
 # ---------------------------------------------------------------------------
 # the bar involution, by straightening q-wedges (Leclerc-Thibon)
-
-
-_ONE = Laurent(1)
-_ZERO = Laurent(0)
 
 
 def _wedge_pair(low: int, high: int, d: int) -> list[tuple[int, int, tuple]]:
@@ -558,7 +572,7 @@ def _bar_columns(labels, slots: int, d: int) -> dict[Partition, FockVector]:
         diagonal = {e: c for (mu, e), c in column.items() if mu == label}
         if len(diagonal) != 1 or set(diagonal.values()) - {1, -1}:
             raise InvariantError(f"straightened wedge of {label} has diagonal "
-                                 f"coefficient {Laurent(diagonal).to_string('v')}, not +-v^e")
+                                 f"coefficient {_entry_string(sorted(diagonal.items()))}, not +-v^e")
         (e, sign), = diagonal.items()
         columns[label] = {(mu, f - e): sign * c for (mu, f), c in column.items()}
     return columns
@@ -636,7 +650,7 @@ def _cached_basis(n: int, d: int) -> FockMatrix:
     entries = []
     for row in labels:
         terms = _by_label(basis[row])
-        entries.append(tuple(Laurent(terms[mu]) if mu in terms else _ZERO for mu in labels))
+        entries.append(tuple(tuple(sorted(terms.get(mu, {}).items())) for mu in labels))
     matrix = FockMatrix(n=n, d=d, labels=tuple(labels), entries=tuple(entries))
     verify_bar_invariance(matrix, family, bar)
     shape_check(matrix)
@@ -703,7 +717,7 @@ def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
         check(rank(values, GF(_RANK_PRIME)) == len(block),
               f"family is singular on the d-core block of {block[0]}")
     for p, row in zip(labels, matrix.entries):
-        g = {(mu, e): c for mu, entry in zip(labels, row) for e, c in entry.items()}
+        g = {(mu, e): c for mu, entry in zip(labels, row) for e, c in entry}
         check(_bar_apply(bar, g) == g, f"G({p}) is not bar-invariant")
 
 
@@ -716,13 +730,13 @@ def shape_check(matrix: FockMatrix) -> None:
     for r, row in enumerate(matrix.entries):
         for c, e in enumerate(row):
             if r == c:
-                if e != _ONE:
-                    failures.append(f"diagonal ({labels[r]}, {labels[c]}) = {e.to_string('v')}")
+                if e != ((0, 1),):
+                    failures.append(f"diagonal ({labels[r]}, {labels[c]}) = {_entry_string(e)}")
             elif not e:
                 continue
             elif c > r:
-                failures.append(f"upper entry ({labels[r]}, {labels[c]}) = {e.to_string('v')}")
-            elif e.min_degree() < 1 or any(co < 0 for _, co in e.items()):
-                failures.append(f"entry ({labels[r]}, {labels[c]}) = {e.to_string('v')} "
+                failures.append(f"upper entry ({labels[r]}, {labels[c]}) = {_entry_string(e)}")
+            elif e[0][0] < 1 or any(co < 0 for _, co in e):
+                failures.append(f"entry ({labels[r]}, {labels[c]}) = {_entry_string(e)} "
                                 "is not in v Z>=0 [v]")
     check(not failures, "canonical basis shape violation: " + "; ".join(failures))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -193,29 +192,43 @@ def _perm_order(p: tuple[int, ...]) -> int:
 
 
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
-    """Positive integers d_i with d_i * a[i][j] = d_j * a[j][i], min = 1,
-    found by propagating ratios through the diagram (per connected part)."""
+    """Positive integers d_i with d_i * a[i][j] = d_j * a[j][i], found by
+    propagating ratios through the diagram, in integers: a connected part
+    starts at 1 and is rescaled by the least factor a ratio needs, so it
+    ends as the least integer multiple of its rational solution.  The result
+    is the least integer multiple of the solution that is 1 on the first
+    node of every part."""
     n = len(cartan)
-    d = [Fraction(0)] * n
+    d = [0] * n
+    parts = []
     for start in range(n):
         if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
+        part = [start]
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if i != j and cartan[i][j]:
-                    val = d[i] * cartan[i][j] / cartan[j][i]
+                    num, den = d[i] * cartan[i][j], cartan[j][i]
                     if d[j] == 0:
-                        d[j] = val
+                        scale = abs(den) // math.gcd(num, den)
+                        for k in part:
+                            d[k] *= scale
+                        d[j] = num * scale // den
+                        part.append(j)
                         stack.append(j)
-                    elif d[j] != val:
+                    elif d[j] * den != num:
                         raise InvariantError("Cartan matrix is not symmetrizable")
-    lcm_den = math.lcm(*(x.denominator for x in d))
-    ints = [x * lcm_den for x in d]
-    g = math.gcd(*(x.numerator for x in ints))
-    out = tuple(int(x / g) for x in ints)
+        parts.append(part)
+    lead = math.lcm(*(d[part[0]] for part in parts))
+    for part in parts:
+        scale = lead // d[part[0]]
+        for k in part:
+            d[k] *= scale
+    g = math.gcd(*d)
+    out = tuple(x // g for x in d)
     for i in range(n):
         for j in range(n):
             if out[i] * cartan[i][j] != out[j] * cartan[j][i]:
@@ -332,16 +345,19 @@ def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, 
 def _check_finite_type(cartan, symmetrizer: tuple[int, ...]) -> None:
     """Refuse a Cartan matrix of infinite type, on which the root closure
     would never end.  A symmetrizable Cartan matrix is of finite type exactly
-    when diag(symmetrizer)·A is positive definite, that is when every pivot
-    of its elimination over Q without row swaps is positive."""
+    when diag(symmetrizer)·A is positive definite, that is when its leading
+    principal minors are positive.  Fraction-free (Bareiss) elimination
+    without row swaps leaves the k-th leading minor as the k-th pivot."""
     n = len(cartan)
-    m = [[Fraction(symmetrizer[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
+    m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    prev = 1
     for k in range(n):
-        if m[k][k] <= 0:
+        pivot = m[k][k]
+        if pivot <= 0:
             raise UnsupportedTypeError("Cartan matrix is not of finite type")
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+            m[i] = [(x * pivot - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pivot
 
 
 def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:

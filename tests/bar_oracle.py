@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from fock_oracle import FockVector, _bar_apply
+from laurent_oracle import Laurent
 
 from lielocal.errors import InvariantError, check
 from lielocal.fock_llt import Partition, _core_blocks
-from lielocal.laurent import Laurent
 from lielocal.linalg import rref
 
 _QUOTIENT = operator.itemgetter(0)
@@ -188,7 +188,7 @@ def numeric_bar_check(matrix, family) -> None:
                 if any(row[c] for c in cols)]
         # transposed: one row per column label mu of the block
         fam = [[list(family[a].get(mu, zero).items()) for a in block] for mu in block]
-        g = [[list(matrix.entries[lam][c].items()) for lam in rows] for c in cols]
+        g = [[list(matrix.entries[lam][c]) for lam in rows] for c in cols]
         exponents = [e for row in fam + g for f in row for e, _ in f]
         low, high = min(exponents, default=0), max(exponents, default=0)
         for t in _BAR_CHECK_POINTS:

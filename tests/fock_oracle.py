@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 
+from laurent_oracle import Laurent
+
 from lielocal.errors import InvariantError, check
 from lielocal.fock_llt import (
     Partition,
@@ -30,7 +32,6 @@ from lielocal.fock_llt import (
     regular_singular_split,
     ribbon_strip_spin,
 )
-from lielocal.laurent import Laurent
 from lielocal.linalg import add_scaled, add_term
 
 FockVector = dict[Partition, Laurent]

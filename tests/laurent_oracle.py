@@ -1,19 +1,21 @@
-"""Laurent polynomials over Z in one variable, exact.
+"""Test-only oracle: Laurent polynomials over Z in one variable, exact.
 
-Used in two roles: Hecke-algebra coefficients (variable ``x``) and the
-entries of a finished canonical-basis matrix (variable ``v``).  The Fock-space
-computation itself keeps plain integer coefficient maps (see ``fock_llt``);
-there a Laurent polynomial only carries a result to ``shape_check`` and the
-JSON and CSV writers.  The representation is a dict mapping exponent (int,
-possibly negative) to nonzero int coefficient.  Instances are immutable in
-practice: all operations return new objects.
+The package keeps Z[v, 1/v] data as integer coefficient maps: Fock vectors
+and Hecke elements are dicts from (label, exponent) to a nonzero int, and a
+finished canonical-basis entry is a sorted tuple of (exponent, coefficient)
+pairs.  This module keeps a Laurent polynomial as one object with its own
+ring arithmetic, so that ``fock_oracle`` and ``bar_oracle`` recompute the
+Fock-space route in an arithmetic the package does not share.  The
+representation is a dict mapping exponent (int, possibly negative) to
+nonzero int coefficient; all operations return new objects.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import poly_exact_div
+from lielocal.cyclotomic import poly_exact_div
 
 
 class Laurent:
@@ -27,13 +29,9 @@ class Laurent:
         else:
             self._c = {e: c for e, c in coeffs.items() if c}
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def variable(cls) -> "Laurent":
         return cls({1: 1})
-
-    # -- basic queries ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
@@ -47,27 +45,12 @@ class Laurent:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def min_degree(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no degree")
-        return min(self._c)
-
-    def max_degree(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._c)
-
-    # -- arithmetic ----------------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = Laurent(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
@@ -106,12 +89,8 @@ class Laurent:
         if n < 0:
             raise ValueError("negative powers only for monomials; shift instead")
         result = Laurent(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def shifted(self, k: int) -> "Laurent":
@@ -130,51 +109,24 @@ class Laurent:
         if self.is_zero():
             return Laurent(0)
         # strip the minimal degrees to divide ordinary polynomials
-        a_shift = self.min_degree()
-        b_shift = other.min_degree()
+        a_shift, b_shift = min(self._c), min(other._c)
         quo = poly_exact_div(
-            [self.coeff(e) for e in range(a_shift, self.max_degree() + 1)],
-            [other.coeff(e) for e in range(b_shift, other.max_degree() + 1)])
+            [self.coeff(e) for e in range(a_shift, max(self._c) + 1)],
+            [other.coeff(e) for e in range(b_shift, max(other._c) + 1)])
         if quo is None:
             raise ValueError("not exactly divisible over Z")
         return Laurent({i + a_shift - b_shift: c for i, c in enumerate(quo)})
 
-    # -- evaluation ----------------------------------------------------------
-
     def __call__(self, value):
-        """Evaluate.  Exact for int/Fraction arguments; negative exponents
-        require an invertible value.  At v = +-1 a negative power is the
-        positive one, so an int value stays in int arithmetic; elsewhere
-        ``fractions`` is imported on the first negative exponent."""
-        unit = isinstance(value, int) and value in (1, -1)
-        total = 0
-        for e, c in self._c.items():
-            if e >= 0:
-                total += c * value**e
-            elif unit:
-                total += c * value ** (-e)
-            else:
-                from fractions import Fraction
-                total += c * Fraction(1, 1) / Fraction(value) ** (-e)
-        if getattr(total, "denominator", None) == 1:
-            return int(total)
-        return total
+        """Evaluate exactly at an int or Fraction; a negative exponent
+        needs an invertible value."""
+        total = sum((c * Fraction(value) ** e for e, c in self._c.items()), Fraction(0))
+        return int(total) if total.denominator == 1 else total
 
     def eval_mod(self, value: int, modulus: int) -> int:
         """Evaluate at ``value`` modulo ``modulus``; negative exponents need
         ``value`` invertible mod ``modulus``."""
-        inv = None
-        total = 0
-        for e, c in self._c.items():
-            if e >= 0:
-                total += c * pow(value, e, modulus)
-            else:
-                if inv is None:
-                    inv = pow(value, -1, modulus)
-                total += c * pow(inv, -e, modulus)
-        return total % modulus
-
-    # -- display -------------------------------------------------------------
+        return sum(c * pow(value, e, modulus) for e, c in self._c.items()) % modulus
 
     def to_string(self, var: str = "v") -> str:
         if not self._c:

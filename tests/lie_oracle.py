@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from laurent_oracle import Laurent
+
 from lielocal.defining_char import phi_orbits, phi_stable_subsets, stratum_size
 from lielocal.generic_order import CycloFactorization
-from lielocal.laurent import Laurent
 
 
 def bfs_enumeration(ctx):

@@ -12,10 +12,11 @@ exit status is 1 when any does.
 The argv are the queries of tests/test_golden_stdout.py, the cold-CLI
 queries of perfbench/workloads.py, ``weyl regular`` and ``braid
 verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
-to 2 * (largest degree) * (twist order), and ``llt --n N --d D`` for every
-N <= 10 and D from 2 to 5, in JSON, with ``--csv`` and with ``--at-1``.  The
-list is built from CHANGE_SRC.  Both children run at once; the 805 argv took
-about 20 s on a 2-CPU machine.
+to 2 * (largest degree) * (twist order), ``hecke poincare`` for every label
+of ``ALL_LABELS`` and GL1-GL9, ``llt --n N --d D`` for every N <= 10 and D
+from 2 to 5, in JSON, with ``--csv`` and with ``--at-1``, and for N = 11, 12
+and D = 2, 3 in JSON and with ``--csv``.  The list is built from CHANGE_SRC.
+Both children run at once; the 870 argv took about 12 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -53,7 +54,7 @@ json.dump({"package": lielocal.__file__, "records": records}, sys.stdout)
 def argv_list(src: str) -> list[list[str]]:
     """The argv to compare, with the labels and degrees read from ``src``."""
     sys.path[:0] = [src, HERE, ROOT]
-    from lielocal.root_datum import labels_of_rank, parse_label, split_degrees
+    from lielocal.root_datum import ALL_LABELS, labels_of_rank, parse_label, split_degrees
     from perfbench.workloads import CLI_LLT, CLI_WEYL
     from test_golden_stdout import GOLDEN
 
@@ -67,9 +68,15 @@ def argv_list(src: str) -> list[list[str]]:
         for d in range(1, top + 1):
             queries.append(["weyl", "regular", label, "--d", str(d)])
             queries.append(["braid", "verify-regular", label, "--d", str(d)])
+    for label in list(ALL_LABELS) + [f"GL{n}" for n in range(1, 10)]:
+        queries.append(["hecke", "poincare", label])
     for n in range(11):
         for d in range(2, 6):
             for style in ([], ["--csv"], ["--at-1"]):
+                queries.append(["llt", "--n", str(n), "--d", str(d), *style])
+    for n in (11, 12):
+        for d in (2, 3):
+            for style in ([], ["--csv"]):
                 queries.append(["llt", "--n", str(n), "--d", str(d), *style])
     return queries
 

@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from lielocal.braid_hecke import (
     verify_regular_braid_identity,
 )
 from lielocal.errors import InvariantError
-from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.root_datum import ALL_LABELS as EVERY_LABEL, cached_datum, cartan_matrix, labels_of_rank
 from lielocal.weyl import context_from_datum, generate_weyl, gl_context, gl_weyl
 
@@ -326,9 +326,8 @@ def _algebra(label):
 
 def test_hecke_quadratic_relation():
     h = _algebra("A1")
-    x = Laurent.variable()
     ts = h.generator(0)
-    expected = ts.scaled(x - 1) + h.unit().scaled(x)
+    expected = ts.scaled({1: 1, 0: -1}) + h.unit().scaled({1: 1})
     assert ts * ts == expected
 
 
@@ -405,6 +404,14 @@ def test_hecke_specialize_rejects_noninvertible():
         specialize(ts, 1, modulus=1)
 
 
+def test_hecke_specialize_negative_exponent():
+    h = _algebra("A1")
+    inverse_x = h.unit().scaled({-1: 1})
+    assert specialize(inverse_x, 2) == {0: Fraction(1, 2)}
+    assert specialize(inverse_x, 2, modulus=5) == {0: 3}
+    assert specialize(inverse_x, -1) == {0: -1}
+
+
 def test_hecke_element_serialization():
     h = _algebra("A2")
     element = h.generator(0) * h.generator(0)
@@ -414,18 +421,18 @@ def test_hecke_element_serialization():
 
 
 def test_hecke_poincare_small_types():
-    assert hecke_poincare("A2") == Laurent({0: 1, 1: 2, 2: 2, 3: 1})
+    assert hecke_poincare("A2") == (1, 2, 2, 1)
     b2 = hecke_poincare("B2")
-    assert b2 == Laurent({0: 1, 1: 2, 2: 2, 3: 2, 4: 1})
-    assert b2(1) == 8
+    assert b2 == (1, 2, 2, 2, 1)
+    assert sum(b2) == 8
     assert hecke_poincare("2A2") == hecke_poincare("A2")
-    assert hecke_poincare("GL3")(1) == 6
+    assert sum(hecke_poincare("GL3")) == 6
 
 
 def test_hecke_poincare_large_types_product_route():
-    assert hecke_poincare("E8")(1) == 696729600
-    assert hecke_poincare("E7")(1) == 2903040
-    assert hecke_poincare("F4")(1) == 1152
+    assert sum(hecke_poincare("E8")) == 696729600
+    assert sum(hecke_poincare("E7")) == 2903040
+    assert sum(hecke_poincare("F4")) == 1152
     with pytest.raises(ValueError):
         hecke_poincare("H3")
 
@@ -441,7 +448,7 @@ def test_orbit_chain_matches_enumeration(label):
         cartan, group = cartan_matrix("A", n - 1), gl_weyl(n)
     else:
         cartan, group = cached_datum(label).cartan, generate_weyl(cached_datum(label))
-    assert _orbit_chain_poincare(cartan) == poly_from_coeffs(poincare_polynomial(group))
+    assert _orbit_chain_poincare(cartan) == tuple(poincare_polynomial(group))
 
 
 def test_every_label_is_checked_by_the_orbit_chain(monkeypatch):

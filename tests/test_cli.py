@@ -9,12 +9,12 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from laurent_oracle import Laurent
 from lie_oracle import factorization_from_json, laurent_from_json
 
 from lielocal import cli, defining_char
 from lielocal.errors import InvariantError
 from lielocal.generic_order import generic_order
-from lielocal.laurent import Laurent
 from lielocal.root_datum import cached_datum, labels_of_rank
 
 
@@ -483,16 +483,17 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-# One argv per subcommand, and the at-1 form of `llt`.  None loads
-# `dataclasses` or `inspect`, whose import costs a cold query more than most
-# of its computation; `llt` does no rational work and loads no `fractions`.
+# One argv per subcommand, the at-1 form of `llt` and `hecke poincare` on
+# E8.  None loads `dataclasses` or `inspect`, whose import costs a cold query
+# more than most of its computation.  `llt`, `order` and `hecke poincare` do
+# no rational work and load no `fractions`.
 _NOT_LLT = ["lielocal.weyl", "lielocal.braid_hecke", "lielocal.defining_char",
             "lielocal.degeneration", "lielocal.ell_local"]
 
 
 @pytest.mark.parametrize("argv, absent", [
     (["llt", "--n", "1", "--d", "2"], _NOT_LLT + ["lielocal.root_datum", "fractions"]),
-    (["order", "A2"], _NOT_LLT + ["lielocal.fock_llt"]),
+    (["order", "A2"], _NOT_LLT + ["lielocal.fock_llt", "fractions"]),
     (["weyl", "classes", "A2"], []),
     (["weyl", "regular", "A2", "--d", "3"], []),
     (["sylow", "A2", "--q", "2", "--ell", "7"], []),
@@ -503,6 +504,7 @@ _NOT_LLT = ["lielocal.weyl", "lielocal.braid_hecke", "lielocal.defining_char",
     (["hecke", "poincare", "A2"], []),
     (["degenerate", "--ell", "2", "--factors", "1:2"], []),
     (["llt", "--n", "7", "--d", "3", "--at-1"], _NOT_LLT + ["lielocal.root_datum", "fractions"]),
+    (["hecke", "poincare", "E8"], ["lielocal.fock_llt", "fractions"]),
 ])
 def test_command_loads_only_its_modules(argv, absent):
     result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],

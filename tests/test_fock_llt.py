@@ -10,6 +10,7 @@ from bar_oracle import _BAR_CHECK_POINTS, numeric_bar_check
 from fock_oracle import laurent_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from laurent_oracle import Laurent
 
 from lielocal import fock_llt
 from lielocal.errors import GuardExceeded, InvariantError
@@ -31,7 +32,6 @@ from lielocal.fock_llt import (
     shape_check,
     verify_bar_invariance,
 )
-from lielocal.laurent import Laurent
 from lielocal.linalg import add_scaled, rref
 
 V = Laurent.variable()
@@ -43,6 +43,16 @@ EMPTY = {((), 0): 1}
 def _basis_vector(p):
     """|p> as a coefficient map."""
     return {(p, 0): 1}
+
+
+def _entry(f):
+    """A Laurent polynomial as a FockMatrix entry."""
+    return tuple(f.items())
+
+
+def _laurent(entry):
+    """A FockMatrix entry as a Laurent polynomial."""
+    return Laurent(dict(entry))
 
 
 def _laurent_family(family):
@@ -359,17 +369,17 @@ class TestCanonicalBasis:
     def test_two_boxes(self):
         m = llt_canonical_basis(2, 2)
         assert m.labels == ((1, 1), (2,))
-        assert m.entries == ((ONE, ZERO), (V, ONE))
+        assert m.entries == ((((0, 1),), ()), (((1, 1),), ((0, 1),)))
 
     def test_three_boxes_d3(self):
         m = llt_canonical_basis(3, 3)
-        assert m.entry((2, 1), (1, 1, 1)) == V
-        assert m.entry((3,), (2, 1)) == V
-        assert m.entry((3,), (1, 1, 1)) == ZERO
+        assert m.entry((2, 1), (1, 1, 1)) == _entry(V)
+        assert m.entry((3,), (2, 1)) == _entry(V)
+        assert m.entry((3,), (1, 1, 1)) == _entry(ZERO)
 
     def test_four_boxes_d2(self):
         m = llt_canonical_basis(4, 2)
-        rows = {lab: {mu: e for mu, e in zip(m.labels, row) if e}
+        rows = {lab: {mu: _laurent(e) for mu, e in zip(m.labels, row) if e}
                 for lab, row in zip(m.labels, m.entries)}
         assert rows[(4,)] == {(4,): ONE, (3, 1): V, (2, 1, 1): V,
                               (1, 1, 1, 1): V * V}
@@ -383,7 +393,7 @@ class TestCanonicalBasis:
             m = llt_canonical_basis(n, n + 1)
             for r in range(len(m.labels)):
                 for c in range(len(m.labels)):
-                    assert m.entries[r][c] == (ONE if r == c else ZERO)
+                    assert m.entries[r][c] == _entry(ONE if r == c else ZERO)
 
     def test_shape_small_grid(self):
         for n in range(9):
@@ -413,7 +423,7 @@ class TestCanonicalBasis:
     def test_bar_check_rejects_tampering(self):
         m = llt_canonical_basis(4, 2)
         rows = [list(row) for row in m.entries]
-        rows[3][1] = rows[3][1] + V  # corrupt one coefficient
+        rows[3][1] = _entry(_laurent(rows[3][1]) + V)  # corrupt one coefficient
         bad = FockMatrix(n=4, d=2, labels=m.labels,
                          entries=tuple(tuple(r) for r in rows))
         with pytest.raises(InvariantError):
@@ -446,7 +456,7 @@ def _whole_matrix_bar_check(matrix, family):
     for t in _BAR_CHECK_POINTS:
         m_at_inv = [list(col) for col in zip(*family_rows(1 / t))]
         a_at_t = family_rows(t)
-        g_at_inv = [[matrix.entries[c][r](1 / t) for c in range(size)]
+        g_at_inv = [[_laurent(matrix.entries[c][r])(1 / t) for c in range(size)]
                     for r in range(size)]
         red, pivots = rref([row + r for row, r in zip(m_at_inv, g_at_inv)])
         if pivots[:size] != list(range(size)):
@@ -456,7 +466,7 @@ def _whole_matrix_bar_check(matrix, family):
             for mu in range(size):
                 total = sum((a_at_t[j][mu] * coeffs[j][lam] for j in range(size)),
                             Fraction(0))
-                if total != matrix.entries[lam][mu](t):
+                if total != _laurent(matrix.entries[lam][mu])(t):
                     raise InvariantError(f"G({labels[lam]}) is not bar-invariant")
 
 
@@ -464,7 +474,7 @@ def _with_entry_added(matrix, row_label, col_label, extra):
     rows = [list(row) for row in matrix.entries]
     r = matrix.labels.index(row_label)
     c = matrix.labels.index(col_label)
-    rows[r][c] = rows[r][c] + extra
+    rows[r][c] = _entry(_laurent(rows[r][c]) + extra)
     return FockMatrix(n=matrix.n, d=matrix.d, labels=matrix.labels,
                       entries=tuple(tuple(row) for row in rows))
 
@@ -641,7 +651,8 @@ class TestLaurentRoute:
         basis = fock_oracle.canonical_basis(n, d)
         for r, row in enumerate(labels):
             for c, col in enumerate(labels):
-                assert matrix.entries[r][c] == basis[row].get(col, ZERO), (n, d, row, col)
+                assert matrix.entries[r][c] == _entry(basis[row].get(col, ZERO)), \
+                    (n, d, row, col)
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5))
     def test_every_n_up_to_nine(self, d):
@@ -796,10 +807,29 @@ class TestEvaluationAndOutput:
     def test_shape_check_reports_failures(self):
         labels = ((1, 1), (2,))
         bad = FockMatrix(n=2, d=2, labels=labels,
-                         entries=((ONE, V), (ONE + V, Laurent(2))))
+                         entries=((_entry(ONE), _entry(V)), (_entry(ONE + V), _entry(Laurent(2)))))
         with pytest.raises(InvariantError, match="canonical basis shape violation") as caught:
             shape_check(bad)
         message = str(caught.value)
         assert "diagonal ((2,), (2,)) = 2" in message
         assert "upper entry ((1, 1), (2,)) = v" in message
         assert "entry ((2,), (1, 1)) = 1 + v is not in v Z>=0 [v]" in message
+        # negative and non-unit coefficients and negative exponents, each
+        # written as Laurent.to_string writes it
+        labels = ((1, 1, 1), (2, 1), (3,))
+        rows = ((Laurent(2), V, ZERO),
+                (ONE + V, ONE, Laurent({1: -1, 2: -3})),
+                (Laurent({1: 1, 2: -1}), Laurent({-1: 1, 3: 2}), Laurent({-2: -2, 0: 1})))
+        bad = FockMatrix(n=3, d=2, labels=labels,
+                         entries=tuple(tuple(_entry(f) for f in row) for row in rows))
+        with pytest.raises(InvariantError) as caught:
+            shape_check(bad)
+        assert str(caught.value) == (
+            "canonical basis shape violation: "
+            "diagonal ((1, 1, 1), (1, 1, 1)) = 2; "
+            "upper entry ((1, 1, 1), (2, 1)) = v; "
+            "entry ((2, 1), (1, 1, 1)) = 1 + v is not in v Z>=0 [v]; "
+            "upper entry ((2, 1), (3,)) = -v - 3*v^2; "
+            "entry ((3,), (1, 1, 1)) = v - v^2 is not in v Z>=0 [v]; "
+            "entry ((3,), (2, 1)) = v^-1 + 2*v^3 is not in v Z>=0 [v]; "
+            "diagonal ((3,), (3,)) = -2*v^-2 + 1")

@@ -9,6 +9,7 @@ from cyclo_oracle import CycloField
 from fock_oracle import quantum_factorial, quantum_integer
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from laurent_oracle import Laurent, poly_from_coeffs
 from lie_oracle import laurent_from_json
 
 from lielocal import defining_char, degeneration, fock_llt, weyl
@@ -21,7 +22,6 @@ from lielocal.cyclotomic import (
     poly_mul,
 )
 from lielocal.errors import GuardExceeded, InvariantError
-from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import (
     GF,
     QQ,

@@ -8,6 +8,7 @@ import cyclo_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from laurent_oracle import Laurent, poly_from_coeffs
 from lie_oracle import (bfs_enumeration, index_of, inverse, longest, multiply, phi_image,
                         poincare_polynomial)
 
@@ -18,7 +19,6 @@ from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
 from lielocal.cyclotomic import cyclotomic, euler_phi
 from lielocal.ell_local import sylow_structure
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
-from lielocal.laurent import Laurent, poly_from_coeffs
 from lielocal.linalg import closure, identity, mat_mul, rank
 from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, labels_of_rank,
                                  parse_label, split_degrees)
@@ -90,7 +90,7 @@ class TestEnumeration:
         assert len(w) == 24
         assert w.ctx.N == 6
         poincare = poly_from_coeffs(poincare_polynomial(w))
-        assert poincare == hecke_poincare("GL4") == degree_product((1, 2, 3, 4))
+        assert poincare == poly_from_coeffs(hecke_poincare("GL4")) == degree_product((1, 2, 3, 4))
         # GL1 has no generators, so no right multiplication column to count
         # its one element
         assert len(gl_weyl(1)) == 1 and gl_weyl(1).right == []
@@ -122,7 +122,7 @@ class TestDegrees:
     ])
     def test_degree_tables(self, label, degs):
         poincare = poly_from_coeffs(poincare_polynomial(group(label)))
-        assert poincare == hecke_poincare(label) == degree_product(degs)
+        assert poincare == poly_from_coeffs(hecke_poincare(label)) == degree_product(degs)
 
     def test_poincare_symmetry(self):
         p = poincare_polynomial(group("B2"))
