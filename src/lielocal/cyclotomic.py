@@ -3,8 +3,9 @@
 Dense univariate polynomials are coefficient lists, constant term first.
 ``cyclotomic(d)`` produces Phi_d by exact division of x^d - 1.
 ``phi_d_matrix`` evaluates Phi_d at an integer matrix, and ``cyclo_rref``
-row-reduces a rational basis of its kernel; all eigenspace work is done on
-that kernel over Q (:mod:`lielocal.weyl` says why that is exact).
+gives an integer basis of its kernel over Q; all eigenspace work is done on
+that kernel (:mod:`lielocal.weyl` says why that is exact), in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvariantError
-from .linalg import IntMatrix, identity, kernel_basis, mat_mul, rref
+from .linalg import IntMatrix, _eliminate, identity, kernel_basis, mat_mul
 
 IntPoly = list[int]
 
@@ -127,6 +128,8 @@ def phi_d_matrix(m: Sequence[Sequence[int]], d: int) -> IntMatrix:
     return acc
 
 
-def cyclo_rref(m: Sequence[Sequence[int]], d: int) -> tuple[list[list], list[int]]:
-    """Row-reduced rational basis of ker Phi_d(m), with its pivot columns."""
-    return rref(kernel_basis(phi_d_matrix(m, d)))
+def cyclo_rref(m: Sequence[Sequence[int]], d: int) -> tuple[IntMatrix, list[int]]:
+    """Integer basis of ker_Q Phi_d(m), with the pivot columns of its echelon
+    form: one per row exactly when the rows are independent."""
+    basis = kernel_basis(phi_d_matrix(m, d))
+    return basis, _eliminate([list(row) for row in basis])

@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 from .cyclotomic import poly_mul
 from .errors import GuardExceeded, check
 from .generic_order import is_prime, valuation
-from .linalg import (GF, add_scaled, add_term, closure, identity, mat_inverse, mat_vec,
+from .linalg import (add_scaled, add_term, closure, identity, mat_inverse, mat_vec,
                      sparse_rank)
 
 DEGEN_GUARD = 4096
@@ -127,7 +127,7 @@ class AbelianLGroup:
             idx = [j for j in range(rank) if blocks[j] == i]
             block = [[mat[r][c] for c in idx] for r in idx]
             try:
-                mat_inverse(block, GF(self.ell))
+                mat_inverse(block, self.ell)
             except ValueError:
                 raise ValueError("automorphism block %d is singular mod %d"
                                  % (i, self.ell)) from None
@@ -317,7 +317,7 @@ def radical_section(group: AbelianLGroup) -> RadicalSection:
             "automorphism group order %d is divisible by ell = %d; "
             "no equivariant section by averaging" % (len(aut), ell))
     inv_order = pow(len(aut), -1, ell)
-    inverses = [mat_inverse(mat, GF(ell)) for mat in aut]
+    inverses = [mat_inverse(mat, ell) for mat in aut]
 
     images = []
     for j in range(rank):

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .cyclotomic import poly_exact_div, poly_mul
 from .errors import GuardExceeded, InvariantError, check
-from .linalg import GF, add_term, rank
+from .linalg import add_term, rank
 
 LLT_GUARD = 12
 
@@ -714,7 +714,7 @@ def verify_bar_invariance(matrix: FockMatrix, family=None, bar=None) -> None:
             for (mu, e), c in family[a].items():
                 at_two[mu] += c * pow(2, e, _RANK_PRIME)
             values.append(list(at_two.values()))
-        check(rank(values, GF(_RANK_PRIME)) == len(block),
+        check(rank(values, _RANK_PRIME) == len(block),
               f"family is singular on the d-core block of {block[0]}")
     for p, row in zip(labels, matrix.entries):
         g = {(mu, e): c for mu, entry in zip(labels, row) for e, c in entry}

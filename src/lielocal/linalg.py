@@ -1,24 +1,21 @@
-"""Exact linear algebra over Q, F_p and Z on small dense matrices.
+"""Exact linear algebra over Z and F_p on small dense matrices.
 
-Matrices are plain lists of row lists.  Everything is exact: rational work
-uses :class:`fractions.Fraction`, imported on first use, integer work stays
-in Z, modular work reduces eagerly.  Sizes in this package never exceed a
-few hundred rows, so simple Gaussian elimination is the right tool; one
-elimination serves every field, passed as a field object (``QQ`` or
-``GF(p)``).
-The Smith normal form keeps its own loop: it works with unimodular row and
-column operations over Z.
+Matrices are plain lists of integer row lists.  One elimination,
+:func:`_eliminate`, serves every dense rank, kernel, inverse and leading
+minor: fraction-free over Z (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968), so a rank
+or kernel over Q needs no fractions, and reduced eagerly modulo a prime.
+Sizes in this package never exceed a few hundred rows, so plain elimination
+is the right tool.  ``sparse_rank`` keeps its own loop over sparse rows,
+and the Smith normal form its own unimodular row and column operations.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import TYPE_CHECKING, Sequence
+import math
+from typing import Sequence
 
-from .errors import GuardExceeded
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .errors import GuardExceeded, check
 
 IntMatrix = list[list[int]]
 
@@ -38,95 +35,46 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-class Rationals:
-    """Q with :class:`~fractions.Fraction` entries.
+def _eliminate(m: IntMatrix, mod: int | None = None, reduced: bool = False) -> list[int]:
+    """Integer row echelon form of ``m``, in place; returns the pivot columns.
 
-    A field object works on whole rows so the elimination's inner loops stay
-    list comprehensions: ``coerce`` a row, test an entry with ``nonzero``,
-    ``inv`` and ``neg`` an entry, ``scale_row`` by an entry, and ``sub_row``
-    a multiple of a pivot row.  ``GF`` offers the same members.  Every
-    Fraction entry comes from ``coerce``, ``zero`` or ``one``, which import
-    ``fractions`` when first called, so a process that does no rational
-    work does not load it."""
-
-    nonzero = staticmethod(bool)
-    neg = staticmethod(operator.neg)
-
-    @property
-    def zero(self) -> Fraction:
-        from fractions import Fraction
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        from fractions import Fraction
-        return Fraction(1)
-
-    def coerce(self, row) -> list[Fraction]:
-        from fractions import Fraction
-        return [Fraction(x) for x in row]
-
-    def inv(self, x: Fraction) -> Fraction:
-        return 1 / x
-
-    def scale_row(self, c, row):
-        return [c * x for x in row]
-
-    def sub_row(self, row, c, pivot):
-        """row - c * pivot."""
-        return [x - c * y for x, y in zip(row, pivot)]
-
-
-QQ = Rationals()
-
-
-class GF:
-    """The prime field F_p; entries are ints reduced into [0, p)."""
-
-    zero = 0
-    one = 1
-    nonzero = staticmethod(bool)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def coerce(self, row) -> list[int]:
-        p = self.p
-        return [x % p for x in row]
-
-    def inv(self, x: int) -> int:
-        return pow(x, -1, self.p)
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
-    def scale_row(self, c, row):
-        p = self.p
-        return [c * x % p for x in row]
-
-    def sub_row(self, row, c, pivot):
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(row, pivot)]
-
-
-def _eliminate(m: list[list], field, reduced: bool) -> list[int]:
-    """Gaussian elimination in place on coerced rows; returns the pivot
-    columns.  ``reduced`` clears above each pivot too (row-reduced echelon
-    form); without it only rows below are cleared, which is all a rank needs."""
-    nonzero = field.nonzero
+    Each row update is p·row - f·pivot_row, for the pivot p and the row's
+    entry f in the pivot column.  Over Z (``mod`` None) the update is divided
+    exactly by the previous pivot (Bareiss), so every entry stays a minor of
+    the input and the last pivot is the minor on the pivot rows and columns.
+    Modulo a prime ``mod`` the entries are reduced, and each pivot row is
+    first scaled by its pivot's inverse, so the pivots are 1.  ``reduced``
+    clears above each pivot too; every pivot row then carries the last pivot
+    at its pivot column.  Without it only rows below are cleared, which is
+    all a rank needs."""
+    if mod is not None:
+        m[:] = [[x % mod for x in row] for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if nonzero(m[i][c])), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        m[r] = field.scale_row(field.inv(m[r][c]), m[r])
-        for i in range(0 if reduced else r + 1, rows):
-            if i != r and nonzero(m[i][c]):
-                m[i] = field.sub_row(m[i], m[i][c], m[r])
+        others = [i for i in range(0 if reduced else r + 1, rows) if i != r]
+        if mod is None:
+            prow = m[r]
+            p = prow[c]
+            for i in others:
+                f = m[i][c]
+                if f or p != prev:
+                    m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+            prev = p
+        else:
+            inv = pow(m[r][c], -1, mod)
+            prow = m[r] = [inv * x % mod for x in m[r]]
+            for i in others:
+                f = m[i][c]
+                if f:
+                    m[i] = [(x - f * y) % mod for x, y in zip(m[i], prow)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -134,42 +82,41 @@ def _eliminate(m: list[list], field, reduced: bool) -> list[int]:
     return pivots
 
 
-def rref(a: Sequence[Sequence], field=QQ) -> tuple[list[list], list[int]]:
-    """Row-reduced echelon form over ``field``; returns (R, pivot columns)."""
-    m = [field.coerce(row) for row in a]
-    return m, _eliminate(m, field, reduced=True)
+def rank(a: Sequence[Sequence[int]], mod: int | None = None) -> int:
+    """Rank of an integer matrix over Q, or over F_mod for a prime ``mod``."""
+    return len(_eliminate([list(row) for row in a], mod))
 
 
-def rank(a: Sequence[Sequence], field=QQ) -> int:
-    return len(_eliminate([field.coerce(row) for row in a], field, reduced=False))
-
-
-def kernel_basis(a: Sequence[Sequence], field=QQ) -> list[list]:
-    """Basis of {x : a @ x = 0} over ``field``."""
-    if not a:
-        return []
-    cols = len(a[0])
-    r, pivots = rref(a, field)
-    free = [c for c in range(cols) if c not in pivots]
+def kernel_basis(a: Sequence[Sequence[int]]) -> IntMatrix:
+    """Basis of ker_Q a = {x : a @ x = 0} in primitive integer rows, one per
+    free column f, nonzero at f and zero at the other free columns.  Each
+    row is checked against ``a`` before it is returned."""
+    cols = len(a[0]) if a else 0
+    m = [list(row) for row in a]
+    pivots = _eliminate(m, reduced=True)
+    last = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for f in free:
-        v = [field.zero] * cols
-        v[f] = field.one
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = last
         for i, p in enumerate(pivots):
-            v[p] = field.neg(r[i][f])
+            v[p] = -m[i][f]
+        g = math.gcd(*v)
+        v = [x // g for x in v]
+        check(not any(mat_vec(a, v)), "kernel vector is not in the kernel")
         basis.append(v)
     return basis
 
 
-def mat_inverse(a: Sequence[Sequence], field=QQ) -> list[list]:
-    """Inverse over ``field``; raises ValueError on a singular matrix."""
+def mat_inverse(a: Sequence[Sequence[int]], p: int) -> IntMatrix:
+    """Inverse over F_p; raises ValueError on a matrix singular mod p."""
     n = len(a)
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-           for i, row in enumerate(a)]
-    r, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if _eliminate(aug, p, reduced=True)[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in r[:n]]
+    return [row[n:] for row in aug]
 
 
 def add_term(vec: dict, key, c, mod: int | None = None) -> None:

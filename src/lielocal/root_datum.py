@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvariantError, UnsupportedTypeError, check
+from .linalg import _eliminate
 
 MAX_RANK = 8
 
@@ -346,18 +347,15 @@ def _check_finite_type(cartan, symmetrizer: tuple[int, ...]) -> None:
     """Refuse a Cartan matrix of infinite type, on which the root closure
     would never end.  A symmetrizable Cartan matrix is of finite type exactly
     when diag(symmetrizer)·A is positive definite, that is when its leading
-    principal minors are positive.  Fraction-free (Bareiss) elimination
-    without row swaps leaves the k-th leading minor as the k-th pivot."""
+    principal minors are positive.  The k-th leading block is eliminated
+    for k = 1..n: once the first k-1 minors are positive no row is swapped,
+    so its last pivot is the k-th minor."""
     n = len(cartan)
     m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
+    for k in range(1, n + 1):
+        block = [row[:k] for row in m[:k]]
+        if len(_eliminate(block)) < k or block[-1][-1] <= 0:
             raise UnsupportedTypeError("Cartan matrix is not of finite type")
-        for i in range(k + 1, n):
-            m[i] = [(x * pivot - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = pivot
 
 
 def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:

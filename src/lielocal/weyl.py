@@ -494,9 +494,9 @@ class WeylGroup:
         best = max(dims)
         return dims.index(best), best
 
-    def eigenspace_basis(self, w: int, d: int) -> list[list]:
-        """Row-reduced rational basis of V_d = ker_Q Phi_d(w phi), which stands
-        in for the zeta_d-eigenspace (module docstring).  Its size is checked
+    def eigenspace_basis(self, w: int, d: int) -> list[list[int]]:
+        """Integer basis of V_d = ker_Q Phi_d(w phi), which stands in for the
+        zeta_d-eigenspace (module docstring).  Its size is checked
         against :meth:`phi_d_dimensions`, which takes the rank another way,
         and its rows are checked independent."""
         basis, pivots = cyclo_rref(self._twisted_matrix(w), d)

@@ -21,12 +21,12 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from field_oracle import rref
 from fock_oracle import FockVector, _bar_apply
 from laurent_oracle import Laurent
 
 from lielocal.errors import InvariantError, check
 from lielocal.fock_llt import Partition, _core_blocks
-from lielocal.linalg import rref
 
 _QUOTIENT = operator.itemgetter(0)
 _REMAINDER = operator.itemgetter(1)

@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from field_oracle import kernel_basis, rank, rref
+
 from lielocal.cyclotomic import cyclotomic, poly_mul, poly_trim
 from lielocal.errors import InvariantError, check
-from lielocal.linalg import kernel_basis, rank, rref
 
 
 def poly_sub(a: Sequence, b: Sequence) -> list:
@@ -49,7 +50,7 @@ class CycloField:
     """Exact arithmetic in K = Q[t]/(Phi_d).  Elements are tuples of
     Fractions of length phi(d) (coefficients of 1, t, ..., t^(phi(d)-1)).
     The row members (``coerce``, ``nonzero``, ``scale_row``, ``sub_row``)
-    make it a field object for :func:`lielocal.linalg.rref`."""
+    make it a field object for :func:`field_oracle.rref`."""
 
     nonzero = staticmethod(any)
 

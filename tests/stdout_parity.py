@@ -12,11 +12,14 @@ exit status is 1 when any does.
 The argv are the queries of tests/test_golden_stdout.py, the cold-CLI
 queries of perfbench/workloads.py, ``weyl regular`` and ``braid
 verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
-to 2 * (largest degree) * (twist order), ``hecke poincare`` for every label
-of ``ALL_LABELS`` and GL1-GL9, ``llt --n N --d D`` for every N <= 10 and D
-from 2 to 5, in JSON, with ``--csv`` and with ``--at-1``, and for N = 11, 12
-and D = 2, 3 in JSON and with ``--csv``.  The list is built from CHANGE_SRC.
-Both children run at once; the 870 argv took about 12 s on a 2-CPU machine.
+to 2 * (largest degree) * (twist order), ``sylow L --q Q --ell ELL`` for the
+same labels at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and (4, 7),
+``hecke poincare`` for every label of ``ALL_LABELS`` and GL1-GL9, ``llt --n N
+--d D`` for every N <= 10 and D from 2 to 5, in JSON, with ``--csv`` and with
+``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and with ``--csv``, and
+``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5 and ten factor lists
+F.  The list is built from CHANGE_SRC.  Both children run at once; the 1,030
+argv took about 15 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -68,6 +71,8 @@ def argv_list(src: str) -> list[list[str]]:
         for d in range(1, top + 1):
             queries.append(["weyl", "regular", label, "--d", str(d)])
             queries.append(["braid", "verify-regular", label, "--d", str(d)])
+        for q, ell in ((2, 3), (2, 5), (2, 7), (3, 5), (4, 7)):
+            queries.append(["sylow", label, "--q", str(q), "--ell", str(ell)])
     for label in list(ALL_LABELS) + [f"GL{n}" for n in range(1, 10)]:
         queries.append(["hecke", "poincare", label])
     for n in range(11):
@@ -78,6 +83,10 @@ def argv_list(src: str) -> list[list[str]]:
         for d in (2, 3):
             for style in ([], ["--csv"]):
                 queries.append(["llt", "--n", str(n), "--d", str(d), *style])
+    for ell in (2, 3, 5):
+        for factors in ("1:1", "1:2", "2:1", "1:3", "3:1", "1:1,2:1", "2:2", "1:2,2:1",
+                        "1:1,3:1", "4:1"):
+            queries.append(["degenerate", "--ell", str(ell), "--factors", factors])
     return queries
 
 

@@ -486,7 +486,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 # One argv per subcommand, the at-1 form of `llt` and `hecke poincare` on
 # E8.  None loads `dataclasses` or `inspect`, whose import costs a cold query
 # more than most of its computation.  `llt`, `order` and `hecke poincare` do
-# no rational work and load no `fractions`.
+# no rational work, and the eigenspace work of `sylow`, `weyl regular` and
+# `braid verify-regular` is integer elimination: none loads `fractions`.
 _NOT_LLT = ["lielocal.weyl", "lielocal.braid_hecke", "lielocal.defining_char",
             "lielocal.degeneration", "lielocal.ell_local"]
 
@@ -505,6 +506,9 @@ _NOT_LLT = ["lielocal.weyl", "lielocal.braid_hecke", "lielocal.defining_char",
     (["degenerate", "--ell", "2", "--factors", "1:2"], []),
     (["llt", "--n", "7", "--d", "3", "--at-1"], _NOT_LLT + ["lielocal.root_datum", "fractions"]),
     (["hecke", "poincare", "E8"], ["lielocal.fock_llt", "fractions"]),
+    (["sylow", "D6", "--q", "2", "--ell", "7"], ["fractions"]),
+    (["weyl", "regular", "D5", "--d", "8"], ["fractions"]),
+    (["braid", "verify-regular", "D5", "--d", "8"], ["fractions"]),
 ])
 def test_command_loads_only_its_modules(argv, absent):
     result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],

@@ -1,18 +1,21 @@
 """Unit tests for the exact-arithmetic support modules."""
 
+import math
 import random
 from fractions import Fraction
 
+import field_oracle
 import pytest
 from bar_oracle import _family_solve, det, fraction_free_solve
 from cyclo_oracle import CycloField
+from field_oracle import GF, QQ, rref
 from fock_oracle import quantum_factorial, quantum_integer
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from laurent_oracle import Laurent, poly_from_coeffs
 from lie_oracle import laurent_from_json
 
-from lielocal import defining_char, degeneration, fock_llt, weyl
+from lielocal import defining_char, degeneration, fock_llt, linalg, weyl
 from lielocal.cyclotomic import (
     cyclotomic,
     euler_phi,
@@ -23,8 +26,6 @@ from lielocal.cyclotomic import (
 )
 from lielocal.errors import GuardExceeded, InvariantError
 from lielocal.linalg import (
-    GF,
-    QQ,
     add_scaled,
     add_term,
     closure,
@@ -34,7 +35,6 @@ from lielocal.linalg import (
     mat_mul,
     mat_vec,
     rank,
-    rref,
     smith_normal_form,
 )
 from lielocal.root_datum import cached_datum
@@ -71,6 +71,32 @@ SPARSE_CASES = {
 # small random Laurent polynomials: up to four terms, exponents in [-4, 4]
 _laurents = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5),
                             max_size=4).map(Laurent)
+
+
+_PRIMES = (2, 5, 2**61 - 1)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """An integer matrix of at most 7 x 7 whose rank over Q is at most a
+    drawn bound, as a product of two random factors."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == 0:
+        return [[0] * cols for _ in range(rows)]
+    entries = st.integers(-6, 6)
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+    return mat_mul(left, right)
+
+
+def _inverse_or_none(inverse, a, field):
+    try:
+        return inverse(a, field)
+    except ValueError:
+        return None
 
 
 class TestLaurent:
@@ -184,16 +210,20 @@ class TestLinalg:
     def test_det_and_inverse(self):
         a = [[2, 1], [1, 3]]
         assert det(a) == 5
-        inv = mat_inverse(a)
+        inv = field_oracle.mat_inverse(a)
         assert mat_mul(a, inv) == [[1, 0], [0, 1]]
+        inv = mat_inverse(a, 7)
+        assert [[x % 7 for x in row] for row in mat_mul(a, inv)] == [[1, 0], [0, 1]]
         assert det([[1, 2], [2, 4]]) == 0
 
     @pytest.mark.parametrize("case", list(ELIMINATION_CASES))
     def test_rank_and_kernel_over_field(self, case):
         field, a, expected = ELIMINATION_CASES[case]
-        assert rank(a, field) == expected
+        if field is QQ or isinstance(field, GF):
+            assert rank(a, getattr(field, "p", None)) == expected
+        assert field_oracle.rank(a, field) == expected
         assert len(rref(a, field)[1]) == expected
-        ker = kernel_basis(a, field)
+        ker = field_oracle.kernel_basis(a, field)
         assert len(ker) == len(a[0]) - expected
         for v in ker:
             for row in a:
@@ -210,9 +240,53 @@ class TestLinalg:
             _family_solve(singular, [[Fraction(1)], [Fraction(0)]])
 
     def test_inverse_mod_rejects_a_singular_matrix(self):
-        assert mat_inverse([[0, 1], [1, 1]], GF(2)) == [[1, 1], [1, 0]]
+        assert mat_inverse([[0, 1], [1, 1]], 2) == [[1, 1], [1, 0]]
         with pytest.raises(ValueError):
-            mat_inverse([[2, 4], [1, 2]], GF(5))
+            mat_inverse([[2, 4], [1, 2]], 5)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(_low_rank_matrices())
+    def test_elimination_matches_the_field_oracle(self, a):
+        assert rank(a) == field_oracle.rank(a)
+        for p in _PRIMES:
+            assert rank(a, p) == field_oracle.rank(a, GF(p))
+        ker = kernel_basis(a)
+        oracle = field_oracle.kernel_basis(a)
+        assert len(ker) == len(oracle)
+        assert field_oracle.rank(ker + oracle) == len(oracle)
+        for v in ker:
+            assert not any(mat_vec(a, v)) and math.gcd(*v) == 1
+        if len(a) == len(a[0]):
+            for p in _PRIMES:
+                assert _inverse_or_none(mat_inverse, a, p) == \
+                    _inverse_or_none(field_oracle.mat_inverse, a, GF(p))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(_low_rank_matrices())
+    def test_pivot_rows_carry_the_last_pivot(self, a):
+        # every Bareiss division is exact, so the reduced form is integral
+        # and diagonal on the pivot columns, and on a nonsingular square
+        # matrix the last pivot is the determinant up to sign
+        m = [list(row) for row in a]
+        pivots = linalg._eliminate(m, reduced=True)
+        if pivots:
+            last = m[len(pivots) - 1][pivots[-1]]
+            for i, c in enumerate(pivots):
+                assert [m[i][q] for q in pivots] == [last * (q == c) for q in pivots]
+            if len(a) == len(a[0]) == len(pivots):
+                assert abs(last) == abs(det(a))
+
+    def test_kernel_basis_checks_its_rows(self, monkeypatch):
+        real = linalg._eliminate
+
+        def corrupt(m, *args, **kwargs):
+            pivots = real(m, *args, **kwargs)
+            m[0][-1] += 1
+            return pivots
+
+        monkeypatch.setattr(linalg, "_eliminate", corrupt)
+        with pytest.raises(InvariantError, match="not in the kernel"):
+            kernel_basis([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
 
     @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
     def test_sparse_vector_update(self, case):

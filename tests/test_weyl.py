@@ -5,6 +5,7 @@ from array import array
 from functools import lru_cache, reduce
 
 import cyclo_oracle
+import field_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import lielocal.cyclotomic
 import lielocal.weyl
 from lielocal import cli
 from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
-from lielocal.cyclotomic import cyclotomic, euler_phi
+from lielocal.cyclotomic import cyclotomic, euler_phi, phi_d_matrix
 from lielocal.ell_local import sylow_structure
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.linalg import closure, identity, mat_mul, rank
@@ -321,9 +322,10 @@ def matrix_closure_verdict(w, d, witness):
     rational = {rational_matrix(field, r) for r in images}
     size = k * field.degree
     unit = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    # a pseudo-reflection over K has rank(r - 1) = 1, that is phi(d) over Q
+    # a pseudo-reflection over K has rank(r - 1) = 1, that is phi(d) over Q;
+    # the entries may be Fractions, so the rank is the field oracle's
     reflections = [m for m in rational
-                   if rank([[x - y for x, y in zip(row, one)] for row, one in zip(m, unit)])
+                   if field_oracle.rank([[x - y for x, y in zip(row, one)] for row, one in zip(m, unit)])
                    == field.degree]
     generated = closure((unit,), reflections, lambda a, b: tuple(map(tuple, mat_mul(a, b))))
     return len(centralizer), generated == rational
@@ -490,6 +492,27 @@ class TestRationalRoute:
         # 3 has order 6 mod 7
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             sylow_structure(datum, 3, 7)
+
+
+# ---------------------------------------------------------------------------
+# The integer route against the Fraction elimination of field_oracle: the
+# eigenspace dimension and the Q-span of the basis, at every F-class
+# representative (the dimension is a class function, checked above) and at
+# the witness of the largest eigenspace.
+
+
+@pytest.mark.parametrize("label", labels_of_rank(4))
+def test_integer_eigenspaces_match_the_fraction_oracle(label):
+    w = group(label)
+    twist, family, n = parse_label(label)
+    for d in range(1, 2 * max(split_degrees(family, n)) * twist + 1):
+        dims = w.phi_d_dimensions(d)
+        witnesses = [cls.representative for cls in w.f_conjugacy_classes()]
+        for v in witnesses + [w.max_phi_d_eigenspace(d)[0]]:
+            oracle = field_oracle.kernel_basis(phi_d_matrix(w._twisted_matrix(v), d))
+            assert dims[v] * euler_phi(d) == len(oracle), (d, v)
+            basis = w.eigenspace_basis(v, d)
+            assert field_oracle.rank(basis + oracle) == len(basis) == len(oracle), (d, v)
 
 
 # ---------------------------------------------------------------------------
