@@ -433,13 +433,14 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     """Extend the averaged section multiplicatively and certify that it is
     an E-equivariant isomorphism onto F_ell P.
 
-    It checks dimension equality, the truncation relations
-    sigma(v)^{ell^{r_i}} = 0 (on basis vectors and on sums, which the
-    freshman's dream reduces to the basis case), unitriangularity with
-    respect to total degree (each monomial maps to itself plus strictly
-    higher-degree terms, hence the map is bijective), and E-equivariance
-    on generators.  A failure raises InvariantError: the construction is
-    supposed to make all four true for every valid input.
+    It checks the truncation relations sigma(v)^{ell^{r_i}} = 0 (on basis
+    vectors and on sums, which the freshman's dream reduces to the basis
+    case), unitriangularity with respect to total degree (each monomial
+    maps to itself plus strictly higher-degree terms, hence the map is
+    injective), that the ladder of images holds |P| monomials (so the map
+    is onto F_ell P), and E-equivariance on generators.  A failure raises
+    InvariantError: the construction is supposed to make all four true for
+    every valid input.
     """
     exponent = sum(r * n for r, n in group.factors)
     # ell^exponent with exponent >= bit_length(guard) exceeds the guard for
@@ -452,8 +453,6 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     algebra = TruncatedAlgebra.of_group(group)
     ell = group.ell
     rank = group.rank
-    check(algebra.dim == group.order,
-          "truncated algebra and group algebra differ in dimension")
 
     # sigma(v)^{ell^{r_i}} = 0 on generators, and on a sum inside each
     # factor, exercising (a+b)^ell = a^ell + b^ell
@@ -482,10 +481,11 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
         check(image.get(exps, 0) == 1
               and not any(sum(e) <= degree and e != exps for e in image),
               "images are not unitriangular for the total-degree filtration")
+    check(len(ladder) == group.order, "the unitriangular ladder does not hold |P| monomials")
 
     # E-equivariance on generators was checked by radical_section
     certificate = IsomorphismCertificate(
-        dim_source=algebra.dim, dim_target=group.order, e_order=section.e_order)
+        dim_source=len(ladder), dim_target=group.order, e_order=section.e_order)
     return DegenerationIsomorphism(group=group, algebra=algebra,
                                    section=section, certificate=certificate)
 

@@ -1,19 +1,20 @@
 """Finite Weyl groups: exact enumeration, twisted classes, regular elements.
 
 An element is its index w into the enumeration, and the group keeps no
-Python object per element.  Three flat columns hold it: the permutations of
-the 2N signed roots (indices 0..N-1 the positive roots, N+k the negative of
-root k), 2N bytes each in one ``bytearray`` (2N <= 240 for every supported
-type, E8 included); the last letter of each element's least reduced word,
-whose length is the length of w; and, per generator s_i, an ``array`` of the
-indices of w·s_i.  Composition is one ``bytes.translate``, so length and
-descent queries are cheap.  After enumeration the group answers from these
-columns alone (Casselman, "Machine calculations in Weyl groups", Invent.
-Math. 116, 1994): words are read back through the table, and F-conjugacy
-orbits, inverses and Hecke products step by integer lookups and compose no
-permutation.  No matrix is stored: eigenspace work rebuilds the
-weight-lattice matrix of the few elements it needs from the word, and
-eigenspace dimensions are computed once per F-conjugacy class.
+Python object per element.  After enumeration the group is its
+multiplication table, in flat columns: the last letter of each element's
+least reduced word, whose length is the length of w; per generator s_i, an
+``array`` of the indices of w·s_i; and the index of each inverse.  The
+permutations of the 2N signed roots (indices 0..N-1 the positive roots, N+k
+the negative of root k; 2N <= 240 for every supported type) are ``bytes``,
+composed by one ``bytes.translate``; enumeration keeps them for one length
+at a time, and a reader that needs one rebuilds it from the word.  The
+group answers from its columns alone (Casselman, "Machine calculations in
+Weyl groups", Invent. Math. 116, 1994): words, F-conjugacy orbits, twisted
+centralizers and Hecke products step by integer lookups in the table.  No
+matrix is stored: eigenspace work rebuilds the weight-lattice matrix of the
+few elements it needs from the word, and eigenspace dimensions are computed
+once per F-conjugacy class.
 
 Eigenspace work is done over Q, by Galois descent.  For K = Q(zeta_d),
 V_d = ker_Q Phi_d(w phi) has V_d ⊗ K equal to the sum of the zeta_d^k-
@@ -225,10 +226,10 @@ def predicted_weyl_order(label: str) -> int | None:
 
 
 class TwistedClass(NamedTuple):
-    """An F-conjugacy class: the orbit of w under w -> v^{-1} w phi(v), as
-    sorted element indices, with the least reduced word of the first."""
+    """An F-conjugacy class: the orbit of w under w -> v^{-1} w phi(v), as an
+    ``array('i')`` of sorted indices, with the least reduced word of the first."""
 
-    members: tuple[int, ...]
+    members: array
     word: tuple[int, ...]
     twisted: bool
 
@@ -274,21 +275,21 @@ class RegularReport(NamedTuple):
 class WeylGroup:
     """Fully enumerated reflection group over a :class:`ReflectionContext`.
 
-    An element is an index w, and ``elements`` is ``range(|W|)``.  Three flat
-    columns hold the group: ``perms``, the 2N-byte signed-root permutations
-    end to end (:meth:`perm`); ``last``, the last letter of each element's
-    lexicographically least reduced word (:meth:`word`); and ``right``, one
+    An element is an index w, and ``elements`` is ``range(|W|)``.  The group
+    is its multiplication table: ``last``, the last letter of each element's
+    lexicographically least reduced word (:meth:`word`); ``right``, one
     ``array('i')`` per generator with ``right[i][w]`` the index of w·s_i, so
-    ``right[i][0]`` is s_i.  BFS from the identity, appending generators in
-    ascending order, lists the elements in (length, word) order, which
+    ``right[i][0]`` is s_i; and ``inverses``.  :meth:`perm` composes the
+    generators along the word.  BFS from the identity, appending generators
+    in ascending order, lists the elements in (length, word) order, which
     downstream code uses as the canonical tie-break.  Index order is
     therefore length order, and w·s_i is an ascent exactly when
     ``right[i][w] > w``.
 
     The BFS walks one length at a time.  An ascent w·s_i of an element of
     length k has length k + 1, so it can only equal an element of the next
-    length, and the permutation-to-index dict is kept for that length
-    alone."""
+    length, and permutations, with their dict to indices, are kept for that
+    length alone."""
 
     def __init__(self, ctx: ReflectionContext):
         if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
@@ -300,12 +301,10 @@ class WeylGroup:
         size = ctx.predicted_order or 1
         right = [array("i", [-1]) * size for _ in range(ctx.n_gens)]
         gens = list(zip(range(ctx.n_gens), ctx.gen_perms, right))
-        perms = bytearray()
         last = bytearray(1)  # the identity's word is empty: last[0] is unused
         start, depth, level = 0, 0, (ctx.identity_perm,)
         while level:
             check(all(length(p) == depth for p in level), "stored word is not reduced")
-            perms += b"".join(level)
             upper = {}  # permutation -> index, for length depth + 1 only
             for w, perm in enumerate(level, start):
                 table = perm + pad  # w·s_i is gen.translate(table)
@@ -339,7 +338,6 @@ class WeylGroup:
         # every descent w s_i < w was set as the ascent of the shorter w s_i
         check(all(-1 not in col for col in right), "right multiplication table has holes")
         self.elements = range(count)
-        self.perms = perms
         self.last = last
         self.right = right
         self._dims: dict[int, list[int]] = {}  # d -> phi_d_dimensions(d)
@@ -348,9 +346,9 @@ class WeylGroup:
         return len(self.elements)
 
     def perm(self, w: int) -> bytes:
-        """The signed-root permutation of w."""
-        m = 2 * self.ctx.N
-        return bytes(self.perms[w * m:(w + 1) * m])
+        """The signed-root permutation of w: its word's generators composed."""
+        ctx = self.ctx
+        return reduce(ctx.compose, (ctx.gen_perms[i] for i in self.word(w)), ctx.identity_perm)
 
     def word(self, w: int) -> tuple[int, ...]:
         """The lexicographically least reduced word of w, read back through
@@ -393,18 +391,24 @@ class WeylGroup:
         check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
         return inv
 
-    @cached_property
-    def _partition(self) -> tuple[list[TwistedClass], list[int]]:
-        """The F-conjugacy classes, and the class index of every element.
-
-        phi(s_i) = s_{phi_simple[i]} (checked by the context), so a step
-        w -> s_i w phi(s_i) is one right multiplication, and the left one as
-        an inverse, right multiplication and inverse again."""
-        ctx = self.ctx
-        twisted = ctx.phi_perm != ctx.identity_perm
-        steps = [(self.right[j], col) for col, j in zip(self.right, ctx.phi_simple)]
+    def _f_steps(self) -> list:
+        """The F-conjugation steps x -> s_i·x·phi(s_i), one function per
+        generator.  phi(s_i) = s_{phi_simple[i]} (checked by the context), so
+        the right factor is one lookup in the right multiplication table, and
+        the left one is an inverse, a lookup and an inverse again."""
         inv = self.inverses
-        owner = [-1] * len(self)
+
+        def step(left, col):
+            return lambda x: inv[col[inv[left[x]]]]
+        return [step(self.right[j], col) for col, j in zip(self.right, self.ctx.phi_simple)]
+
+    @cached_property
+    def _partition(self) -> tuple[list[TwistedClass], array]:
+        """The F-conjugacy classes, and the class index of every element:
+        the orbits of the steps of :meth:`_f_steps`."""
+        twisted = self.ctx.phi_perm != self.ctx.identity_perm
+        steps = self._f_steps()
+        owner = array("i", [-1]) * len(self)
         classes = []
         for start in range(len(self)):
             if owner[start] >= 0:
@@ -413,15 +417,15 @@ class WeylGroup:
             owner[start] = k
             orbit = [start]
             for w in orbit:  # grows while it is walked
-                for left, col in steps:
-                    v = inv[col[inv[left[w]]]]
-                    if owner[v] < 0:
+                for step in steps:
+                    v = step(w)
+                    if owner[v] != k:
+                        if owner[v] >= 0:
+                            raise InvariantError("classes do not partition W")
                         owner[v] = k
                         orbit.append(v)
-                    elif owner[v] != k:
-                        raise InvariantError("classes do not partition W")
             orbit.sort()
-            classes.append(TwistedClass(members=tuple(orbit), word=self.word(orbit[0]),
+            classes.append(TwistedClass(members=array("i", orbit), word=self.word(orbit[0]),
                                         twisted=twisted))
         check(sum(c.size for c in classes) == len(self), "classes do not partition W")
         return classes, owner
@@ -432,23 +436,18 @@ class WeylGroup:
         return self._partition[0]
 
     def centralizer_of_twisted(self, w: int) -> list[int]:
-        """C_W(w phi) = {v : v (w phi) = (w phi) v} by a scan of the
-        permutation table, checked against the orbit-stabilizer count
-        |C_W(w phi)|·|F-class of w| = |W|."""
-        ctx, perms, m = self.ctx, self.perms, 2 * self.ctx.N
-        sigma = ctx.compose(self.perm(w), ctx.phi_perm)
-        candidates = self.elements
-        if m:
-            # v·sigma = sigma·v needs v[sigma[0]] = sigma[v[0]]: two columns
-            # of the permutation table, compared for every v at once
-            column = perms[::m].translate(sigma + ctx._pad)
-            candidates = [v for v, (x, y) in enumerate(zip(perms[sigma[0]::m], column))
-                          if x == y]
-        centralizer = []
-        for v in candidates:
-            p = perms[v * m:(v + 1) * m]
-            if ctx.compose(p, sigma) == ctx.compose(sigma, p):
-                centralizer.append(v)
+        """C_W(w phi) = {v : v^{-1} w phi(v) = w}, checked against the
+        orbit-stabilizer count |C_W(w phi)|·|F-class of w| = |W|.
+        For v = p·s_i, with i = ``last[v]`` and p = ``right[i][v]`` its BFS
+        parent, v^{-1} w phi(v) = s_i·(p^{-1} w phi(p))·phi(s_i) is one
+        step of :meth:`_f_steps` from the parent's, so one pass in index
+        order conjugates w by every element."""
+        steps, last, right = self._f_steps(), self.last, self.right
+        conjugate = array("i", [w]) * len(self)
+        for v in self.elements[1:]:
+            i = last[v]
+            conjugate[v] = steps[i](conjugate[right[i][v]])
+        centralizer = [v for v, x in enumerate(conjugate) if x == w]
         classes, owner = self._partition
         check(len(centralizer) * classes[owner[w]].size == len(self),
               "centralizer order times F-class size is not |W|")

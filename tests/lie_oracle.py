@@ -4,9 +4,12 @@ the package's JSON output.
 Each is the direct definition of something the package computes another
 way or never needs: the whole group by one BFS with a dict over every
 permutation (the package walks one length at a time and keeps flat
-columns), products, inverses, the longest element and the twist of an
-enumerated group by composing signed-root permutations (the package steps
-through its right multiplication table instead), the Poincaré
+columns), every element's signed-root permutation rebuilt once from its
+word, products, inverses, the longest element and the twist of an
+enumerated group by composing those permutations (the package steps
+through its right multiplication table instead), the twisted centralizer
+by a scan of the permutation table (the package walks F-conjugates in
+index order), the Poincaré
 polynomial counted from an enumerated group (the package takes the degree
 product and checks it against a parabolic orbit chain), the stratum of one
 weight (the package counts and lists whole strata), a stratum's weights
@@ -20,7 +23,7 @@ objects.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from laurent_oracle import Laurent
 
@@ -55,31 +58,65 @@ def bfs_enumeration(ctx):
 
 
 @lru_cache(maxsize=None)
+def permutations(group) -> tuple[bytes, ...]:
+    """The signed-root permutation of every element of an enumerated group,
+    in index order, each the product of the generators along its word;
+    built once per group."""
+    ctx = group.ctx
+    return tuple(reduce(ctx.compose, (ctx.gen_perms[i] for i in group.word(w)),
+                        ctx.identity_perm) for w in group.elements)
+
+
+@lru_cache(maxsize=None)
 def index_of(group) -> dict[bytes, int]:
     """Signed-root permutation -> element index of an enumerated group."""
-    return {group.perm(w): w for w in group.elements}
+    return {p: w for w, p in enumerate(permutations(group))}
 
 
 def multiply(group, a: int, b: int) -> int:
-    return index_of(group)[group.ctx.compose(group.perm(a), group.perm(b))]
+    perms = permutations(group)
+    return index_of(group)[group.ctx.compose(perms[a], perms[b])]
 
 
 def inverse(group, a: int) -> int:
-    return index_of(group)[group.ctx.invert(group.perm(a))]
+    return index_of(group)[group.ctx.invert(permutations(group)[a])]
 
 
 def phi_image(group, a: int) -> int:
     """phi w phi^{-1}, by composing with the twist's permutation."""
     ctx = group.ctx
-    p = ctx.compose(ctx.phi_perm, ctx.compose(group.perm(a), ctx.invert(ctx.phi_perm)))
+    p = ctx.compose(ctx.phi_perm, ctx.compose(permutations(group)[a], ctx.invert(ctx.phi_perm)))
     return index_of(group)[p]
 
 
 def longest(group) -> int:
     """The unique element of length N."""
-    candidates = [w for w in group.elements if group.ctx.length(group.perm(w)) == group.ctx.N]
+    ctx = group.ctx
+    candidates = [w for w, p in enumerate(permutations(group)) if ctx.length(p) == ctx.N]
     assert len(candidates) == 1, "longest element is not unique"
     return candidates[0]
+
+
+def centralizer_by_scan(group, w: int) -> list[int]:
+    """C_W(w phi) = {v : v (w phi) = (w phi) v}, in index order, by a scan of
+    the permutation table.  The package conjugates w by every element along
+    the BFS parents instead."""
+    ctx, m = group.ctx, 2 * group.ctx.N
+    perms = b"".join(permutations(group))
+    sigma = ctx.compose(permutations(group)[w], ctx.phi_perm)
+    candidates = group.elements
+    if m:
+        # v·sigma = sigma·v needs v[sigma[0]] = sigma[v[0]]: two columns
+        # of the permutation table, compared for every v at once
+        column = perms[::m].translate(sigma + ctx._pad)
+        candidates = [v for v, (x, y) in enumerate(zip(perms[sigma[0]::m], column))
+                      if x == y]
+    centralizer = []
+    for v in candidates:
+        p = perms[v * m:(v + 1) * m]
+        if ctx.compose(p, sigma) == ctx.compose(sigma, p):
+            centralizer.append(v)
+    return centralizer
 
 
 def poincare_polynomial(group) -> list[int]:

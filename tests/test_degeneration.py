@@ -240,6 +240,16 @@ class TestIsomorphism:
                                    image_of_monomial(iso, b))
                 assert lhs == rhs
 
+    def test_a_short_basis_trips_the_ladder_count(self, monkeypatch):
+        # without its top monomial the ladder is still unitriangular, but
+        # it spans a subspace of dimension |P| - 1
+        real = TruncatedAlgebra.basis
+        monkeypatch.setattr(TruncatedAlgebra, "basis", lambda self: list(real(self))[:-1])
+        for g in (AbelianLGroup(ell=3, factors=((1, 2),)),
+                  AbelianLGroup(ell=2, factors=((2, 1), (1, 2)))):
+            with pytest.raises(InvariantError, match=r"does not hold \|P\| monomials"):
+                build_isomorphism(g)
+
     def test_guard(self):
         g = AbelianLGroup(ell=2, factors=((13, 1),))
         with pytest.raises(GuardExceeded):

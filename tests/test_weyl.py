@@ -1,6 +1,7 @@
 """Weyl group enumeration, degrees, twisted classes, regular elements."""
 
 import json
+import tracemalloc
 from array import array
 from functools import lru_cache, reduce
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from laurent_oracle import Laurent, poly_from_coeffs
-from lie_oracle import (bfs_enumeration, index_of, inverse, longest, multiply, phi_image,
-                        poincare_polynomial)
+from lie_oracle import (bfs_enumeration, centralizer_by_scan, index_of, inverse, longest,
+                        multiply, permutations, phi_image, poincare_polynomial)
 
 import lielocal.cyclotomic
 import lielocal.weyl
@@ -252,7 +253,7 @@ def element_matrices(w):
     mats = [identity(w.ctx.dim)]
     for v in w.elements[1:]:
         word = w.word(v)
-        parent = index_of(w)[w.ctx.compose(w.perm(v), w.ctx.gen_perms[word[-1]])]
+        parent = index_of(w)[w.ctx.compose(permutations(w)[v], w.ctx.gen_perms[word[-1]])]
         mats.append(mat_mul(mats[parent], w.ctx.gen_matrices[word[-1]]))
     return mats
 
@@ -577,7 +578,7 @@ class TestLookupTables:
         ctx = reflection_context(label)
         w = WeylGroup(ctx)
         perms, words, right = bfs_enumeration(ctx)
-        assert w.perms == b"".join(perms)
+        assert [w.perm(v) for v in w.elements] == perms
         assert [w.word(v) for v in w.elements] == words
         assert w.right == [array("i", col) for col in zip(*right)]
         inverses = []
@@ -625,6 +626,26 @@ class TestLookupTables:
             scanned = next(c.size for c in classes if v in c.members)
             assert classes[owner[v]].size == scanned
             assert len(w.centralizer_of_twisted(v)) * scanned == len(w)
+
+    @pytest.mark.parametrize("label", labels_of_rank(3) + [f"GL{n}" for n in range(1, 6)])
+    def test_centralizer_matches_the_table_scan(self, label):
+        w = oracle_group(label)
+        for v in w.elements:
+            assert w.centralizer_of_twisted(v) == centralizer_by_scan(w, v), v
+
+    @pytest.mark.parametrize("label", ["GL8", "E6"])
+    def test_classes_keep_only_index_columns(self, label):
+        # right columns take 4 bytes per generator and element; last,
+        # inverses, owner and the class members take 13 more
+        ctx = reflection_context(label)
+        tracemalloc.start()
+        try:
+            w = WeylGroup(ctx)
+            w.f_conjugacy_classes()
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live <= (4 * ctx.n_gens + 16) * len(w) + 64 * 1024
 
     def test_guard_counts_enumerated_elements(self, monkeypatch):
         # an unlabelled Cartan datum has no classical order to refuse up front
