@@ -28,7 +28,6 @@ constant term first, as every polynomial of ``cyclotomic`` is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import reduce
 from typing import NamedTuple
@@ -204,15 +203,14 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
         raise ValueError("d must be a positive integer")
     group = generate_weyl(datum)
     ctx = group.ctx
-    witnesses = group.regular_witnesses(d)
-    first = next(witnesses, None)
-    if first is None:
+    witnesses = list(group.regular_witnesses(d))
+    if not witnesses:
         raise ValueError(f"no regular element for d={d} in type {ctx.label}")
     target_length, rest = divmod(2 * ctx.N, d)
     pi_nf = GarsideNF(delta_power=2, factors=())
     checked = 0
     # witnesses come in index order, which is length order
-    for w, _ in itertools.chain([first], witnesses):
+    for w in witnesses:
         word = group.word(w)
         if rest or len(word) > target_length:
             break

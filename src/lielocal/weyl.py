@@ -12,9 +12,9 @@ at a time, and a reader that needs one rebuilds it from the word.  The
 group answers from its columns alone (Casselman, "Machine calculations in
 Weyl groups", Invent. Math. 116, 1994): words, F-conjugacy orbits, twisted
 centralizers and Hecke products step by integer lookups in the table.  No
-matrix is stored: eigenspace work rebuilds the weight-lattice matrix of the
-few elements it needs from the word, and eigenspace dimensions are computed
-once per F-conjugacy class.
+matrix is stored.  A weight-lattice matrix is rebuilt from the word only
+for an F-class representative, which settles the eigenspace dimension and
+the regularity of its class, and for the one d-regular witness.
 
 Eigenspace work is done over Q, by Galois descent.  For K = Q(zeta_d),
 V_d = ker_Q Phi_d(w phi) has V_d ⊗ K equal to the sum of the zeta_d^k-
@@ -23,7 +23,10 @@ So a rational functional vanishes on the zeta_d-eigenspace E exactly when it
 vanishes on V_d, and dim_Q(V_d ∩ U) = phi(d)·dim_K(E ∩ U_K) for a rational
 U stable under w·phi.  With U = ker(M_v - 1), v in C_W(w phi) acts on E as
 the identity, or as a pseudo-reflection, exactly when that is phi(d)·dim E,
-or phi(d)·(dim E - 1).
+or phi(d)·(dim E - 1).  That needs no matrix of v: v^{-1}·x - x lies in the
+root span, which the simple coroots separate, so v fixes x exactly when
+<v^{-1}·x, alpha_i^vee> = <x, v·alpha_i^vee> equals <x, alpha_i^vee> for
+every simple i, with v·alpha_i^vee the coroot of the signed root v·alpha_i.
 
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
@@ -36,6 +39,7 @@ elements and refuses those types.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from functools import cached_property, lru_cache, reduce
@@ -78,15 +82,13 @@ class ReflectionContext:
         self.coroots = [tuple(c) for c in coroot_functionals]
         self.phi_mat = tuple(tuple(row) for row in phi_matrix)
         self.predicted_order = predicted_order
-        self._index = {}
-        for k, v in enumerate(self.pos_roots):
-            self._index[v] = k
-            self._index[tuple(-x for x in v)] = k + self.N
+        self._index = {self._signed_vector(k): k for k in range(2 * self.N)}
         # right_descents reads where w sends the i-th SIMPLE root, so the
         # simple roots must be the first n_gens entries of pos_roots
         check(all(self._index[self.pos_roots[i]] == i for i in range(self.n_gens)),
               "simple roots are not listed first")
         self.gen_perms = [self._perm_of_matrix(m) for m in self.gen_matrices]
+        self.gen_tables = [g + self._pad for g in self.gen_perms]  # p.translate: s_i∘p
         self.phi_perm = self._perm_of_matrix(self.phi_mat)
         self.identity_perm = bytes(range(2 * self.N))
         # phi_simple[i] = j where phi(s_i) = s_j
@@ -117,10 +119,7 @@ class ReflectionContext:
         return q.translate(p + self._pad)
 
     def invert(self, p: bytes) -> bytes:
-        out = bytearray(len(p))
-        for i, x in enumerate(p):
-            out[x] = i
-        return bytes(out)
+        return bytes.maketrans(p, self.identity_perm)[:len(p)]  # the table sends p[i] to i
 
     def length(self, p: bytes) -> int:
         """Number of positive roots sent negative."""
@@ -347,8 +346,10 @@ class WeylGroup:
 
     def perm(self, w: int) -> bytes:
         """The signed-root permutation of w: its word's generators composed."""
-        ctx = self.ctx
-        return reduce(ctx.compose, (ctx.gen_perms[i] for i in self.word(w)), ctx.identity_perm)
+        p, tables = self.ctx.identity_perm, self.ctx.gen_tables
+        for i in reversed(self.word(w)):
+            p = p.translate(tables[i])
+        return p
 
     def word(self, w: int) -> tuple[int, ...]:
         """The lexicographically least reduced word of w, read back through
@@ -469,21 +470,20 @@ class WeylGroup:
         F-class function, since v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one
         rank is taken per class of :meth:`f_conjugacy_classes` and copied to
         its members."""
-        if d in self._dims:
-            return self._dims[d]
         n = self.ctx.dim
-        dims = [0] * len(self)
         # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
-        # and phi(d) >= sqrt(d/2), so past 2n^2 Phi_d need not be built
-        if d <= 2 * n * n:
+        # and phi(d) >= sqrt(d/2), so past 2n^2 all are 0, and not cached
+        if d > 2 * n * n:
+            return [0] * len(self)
+        if d not in self._dims:
             deg = euler_phi(d)
+            dims = self._dims[d] = [0] * len(self)
             for cls in self.f_conjugacy_classes():
                 dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))
                 check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")
                 for w in cls.members:
                     dims[w] = dim_q // deg
-        self._dims[d] = dims
-        return dims
+        return self._dims[d]
 
     def max_phi_d_eigenspace(self, d: int) -> tuple[int, int]:
         """(witness, dimension) for the witness maximizing the zeta_d-eigenspace
@@ -508,24 +508,25 @@ class WeylGroup:
         return bool(basis) and not any(vanishes_on(coroot, basis)
                                        for coroot in self.ctx.coroots)
 
-    def regular_witnesses(self, d: int) -> Iterator[tuple[int, list[list]]]:
-        """Yield ``(w, eigenspace_basis(w, d))`` in index order for every
-        d-regular w: its zeta_d-eigenspace is nonzero, of the largest
-        dimension over W (as every regular one is, by Springer), and in no
-        root hyperplane.  No centralizer is computed."""
+    def regular_witnesses(self, d: int) -> Iterator[int]:
+        """The d-regular elements in index order: a nonzero zeta_d-eigenspace
+        of the largest dimension (as every regular one has, by Springer) in no
+        root hyperplane.  v^{-1} w phi(v)·phi has eigenspace v^{-1}E, and v^{-1}
+        permutes the hyperplanes, so one basis per F-class is checked."""
         dims = self.phi_d_dimensions(d)
         best = max(dims)
-        for w, dim in enumerate(dims):
-            if best and dim == best:
-                basis = self.eigenspace_basis(w, d)
-                if self.is_regular_eigenspace(basis):
-                    yield w, basis
+        return heapq.merge(*(
+            cls.members for cls in self.f_conjugacy_classes()
+            if best and dims[cls.representative] == best
+            and self.is_regular_eigenspace(self.eigenspace_basis(cls.representative, d))))
 
     def regular_elements(self, d: int) -> RegularReport | None:
-        """The canonical d-regular witness, the first of
-        :meth:`regular_witnesses`, once its centralizer has passed
+        """The first of :meth:`regular_witnesses`, once its own eigenspace is
+        checked regular and its centralizer has passed
         :meth:`_centralizer_reflection_check`; None if there is none."""
-        for w, basis in self.regular_witnesses(d):
+        for w in self.regular_witnesses(d):
+            basis = self.eigenspace_basis(w, d)
+            check(self.is_regular_eigenspace(basis), "the witness's eigenspace is not regular")
             centralizer = self.centralizer_of_twisted(w)
             self._centralizer_reflection_check(w, d, basis, centralizer)
             return RegularReport(d=d, witness=w, witness_word=self.word(w),
@@ -533,27 +534,29 @@ class WeylGroup:
                                  centralizer_order=len(centralizer))
         return None
 
-    def _eigenspace_action(self, w, d, basis, centralizer) -> tuple[list[int], list[int]]:
-        """(identity, pseudo-reflections) among ``centralizer`` on the
-        eigenspace, read off dim V_d ∩ ker(M_v - 1): the nullity of
-        Phi_d(w phi) stacked on M_v - 1 (module docstring)."""
-        deg = euler_phi(d)
-        full = len(basis)
-        sigma = self._twisted_matrix(w)
-        phi_rows = [row for row in phi_d_matrix(sigma, d) if any(row)]
-        n = self.ctx.dim
+    def _eigenspace_action(self, w, d, basis, perms) -> tuple[list[int], list[int]]:
+        """(identity, pseudo-reflections) on the eigenspace, as positions in
+        ``perms``, the signed-root permutations p of elements of C_W(w phi).
+        Each p must commute with that of w·phi (W acts faithfully on the
+        roots, so this is commuting as matrices), and its fixed space in V_d
+        is the kernel of the rows pairing[p[i]] - pairing[i], i simple, with
+        pairing[k] the coroot of signed root k on ``basis`` (module docstring)."""
+        ctx, deg, full = self.ctx, euler_phi(d), len(basis)
+        compose, sigma = ctx.compose, ctx.compose(self.perm(w), ctx.phi_perm)
+        pairing = [mat_vec(basis, coroot) for coroot in ctx.coroots]
+        pairing += [[-x for x in row] for row in pairing]
+        moved = [[[x - y for x, y in zip(row, pairing[i])] for row in pairing]
+                 for i in range(ctx.n_gens)]
         trivial, reflections = [], []
-        for v in centralizer:
-            m = self._matrix(v)
-            check(mat_mul(m, sigma) == mat_mul(sigma, m),
+        for k, p in enumerate(perms):
+            check(compose(p, sigma) == compose(sigma, p),
                   "centralizer does not preserve the eigenspace")
-            fixed = n - rank(phi_rows + [[x - (i == j) for j, x in enumerate(row)]
-                                         for i, row in enumerate(m)])
+            fixed = full - rank([row[p[i]] for i, row in enumerate(moved)])
             check(fixed % deg == 0, "fixed space in V_d has dimension not divisible by phi(d)")
             if fixed == full:
-                trivial.append(v)
+                trivial.append(k)
             elif fixed == full - deg:
-                reflections.append(v)
+                reflections.append(k)
         return trivial, reflections
 
     def _centralizer_reflection_check(self, w, d, basis, centralizer) -> None:
@@ -561,13 +564,12 @@ class WeylGroup:
         eigenspace as pseudo-reflections.  The action is faithful on a
         regular eigenspace (Springer), which is checked, so the subgroup the
         pseudo-reflections generate is compared with the centralizer as a
-        set of permutations."""
-        trivial, reflections = self._eigenspace_action(w, d, basis, centralizer)
+        set of permutations, each element's built once from its word."""
+        ctx, perms = self.ctx, [self.perm(v) for v in centralizer]
+        trivial, reflections = self._eigenspace_action(w, d, basis, perms)
         check(len(trivial) == 1, "centralizer does not act faithfully on the eigenspace")
-        ctx, perm = self.ctx, self.perm
-        generated = closure((ctx.identity_perm,), [perm(v) for v in reflections], ctx.compose)
-        check(generated == {perm(v) for v in centralizer},
-              "centralizer is not generated by its pseudo-reflections")
+        generated = closure((ctx.identity_perm,), [perms[k] for k in reflections], ctx.compose)
+        check(generated == set(perms), "centralizer is not generated by its pseudo-reflections")
 
 
 def vanishes_on(coroot, basis) -> bool:

@@ -9,7 +9,9 @@ word, products, inverses, the longest element and the twist of an
 enumerated group by composing those permutations (the package steps
 through its right multiplication table instead), the twisted centralizer
 by a scan of the permutation table (the package walks F-conjugates in
-index order), the Poincaré
+index order), the d-regular elements by an eigenspace basis at every
+element of the largest eigenspace dimension (the package takes one per
+F-class), the Poincaré
 polynomial counted from an enumerated group (the package takes the degree
 product and checks it against a parabolic orbit chain), the stratum of one
 weight (the package counts and lists whole strata), a stratum's weights
@@ -117,6 +119,16 @@ def centralizer_by_scan(group, w: int) -> list[int]:
         if ctx.compose(p, sigma) == ctx.compose(sigma, p):
             centralizer.append(v)
     return centralizer
+
+
+def regular_witnesses_by_scan(group, d: int) -> list[int]:
+    """The d-regular elements, in index order, by an eigenspace basis of
+    every element of the largest eigenspace dimension, checked for a
+    vanishing coroot.  The package takes one basis per F-class instead."""
+    dims = group.phi_d_dimensions(d)
+    best = max(dims)
+    return [w for w, dim in enumerate(dims) if best and dim == best
+            and group.is_regular_eigenspace(group.eigenspace_basis(w, d))]
 
 
 def poincare_polynomial(group) -> list[int]:

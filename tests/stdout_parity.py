@@ -12,14 +12,15 @@ exit status is 1 when any does.
 The argv are the queries of tests/test_golden_stdout.py, the cold-CLI
 queries of perfbench/workloads.py, ``weyl regular`` and ``braid
 verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
-to 2 * (largest degree) * (twist order), ``sylow L --q Q --ell ELL`` for the
-same labels at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and (4, 7),
-``hecke poincare`` for every label of ``ALL_LABELS`` and GL1-GL9, ``llt --n N
---d D`` for every N <= 10 and D from 2 to 5, in JSON, with ``--csv`` and with
-``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and with ``--csv``, and
-``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5 and ten factor lists
-F.  The list is built from CHANGE_SRC.  Both children run at once; the 1,030
-argv took about 15 s on a 2-CPU machine.
+to 2 * (largest degree) * (twist order), ``weyl regular`` for every label of
+rank 5 or 6 and GL7 at those d, ``sylow L --q Q --ell ELL`` for the labels
+of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and
+(4, 7), ``hecke poincare`` for every label of ``ALL_LABELS`` and GL1-GL9,
+``llt --n N --d D`` for every N <= 10 and D from 2 to 5, in JSON, with
+``--csv`` and with ``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and
+with ``--csv``, and ``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5
+and ten factor lists F.  The list is built from CHANGE_SRC.  Both children
+run at once; the 1,390 argv took about 45 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -62,17 +63,23 @@ def argv_list(src: str) -> list[list[str]]:
     from test_golden_stdout import GOLDEN
 
     queries = [q.split() for q in sorted(GOLDEN)] + [q.split() for q in CLI_WEYL + CLI_LLT]
-    bounds = []
-    for label in labels_of_rank(4):
+
+    def top(label: str) -> int:
+        """2 * (largest degree) * (twist order); GL_n has degrees 1..n."""
+        if label.startswith("GL"):
+            return 2 * int(label[2:])
         twist, family, n = parse_label(label)
-        bounds.append((label, 2 * max(split_degrees(family, n)) * twist))
-    bounds += [(f"GL{n}", 2 * n) for n in range(1, 7)]
-    for label, top in bounds:
-        for d in range(1, top + 1):
+        return 2 * max(split_degrees(family, n)) * twist
+
+    for label in labels_of_rank(4) + [f"GL{n}" for n in range(1, 7)]:
+        for d in range(1, top(label) + 1):
             queries.append(["weyl", "regular", label, "--d", str(d)])
             queries.append(["braid", "verify-regular", label, "--d", str(d)])
         for q, ell in ((2, 3), (2, 5), (2, 7), (3, 5), (4, 7)):
             queries.append(["sylow", label, "--q", str(q), "--ell", str(ell)])
+    for label in [label for label in labels_of_rank(6) if label not in labels_of_rank(4)] + ["GL7"]:
+        for d in range(1, top(label) + 1):
+            queries.append(["weyl", "regular", label, "--d", str(d)])
     for label in list(ALL_LABELS) + [f"GL{n}" for n in range(1, 10)]:
         queries.append(["hecke", "poincare", label])
     for n in range(11):

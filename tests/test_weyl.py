@@ -1,6 +1,7 @@
 """Weyl group enumeration, degrees, twisted classes, regular elements."""
 
 import json
+import math
 import tracemalloc
 from array import array
 from functools import lru_cache, reduce
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from laurent_oracle import Laurent, poly_from_coeffs
 from lie_oracle import (bfs_enumeration, centralizer_by_scan, index_of, inverse, longest,
-                        multiply, permutations, phi_image, poincare_polynomial)
+                        multiply, permutations, phi_image, poincare_polynomial,
+                        regular_witnesses_by_scan)
 
 import lielocal.cyclotomic
 import lielocal.weyl
@@ -20,6 +22,7 @@ from lielocal import cli
 from lielocal.braid_hecke import hecke_poincare, verify_regular_braid_identity
 from lielocal.cyclotomic import cyclotomic, euler_phi, phi_d_matrix
 from lielocal.ell_local import sylow_structure
+from lielocal.generic_order import factor_pairs_for
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.linalg import closure, identity, mat_mul, rank
 from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, labels_of_rank,
@@ -266,6 +269,13 @@ def label_degrees(label):
     return split_degrees(family, rank)
 
 
+def d_range(label):
+    """1, ..., 2·(largest degree)·(twist order): an eigenvalue of w·phi has
+    order dividing d_i·|phi| for a degree d_i."""
+    twist = 1 if label.startswith("GL") else parse_label(label)[0]
+    return range(1, 2 * max(label_degrees(label)) * twist + 1)
+
+
 def divisors_of_degrees(label):
     return sorted({d for deg in label_degrees(label) for d in range(1, deg + 1) if deg % d == 0})
 
@@ -356,6 +366,20 @@ class TestPerClassRoute:
         assert w.phi_d_dimensions(10**12) == [0] * len(w)
         assert w.regular_elements(10**12) is None
 
+    def test_large_d_keeps_no_list(self):
+        # every dimension past 2n^2 is 0, and none of those answers is kept:
+        # 1,000 distinct d once held a 120-long list each
+        w = WeylGroup(gl_context(5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in range(10**6, 10**6 + 1000):
+                assert w.phi_d_dimensions(d) == [0] * len(w)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024, grown
+
     def test_one_rank_per_class(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("B3")))
         calls = []
@@ -381,6 +405,33 @@ class TestPerClassRoute:
                 assert matrix_closure_verdict(w, d, report.witness) == (
                     report.centralizer_order, True), d
 
+    @pytest.mark.parametrize("label", labels_of_rank(4) + [f"GL{n}" for n in range(1, 6)])
+    def test_regular_witnesses_match_the_scan(self, label):
+        w = oracle_group(label)
+        for d in d_range(label):
+            assert list(w.regular_witnesses(d)) == regular_witnesses_by_scan(w, d), d
+
+    def test_matrices_only_for_class_representatives(self, monkeypatch):
+        """On D6 at d = 2 the witness w0 is central, so its centralizer is
+        all 23,040 elements: a lattice matrix is built once per F-class for
+        the dimension, once for the one class of the largest dimension,
+        and once for the witness; a permutation once per centralizer
+        element and once for the witness."""
+        w = WeylGroup(context_from_datum(cached_datum("D6")))
+        matrices, perms = [], []
+        real_matrix, real_perm = WeylGroup._matrix, WeylGroup.perm
+        monkeypatch.setattr(WeylGroup, "_matrix",
+                            lambda self, v: matrices.append(v) or real_matrix(self, v))
+        monkeypatch.setattr(WeylGroup, "perm",
+                            lambda self, v: perms.append(v) or real_perm(self, v))
+        report = w.regular_elements(2)
+        assert report.centralizer_order == len(w)
+        classes = w.f_conjugacy_classes()
+        representatives = {cls.representative for cls in classes}
+        assert report.witness in representatives and set(matrices) <= representatives
+        assert len(matrices) == len(classes) + 2
+        assert sorted(perms) == sorted(list(w.elements) + [report.witness])
+
     def test_restriction_rejects_a_matrix_that_moves_the_span(self):
         w = group("A2")
         witness, _ = w.max_phi_d_eigenspace(3)
@@ -401,7 +452,10 @@ DESCENT_LABELS = labels_of_rank(3) + [f"GL{n}" for n in range(1, 5)]
 def assert_same_action(w, d, witness, matrices):
     basis = w.eigenspace_basis(witness, d)
     centralizer = w.centralizer_of_twisted(witness)
-    assert (w._eigenspace_action(witness, d, basis, centralizer)
+    perms = [permutations(w)[v] for v in centralizer]
+    # the package answers with positions in the permutation list
+    trivial, reflections = w._eigenspace_action(witness, d, basis, perms)
+    assert (([centralizer[k] for k in trivial], [centralizer[k] for k in reflections])
             == cyclo_oracle.eigenspace_action(w, witness, d, centralizer, matrices)
             ), (d, witness)
 
@@ -428,7 +482,7 @@ class TestRationalRoute:
         w = group(label)
         matrices = element_matrices(w)
         for d in divisors_of_degrees(label):
-            witness, _ = next(w.regular_witnesses(d), (None, None))
+            witness = next(w.regular_witnesses(d), None)
             if witness is not None:
                 assert_same_action(w, d, witness, matrices)
 
@@ -493,6 +547,46 @@ class TestRationalRoute:
         # 3 has order 6 mod 7
         with pytest.raises(InvariantError, match="kernel dim mismatch"):
             sylow_structure(datum, 3, 7)
+
+
+# ---------------------------------------------------------------------------
+# Springer's theorem as a check independent of enumeration: for a d-regular
+# w, C_W(w phi) acts on the zeta_d-eigenspace as a reflection group whose
+# degrees are the d_i with zeta_d^{d_i}·eps_i = 1 (Springer, Invent. Math. 25,
+# 1974; Lehrer-Springer, 1999, for a twist).  Its order is their product and
+# it holds sum(d_i - 1) pseudo-reflections (Shephard-Todd).
+
+SPRINGER_LABELS = labels_of_rank(4) + ["D5", "2D5"] + [f"GL{n}" for n in range(1, 7)]
+
+
+def springer_degrees(label, d):
+    """The degrees d_i with zeta_d^{d_i}·eps_i = 1, eps_i = zeta_o^e read
+    from the generic order's factor pairs; GL_n has 1, ..., n with eps 1."""
+    if label.startswith("GL"):
+        pairs = [(k, (1, 0)) for k in range(1, int(label[2:]) + 1)]
+    else:
+        pairs = factor_pairs_for(label)
+    return [deg for deg, (o, e) in pairs if (deg * o + e * d) % (d * o) == 0]
+
+
+@pytest.mark.parametrize("label", SPRINGER_LABELS)
+def test_centralizers_match_springer_degrees(label):
+    w = oracle_group(label)
+    regular = 0
+    for d in d_range(label):
+        report = w.regular_elements(d)
+        if report is None:
+            continue
+        regular += 1
+        degrees = springer_degrees(label, d)
+        assert len(degrees) == report.eigenspace_dim, d
+        assert report.centralizer_order == math.prod(degrees), d
+        centralizer = w.centralizer_of_twisted(report.witness)
+        _, reflections = w._eigenspace_action(report.witness, d,
+                                              w.eigenspace_basis(report.witness, d),
+                                              [permutations(w)[v] for v in centralizer])
+        assert len(reflections) == sum(deg - 1 for deg in degrees), d
+    assert regular
 
 
 # ---------------------------------------------------------------------------
