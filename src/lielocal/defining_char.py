@@ -15,6 +15,12 @@ I(lam) is the union of the twist-orbits meeting supp(lam).  The stratum of a
 twist-stable subset I is X'_I = {lam : I(lam) = I}; its size has the closed
 form prod over orbits o inside I of (q^{|o|} - 1).
 
+From the point where gamma is applied, a character is its index in
+`CenterDual.elements()` order, zero being index 0.  The addition table on
+indices is built once from the invariants; a multiple x * g is a walk
+along it, and a subgroup is the closure of index 0 under adding its
+generators.
+
 Counting never enumerates weights.  gamma is linear, gamma(lam) =
 sum_i lam_i * gamma(omega_i), and lam_i * gamma(omega_i) depends only on
 lam_i modulo the exponent e of the center dual, so one coordinate
@@ -43,7 +49,7 @@ from typing import NamedTuple
 from .errors import GuardExceeded, check
 from .generic_order import prime_power_base
 from .linalg import closure, smith_normal_form
-from .root_datum import RootDatum
+from .root_datum import RootDatum, phi_orbits
 
 WEIGHT_GUARD = 10**7
 
@@ -58,24 +64,6 @@ def _check_weight_guard(datum: RootDatum, q: int) -> None:
     if q**datum.rank > WEIGHT_GUARD:
         raise GuardExceeded(
             f"q^rank exceeds the weight guard {WEIGHT_GUARD} at rank {datum.rank}")
-
-
-def phi_orbits(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the twist on simple-root indices, each sorted, sorted by
-    first element."""
-    seen = set()
-    orbits = []
-    for i in range(datum.rank):
-        if i in seen:
-            continue
-        orbit = []
-        j = i
-        while j not in seen:
-            seen.add(j)
-            orbit.append(j)
-            j = datum.phi[j]
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits))
 
 
 def phi_stable_subsets(datum: RootDatum) -> list[tuple[int, ...]]:
@@ -118,27 +106,9 @@ class CenterDual(NamedTuple):
     def elements(self) -> list[tuple[int, ...]]:
         return sorted(itertools.product(*(range(s) for s in self.invariants)))
 
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % s for x, y, s in zip(a, b, self.invariants))
-
-    def scale(self, r: int, a) -> tuple[int, ...]:
-        return tuple((r * x) % s for x, s in zip(a, self.invariants))
-
-    def subgroup(self, generators) -> frozenset:
-        """The subgroup generated by the given elements: in a finite group,
-        the closure of zero under adding them."""
-        gens = [tuple(g) for g in generators]
-        return frozenset(closure((self.zero(),), gens, self.add))
-
     def to_json(self) -> dict:
         return {"invariants": [str(s) for s in self.invariants],
                 "size": str(self.size)}
-
-
-def _omega_gammas(center: CenterDual, rank: int) -> list[tuple[int, ...]]:
-    """gamma(omega_i) for each simple-root index i."""
-    return [center.gamma([1 if j == i else 0 for j in range(rank)])
-            for i in range(rank)]
 
 
 def center_dual(datum: RootDatum, q: int) -> CenterDual:
@@ -160,10 +130,10 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
             rows.append(tuple(u[i]))
     cd = CenterDual(label=datum.label, q=q,
                     invariants=tuple(invariants), transform_rows=tuple(rows))
-    # q * gamma(omega_{phi(i)}) = gamma(omega_i) holds by construction; spot it
-    omega_gamma = _omega_gammas(cd, n)
+    # gamma(q * omega_{phi(i)}) = gamma(omega_i) holds by construction; spot it
     for i in range(n):
-        check(cd.scale(q, omega_gamma[datum.phi[i]]) == omega_gamma[i],
+        check(cd.gamma([q * (j == datum.phi[i]) for j in range(n)])
+              == cd.gamma([int(j == i) for j in range(n)]),
               "center-dual twist relation failed")
     return cd
 
@@ -218,21 +188,44 @@ def stratum_members(datum: RootDatum, q: int, subset):
 
 def _indexed(center: CenterDual):
     """The center dual in `elements()` order (zero has index 0), the index
-    of each element, and the addition table on indices."""
+    of each element, and the addition table on indices.  `elements()` is
+    lexicographic, so the index of (z_1, ..., z_m) is mixed radix with the
+    last coordinate least significant, and each invariant s extends the
+    table of the coordinates before it by one such digit."""
     elements = center.elements()
     index = {z: k for k, z in enumerate(elements)}
-    add = [[index[center.add(a, b)] for b in elements] for a in elements]
+    add = [[0]]
+    for s in center.invariants:
+        add = [[s * x + (i + j) % s for x in row for j in range(s)]
+               for row in add for i in range(s)]
     return elements, index, add
 
 
-def _coordinate_counts(center: CenterDual, index, g, q: int) -> list[int]:
+def _omega_gammas(center: CenterDual, index, rank: int) -> list[int]:
+    """The index of gamma(omega_i) for each simple-root index i: column i of
+    the kept rows of U, reduced mod the invariants."""
+    return [index[tuple(row[i] % s for row, s in zip(center.transform_rows,
+                                                      center.invariants))]
+            for i in range(rank)]
+
+
+def _multiples(add, g: int, count: int) -> list[int]:
+    """The indices of 0, g, 2g, ..., (count - 1)g, walking the addition table."""
+    out, x = [], 0
+    for _ in range(count):
+        out.append(x)
+        x = add[x][g]
+    return out
+
+
+def _coordinate_counts(center: CenterDual, add, g: int, q: int) -> list[int]:
     """By index: how many x in range(q) give each value of x * g.  The value
     depends on x modulo the exponent e of the center dual only, so this
     takes O(e) steps at any q."""
     e = math.lcm(*center.invariants)
-    counts = [0] * len(index)
-    for r in range(min(e, q)):
-        counts[index[center.scale(r, g)]] += q // e + (r < q % e)
+    counts = [0] * len(add)
+    for r, k in enumerate(_multiples(add, g, min(e, q))):
+        counts[k] += q // e + (r < q % e)
     return counts
 
 
@@ -256,8 +249,8 @@ def _weight_counts(center: CenterDual, index, add, datum: RootDatum,
                    q: int) -> list[int]:
     """By index: the number of non-Steinberg restricted weights per central
     character, as the convolution of the coordinate distributions."""
-    counts = _convolve(add, [_coordinate_counts(center, index, g, q)
-                             for g in _omega_gammas(center, datum.rank)])
+    counts = _convolve(add, [_coordinate_counts(center, add, g, q)
+                             for g in _omega_gammas(center, index, datum.rank)])
     counts[index[center.gamma(steinberg_weight(datum, q))]] -= 1
     return counts
 
@@ -310,8 +303,7 @@ def block_partition(datum: RootDatum, q: int) -> BlockReport:
           "Steinberg weight must have trivial central character")
     _check_weight_guard(datum, q)
     elements, index, add = _indexed(center)
-    tables = [[index[center.scale(x, g)] for x in range(q)]
-              for g in _omega_gammas(center, datum.rank)]
+    tables = [_multiples(add, g, q) for g in _omega_gammas(center, index, datum.rank)]
     prefixes = [((), 0)]
     for table in tables[:-1]:
         prefixes = [(p + (x,), add[a][t])
@@ -394,13 +386,12 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
     grow with q: the direct side convolves all coordinates, the stratified
     side convolves per orbit and removes each orbit's all-(q-1) point."""
     center = center_dual(datum, q)
-    zero = center.zero()
     elements, index, add = _indexed(center)
-    direct = dict(zip(elements, _weight_counts(center, index, add, datum, q)))
+    direct = _weight_counts(center, index, add, datum, q)
 
     n = datum.rank
-    omega_gamma = _omega_gammas(center, n)
-    coordinate = [_coordinate_counts(center, index, g, q) for g in omega_gamma]
+    omega_gamma = _omega_gammas(center, index, n)
+    coordinate = [_coordinate_counts(center, add, g, q) for g in omega_gamma]
     # Per orbit: the distribution over its weights without the all-(q-1)
     # point, and that point alone, where the orbit sits outside a stratum.
     orbits = phi_orbits(datum)
@@ -413,45 +404,44 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
         free[orbit][corner] -= 1
         fixed[orbit] = [int(k == corner) for k in range(len(elements))]
 
-    subsets = [s for s in phi_stable_subsets(datum) if s]
+    def subgroup(gens) -> set[int]:
+        return closure((0,), gens, lambda a, g: add[a][g])
+
     strata = []
-    kernel_counts = {}
-    generated = {}
+    formula = [0] * len(elements)
     total = 0
-    for subset in subsets:
+    for subset in (s for s in phi_stable_subsets(datum) if s):
         inside = set(subset)
         dist = _convolve(add, [free[o] if set(o) <= inside else fixed[o]
                                for o in orbits])
         size = sum(dist)
-        c = dist[index[zero]]
+        c = dist[0]
         check(size == stratum_size(datum, q, subset),
               f"stratum {subset} count disagrees with the closed form")
         total += size
-        kernel_counts[subset] = c
-        generated[subset] = center.subgroup(omega_gamma[i] for i in subset)
+        for k in subgroup([omega_gamma[i] for i in subset]):
+            formula[k] += c
         strata.append((subset, size, c))
     check(total + 1 == q**n, "strata must partition the restricted weights")
 
-    per_root = [center.subgroup([omega_gamma[i]]) for i in range(n)]
-    intersection = set(center.elements())
-    for sub in per_root:
-        intersection &= sub
+    intersection = set(range(len(elements)))
+    for g in omega_gamma:
+        intersection &= subgroup([g])
 
     entries = []
-    principal = direct[zero]
-    for zeta in center.elements():
-        formula = sum(kernel_counts[s] for s in subsets if zeta in generated[s])
-        check(formula == direct[zeta],
-              f"stratified count {formula} != direct count {direct[zeta]} "
+    principal = direct[0]
+    for k, zeta in enumerate(elements):
+        check(formula[k] == direct[k],
+              f"stratified count {formula[k]} != direct count {direct[k]} "
               f"for zeta = {zeta}")
-        check(direct[zeta] <= principal,
+        check(direct[k] <= principal,
               "block sizes cannot exceed the principal block")
         entries.append(LemmaEntry(
             zeta=zeta,
-            formula_count=formula,
-            direct_count=direct[zeta],
-            equal_to_principal=direct[zeta] == principal,
-            criterion=zeta in intersection,
+            formula_count=formula[k],
+            direct_count=direct[k],
+            equal_to_principal=direct[k] == principal,
+            criterion=k in intersection,
         ))
     return LemmaReport(label=datum.label, q=q, center=center,
                        entries=tuple(entries), strata=tuple(strata))

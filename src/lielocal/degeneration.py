@@ -27,15 +27,17 @@ over F_ell, one Koszul block per fine-degree type, weighted by a generating-
 function count; the layer sizes are checked against a direct count of the
 cells, and H^0 against the truncated algebra's Hilbert series.
 
-Group algebra elements are stored in "radical coordinates": the products
-prod_j (g_j - 1)^{a_j} with 0 <= a_j < ell^{r_j} form a basis of F_ell P,
-and since (g - 1)^{ell^r} = g^{ell^r} - 1 = 0, multiplication in that
-basis is truncated polynomial multiplication.  The conversion from the
-group-element basis is a binomial expansion.  The inverse expansion and
-convolution in the group-element basis, which show that the truncated
-product is the group algebra's, are the test oracle
-``tests/degeneration_oracle.py``, with the dg algebra's product and its
-d^2 = 0 and Leibniz checks.
+Elements of F_ell P exist only in "radical coordinates": the products
+u^a = prod_j u_j^{a_j}, u_j = g_j - 1, with 0 <= a_j < ell^{r_j} form a
+basis of F_ell P, and since u^{ell^r} = g^{ell^r} - 1 = 0, multiplication
+in that basis is truncated polynomial multiplication.  An automorphism e
+with generator matrix M acts through one list of images
+e(u_k) = prod_j (1 + u_j)^{M[j][k]} - 1, built once per automorphism
+(`TruncatedAlgebra.unit_images`).  The group-element basis lives only in
+the test oracle ``tests/degeneration_oracle.py``: the binomial expansions
+in both directions and convolution of group elements, which show that the
+truncated product is the group algebra's, with the dg algebra's product
+and its d^2 = 0 and Leibniz checks.
 
 DEGEN_GUARD caps both |P| for basis-level constructions and the size of
 the generated automorphism group E (4096).
@@ -51,14 +53,12 @@ from typing import Iterator, NamedTuple
 from .cyclotomic import poly_mul
 from .errors import GuardExceeded, check
 from .generic_order import is_prime, valuation
-from .linalg import (add_scaled, add_term, closure, identity, mat_inverse, mat_vec,
-                     sparse_rank)
+from .linalg import add_scaled, add_term, closure, identity, mat_inverse, sparse_rank
 
 DEGEN_GUARD = 4096
 
 Exponents = tuple[int, ...]
 UPoly = dict[Exponents, int]  # radical coordinates, coefficients mod ell
-GroupElt = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -172,63 +172,6 @@ class AbelianLGroup:
         return sorted(closure((one,), gens, lambda mat, g: self._compose(g, mat),
                               DEGEN_GUARD))
 
-    def apply_automorphism(self, mat, x: GroupElt) -> GroupElt:
-        return tuple(v % m for v, m in zip(mat_vec(mat, x), self.moduli))
-
-
-# ---------------------------------------------------------------------------
-# radical coordinates for F_ell P
-
-
-def _u_mult(a: UPoly, b: UPoly, moduli: tuple[int, ...], ell: int) -> UPoly:
-    out: UPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            if any(e >= m for e, m in zip(exp, moduli)):
-                continue
-            add_term(out, exp, ca * cb, ell)
-    return out
-
-
-def _u_pow(a: UPoly, k: int, moduli: tuple[int, ...], ell: int) -> UPoly:
-    zero_exp = tuple(0 for _ in moduli)
-    result: UPoly = {zero_exp: 1}
-    base = dict(a)
-    while k:
-        if k & 1:
-            result = _u_mult(result, base, moduli, ell)
-        k >>= 1
-        if k:
-            base = _u_mult(base, base, moduli, ell)
-    return result
-
-
-def group_element_to_radical(x: GroupElt, moduli: tuple[int, ...],
-                             ell: int) -> UPoly:
-    """Expand the basis group element g^x as a polynomial in u_j = g_j - 1:
-    prod_j (1 + u_j)^{x_j} = sum_a prod_j C(x_j, a_j) u^a."""
-    out: UPoly = {}
-    per_coord = [[(a, math.comb(xj, a) % ell) for a in range(xj + 1)
-                  if math.comb(xj, a) % ell] for xj in x]
-    for combo in itertools.product(*per_coord):
-        exp = tuple(a for a, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff = coeff * c % ell
-        if coeff:
-            out[exp] = coeff
-    return out
-
-
-def group_algebra_to_radical(elem: dict[GroupElt, int], moduli: tuple[int, ...],
-                             ell: int) -> UPoly:
-    out: UPoly = {}
-    for x, c in elem.items():
-        if c % ell:
-            add_scaled(out, group_element_to_radical(x, moduli, ell), c, ell)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # the truncated symmetric algebra
@@ -268,10 +211,54 @@ class TruncatedAlgebra:
         return itertools.product(*(range(m) for m in self.moduli))
 
     def multiply(self, a: UPoly, b: UPoly) -> UPoly:
-        return _u_mult(a, b, self.moduli, self.ell)
+        out: UPoly = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                if any(e >= m for e, m in zip(exp, self.moduli)):
+                    continue
+                add_term(out, exp, ca * cb, self.ell)
+        return out
 
     def power(self, a: UPoly, k: int) -> UPoly:
-        return _u_pow(a, k, self.moduli, self.ell)
+        result: UPoly = {(0,) * len(self.moduli): 1}
+        base = dict(a)
+        while k:
+            if k & 1:
+                result = self.multiply(result, base)
+            k >>= 1
+            if k:
+                base = self.multiply(base, base)
+        return result
+
+    def unit_images(self, mat) -> list[UPoly]:
+        """The images e(u_k) of u_k = g_k - 1 under the automorphism e with
+        generator matrix ``mat``: e(g_k) = prod_j g_j^{mat[j][k]}, so
+        e(u_k) = prod_j (1 + u_j)^{mat[j][k] mod m_j} - 1."""
+        one = (0,) * len(self.moduli)
+        images = []
+        for k in range(len(self.moduli)):
+            image: UPoly = {one: 1}
+            for j, m in enumerate(self.moduli):
+                if x := mat[j][k] % m:
+                    g_j = {one: 1, one[:j] + (1,) + one[j + 1:]: 1}
+                    image = self.multiply(image, self.power(g_j, x))
+            add_term(image, one, -1, self.ell)
+            images.append(image)
+        return images
+
+    def act(self, units: list[UPoly], poly: UPoly) -> UPoly:
+        """The algebra map sending u_j to units[j], applied to ``poly``:
+        u^a -> prod_j units[j]^{a_j}."""
+        one = (0,) * len(self.moduli)
+        out: UPoly = {}
+        for a, c in poly.items():
+            term: UPoly = {one: c}
+            for j, aj in enumerate(a):
+                if aj:
+                    term = self.multiply(term, self.power(units[j], aj))
+            add_scaled(out, term, mod=self.ell)
+        return out
 
     @cached_property
     def hilbert_series(self) -> tuple[int, ...]:
@@ -302,45 +289,35 @@ class RadicalSection(NamedTuple):
 
 
 def radical_section(group: AbelianLGroup) -> RadicalSection:
-    """Average the canonical section v_j -> g_j - 1 over E.
+    """Average the canonical section v_j -> u_j = g_j - 1 over E.
 
     sigma = |E|^{-1} sum_e  e . sigma_0 . e^{-1}, where e acts on V by the
-    generator matrix reduced mod ell and on F_ell P by permuting group
-    elements.  Requires |E| prime to ell.
+    generator matrix reduced mod ell and on F_ell P through its images
+    e(u_k).  Requires |E| prime to ell.
     """
     ell = group.ell
-    moduli = group.moduli
-    rank = group.rank
     aut = group.automorphism_group()
     if len(aut) % ell == 0:
         raise ValueError(
             "automorphism group order %d is divisible by ell = %d; "
             "no equivariant section by averaging" % (len(aut), ell))
     inv_order = pow(len(aut), -1, ell)
-    inverses = [mat_inverse(mat, ell) for mat in aut]
+    algebra = TruncatedAlgebra.of_group(group)
 
-    images = []
-    for j in range(rank):
-        total: dict[GroupElt, int] = {}
-        for mat, inv_v in zip(aut, inverses):
-            # e^{-1} v_j = sum_k inv_v[k][j] v_k; sigma_0 sends v_k to g_k - 1;
-            # then e permutes group elements.
-            zero = tuple(0 for _ in range(rank))
-            for k in range(rank):
-                coeff = inv_v[k][j]
-                if not coeff:
-                    continue
-                g_k = tuple(1 if c == k else 0 for c in range(rank))
-                image = group.apply_automorphism(mat, g_k)
-                add_term(total, image, coeff, ell)
-                add_term(total, zero, -coeff, ell)
-        scaled = {x: c * inv_order % ell for x, c in total.items()}
-        images.append(group_algebra_to_radical(scaled, moduli, ell))
+    images: list[UPoly] = [{} for _ in range(group.rank)]
+    for mat in aut:
+        # e^{-1} v_j = sum_k inv_v[k][j] v_k; sigma_0 sends v_k to u_k; then e
+        inv_v = mat_inverse(mat, ell)
+        units = algebra.unit_images(mat)
+        for j, image in enumerate(images):
+            for k, unit in enumerate(units):
+                if inv_v[k][j]:
+                    add_scaled(image, unit, inv_v[k][j] * inv_order, ell)
 
     section = RadicalSection(group=group, images=tuple(images),
                              e_order=len(aut))
     _check_right_inverse(section)
-    _check_equivariance(section)
+    _check_equivariance(section, algebra)
     return section
 
 
@@ -356,45 +333,17 @@ def _check_right_inverse(section: RadicalSection) -> None:
                   "section is not a right inverse at generator %d" % j)
 
 
-def _action_on_radical(group: AbelianLGroup, mat, poly: UPoly) -> UPoly:
-    """Automorphism action in radical coordinates:
-    u^a -> prod_j (e(g_j) - 1)^{a_j}."""
-    ell = group.ell
-    moduli = group.moduli
-    rank = group.rank
-    zero = tuple(0 for _ in range(rank))
-    gen_images = []
-    for j in range(rank):
-        g_j = tuple(1 if c == j else 0 for c in range(rank))
-        elem = {group.apply_automorphism(mat, g_j): 1, zero: -1 % ell}
-        if list(elem) == [zero]:  # fixed generator g_j -> g_j
-            elem = {}
-        gen_images.append(group_algebra_to_radical(elem, moduli, ell))
-    out: UPoly = {}
-    for a, c in poly.items():
-        term: UPoly = {zero: c}
-        for j, aj in enumerate(a):
-            if aj:
-                term = _u_mult(term, _u_pow(gen_images[j], aj, moduli, ell),
-                               moduli, ell)
-        add_scaled(out, term, mod=ell)
-    return out
-
-
-def _check_equivariance(section: RadicalSection) -> None:
-    group = section.group
-    ell = group.ell
-    rank = group.rank
-    for mat in group.e_generators:
-        norm = group._normalize(mat)
-        for j in range(rank):
-            lhs = _action_on_radical(group, norm, section.images[j])
+def _check_equivariance(section: RadicalSection, algebra: TruncatedAlgebra) -> None:
+    """e(sigma(v_j)) = sigma(e v_j) for every generator e of E and every j."""
+    ell = section.group.ell
+    for mat in section.group.e_generators:
+        units = algebra.unit_images(mat)
+        for j, image in enumerate(section.images):
             rhs: UPoly = {}
-            for k in range(rank):
-                coeff = norm[k][j] % ell
-                if coeff:
-                    add_scaled(rhs, section.images[k], coeff, ell)
-            check(lhs == rhs,
+            for k, other in enumerate(section.images):
+                if coeff := mat[k][j] % ell:
+                    add_scaled(rhs, other, coeff, ell)
+            check(algebra.act(units, image) == rhs,
                   "section is not equivariant at generator %d" % j)
 
 

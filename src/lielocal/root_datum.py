@@ -175,23 +175,6 @@ def _diagram_automorphism(family: str, n: int, order: int) -> tuple[int, ...]:
     raise UnsupportedTypeError(f"no order-{order} diagram automorphism for {family}{n}")
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    """The lcm of the cycle lengths of the permutation p."""
-    lengths = []
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        lengths.append(length)
-    return math.lcm(*lengths)
-
-
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
     """Positive integers d_i with d_i * a[i][j] = d_j * a[j][i], found by
     propagating ratios through the diagram, in integers: a connected part
@@ -256,7 +239,8 @@ class RootDatum(NamedTuple):
 
     @property
     def delta(self) -> int:
-        return _perm_order(self.phi)
+        """The order of the twist: the lcm of its orbit lengths."""
+        return math.lcm(*map(len, phi_orbits(self)))
 
     @property
     def twisted(self) -> bool:
@@ -419,7 +403,7 @@ def _validate(datum: RootDatum) -> None:
         pass  # from_cartan data under a label that names no type
     else:
         if twist > 1:
-            check(_perm_order(p) == twist, "twist order mismatch")
+            check(datum.delta == twist, "twist order mismatch")
         expected_n = sum(d - 1 for d in split_degrees(family, label_rank))
         check(datum.N == expected_n, f"positive-root count {datum.N} != {expected_n}")
     # pairing sanity: <rho, alpha_i_vee> = 1; coroot of a simple root is the
@@ -434,6 +418,24 @@ def _validate(datum: RootDatum) -> None:
     for root in datum.pos_roots:
         image = tuple(_apply_perm_to_root(p, root))
         check(image in root_set, "phi does not permute positive roots")
+
+
+def phi_orbits(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the twist on simple-root indices, each sorted, sorted by
+    first element."""
+    seen = set()
+    orbits = []
+    for i in range(datum.rank):
+        if i in seen:
+            continue
+        orbit = []
+        j = i
+        while j not in seen:
+            seen.add(j)
+            orbit.append(j)
+            j = datum.phi[j]
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
 
 
 def _apply_perm_to_root(p: tuple[int, ...], root: tuple[int, ...]) -> list[int]:

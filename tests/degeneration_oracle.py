@@ -1,10 +1,11 @@
 """Test-only oracle: the group-element basis of F_ell P, and the dg algebra
 as an algebra.
 
-The package works in radical coordinates (products of g_j - 1) and only
-converts into them.  This module keeps the other direction and the group
-algebra's own product, convolution of group elements, so that the
-truncated polynomial product can be compared with the group algebra's.  It
+The package works in radical coordinates (products of g_j - 1) only.  This
+module keeps the group-element basis: the binomial expansions into radical
+coordinates and back, and the group algebra's own product, convolution of
+group elements, so that the truncated polynomial product and the action of
+an automorphism can be compared with the group algebra's.  It
 also multiplies elements of the Koszul-type dg algebra, which the package
 never does: ``dg_cohomology_check`` only needs the differential on basis
 cells.  Everything here enumerates and is meant for small groups.
@@ -22,6 +23,30 @@ from lielocal.linalg import add_scaled, add_term
 def group_elements(group):
     """Every element of P, as exponent tuples in lexicographic order."""
     return itertools.product(*(range(m) for m in group.moduli))
+
+
+def group_element_to_radical(x, moduli, ell):
+    """Expand the basis group element g^x as a polynomial in u_j = g_j - 1:
+    prod_j (1 + u_j)^{x_j} = sum_a prod_j C(x_j, a_j) u^a."""
+    out = {}
+    per_coord = [[(a, math.comb(xj, a) % ell) for a in range(xj + 1)
+                  if math.comb(xj, a) % ell] for xj in x]
+    for combo in itertools.product(*per_coord):
+        exp = tuple(a for a, _ in combo)
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c % ell
+        if coeff:
+            out[exp] = coeff
+    return out
+
+
+def group_algebra_to_radical(elem, moduli, ell):
+    out = {}
+    for x, c in elem.items():
+        if c % ell:
+            add_scaled(out, group_element_to_radical(x, moduli, ell), c, ell)
+    return out
 
 
 def radical_to_group_algebra(poly, moduli, ell):

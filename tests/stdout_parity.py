@@ -18,9 +18,13 @@ of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and
 (4, 7), ``hecke poincare`` for every label of ``ALL_LABELS`` and GL1-GL9,
 ``llt --n N --d D`` for every N <= 10 and D from 2 to 5, in JSON, with
 ``--csv`` and with ``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and
-with ``--csv``, and ``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5
-and ten factor lists F.  The list is built from CHANGE_SRC.  Both children
-run at once; the 1,390 argv took about 45 s on a 2-CPU machine.
+with ``--csv``, ``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5
+and ten factor lists F, ``degenerate --E`` for the eleven automorphism
+groups of ``DEGENERATE_E`` (generators that are not symmetric matrices,
+written to a temporary directory), and ``blocks``, ``alperin`` and
+``kr-sum`` for every label of rank <= 3 and A4, 2A4, D4, 3D4, 2D4, B4, F4
+at every prime power q <= 9.  The list is built from CHANGE_SRC.  Both
+children run at once; the 1,800 argv took about 35 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -32,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -55,8 +60,32 @@ json.dump({"package": lielocal.__file__, "records": records}, sys.stdout)
 """
 
 
-def argv_list(src: str) -> list[list[str]]:
-    """The argv to compare, with the labels and degrees read from ``src``."""
+def _cycle(n: int) -> list[list[int]]:
+    """The matrix sending g_j to g_{j+1 mod n}."""
+    return [[int(k == (j + 1) % n) for j in range(n)] for k in range(n)]
+
+
+# (ell, factors, generators) for ``degenerate --E``: each group has a
+# generator that is not a symmetric matrix, so an action read off the
+# transpose shows
+DEGENERATE_E = [
+    ("2", "1:3", [_cycle(3)]),
+    ("2", "2:3", [_cycle(3)]),
+    ("2", "1:7", [_cycle(7)]),
+    ("5", "1:3", [_cycle(3)]),
+    ("7", "1:3", [_cycle(3)]),
+    ("5", "1:4", [_cycle(4), [[-(i == j) for j in range(4)] for i in range(4)]]),
+    ("3", "1:4", [_cycle(4)]),
+    ("3", "2:2", [[[0, -1], [1, 0]]]),
+    ("3", "2:1,1:1", [[[1, 9], [3, 1]]]),
+    ("3", "1:2", [[[1, 1], [0, 1]]]),  # |E| = 3 = ell: refused
+    ("2", "2:1,1:3", [[[1, 0, 0, 0]] + [[0] + row for row in _cycle(3)]]),
+]
+
+
+def argv_list(src: str, tmp: str) -> list[list[str]]:
+    """The argv to compare, with the labels and degrees read from ``src``;
+    the matrix files of ``DEGENERATE_E`` are written to ``tmp``."""
     sys.path[:0] = [src, HERE, ROOT]
     from lielocal.root_datum import ALL_LABELS, labels_of_rank, parse_label, split_degrees
     from perfbench.workloads import CLI_LLT, CLI_WEYL
@@ -94,6 +123,15 @@ def argv_list(src: str) -> list[list[str]]:
         for factors in ("1:1", "1:2", "2:1", "1:3", "3:1", "1:1,2:1", "2:2", "1:2,2:1",
                         "1:1,3:1", "4:1"):
             queries.append(["degenerate", "--ell", str(ell), "--factors", factors])
+    for k, (ell, factors, generators) in enumerate(DEGENERATE_E):
+        path = os.path.join(tmp, f"E{k}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(generators, handle)
+        queries.append(["degenerate", "--ell", ell, "--factors", factors, "--E", path])
+    for label in labels_of_rank(3) + ["A4", "2A4", "D4", "3D4", "2D4", "B4", "F4"]:
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for command in ("blocks", "alperin", "kr-sum"):
+                queries.append([command, label, "--q", str(q)])
     return queries
 
 
@@ -125,8 +163,9 @@ def main(args: list[str]) -> int:
         return 2
     srcs = [os.path.abspath(args[0]),
             os.path.abspath(args[1] if len(args) == 2 else os.path.join(ROOT, "src"))]
-    queries = argv_list(srcs[1])
-    parent, change = run_all(srcs, queries)
+    with tempfile.TemporaryDirectory() as tmp:
+        queries = argv_list(srcs[1], tmp)
+        parent, change = run_all(srcs, queries)
     differ = 0
     for argv, old, new in zip(queries, parent, change):
         if old != new:

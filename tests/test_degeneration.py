@@ -10,6 +10,8 @@ from degeneration_oracle import (
     check_d_squared,
     check_leibniz,
     convolve_group_algebra,
+    group_algebra_to_radical,
+    group_element_to_radical,
     group_elements,
     image_of_monomial,
     radical_to_group_algebra,
@@ -23,15 +25,26 @@ from lielocal.degeneration import (
     TruncatedAlgebra,
     build_isomorphism,
     dg_cohomology_check,
-    group_algebra_to_radical,
-    group_element_to_radical,
     radical_section,
 )
 from lielocal.errors import GuardExceeded, InvariantError
-from lielocal.linalg import sparse_rank
+from lielocal.linalg import add_term, sparse_rank
 
 CYCLE_ON_V4 = ((0, 1), (1, 1))  # order 3 on (Z/2)^2
 SWAP_2 = ((0, 1), (1, 0))
+
+
+def cycle(n):
+    """The matrix sending g_j to g_{j+1 mod n}: not symmetric for n >= 3."""
+    return tuple(tuple(int(k == (j + 1) % n) for j in range(n)) for k in range(n))
+
+
+# (group, |E|): a 3-cycle on (Z/ell)^3, and a 4-cycle with -1 on (Z/5)^4
+NON_SYMMETRIC = [
+    (AbelianLGroup(ell=ell, factors=((1, 3),), e_generators=(cycle(3),)), 3)
+    for ell in (2, 5, 7)
+] + [(AbelianLGroup(ell=5, factors=((1, 4),), e_generators=(
+    cycle(4), tuple(tuple(-(i == j) for j in range(4)) for i in range(4)))), 8)]
 
 
 def small_primes(limit):
@@ -186,6 +199,73 @@ class TestRadicalSection:
         with pytest.raises(ValueError, match="divisible by ell"):
             radical_section(g)
 
+    def test_unit_images_match_the_group_element_route(self):
+        # for every e in E: e(u_k) is the oracle's expansion of e(g_k) - 1,
+        # and act(e) on an element is permuting its group elements by e
+        mixed = AbelianLGroup(ell=2, factors=((2, 1), (1, 3)), e_generators=(
+            ((1, 0, 0, 0),) + tuple((0,) + row for row in cycle(3)),))
+        rng = random.Random(13)
+        for g in [g for g, _ in NON_SYMMETRIC] + [mixed]:
+            alg = TruncatedAlgebra.of_group(g)
+            basis = list(alg.basis())
+            one = (0,) * g.rank
+            for mat in g.automorphism_group():
+                def image(x):
+                    return tuple(sum(a * b for a, b in zip(row, x)) % m
+                                 for row, m in zip(mat, g.moduli))
+
+                units = alg.unit_images(mat)
+                for k, unit in enumerate(units):
+                    g_k = one[:k] + (1,) + one[k + 1:]
+                    assert unit == group_algebra_to_radical(
+                        {image(g_k): 1, one: g.ell - 1}, g.moduli, g.ell), (g.factors, mat, k)
+                poly = {rng.choice(basis): rng.randrange(1, g.ell) for _ in range(3)}
+                permuted = {}
+                for x, c in radical_to_group_algebra(poly, g.moduli, g.ell).items():
+                    add_term(permuted, image(x), c, g.ell)
+                assert alg.act(units, poly) == \
+                    group_algebra_to_radical(permuted, g.moduli, g.ell), (g.factors, mat)
+
+
+class TestSectionCertificate:
+    """Each check of radical_section trips on a tampered construction."""
+
+    @pytest.mark.parametrize("kept, j", [(((1, 0), (0, 1)), 1), (CYCLE_ON_V4, 0)])
+    def test_a_partial_average_is_not_equivariant(self, monkeypatch, kept, j):
+        # averaged over one element of E, the section is e . sigma_0 . e^{-1};
+        # for the identity that is sigma_0, which sends v_0 to u_0 and is
+        # equivariant there (e(u_0) = u_1), but not at v_1
+        monkeypatch.setattr(AbelianLGroup, "automorphism_group", lambda self: [kept])
+        g = AbelianLGroup(ell=2, factors=((1, 2),), e_generators=(CYCLE_ON_V4,))
+        with pytest.raises(InvariantError,
+                           match=f"section is not equivariant at generator {j}"):
+            radical_section(g)
+
+    def test_a_constant_term_is_caught(self, monkeypatch):
+        real = TruncatedAlgebra.unit_images
+
+        def shifted(self, mat):
+            images = real(self, mat)
+            for image in images:
+                image[(0,) * len(self.moduli)] = 1
+            return images
+
+        monkeypatch.setattr(TruncatedAlgebra, "unit_images", shifted)
+        with pytest.raises(InvariantError, match="section image 0 has a constant term"):
+            radical_section(AbelianLGroup(ell=3, factors=((1, 2),)))
+
+    def test_a_wrong_linear_part_is_caught(self, monkeypatch):
+        real = TruncatedAlgebra.unit_images
+
+        def doubled(self, mat):
+            return [{a: 2 * c % self.ell for a, c in image.items()}
+                    for image in real(self, mat)]
+
+        monkeypatch.setattr(TruncatedAlgebra, "unit_images", doubled)
+        with pytest.raises(InvariantError,
+                           match="section is not a right inverse at generator 0"):
+            radical_section(AbelianLGroup(ell=3, factors=((1, 2),)))
+
 
 class TestIsomorphism:
     def test_cyclic_groups(self):
@@ -249,6 +329,15 @@ class TestIsomorphism:
                   AbelianLGroup(ell=2, factors=((2, 1), (1, 2)))):
             with pytest.raises(InvariantError, match=r"does not hold \|P\| monomials"):
                 build_isomorphism(g)
+
+    @pytest.mark.parametrize("g, e_order", NON_SYMMETRIC,
+                             ids=["2^3", "5^3", "7^3", "5^4"])
+    def test_non_symmetric_actions(self, g, e_order):
+        # permutation matrices of 3- and 4-cycles are not symmetric, so an
+        # action read off the transpose breaks the certificate here
+        iso = build_isomorphism(g)
+        assert iso.certificate.e_order == e_order
+        assert iso.certificate.dim_source == g.order
 
     def test_guard(self):
         g = AbelianLGroup(ell=2, factors=((13, 1),))
