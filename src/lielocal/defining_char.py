@@ -47,16 +47,11 @@ import operator
 from typing import NamedTuple
 
 from .errors import GuardExceeded, check
-from .generic_order import prime_power_base
+from .generic_order import check_prime_power
 from .linalg import closure, smith_normal_form
 from .root_datum import RootDatum, phi_orbits
 
 WEIGHT_GUARD = 10**7
-
-
-def _check_q(q: int) -> None:
-    if q < 2 or prime_power_base(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
 
 
 def _check_weight_guard(datum: RootDatum, q: int) -> None:
@@ -112,7 +107,7 @@ class CenterDual(NamedTuple):
 
 
 def center_dual(datum: RootDatum, q: int) -> CenterDual:
-    _check_q(q)
+    check_prime_power(q)
     n = datum.rank
     a = [list(row) for row in datum.cartan]
     p = datum.phi_matrix()
@@ -140,13 +135,13 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
 
 def restricted_weights(datum: RootDatum, q: int):
     """All q-restricted weights in lexicographic order (an iterator)."""
-    _check_q(q)
+    check_prime_power(q)
     _check_weight_guard(datum, q)
     return itertools.product(range(q), repeat=datum.rank)
 
 
 def steinberg_weight(datum: RootDatum, q: int) -> tuple[int, ...]:
-    _check_q(q)
+    check_prime_power(q)
     return (q - 1,) * datum.rank
 
 
@@ -477,7 +472,7 @@ def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
     twist-stable I pairs the weights of X'_I with the unipotent radical of the
     standard parabolic whose Levi has simple roots Delta - I.  The total is
     q^rank, matching the number of simple modules."""
-    _check_q(q)
+    check_prime_power(q)
     _check_weight_guard(datum, q)
     delta = tuple(range(datum.rank))
     entries = []
@@ -520,7 +515,7 @@ def levi_irreducible_count(datum: RootDatum, q: int, levi_subset) -> int:
     roots (a twist-stable subset), in the defining characteristic: the sum of
     |X'_{Delta - J'}| over twist-stable J' inside the Levi.  Matches the
     closed form q^{|J|} * prod over orbits outside J of (q^{|o|} - 1)."""
-    _check_q(q)
+    check_prime_power(q)
     levi = set(levi_subset)
     check(all(datum.phi[i] in levi for i in levi),
           "Levi subset must be twist-stable")
@@ -549,7 +544,7 @@ def knorr_robinson_sum(datum: RootDatum, q: int) -> KnorrRobinsonReport:
     q^rank - 1 and a length-j chain contributes (-1)^j times the number of
     simple modules of the Levi on J_j.  The total vanishes; a nonzero value is
     an invariant breach."""
-    _check_q(q)
+    check_prime_power(q)
     sizes = [len(o) for o in phi_orbits(datum)]
     n = len(sizes)
     # a twist-stable subset is a bitmask over the orbits; the proper ones

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property, reduce
 from typing import Iterator, NamedTuple
 
@@ -212,12 +213,12 @@ class TruncatedAlgebra:
 
     def multiply(self, a: UPoly, b: UPoly) -> UPoly:
         out: UPoly = {}
+        moduli = self.moduli
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                if any(e >= m for e, m in zip(exp, self.moduli)):
-                    continue
-                add_term(out, exp, ca * cb, self.ell)
+                exp = tuple(map(operator.add, ea, eb))
+                if all(map(operator.lt, exp, moduli)):
+                    add_term(out, exp, ca * cb, self.ell)
         return out
 
     def power(self, a: UPoly, k: int) -> UPoly:

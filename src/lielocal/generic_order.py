@@ -41,16 +41,9 @@ def factor_pairs_for(label: str) -> list[tuple[int, tuple[int, int]]]:
         # eps_i = (-1)^{d_i}: factors q^d - 1 (d even), q^d + 1 (d odd)
         return [(d, _ONE if d % 2 == 0 else _MINUS) for d in degrees]
     if family == "D" and twist == 2:
-        # eps = -1 on exactly one degree-n factor
-        pairs = []
-        flipped = False
-        for d in degrees:
-            if d == n and not flipped:
-                pairs.append((d, _MINUS))
-                flipped = True
-            else:
-                pairs.append((d, _ONE))
-        return pairs
+        # eps = -1 on exactly one degree-n factor, the first
+        flipped = degrees.index(n)
+        return [(d, _MINUS if k == flipped else _ONE) for k, d in enumerate(degrees)]
     if family == "D" and twist == 3:
         # the two degree-4 factors pair into q^8 + q^4 + 1
         return [(2, _ONE), (4, _OMEGA), (4, _OMEGA2), (6, _ONE)]
@@ -182,12 +175,15 @@ def prime_power_base(q: int) -> int | None:
     return q if is_prime(q) else None
 
 
-def evaluate_order(f: CycloFactorization, q: int) -> int:
-    """Exact integer order at a prime power q."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
+def check_prime_power(q: int) -> None:
+    """Raise ValueError unless q is a prime power."""
     if prime_power_base(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
+
+
+def evaluate_order(f: CycloFactorization, q: int) -> int:
+    """Exact integer order at a prime power q."""
+    check_prime_power(q)
     value = q**f.qpower
     for d, a in f.exponents:
         value *= poly_eval(list(cyclotomic(d)), q) ** a
@@ -275,10 +271,9 @@ def ell_part(f: CycloFactorization, q: int, ell: int) -> tuple[int, int]:
     ell-adic valuation of |G(q)|."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
+    check_prime_power(q)
     if q % ell == 0:
         raise ValueError("defining characteristic: use defining_char")
-    if q < 2 or prime_power_base(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
     d = multiplicative_order(q, ell)
     nu = 0
     for e, a in f.exponents:

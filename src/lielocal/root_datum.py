@@ -18,10 +18,12 @@ Conventions, fixed once for the whole package:
   symmetrizer ``d_i >= 1``.
 
 Simple groups of types A..G with rank at most 8 are supported, split or
-twisted (2A, 2D, 3D4, 2E6).  The very twisted Suzuki/Ree families need a
-square-root twist that is not a Frobenius endomorphism over F_q and are
-rejected.  So is an explicit Cartan matrix (``from_cartan``) whose symmetrized
-form is not positive definite: its root system is infinite.
+twisted (2A, 2D, 3D4, 2E6); one table from label prefix to ranks
+(``_RANKS``) names them all, and GL_1..GL_9 too.  The very twisted
+Suzuki/Ree families need a square-root twist that is not a Frobenius
+endomorphism over F_q and are rejected.  So is an explicit Cartan matrix
+(``from_cartan``) whose symmetrized form is not positive definite: its root
+system is infinite.
 """
 
 from __future__ import annotations
@@ -34,59 +36,51 @@ from typing import NamedTuple
 from .errors import InvariantError, UnsupportedTypeError, check
 from .linalg import _eliminate
 
-MAX_RANK = 8
-
-_RANK_RANGE = {
-    "A": (1, MAX_RANK),
-    "B": (2, MAX_RANK),
-    "C": (2, MAX_RANK),
-    "D": (3, MAX_RANK),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# The grammar of type labels: a prefix of the table (the twist order, if
+# any, then the family letter; or GL) and then the rank in ASCII digits,
+# which must lie in the prefix's range.  The table's order is the order of
+# ALL_LABELS.  GL<n> is a label with no root datum: GL_9 has the Weyl group
+# of A_8, the largest GL whose Weyl group fits the enumeration guard.
+_RANKS: dict[str, range] = {
+    "A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(3, 9),
+    "E": range(6, 9), "F": range(4, 5), "G": range(2, 3),
+    "2A": range(2, 9), "2D": range(3, 9), "3D": range(4, 5), "2E": range(6, 7),
+    "GL": range(1, 10),
 }
 
-_TWISTS = {("A", 2), ("D", 2), ("D", 3), ("E", 2)}
+_LABEL_RE = re.compile("(%s)([0-9]+)" % "|".join(_RANKS))
 
-_LABEL_RE = re.compile(r"^([23]?)([A-G])(\d+)$")
+
+def _rank_in_range(label: str, match: re.Match) -> int:
+    n = int(match[2])
+    if n not in _RANKS[match[1]]:
+        raise UnsupportedTypeError(f"unsupported type {label!r} (rank out of range)")
+    return n
+
+
+def _prefix_and_rank(label: str) -> tuple[str, int]:
+    """(prefix, rank) of a label that names a root datum; raises
+    UnsupportedTypeError for anything else."""
+    if label in ("2B2", "2G2", "2F4"):
+        raise UnsupportedTypeError(f"{label}: F not Frobenius: out of scope")
+    m = _LABEL_RE.fullmatch(label)
+    if m is None or m[1] == "GL":
+        raise UnsupportedTypeError(f"unsupported type {label!r}")
+    return m[1], _rank_in_range(label, m)
 
 
 def parse_label(label: str) -> tuple[int, str, int]:
     """(twist order, family, rank) of a supported type label such as "A3",
     "2A3" or "3D4"; raises UnsupportedTypeError for anything else."""
-    if label in ("2B2", "2G2", "2F4"):
-        raise UnsupportedTypeError(f"{label}: F not Frobenius: out of scope")
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise UnsupportedTypeError(f"unsupported type {label!r}")
-    twist = int(m.group(1) or "1")
-    family = m.group(2)
-    n = int(m.group(3))
-    lo, hi = _RANK_RANGE[family]
-    if not lo <= n <= hi:
-        raise UnsupportedTypeError(f"unsupported type {label!r} (rank out of range)")
-    if twist > 1:
-        if (family, twist) not in _TWISTS or (twist == 3 and (family, n) != ("D", 4)):
-            raise UnsupportedTypeError(f"unsupported type {label!r}")
-        if family == "A" and n < 2:
-            raise UnsupportedTypeError("2A_n requires n >= 2")
-        if family == "E" and n != 6:
-            raise UnsupportedTypeError("twisted E only exists for E6")
-    return twist, family, n
+    prefix, n = _prefix_and_rank(label)
+    return int(prefix[:-1] or 1), prefix[-1], n
 
 
 def gl_rank(label: str) -> int | None:
-    """n for a label "GL<n>" with 1 <= n <= MAX_RANK + 1, None for a label
-    of any other form.  GL_9 has the Weyl group of A_8, the largest GL
-    whose Weyl group fits the enumeration guard; a GL label outside that
-    range raises UnsupportedTypeError."""
-    m = re.fullmatch(r"GL([0-9]+)", label)
-    if m is None:
-        return None
-    n = int(m.group(1))
-    if not 1 <= n <= MAX_RANK + 1:
-        raise UnsupportedTypeError(f"unsupported type {label!r} (rank out of range)")
-    return n
+    """n for a label "GL<n>" with 1 <= n <= 9, None for a label of any other
+    form; a GL label outside that range raises UnsupportedTypeError."""
+    m = _LABEL_RE.fullmatch(label)
+    return None if m is None or m[1] != "GL" else _rank_in_range(label, m)
 
 
 def split_degrees(family: str, n: int) -> list[int]:
@@ -158,21 +152,19 @@ def cartan_matrix(family: str, n: int) -> list[list[int]]:
     return a
 
 
-def _diagram_automorphism(family: str, n: int, order: int) -> tuple[int, ...]:
-    if order == 1:
-        return tuple(range(n))
-    if family == "A" and order == 2:
+def _diagram_automorphism(prefix: str, n: int) -> tuple[int, ...]:
+    """The twist of a label's prefix on the simple roots, the identity for a
+    split prefix."""
+    if prefix == "2A":
         return tuple(n - 1 - i for i in range(n))
-    if family == "D" and order == 2:
-        p = list(range(n))
-        p[n - 2], p[n - 1] = n - 1, n - 2
-        return tuple(p)
-    if family == "D" and order == 3 and n == 4:
+    if prefix == "2D":
+        return (*range(n - 2), n - 1, n - 2)
+    if prefix == "3D":
         # rotate the three outer nodes 0 -> 2 -> 3 -> 0 around the center 1
         return (2, 1, 3, 0)
-    if family == "E" and order == 2 and n == 6:
+    if prefix == "2E":
         return (5, 1, 4, 3, 2, 0)
-    raise UnsupportedTypeError(f"no order-{order} diagram automorphism for {family}{n}")
+    return tuple(range(n))
 
 
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
@@ -363,10 +355,9 @@ def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
 def build_root_datum(type_label: str) -> RootDatum:
     """Construct the simply connected root datum named by ``type_label``
     ("A3", "2A3", "3D4", "G2", ...)."""
-    twist, family, n = parse_label(type_label)
-    cartan = cartan_matrix(family, n)
-    phi = _diagram_automorphism(family, n, twist)
-    return _finish_datum(type_label, cartan, phi)
+    prefix, n = _prefix_and_rank(type_label)
+    return _finish_datum(type_label, cartan_matrix(prefix[-1], n),
+                         _diagram_automorphism(prefix, n))
 
 
 def from_cartan(label: str, cartan, phi=None) -> RootDatum:
@@ -450,22 +441,11 @@ def cached_datum(type_label: str) -> RootDatum:
     return build_root_datum(type_label)
 
 
-ALL_LABELS: tuple[str, ...] = tuple(
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)]
-    + [f"D{n}" for n in range(3, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-    + [f"2A{n}" for n in range(2, 9)]
-    + [f"2D{n}" for n in range(3, 9)]
-    + ["3D4", "2E6"]
-)
+def labels_of_rank(max_rank: int) -> list[str]:
+    """The labels with a root datum and rank at most ``max_rank``, in the
+    order of the prefix table."""
+    return [f"{prefix}{n}" for prefix, ranks in _RANKS.items() if prefix != "GL"
+            for n in ranks if n <= max_rank]
 
 
-def labels_of_rank(max_rank: int, include_twisted: bool = True) -> list[str]:
-    out = []
-    for label in ALL_LABELS:
-        twist, _, n = parse_label(label)
-        if n <= max_rank and (include_twisted or twist == 1):
-            out.append(label)
-    return out
+ALL_LABELS: tuple[str, ...] = tuple(labels_of_rank(max(map(max, _RANKS.values()))))

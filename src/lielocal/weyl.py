@@ -339,7 +339,7 @@ class WeylGroup:
         self.elements = range(count)
         self.last = last
         self.right = right
-        self._dims: dict[int, list[int]] = {}  # d -> phi_d_dimensions(d)
+        self._dims: dict[int, array] = {}  # d -> phi_d_dimensions(d)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -464,20 +464,20 @@ class WeylGroup:
     def _twisted_matrix(self, w: int):
         return mat_mul(self._matrix(w), self.ctx.phi_mat)
 
-    def phi_d_dimensions(self, d: int) -> list[int]:
+    def phi_d_dimensions(self, d: int) -> array:
         """dim over Q(zeta_d) of the zeta_d-eigenspace of w·phi, for every w
-        (computed as dim_Q ker Phi_d(w phi) / phi(d)).  The dimension is an
-        F-class function, since v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one
-        rank is taken per class of :meth:`f_conjugacy_classes` and copied to
-        its members."""
+        (computed as dim_Q ker Phi_d(w phi) / phi(d)), one signed byte per
+        element.  The dimension is an F-class function, since
+        v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one rank is taken per class
+        of :meth:`f_conjugacy_classes` and copied to its members."""
         n = self.ctx.dim
         # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
         # and phi(d) >= sqrt(d/2), so past 2n^2 all are 0, and not cached
         if d > 2 * n * n:
-            return [0] * len(self)
+            return array("b", [0]) * len(self)
         if d not in self._dims:
             deg = euler_phi(d)
-            dims = self._dims[d] = [0] * len(self)
+            dims = self._dims[d] = array("b", [0]) * len(self)
             for cls in self.f_conjugacy_classes():
                 dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))
                 check(dim_q % deg == 0, "Q-kernel dimension not divisible by phi(d)")

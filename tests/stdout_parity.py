@@ -15,7 +15,8 @@ verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
 to 2 * (largest degree) * (twist order), ``weyl regular`` for every label of
 rank 5 or 6 and GL7 at those d, ``sylow L --q Q --ell ELL`` for the labels
 of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and
-(4, 7), ``hecke poincare`` for every label of ``ALL_LABELS`` and GL1-GL9,
+(4, 7), ``hecke poincare``, ``order L`` and ``order L --q 4 --ell 5``
+for every label L of ``ALL_LABELS`` and GL1-GL9,
 ``llt --n N --d D`` for every N <= 10 and D from 2 to 5, in JSON, with
 ``--csv`` and with ``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and
 with ``--csv``, ``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5
@@ -24,7 +25,7 @@ groups of ``DEGENERATE_E`` (generators that are not symmetric matrices,
 written to a temporary directory), and ``blocks``, ``alperin`` and
 ``kr-sum`` for every label of rank <= 3 and A4, 2A4, D4, 3D4, 2D4, B4, F4
 at every prime power q <= 9.  The list is built from CHANGE_SRC.  Both
-children run at once; the 1,800 argv took about 35 s on a 2-CPU machine.
+children run at once; the 1,914 argv took about 60 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -87,7 +88,7 @@ def argv_list(src: str, tmp: str) -> list[list[str]]:
     """The argv to compare, with the labels and degrees read from ``src``;
     the matrix files of ``DEGENERATE_E`` are written to ``tmp``."""
     sys.path[:0] = [src, HERE, ROOT]
-    from lielocal.root_datum import ALL_LABELS, labels_of_rank, parse_label, split_degrees
+    from lielocal.root_datum import ALL_LABELS, gl_rank, labels_of_rank, parse_label, split_degrees
     from perfbench.workloads import CLI_LLT, CLI_WEYL
     from test_golden_stdout import GOLDEN
 
@@ -95,8 +96,8 @@ def argv_list(src: str, tmp: str) -> list[list[str]]:
 
     def top(label: str) -> int:
         """2 * (largest degree) * (twist order); GL_n has degrees 1..n."""
-        if label.startswith("GL"):
-            return 2 * int(label[2:])
+        if (n := gl_rank(label)) is not None:
+            return 2 * n
         twist, family, n = parse_label(label)
         return 2 * max(split_degrees(family, n)) * twist
 
@@ -111,6 +112,8 @@ def argv_list(src: str, tmp: str) -> list[list[str]]:
             queries.append(["weyl", "regular", label, "--d", str(d)])
     for label in list(ALL_LABELS) + [f"GL{n}" for n in range(1, 10)]:
         queries.append(["hecke", "poincare", label])
+        queries.append(["order", label])
+        queries.append(["order", label, "--q", "4", "--ell", "5"])
     for n in range(11):
         for d in range(2, 6):
             for style in ([], ["--csv"], ["--at-1"]):

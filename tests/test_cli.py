@@ -266,6 +266,18 @@ class TestExitCodes:
         assert "error: unsupported type" in result.stderr
         assert "Traceback" not in result.stderr
 
+    # outside the label grammar: a twist or rank the prefix table does not
+    # allow, an unknown prefix, a digit that is not ASCII, a trailing newline
+    @pytest.mark.parametrize("label", ["2A1", "2E7", "3D5", "2B3", "2G2", "GL0", "GL10", "A9",
+                                       "X3", "A\u0663", "GL\u0663", "A3\n", "GL3\n"])
+    @pytest.mark.parametrize("command", [["order", "L"], ["weyl", "classes", "L"],
+                                         ["blocks", "L", "--q", "2"]])
+    def test_refused_label(self, capsys, command, label):
+        code, out, err = run_cli(capsys, *(label if arg == "L" else arg for arg in command))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unsupported type") or "F not Frobenius" in err, err
+        assert "Traceback" not in err
+
     def test_large_prime_q_ends_quickly(self):
         result = subprocess.run(
             [sys.executable, "-m", "lielocal", "order", "A2", "--q",
@@ -342,10 +354,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "degenerate", "--ell", "2", "--factors", "99999:1")
         assert code == 1
         assert "group order 2^99999 exceeds guard" in err
-        for q in ("6", "0"):
-            code, _, err = run_cli(capsys, "alperin", "A1", "--q", q)
-            assert code == 1
-            assert f"q = {q} is not a prime power" in err
+        # one message for every command that takes q
+        for q in ("6", "0", "1"):
+            for argv in (["order", "A2", "--q", q], ["order", "GL3", "--q", q, "--ell", "5"],
+                         ["sylow", "A2", "--q", q, "--ell", "5"], ["blocks", "A2", "--q", q],
+                         ["alperin", "A1", "--q", q], ["kr-sum", "A2", "--q", q]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out, err) == (1, "", f"error: q = {q} is not a prime power\n"), argv
 
     def test_too_many_digits_to_print(self, capsys):
         code, out, err = run_cli(capsys, "order", "A1", "--q", str(2**14000), "--ell", "3")

@@ -11,7 +11,9 @@ from lielocal.root_datum import (
     ALL_LABELS,
     build_root_datum,
     from_cartan,
+    gl_rank,
     labels_of_rank,
+    parse_label,
 )
 
 EXPECTED_N = {
@@ -65,9 +67,43 @@ class TestConstruction:
             assert datum.rank <= 8
 
     def test_labels_of_rank(self):
-        labels = labels_of_rank(2)
-        assert set(labels) == {"A1", "A2", "B2", "C2", "G2", "2A2"}
-        assert "2A2" not in labels_of_rank(2, include_twisted=False)
+        assert labels_of_rank(2) == ["A1", "A2", "B2", "C2", "G2", "2A2"]
+        assert labels_of_rank(0) == []
+        assert labels_of_rank(8) == list(ALL_LABELS)
+
+    def test_all_labels_are_the_fixed_list(self):
+        # read off the prefix table: the split families, then the twisted
+        # prefixes, each by rank
+        assert ALL_LABELS == (
+            "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+            "B2", "B3", "B4", "B5", "B6", "B7", "B8",
+            "C2", "C3", "C4", "C5", "C6", "C7", "C8",
+            "D3", "D4", "D5", "D6", "D7", "D8",
+            "E6", "E7", "E8", "F4", "G2",
+            "2A2", "2A3", "2A4", "2A5", "2A6", "2A7", "2A8",
+            "2D3", "2D4", "2D5", "2D6", "2D7", "2D8",
+            "3D4", "2E6",
+        )
+
+    def test_labels_parse(self):
+        assert [parse_label(label) for label in ("A3", "2A3", "3D4", "2D3", "E8")] == [
+            (1, "A", 3), (2, "A", 3), (3, "D", 4), (2, "D", 3), (1, "E", 8)]
+        assert [gl_rank(label) for label in ("GL1", "GL9", "A3", "3D4")] == [1, 9, None, None]
+
+    @pytest.mark.parametrize("label", ["A\u0663", "2A\u0663", "A3\n", "2D4\n", "E\uff18",
+                                       "GL\u0663", "GL3\n", "GL", "GL3x", "2GL3"])
+    def test_only_ascii_digits_and_nothing_after(self, label):
+        # the grammar's digits are ASCII and a label ends with them: no
+        # Arabic-Indic or full-width digit, no trailing newline
+        with pytest.raises(UnsupportedTypeError, match="unsupported type"):
+            parse_label(label)
+        assert gl_rank(label) is None
+
+    @pytest.mark.parametrize("label", ["2A1", "2E7", "3D5", "3D3", "2D2", "GL0", "GL10"])
+    def test_rank_outside_the_prefix_range(self, label):
+        parse = gl_rank if label.startswith("GL") else parse_label
+        with pytest.raises(UnsupportedTypeError, match=r"\(rank out of range\)"):
+            parse(label)
 
 
 class TestPairing:

@@ -347,14 +347,14 @@ class TestPerClassRoute:
     def test_phi_d_dimensions_match_per_element_ranks(self, label):
         w = oracle_group(label)
         for d in divisors_of_degrees(label):
-            assert w.phi_d_dimensions(d) == per_element_dims(w, d), d
+            assert list(w.phi_d_dimensions(d)) == per_element_dims(w, d), d
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "2A2", "GL3"])
     def test_phi_d_dimensions_past_the_totient_bound(self, label):
         w = oracle_group(label)
         bound = 2 * w.ctx.dim ** 2
         for d in range(bound - 2, bound + 12):
-            assert w.phi_d_dimensions(d) == per_element_dims(w, d), d
+            assert list(w.phi_d_dimensions(d)) == per_element_dims(w, d), d
 
     def test_huge_d_builds_no_cyclotomic_polynomial(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("A2")))
@@ -363,7 +363,7 @@ class TestPerClassRoute:
             raise AssertionError(f"Phi_{d} built")
 
         monkeypatch.setattr(lielocal.cyclotomic, "cyclotomic", refuse)
-        assert w.phi_d_dimensions(10**12) == [0] * len(w)
+        assert list(w.phi_d_dimensions(10**12)) == [0] * len(w)
         assert w.regular_elements(10**12) is None
 
     def test_large_d_keeps_no_list(self):
@@ -374,11 +374,27 @@ class TestPerClassRoute:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for d in range(10**6, 10**6 + 1000):
-                assert w.phi_d_dimensions(d) == [0] * len(w)
+                assert list(w.phi_d_dimensions(d)) == [0] * len(w)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < 16 * 1024, grown
+
+    def test_kept_dimensions_take_one_byte_per_element(self):
+        # every d <= 2n^2 is kept, at one byte per element: the 98 answers on
+        # the 5,040 elements of S_7 fit in 1 MiB, where lists of Python ints
+        # take 3.8 MiB
+        w = gl_weyl(7)
+        w.f_conjugacy_classes()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in range(1, 99):
+                w.phi_d_dimensions(d)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1024 * 1024, grown
 
     def test_one_rank_per_class(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("B3")))
