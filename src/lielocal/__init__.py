@@ -5,7 +5,7 @@ finite groups G(q) attached to a root datum with Frobenius twist: generic
 order polynomials and their ell-parts, defining-characteristic weight and
 block combinatorics, Sylow ell-subgroup structure in non-defining
 characteristic, Garside normal forms and regular-element identities in the
-braid monoid, Hecke-algebra specializations, canonical bases of the level-one
+braid monoid, Poincaré polynomials, canonical bases of the level-one
 Fock space, and Koszul-type degeneration certificates for elementary abelian
 actions.
 """

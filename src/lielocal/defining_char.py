@@ -29,9 +29,9 @@ The number of weights per central character is the convolution of these
 distributions (`lemma_counts`, and the cross-check in `block_partition`);
 a stratum's kernel count is the zero entry of the convolution over its
 orbits, each orbit without its all-(q-1) point, shifted by the fixed
-coordinates.  WEIGHT_GUARD bounds only the functions that list weights:
-`restricted_weights`, `block_partition` and `alperin_weights`.  Listings
-are checked against the closed forms and the convolved counts.
+coordinates.  WEIGHT_GUARD bounds only the functions that list weights,
+`block_partition` and `alperin_weights`.  Listings are checked against the
+closed forms and the convolved counts.
 
 A listed weight is a tuple, built once: a stratum is one `itertools.product`
 over the twist-orbits, and `to_json` hands out the report's immutable
@@ -131,13 +131,6 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
               == cd.gamma([int(j == i) for j in range(n)]),
               "center-dual twist relation failed")
     return cd
-
-
-def restricted_weights(datum: RootDatum, q: int):
-    """All q-restricted weights in lexicographic order (an iterator)."""
-    check_prime_power(q)
-    _check_weight_guard(datum, q)
-    return itertools.product(range(q), repeat=datum.rank)
 
 
 def steinberg_weight(datum: RootDatum, q: int) -> tuple[int, ...]:
@@ -492,8 +485,11 @@ def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
 
 
 def _levi_count(orbit_sizes, q: int, levi: int) -> int:
-    """`levi_irreducible_count` for the Levi whose twist-orbits are the set
-    bits of `levi`, orbit k having orbit_sizes[k] simple roots."""
+    """Number of simple modules, in the defining characteristic, of the
+    standard Levi whose twist-orbits are the set bits of `levi`, orbit k
+    having orbit_sizes[k] simple roots: the sum of |X'_{Delta - J'}| over
+    twist-stable J' inside the Levi.  Checked against the closed form
+    q^{|J|} * prod over orbits outside J of (q^{|o|} - 1)."""
     factors = [q**n - 1 for n in orbit_sizes]
     # the twist-stable J' inside the Levi are the submasks of `levi`, and
     # |X'_{Delta - J'}| is the product of the factors of the orbits not in J'
@@ -508,20 +504,6 @@ def _levi_count(orbit_sizes, q: int, levi: int) -> int:
                        for k, f in enumerate(factors))
     check(total == closed, "Levi weight count disagrees with the closed form")
     return total
-
-
-def levi_irreducible_count(datum: RootDatum, q: int, levi_subset) -> int:
-    """Number of simple modules of the standard Levi with the given simple
-    roots (a twist-stable subset), in the defining characteristic: the sum of
-    |X'_{Delta - J'}| over twist-stable J' inside the Levi.  Matches the
-    closed form q^{|J|} * prod over orbits outside J of (q^{|o|} - 1)."""
-    check_prime_power(q)
-    levi = set(levi_subset)
-    check(all(datum.phi[i] in levi for i in levi),
-          "Levi subset must be twist-stable")
-    orbits = phi_orbits(datum)
-    mask = sum(1 << k for k, orbit in enumerate(orbits) if orbit[0] in levi)
-    return _levi_count([len(o) for o in orbits], q, mask)
 
 
 class KnorrRobinsonReport(NamedTuple):

@@ -22,7 +22,7 @@ of Phi_d(w phi) (:mod:`lielocal.weyl` says why that is exact):
 * the abelianity criterion and the relative Weyl group order |C_W(w phi)|.
 
 Both the root-datum groups and GL_n (symmetric group action on Z^n) are
-supported; the latter has its own entry points taking n instead of a datum.
+supported; ``gl_sylow_structure`` takes n instead of a datum.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ from .generic_order import CycloFactorization, ell_part, generic_order, gl_order
 from .linalg import closure
 from .root_datum import RootDatum
 from .weyl import WeylGroup, generate_weyl, gl_weyl, vanishes_on
-
-__all__ = [
-    "LeviData",
-    "SylowReport",
-    "centralizer_levi",
-    "gl_centralizer_levi",
-    "sylow_structure",
-    "gl_sylow_structure",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +116,6 @@ def _levi_of_group(group: WeylGroup, d: int) -> tuple[int, LeviData]:
         orthogonal_system=tuple(ctx.pos_roots[k] for k in orth_idx),
         w_prime_order=len(w_prime),
     )
-
-
-def centralizer_levi(datum: RootDatum, d: int) -> LeviData:
-    """Levi data of the maximal zeta_d-eigenspace witness for a root datum."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    return _levi_of_group(generate_weyl(datum), d)[1]
-
-
-def gl_centralizer_levi(n: int, d: int) -> LeviData:
-    """Same as centralizer_levi for GL_n (S_n acting on Z^n)."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    return _levi_of_group(gl_weyl(n), d)[1]
 
 
 # ---------------------------------------------------------------------------

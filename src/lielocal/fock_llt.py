@@ -364,28 +364,6 @@ def _divided_power(vec: FockVector, k: int, terms_of) -> FockVector:
     return quotient
 
 
-def f_once(i: int, vec: FockVector, d: int) -> FockVector:
-    """f_i: add one box of residue i; the v-exponent counts addable minus
-    removable i-boxes in strictly higher rows."""
-    return _act(vec, lambda p: _f_terms(p, i, d))
-
-
-def f_action(i: int, k: int, vec: FockVector, d: int) -> FockVector:
-    """Divided power f_i^(k): apply f_i k times and divide by [k]!."""
-    if k < 1:
-        raise ValueError("divided power needs k >= 1")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return _divided_power(vec, k, lambda p: _f_terms(p, i, d))
-
-
-def boson_strip(k: int, vec: FockVector, d: int) -> FockVector:
-    """V_k: add horizontal d-ribbon strips of k ribbons, weight (-1/v)^spin."""
-    if k < 1:
-        raise ValueError("strip size must be positive")
-    return _act(vec, lambda p: _strip_terms(p, k, d))
-
-
 def ladder_sequence(p: Partition, d: int) -> list[tuple[int, int]]:
     """(residue, count) per ladder of the diagram, in increasing ladder order.
 
@@ -404,13 +382,9 @@ def ladder_sequence(p: Partition, d: int) -> list[tuple[int, int]]:
     return out
 
 
-def ladder_monomial(kappa: Partition, d: int) -> FockVector:
-    """A(kappa) = f_{i_m}^{(k_m)} ... f_{i_1}^{(k_1)} |empty> along ladders."""
-    return _ladder_monomial(kappa, d, lambda p, i: _f_terms(p, i, d))
-
-
 def _ladder_monomial(kappa: Partition, d: int, f_terms) -> FockVector:
-    """ladder_monomial, with f_i|p> listed by f_terms(p, i)."""
+    """A(kappa) = f_{i_m}^{(k_m)} ... f_{i_1}^{(k_1)} |empty> along ladders,
+    with f_i|p> listed by f_terms(p, i)."""
     check(is_d_regular(kappa, d), "ladder monomials need d-regular partitions")
     vec: FockVector = {((), 0): 1}
     for residue, count in ladder_sequence(kappa, d):

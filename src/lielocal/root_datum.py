@@ -37,8 +37,8 @@ from .errors import InvariantError, UnsupportedTypeError, check
 from .linalg import _eliminate
 
 # The grammar of type labels: a prefix of the table (the twist order, if
-# any, then the family letter; or GL) and then the rank in ASCII digits,
-# which must lie in the prefix's range.  The table's order is the order of
+# any, then the family letter; or GL) and then the rank in ASCII digits
+# with no leading zero, which must lie in the prefix's range.  The table's order is the order of
 # ALL_LABELS.  GL<n> is a label with no root datum: GL_9 has the Weyl group
 # of A_8, the largest GL whose Weyl group fits the enumeration guard.
 _RANKS: dict[str, range] = {
@@ -48,7 +48,7 @@ _RANKS: dict[str, range] = {
     "GL": range(1, 10),
 }
 
-_LABEL_RE = re.compile("(%s)([0-9]+)" % "|".join(_RANKS))
+_LABEL_RE = re.compile("(%s)(0|[1-9][0-9]*)" % "|".join(_RANKS))
 
 
 def _rank_in_range(label: str, match: re.Match) -> int:

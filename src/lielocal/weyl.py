@@ -154,16 +154,6 @@ class ReflectionContext:
         """<beta_k, alpha_j^vee> for positive root indices k and j."""
         return sum(a * b for a, b in zip(self.pos_roots[k], self.coroots[j]))
 
-    def longest_element_perm(self) -> bytes:
-        """Permutation of w_0, found by greedy descent ascent from the
-        identity (no enumeration)."""
-        cur = self.identity_perm
-        while True:
-            i = next((i for i in range(self.n_gens) if cur[i] < self.N), None)
-            if i is None:
-                return cur
-            cur = self.compose(cur, self.gen_perms[i])
-
 
 def context_from_datum(datum: RootDatum) -> ReflectionContext:
     roots_w = [datum.root_weight_coords(r) for r in datum.pos_roots]

@@ -5,8 +5,12 @@ v-exponent) -> int.  This module keeps the earlier route, in which a vector
 maps each partition to a :class:`Laurent`, as an oracle for it: the q-wedge
 straightening (``_wedge_pair``, ``_insert``, ``_bar_columns``), the bar
 application (``_bar_apply``), the quantum integers and factorials, the
-operators (``f_once``, ``f_action``, ``boson_strip``), the family and the
-correction recursion (``canonical_basis``).  It shares with the package
+operators (``f_once``, ``f_action``, ``boson_strip``) and the ladder
+monomial (``ladder_monomial``), the family and the correction recursion
+(``canonical_basis``).  The package has no public operator: it applies
+f_i and V_k only inside its family, through its private ``_act``,
+``_divided_power`` and ``_ladder_monomial``, which the tests call
+directly.  It shares with the package
 only the partition combinatorics: cells, cores, quotients, ribbon spins and
 ladders.  ``laurent_vector`` reads a coefficient map in the Laurent form.
 """

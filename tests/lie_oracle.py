@@ -7,7 +7,9 @@ permutation (the package walks one length at a time and keeps flat
 columns), every element's signed-root permutation rebuilt once from its
 word, products, inverses, the longest element and the twist of an
 enumerated group by composing those permutations (the package steps
-through its right multiplication table instead), the twisted centralizer
+through its right multiplication table instead), the longest element's
+permutation of a context by greedy ascent (the package never needs w_0
+outside the Garside normal form's length test), the twisted centralizer
 by a scan of the permutation table (the package walks F-conjugates in
 index order), the d-regular elements by an eigenspace basis at every
 element of the largest eigenspace dimension (the package takes one per
@@ -97,6 +99,17 @@ def longest(group) -> int:
     candidates = [w for w, p in enumerate(permutations(group)) if ctx.length(p) == ctx.N]
     assert len(candidates) == 1, "longest element is not unique"
     return candidates[0]
+
+
+def longest_element_perm(ctx) -> bytes:
+    """Signed-root permutation of w_0, by greedy ascent from the identity:
+    a context alone, so E7 and E8 need no enumeration."""
+    cur = ctx.identity_perm
+    while True:
+        i = next((i for i in range(ctx.n_gens) if cur[i] < ctx.N), None)
+        if i is None:
+            return cur
+        cur = ctx.compose(cur, ctx.gen_perms[i])
 
 
 def centralizer_by_scan(group, w: int) -> list[int]:

@@ -8,6 +8,7 @@ wall-clock budgets.
 
 import time
 
+from braid_hecke_oracle import HeckeAlgebra, lambda_of_perm, pi_normal_form, specialize
 from groundtruth import (
     order_sl2_bruteforce,
     order_sl3_counted,
@@ -15,17 +16,13 @@ from groundtruth import (
     order_su3_counted,
     sylow_gl2,
 )
-from lie_oracle import multiply
+from lie_oracle import longest_element_perm, multiply
 from test_braid_hecke import ALL_LABELS
 from test_degeneration import CYCLE_ON_V4, SWAP_2, all_groups_up_to
 
 from lielocal.braid_hecke import (
-    HeckeAlgebra,
     garside_nf,
     hecke_poincare,
-    lambda_of_perm,
-    pi_normal_form,
-    specialize,
     verify_regular_braid_identity,
 )
 from lielocal.defining_char import (
@@ -193,7 +190,7 @@ def test_06_regular_braid_power_identity_and_full_twist():
             assert report.witness_word is not None, (label, d)
     for label in ALL_LABELS:
         ctx = context_from_datum(cached_datum(label))
-        squared = lambda_of_perm(ctx, ctx.longest_element_perm()).power(2)
+        squared = lambda_of_perm(ctx, longest_element_perm(ctx)).power(2)
         assert garside_nf(ctx, squared) == pi_normal_form(ctx), label
 
 

@@ -12,21 +12,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lie_oracle import longest, multiply, poincare_polynomial
+from braid_hecke_oracle import (
+    HeckeAlgebra,
+    braid_relation_order,
+    lambda_of_perm,
+    pi_normal_form,
+    specialize,
+)
+from lie_oracle import longest, longest_element_perm, multiply, poincare_polynomial
 
 import lielocal.braid_hecke
 from lielocal import cli
 from lielocal.braid_hecke import (
     BraidWord,
     GarsideNF,
-    HeckeAlgebra,
     _orbit_chain_poincare,
-    braid_relation_order,
     garside_nf,
     hecke_poincare,
-    lambda_of_perm,
-    pi_normal_form,
-    specialize,
     verify_regular_braid_identity,
 )
 from lielocal.errors import InvariantError
@@ -188,7 +190,7 @@ def test_lambda_of_perm_braid_relation():
     a = garside_nf(ctx, BraidWord((0, 1, 0)))
     b = garside_nf(ctx, BraidWord((1, 0, 1)))
     assert a == b == GarsideNF(1, ())
-    w0 = lambda_of_perm(ctx, ctx.longest_element_perm())
+    w0 = lambda_of_perm(ctx, longest_element_perm(ctx))
     assert len(w0) == ctx.N
 
 

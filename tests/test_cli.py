@@ -278,6 +278,15 @@ class TestExitCodes:
         assert err.startswith("error: unsupported type") or "F not Frobenius" in err, err
         assert "Traceback" not in err
 
+    # a rank with a leading zero is outside the grammar, not a second
+    # spelling of the rank
+    @pytest.mark.parametrize("label", ["A03", "GL03", "A00"])
+    @pytest.mark.parametrize("command", [["order", "L"], ["weyl", "classes", "L"],
+                                         ["sylow", "L", "--q", "2", "--ell", "3"]])
+    def test_leading_zero_rank_refused(self, capsys, command, label):
+        code, out, err = run_cli(capsys, *(label if arg == "L" else arg for arg in command))
+        assert (code, out, err) == (1, "", f"error: unsupported type {label!r}\n")
+
     def test_large_prime_q_ends_quickly(self):
         result = subprocess.run(
             [sys.executable, "-m", "lielocal", "order", "A2", "--q",

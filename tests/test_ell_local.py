@@ -9,12 +9,7 @@ import pytest
 import lielocal.ell_local as ell_local
 from lielocal.cyclotomic import cyclotomic, poly_eval
 from lielocal.errors import InvariantError
-from lielocal.ell_local import (
-    centralizer_levi,
-    gl_centralizer_levi,
-    gl_sylow_structure,
-    sylow_structure,
-)
+from lielocal.ell_local import gl_sylow_structure, sylow_structure
 from lielocal.generic_order import (
     evaluate_order,
     generic_order,
@@ -26,6 +21,17 @@ from lielocal.root_datum import cached_datum, gl_rank, labels_of_rank
 from lielocal.weyl import generate_weyl, gl_weyl
 
 from groundtruth import sylow_gl2
+
+
+def centralizer_levi(datum, d):
+    """Levi data of the maximal zeta_d-eigenspace witness, as the Sylow
+    report finds it."""
+    return ell_local._levi_of_group(generate_weyl(datum), d)[1]
+
+
+def gl_centralizer_levi(n, d):
+    """centralizer_levi for GL_n (S_n acting on Z^n)."""
+    return ell_local._levi_of_group(gl_weyl(n), d)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,7 @@ def _lowered_guard_calls():
         (weyl, "WEYL_GUARD", 10,
          lambda: weyl.WeylGroup(weyl.context_from_datum(cached_datum("A3")))),
         (defining_char, "WEIGHT_GUARD", 8,
-         lambda: list(defining_char.restricted_weights(cached_datum("A2"), 3))),
+         lambda: defining_char.block_partition(cached_datum("A2"), 3)),
         (fock_llt, "LLT_GUARD", 5, lambda: fock_llt.llt_canonical_basis(6, 2)),
         (degeneration, "DEGEN_GUARD", 2, cyc.automorphism_group),
     ]

@@ -99,6 +99,13 @@ class TestConstruction:
             parse_label(label)
         assert gl_rank(label) is None
 
+    @pytest.mark.parametrize("label", ["A03", "2A03", "E08", "A00", "GL03", "GL00"])
+    def test_no_leading_zero(self, label):
+        # one spelling per rank, so one cached datum per type
+        with pytest.raises(UnsupportedTypeError, match=r"unsupported type '\w+'$"):
+            parse_label(label)
+        assert gl_rank(label) is None
+
     @pytest.mark.parametrize("label", ["2A1", "2E7", "3D5", "3D3", "2D2", "GL0", "GL10"])
     def test_rank_outside_the_prefix_range(self, label):
         parse = gl_rank if label.startswith("GL") else parse_label
