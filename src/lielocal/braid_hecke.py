@@ -8,9 +8,11 @@ longest element is a Garside element; every positive braid has a unique
 left-greedy normal form Delta^k x_1 ... x_m with each x_i the lift of a
 nontrivial group element, adjacent pairs left-weighted, and no x_i = Delta.
 
-Simple factors are represented by their signed-root permutations, so words
-in E_7 or E_8 normalize fine without enumerating the group.  The full braid
-group (with inverses) is out of scope.
+A positive word is a plain tuple of generator indices, and
+``garside_nf(ctx, letters)`` takes it as it is.  Simple factors are
+represented by their signed-root permutations, so words in E_7 or E_8
+normalize fine without enumerating the group.  The full braid group (with
+inverses) is out of scope.
 
 The element pi = Delta^2 = lambda(w_0)^2 generates the center; the module
 verifies the twisted regular power identity (lambda(w) phi)^d = pi phi^d by
@@ -33,24 +35,7 @@ from .weyl import ReflectionContext, generate_weyl
 
 
 # ---------------------------------------------------------------------------
-# Braid words and Garside normal form
-
-
-class BraidWord(NamedTuple):
-    """A positive word in the braid generators, as generator indices."""
-
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def power(self, k: int) -> "BraidWord":
-        if k < 0:
-            raise ValueError("positive braid words only")
-        return BraidWord(self.letters * k)
-
-    def to_json(self) -> list[int]:
-        return [i + 1 for i in self.letters]
+# Garside normal form
 
 
 class GarsideNF(NamedTuple):
@@ -62,12 +47,6 @@ class GarsideNF(NamedTuple):
 
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "delta_power": self.delta_power,
-            "factors": [[i + 1 for i in f] for f in self.factors],
-        }
 
 
 def _make_left_weighted(ctx, u, v):
@@ -88,13 +67,14 @@ def _make_left_weighted(ctx, u, v):
         changed = True
 
 
-def garside_nf(ctx: ReflectionContext, word: BraidWord) -> GarsideNF:
-    """Normal form by letter-at-a-time insertion with leftward cascading."""
-    for letter in word.letters:
+def garside_nf(ctx: ReflectionContext, letters: tuple[int, ...]) -> GarsideNF:
+    """Normal form of the positive word ``letters`` (generator indices), by
+    letter-at-a-time insertion with leftward cascading."""
+    for letter in letters:
         if not 0 <= letter < ctx.n_gens:
             raise ValueError(f"letter {letter} out of range")
     factors: list[bytes] = []
-    for letter in word.letters:
+    for letter in letters:
         factors.append(ctx.gen_perms[letter])
         i = len(factors) - 1
         while i > 0:
@@ -171,7 +151,7 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
         for _ in range(d):
             letters.extend(image)
             image = tuple(ctx.phi_simple[i] for i in image)
-        if garside_nf(ctx, BraidWord(tuple(letters))) == pi_nf:
+        if garside_nf(ctx, tuple(letters)) == pi_nf:
             return RegularBraidReport(label=ctx.label, d=d, holds=True,
                                       witness_word=word,
                                       candidates_checked=checked)

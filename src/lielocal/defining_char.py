@@ -343,12 +343,6 @@ class LemmaReport(NamedTuple):
     entries: tuple[LemmaEntry, ...]
     strata: tuple[tuple[tuple[int, ...], int, int], ...]  # (I, |X'_I|, c_I)
 
-    def entry(self, zeta) -> LemmaEntry:
-        for e in self.entries:
-            if e.zeta == tuple(zeta):
-                return e
-        raise KeyError(zeta)
-
     def to_json(self) -> dict:
         return {
             "type": self.label,

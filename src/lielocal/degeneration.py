@@ -20,12 +20,16 @@ failure raises InvariantError since it signals a broken construction, not
 bad input.
 
 The same data feeds a Koszul-type differential graded algebra
-F_ell[t] (x) Lambda(V) (x) S(V) with d(v) = t v^{ell^{r_i}} for v in V_i.
-Over F_ell(t) its cohomology vanishes outside degree 0 and H^0 is the
-truncated algebra.  dg_cohomology_check verifies both with exact ranks
-over F_ell, one Koszul block per fine-degree type, weighted by a generating-
-function count; the layer sizes are checked against a direct count of the
-cells, and H^0 against the truncated algebra's Hilbert series.
+F_ell[t] (x) Lambda(V) (x) S(V) with d(v) = t v^{ell^{r_i}} for v in V_i,
+with t and S(V) in degree 0 and V in degree -1.  The wedge generator v_j
+carries internal degree ell^{r_j} and each polynomial variable degree 1, so
+d preserves internal degree.  Over F_ell(t) its cohomology vanishes outside
+degree 0 and H^0 is the truncated algebra.  dg_cohomology_check verifies
+both with exact ranks over F_ell: every entry of d carries one factor t, so
+the package's differential acts on basis cells (subset, monomial) and leaves
+t out.  It ranks one Koszul block per fine-degree type, weighted by a
+generating-function count; the layer sizes are checked against a direct
+count of the cells, and H^0 against the truncated algebra's Hilbert series.
 
 Elements of F_ell P exist only in "radical coordinates": the products
 u^a = prod_j u_j^{a_j}, u_j = g_j - 1, with 0 <= a_j < ell^{r_j} form a
@@ -36,8 +40,9 @@ e(u_k) = prod_j (1 + u_j)^{M[j][k]} - 1, built once per automorphism
 (`TruncatedAlgebra.unit_images`).  The group-element basis lives only in
 the test oracle ``tests/degeneration_oracle.py``: the binomial expansions
 in both directions and convolution of group elements, which show that the
-truncated product is the group algebra's, with the dg algebra's product
-and its d^2 = 0 and Leibniz checks.
+truncated product is the group algebra's.  The oracle also has the dg
+algebra as an algebra: its own differential with the t-power, the product,
+and the d^2 = 0 and Leibniz checks.
 
 DEGEN_GUARD caps both |P| for basis-level constructions and the size of
 the generated automorphism group E (4096).
@@ -189,12 +194,11 @@ class TruncatedAlgebra:
     An immutable value like :class:`AbelianLGroup`; ``hilbert_series`` is cached.
     """
 
-    def __init__(self, ell: int, moduli: tuple[int, ...],
-                 block_index: tuple[int, ...]) -> None:
-        vars(self).update(ell=ell, moduli=moduli, block_index=block_index)
+    def __init__(self, ell: int, moduli: tuple[int, ...]) -> None:
+        vars(self).update(ell=ell, moduli=moduli)
 
     def _key(self) -> tuple:
-        return self.ell, self.moduli, self.block_index
+        return self.ell, self.moduli
 
     __eq__, __hash__ = AbelianLGroup.__eq__, AbelianLGroup.__hash__
     __repr__, __setattr__ = AbelianLGroup.__repr__, AbelianLGroup.__setattr__
@@ -202,11 +206,7 @@ class TruncatedAlgebra:
 
     @classmethod
     def of_group(cls, group: AbelianLGroup) -> "TruncatedAlgebra":
-        return cls(group.ell, group.moduli, group.block_index)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.moduli)
+        return cls(group.ell, group.moduli)
 
     def basis(self) -> Iterator[Exponents]:
         return itertools.product(*(range(m) for m in self.moduli))
@@ -266,10 +266,6 @@ class TruncatedAlgebra:
         """Dimension of each degree 0..top_degree: the coefficients of
         prod_j (1 + t + ... + t^(m_j - 1))."""
         return tuple(reduce(poly_mul, ([1] * m for m in self.moduli), [1]))
-
-    def dimension_of_degree(self, degree: int) -> int:
-        series = self.hilbert_series
-        return series[degree] if 0 <= degree < len(series) else 0
 
     @property
     def top_degree(self) -> int:
@@ -444,36 +440,16 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
 # the differential graded algebra and its cohomology
 
 
-class DGAlgebraA(NamedTuple):
-    """A = F_ell[t] (x) Lambda(V) (x) S(V), with t and S(V) in degree 0,
-    V (the wedge generators) in degree -1, and d(v_j) = t v_j^{ell^{r_j}}.
-
-    Basis elements are triples (t-power, wedge subset, monomial).  The
-    wedge generator v_j carries internal degree ell^{r_j} and each
-    polynomial variable degree 1, so d preserves internal degree.
-    """
-
-    ell: int
-    moduli: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.moduli)
-
-    def wedge_degree(self, subset: tuple[int, ...]) -> int:
-        return sum(self.moduli[j] for j in subset)
-
-    def differential(self, t_power: int, subset: tuple[int, ...],
-                     monomial: Exponents):
-        """d of a basis element, as a list of (coeff, t_power+1, subset', monomial')."""
-        out = []
-        for pos, j in enumerate(subset):
-            sign = -1 if pos % 2 else 1
-            rest = subset[:pos] + subset[pos + 1:]
-            bumped = tuple(e + (self.moduli[j] if k == j else 0)
-                           for k, e in enumerate(monomial))
-            out.append((sign % self.ell, t_power + 1, rest, bumped))
-        return out
+def _differential(moduli: tuple[int, ...], subset: tuple[int, ...],
+                  monomial: Exponents) -> list[tuple[int, tuple[int, ...], Exponents]]:
+    """d of the basis cell (subset, monomial) of the dg algebra, without its
+    factor t: a list of (sign, subset', monomial'), since d(v_j) = t v_j^{m_j}
+    and d is a derivation."""
+    out = []
+    for pos, j in enumerate(subset):
+        bumped = tuple(e + (moduli[j] if k == j else 0) for k, e in enumerate(monomial))
+        out.append((-1 if pos % 2 else 1, subset[:pos] + subset[pos + 1:], bumped))
+    return out
 
 
 class DGReport(NamedTuple):
@@ -522,21 +498,21 @@ def _layer_sizes(moduli: tuple[int, ...], bound: int) -> list[list[int]]:
     return wedge
 
 
-def _koszul_ranks(dga: DGAlgebraA, subset: tuple[int, ...]) -> list[int]:
+def _koszul_ranks(ell: int, moduli: tuple[int, ...], subset: tuple[int, ...]) -> list[int]:
     """ranks[k] of d from |S| = k to k - 1 (ranks[0] = 0) on the block at
     beta_T = sum_{j in T} m_j e_j, T = subset: one cell per S in T, with rows
-    from dga.differential; every image cell must lie in the block."""
-    beta = tuple(m * (j in subset) for j, m in enumerate(dga.moduli))
+    from _differential; every image cell must lie in the block."""
+    beta = tuple(m * (j in subset) for j, m in enumerate(moduli))
     ranks, index = [0], {((), beta): 0}
     for k in range(1, len(subset) + 1):
-        layer = [(s, tuple(b - dga.moduli[j] * (j in s) for j, b in enumerate(beta)))
+        layer = [(s, tuple(b - moduli[j] * (j in s) for j, b in enumerate(beta)))
                  for s in itertools.combinations(subset, k)]
         rows = [{} for _ in layer]
         for row, (s, mono) in zip(rows, layer):
-            for sgn, _, rest, bumped in dga.differential(0, s, mono):
+            for sgn, rest, bumped in _differential(moduli, s, mono):
                 check((rest, bumped) in index, "d leaves the block %r" % (subset,))
-                add_term(row, index[rest, bumped], sgn, dga.ell)
-        ranks.append(sparse_rank(rows, dga.ell))
+                add_term(row, index[rest, bumped], sgn, ell)
+        ranks.append(sparse_rank(rows, ell))
         index = {c: i for i, c in enumerate(layer)}
     return ranks
 
@@ -554,7 +530,6 @@ def dg_cohomology_check(group: AbelianLGroup, degree_bound: int) -> DGReport:
     cells, and H^0 the truncated algebra's Hilbert series.
     """
     ell, moduli, n = group.ell, group.moduli, group.rank
-    dga = DGAlgebraA(ell=ell, moduli=moduli)
     algebra = TruncatedAlgebra.of_group(group)
     if degree_bound < max(moduli, default=0):
         raise ValueError(
@@ -564,9 +539,9 @@ def dg_cohomology_check(group: AbelianLGroup, degree_bound: int) -> DGReport:
     sizes = [[0] * (degree_bound + 1) for _ in range(n + 1)]
     ranks = [[0] * (degree_bound + 1) for _ in range(n + 2)]
     for subset in (t for k in range(n + 1) for t in itertools.combinations(range(n), k)
-                   if dga.wedge_degree(t) <= degree_bound):
+                   if sum(moduli[j] for j in t) <= degree_bound):
         counts = _type_counts(moduli, subset, degree_bound)
-        for k, rank_k in enumerate(_koszul_ranks(dga, subset)):
+        for k, rank_k in enumerate(_koszul_ranks(ell, moduli, subset)):
             cells = math.comb(len(subset), k)
             sizes[k] = [x + c * cells for x, c in zip(sizes[k], counts)]
             ranks[k] = [x + c * rank_k for x, c in zip(ranks[k], counts)]
@@ -575,12 +550,13 @@ def dg_cohomology_check(group: AbelianLGroup, degree_bound: int) -> DGReport:
     bad = [(-k, d, sizes[k][d] - ranks[k][d] - ranks[k + 1][d])
            for d in degrees for k in range(1, n + 1)
            if sizes[k][d] != ranks[k][d] + ranks[k + 1][d]]
+    series = algebra.hilbert_series[:degree_bound + 1]
     report = DGReport(
         ell=ell,
         factors=group.factors,
         degree_bound=degree_bound,
         h0_dims=tuple(sizes[0][d] - ranks[1][d] for d in degrees),
-        truncated_dims=tuple(algebra.dimension_of_degree(d) for d in degrees),
+        truncated_dims=series + (0,) * (degree_bound + 1 - len(series)),
         nonzero_cohomology=tuple(bad),
         complete=degree_bound >= algebra.top_degree,
     )

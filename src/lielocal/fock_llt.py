@@ -422,11 +422,6 @@ class FockMatrix(NamedTuple):
     labels: tuple[Partition, ...]
     entries: tuple[tuple[Entry, ...], ...]
 
-    def entry(self, row_label: Partition, col_label: Partition) -> Entry:
-        r = self.labels.index(row_label)
-        c = self.labels.index(col_label)
-        return self.entries[r][c]
-
     def evaluate(self, v: int) -> list[list[int]]:
         return [[sum(c * v**e for e, c in entry) for entry in row] for row in self.entries]
 

@@ -8,9 +8,9 @@ exactly into cyclotomic polynomials (hard failure if anything is left over),
 and the test suite compares evaluations against brute-force matrix-group
 counts.
 
-GL/GU mode (degrees 1..n, the extra torus factor) is provided for the
-partition-combinatorics cross-checks; those groups are not simple and have no
-RootDatum here.
+GL_n (degrees 1..n, the extra torus factor) has a generic order too, for
+the GL labels of the CLI and for Sylow structure in GL mode; GL_n is not
+simple and has no RootDatum here.
 """
 
 from __future__ import annotations
@@ -117,17 +117,12 @@ def generic_order(datum: RootDatum) -> CycloFactorization:
     return _expand_and_factor(datum.label, datum.rank, datum.N, pairs)
 
 
-def gl_order(n: int, unitary: bool = False) -> CycloFactorization:
-    """Generic order of GL_n(q) (or GU_n(q) with unitary=True): degrees 1..n,
-    eps_i = 1 (GL) or (-1)^i (GU)."""
+def gl_order(n: int) -> CycloFactorization:
+    """Generic order of GL_n(q): degrees 1..n, every eps_i = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if unitary:
-        pairs = [(i, _ONE if i % 2 == 0 else _MINUS) for i in range(1, n + 1)]
-    else:
-        pairs = [(i, _ONE) for i in range(1, n + 1)]
-    label = ("GU" if unitary else "GL") + str(n)
-    return _expand_and_factor(label, n, n * (n - 1) // 2, pairs)
+    return _expand_and_factor(f"GL{n}", n, n * (n - 1) // 2,
+                              [(i, _ONE) for i in range(1, n + 1)])
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound

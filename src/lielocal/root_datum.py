@@ -234,21 +234,9 @@ class RootDatum(NamedTuple):
         """The order of the twist: the lcm of its orbit lengths."""
         return math.lcm(*map(len, phi_orbits(self)))
 
-    @property
-    def twisted(self) -> bool:
-        return self.delta > 1
-
-    @property
-    def rho(self) -> tuple[int, ...]:
-        return tuple([1] * self.rank)
-
     def pairing(self, lam, coroot) -> int:
-        """<lam, coroot>: lam in fundamental-weight coordinates, coroot either
-        a simple index or a vector in simple-coroot coordinates."""
-        if isinstance(coroot, int):
-            if not 0 <= coroot < self.rank:
-                raise ValueError(f"coroot index {coroot} out of range")
-            return lam[coroot]
+        """<lam, coroot>: lam in fundamental-weight coordinates, coroot in
+        simple-coroot coordinates."""
         if len(lam) != self.rank or len(coroot) != self.rank:
             raise ValueError("dimension mismatch")
         return sum(l * c for l, c in zip(lam, coroot))
@@ -274,17 +262,6 @@ class RootDatum(NamedTuple):
         for i in range(n):
             m[self.phi[i]][i] = 1
         return m
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.label,
-            "rank": self.rank,
-            "cartan": [list(r) for r in self.cartan],
-            "phi": [i + 1 for i in self.phi],
-            "N": self.N,
-        }
 
 
 def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -362,9 +339,21 @@ def build_root_datum(type_label: str) -> RootDatum:
 
 def from_cartan(label: str, cartan, phi=None) -> RootDatum:
     """Datum from an explicit Cartan matrix (e.g. reducible A1 x A1) with an
-    optional automorphism; validated like the built-in types."""
+    optional automorphism; validated like the built-in types.  A label that
+    names a built-in type must come with that type's own Cartan matrix and
+    twist, since caches keyed by label answer for the built-in type;
+    anything else raises UnsupportedTypeError."""
     n = len(cartan)
     phi = tuple(range(n)) if phi is None else tuple(phi)
+    try:
+        prefix, rank = _prefix_and_rank(label)
+    except UnsupportedTypeError:
+        pass  # a label that names no built-in type
+    else:
+        if ([list(r) for r in cartan], phi) != (cartan_matrix(prefix[-1], rank),
+                                                _diagram_automorphism(prefix, rank)):
+            raise UnsupportedTypeError(
+                f"{label!r} names a built-in type, whose Cartan matrix or twist differ")
     return _finish_datum(label, cartan, phi)
 
 
@@ -397,10 +386,7 @@ def _validate(datum: RootDatum) -> None:
             check(datum.delta == twist, "twist order mismatch")
         expected_n = sum(d - 1 for d in split_degrees(family, label_rank))
         check(datum.N == expected_n, f"positive-root count {datum.N} != {expected_n}")
-    # pairing sanity: <rho, alpha_i_vee> = 1; coroot of a simple root is the
-    # simple coroot; <root, its coroot> = 2
-    for i in range(n):
-        check(datum.pairing(datum.rho, i) == 1, "rho pairing != 1")
+    # <root, its coroot> = 2
     for root, coroot in zip(datum.pos_roots, datum.pos_coroots):
         w = datum.root_weight_coords(root)
         check(datum.pairing(w, coroot) == 2, "<alpha, alpha_vee> != 2")

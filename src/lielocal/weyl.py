@@ -382,23 +382,16 @@ class WeylGroup:
         check(all(inv[v] == w for w, v in enumerate(inv)), "inversion is not an involution")
         return inv
 
-    def _f_steps(self) -> list:
-        """The F-conjugation steps x -> s_i·x·phi(s_i), one function per
-        generator.  phi(s_i) = s_{phi_simple[i]} (checked by the context), so
-        the right factor is one lookup in the right multiplication table, and
-        the left one is an inverse, a lookup and an inverse again."""
-        inv = self.inverses
-
-        def step(left, col):
-            return lambda x: inv[col[inv[left[x]]]]
-        return [step(self.right[j], col) for col, j in zip(self.right, self.ctx.phi_simple)]
-
     @cached_property
     def _partition(self) -> tuple[list[TwistedClass], array]:
         """The F-conjugacy classes, and the class index of every element:
-        the orbits of the steps of :meth:`_f_steps`."""
+        the orbits of the F-conjugation steps x -> s_i·x·phi(s_i).
+        phi(s_i) = s_{phi_simple[i]} (checked by the context), so the right
+        factor is one lookup in the right multiplication table, and the left
+        one is an inverse, a lookup and an inverse again."""
         twisted = self.ctx.phi_perm != self.ctx.identity_perm
-        steps = self._f_steps()
+        inv = self.inverses
+        steps = [(self.right[j], col) for col, j in zip(self.right, self.ctx.phi_simple)]
         owner = array("i", [-1]) * len(self)
         classes = []
         for start in range(len(self)):
@@ -408,8 +401,8 @@ class WeylGroup:
             owner[start] = k
             orbit = [start]
             for w in orbit:  # grows while it is walked
-                for step in steps:
-                    v = step(w)
+                for left, col in steps:
+                    v = inv[col[inv[left[w]]]]
                     if owner[v] != k:
                         if owner[v] >= 0:
                             raise InvariantError("classes do not partition W")
@@ -431,13 +424,15 @@ class WeylGroup:
         orbit-stabilizer count |C_W(w phi)|·|F-class of w| = |W|.
         For v = p·s_i, with i = ``last[v]`` and p = ``right[i][v]`` its BFS
         parent, v^{-1} w phi(v) = s_i·(p^{-1} w phi(p))·phi(s_i) is one
-        step of :meth:`_f_steps` from the parent's, so one pass in index
-        order conjugates w by every element."""
-        steps, last, right = self._f_steps(), self.last, self.right
+        F-conjugation step (:meth:`_partition`) from the parent's, so one
+        pass in index order conjugates w by every element."""
+        inv, last, right = self.inverses, self.last, self.right
+        lefts = [right[j] for j in self.ctx.phi_simple]
         conjugate = array("i", [w]) * len(self)
         for v in self.elements[1:]:
             i = last[v]
-            conjugate[v] = steps[i](conjugate[right[i][v]])
+            col = right[i]
+            conjugate[v] = inv[col[inv[lefts[i][conjugate[col[v]]]]]]
         centralizer = [v for v, x in enumerate(conjugate) if x == w]
         classes, owner = self._partition
         check(len(centralizer) * classes[owner[w]].size == len(self),

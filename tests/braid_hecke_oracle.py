@@ -5,7 +5,7 @@ is the Garside normal form and the regular power identity.  This module
 holds what only the tests use around them:
 
 - ``lambda_of_perm``, the canonical lift of a group element read off its
-  signed-root permutation;
+  signed-root permutation, as a positive word (a tuple of letters);
 - ``pi_normal_form``, the normal form of lambda(w_0)^2 from the raw word,
   checked to be Delta^2;
 - ``braid_relation_order``, the length m_ij of a braid relation, as the
@@ -28,19 +28,19 @@ from fractions import Fraction
 
 from lie_oracle import longest_element_perm
 
-from lielocal.braid_hecke import BraidWord, GarsideNF, garside_nf
+from lielocal.braid_hecke import GarsideNF, garside_nf
 from lielocal.errors import InvariantError, check
 from lielocal.linalg import add_scaled, add_term
 
 
-def lambda_of_perm(ctx, perm: bytes) -> BraidWord:
-    return BraidWord(ctx.word_from_perm(perm))
+def lambda_of_perm(ctx, perm: bytes) -> tuple[int, ...]:
+    return ctx.word_from_perm(perm)
 
 
 def pi_normal_form(ctx) -> GarsideNF:
     """Normal form of pi = lambda(w_0)^2, computed from the raw word."""
     w0 = ctx.word_from_perm(longest_element_perm(ctx))
-    nf = garside_nf(ctx, BraidWord(w0 + w0))
+    nf = garside_nf(ctx, w0 + w0)
     check(nf == GarsideNF(delta_power=2, factors=()),
           "lambda(w_0)^2 did not normalize to Delta^2")
     return nf

@@ -6,9 +6,10 @@ module keeps the group-element basis: the binomial expansions into radical
 coordinates and back, and the group algebra's own product, convolution of
 group elements, so that the truncated polynomial product and the action of
 an automorphism can be compared with the group algebra's.  It
-also multiplies elements of the Koszul-type dg algebra, which the package
-never does: ``dg_cohomology_check`` only needs the differential on basis
-cells.  Everything here enumerates and is meant for small groups.
+also has the Koszul-type dg algebra as an algebra, with a differential of
+its own that keeps the t-power, and multiplies its elements, which the
+package never does: ``dg_cohomology_check`` only needs the differential on
+basis cells.  Everything here enumerates and is meant for small groups.
 """
 
 from __future__ import annotations
@@ -85,7 +86,21 @@ def image_of_monomial(iso, exponents):
     return out
 
 
-def dg_multiply(dga, a, b):
+def differential(moduli, t_power, subset, monomial):
+    """d of the basis element t^t_power (x) v_S (x) x^monomial, S = subset
+    sorted, as (sign, t-power, S minus j, monomial times x_j^{m_j}) for each
+    j in S: d(v_j) = t x_j^{m_j}, and d passes the wedge generators of S
+    before j, each flipping the sign."""
+    out = []
+    for j in subset:
+        sign = (-1) ** sum(1 for i in subset if i < j)
+        bumped = list(monomial)
+        bumped[j] += moduli[j]
+        out.append((sign, t_power + 1, tuple(i for i in subset if i != j), tuple(bumped)))
+    return out
+
+
+def dg_multiply(ell, a, b):
     """Product of dg elements written as {(t_power, subset, monomial): coeff}."""
     out = {}
     for (ta, wa, ma), ca in a.items():
@@ -102,35 +117,36 @@ def dg_multiply(dga, a, b):
                         sign = -sign
             key = (ta + tb, merged,
                    tuple(x + y for x, y in zip(ma, mb)))
-            add_term(out, key, sign * ca * cb, dga.ell)
+            add_term(out, key, sign * ca * cb, ell)
     return out
 
 
-def d_of_element(dga, elem):
+def d_of_element(ell, moduli, elem):
     out = {}
     for (t_power, subset, monomial), coeff in elem.items():
-        for sgn, tp, rest, bumped in dga.differential(t_power, subset, monomial):
-            add_term(out, (tp, rest, bumped), sgn * coeff, dga.ell)
+        for sgn, tp, rest, bumped in differential(moduli, t_power, subset, monomial):
+            add_term(out, (tp, rest, bumped), sgn * coeff, ell)
     return out
 
 
-def check_d_squared(dga):
-    for size in range(dga.n + 1):
-        for subset in itertools.combinations(range(dga.n), size):
-            elem = {(0, subset, tuple(0 for _ in range(dga.n))): 1}
-            dd = d_of_element(dga, d_of_element(dga, elem))
+def check_d_squared(ell, moduli):
+    n = len(moduli)
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            elem = {(0, subset, tuple(0 for _ in range(n))): 1}
+            dd = d_of_element(ell, moduli, d_of_element(ell, moduli, elem))
             check(not dd, "d^2 is nonzero on wedge %r" % (subset,))
 
 
-def check_leibniz(dga, pairs):
+def check_leibniz(ell, moduli, pairs):
     for a, b in pairs:
-        left = d_of_element(dga, dg_multiply(dga, a, b))
-        da_b = dg_multiply(dga, d_of_element(dga, a), b)
+        left = d_of_element(ell, moduli, dg_multiply(ell, a, b))
+        da_b = dg_multiply(ell, d_of_element(ell, moduli, a), b)
         # sign: d(ab) = (da)b + (-1)^{deg a} a (db); basis elements of a
         # must share one wedge size for the sign to be well defined
         sizes = {len(w) for (_, w, _) in a}
         check(len(sizes) == 1, "Leibniz test needs homogeneous left factor")
         sign = -1 if sizes.pop() % 2 else 1
-        a_db = dg_multiply(dga, a, d_of_element(dga, b))
-        rhs = add_scaled(da_b, a_db, sign, dga.ell)
+        a_db = dg_multiply(ell, a, d_of_element(ell, moduli, b))
+        rhs = add_scaled(da_b, a_db, sign, ell)
         check(left == rhs, "Leibniz rule fails")

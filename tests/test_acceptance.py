@@ -190,7 +190,7 @@ def test_06_regular_braid_power_identity_and_full_twist():
             assert report.witness_word is not None, (label, d)
     for label in ALL_LABELS:
         ctx = context_from_datum(cached_datum(label))
-        squared = lambda_of_perm(ctx, longest_element_perm(ctx)).power(2)
+        squared = lambda_of_perm(ctx, longest_element_perm(ctx)) * 2
         assert garside_nf(ctx, squared) == pi_normal_form(ctx), label
 
 

@@ -24,7 +24,6 @@ from lie_oracle import longest, longest_element_perm, multiply, poincare_polynom
 import lielocal.braid_hecke
 from lielocal import cli
 from lielocal.braid_hecke import (
-    BraidWord,
     GarsideNF,
     _orbit_chain_poincare,
     garside_nf,
@@ -90,7 +89,7 @@ def _check_nf_against_oracle(ctx, words):
             continue
         cls = _braid_class(ctx, word, table)
         canon = min(cls)
-        forms = {garside_nf(ctx, BraidWord(w)) for w in cls}
+        forms = {garside_nf(ctx, w) for w in cls}
         assert len(forms) == 1, f"equivalent words got different normal forms: {canon}"
         nf = forms.pop()
         assert nf.delta_power * ctx.N + sum(map(len, nf.factors)) == len(word)
@@ -150,20 +149,20 @@ def test_nf_invariant_under_one_braid_relation(data):
     u, v = data.draw(letters), data.draw(letters)
     i, j = data.draw(st.sampled_from(list(itertools.permutations(range(ctx.n_gens), 2))))
     m = braid_relation_order(ctx, i, j)
-    nf = garside_nf(ctx, BraidWord(u + _alternating(i, j, m) + v))
-    assert nf == garside_nf(ctx, BraidWord(u + _alternating(j, i, m) + v))
+    nf = garside_nf(ctx, u + _alternating(i, j, m) + v)
+    assert nf == garside_nf(ctx, u + _alternating(j, i, m) + v)
     assert nf.delta_power * ctx.N + sum(map(len, nf.factors)) == len(u) + m + len(v)
 
 
 def test_nf_examples():
     ctx = _ctx("A2")
-    assert garside_nf(ctx, BraidWord(())) == GarsideNF(0, ())
+    assert garside_nf(ctx, ()) == GarsideNF(0, ())
     # one full twist absorbs into the Delta power, leaving a single letter
-    assert garside_nf(ctx, BraidWord((0, 1, 0, 1))) == GarsideNF(1, ((1,),))
-    assert garside_nf(ctx, BraidWord((0, 1) * 3)) == GarsideNF(2, ())
-    assert garside_nf(ctx, BraidWord((0, 0))) == GarsideNF(0, ((0,), (0,)))
+    assert garside_nf(ctx, (0, 1, 0, 1)) == GarsideNF(1, ((1,),))
+    assert garside_nf(ctx, (0, 1) * 3) == GarsideNF(2, ())
+    assert garside_nf(ctx, (0, 0)) == GarsideNF(0, ((0,), (0,)))
     with pytest.raises(ValueError):
-        garside_nf(ctx, BraidWord((0, 5)))
+        garside_nf(ctx, (0, 5))
 
 
 def test_lambda_lift_is_word_independent():
@@ -181,14 +180,14 @@ def test_lambda_lift_is_word_independent():
                     yield w + (i,)
 
     for perm in map(group.perm, group.elements):
-        forms = {garside_nf(ctx, BraidWord(w)) for w in reduced_words(perm)}
+        forms = {garside_nf(ctx, w) for w in reduced_words(perm)}
         assert len(forms) == 1
 
 
 def test_lambda_of_perm_braid_relation():
     ctx = _ctx("A2")
-    a = garside_nf(ctx, BraidWord((0, 1, 0)))
-    b = garside_nf(ctx, BraidWord((1, 0, 1)))
+    a = garside_nf(ctx, (0, 1, 0))
+    b = garside_nf(ctx, (1, 0, 1))
     assert a == b == GarsideNF(1, ())
     w0 = lambda_of_perm(ctx, longest_element_perm(ctx))
     assert len(w0) == ctx.N

@@ -73,6 +73,11 @@ def _entry(f):
     return tuple(f.items())
 
 
+def _matrix_entry(m, row_label, col_label):
+    """The coefficient of |col_label> in G(row_label)."""
+    return m.entries[m.labels.index(row_label)][m.labels.index(col_label)]
+
+
 def _laurent(entry):
     """A FockMatrix entry as a Laurent polynomial."""
     return Laurent(dict(entry))
@@ -397,9 +402,9 @@ class TestCanonicalBasis:
 
     def test_three_boxes_d3(self):
         m = llt_canonical_basis(3, 3)
-        assert m.entry((2, 1), (1, 1, 1)) == _entry(V)
-        assert m.entry((3,), (2, 1)) == _entry(V)
-        assert m.entry((3,), (1, 1, 1)) == _entry(ZERO)
+        assert _matrix_entry(m, (2, 1), (1, 1, 1)) == _entry(V)
+        assert _matrix_entry(m, (3,), (2, 1)) == _entry(V)
+        assert _matrix_entry(m, (3,), (1, 1, 1)) == _entry(ZERO)
 
     def test_four_boxes_d2(self):
         m = llt_canonical_basis(4, 2)

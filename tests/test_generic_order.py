@@ -13,6 +13,7 @@ from lie_oracle import factorization_from_json
 from lielocal.cyclotomic import cyclotomic, poly_eval
 from lielocal.errors import InvariantError
 from lielocal.generic_order import (
+    _expand_and_factor,
     ell_part,
     evaluate_order,
     factor_pairs_for,
@@ -103,20 +104,26 @@ def test_triality_form_order_at_2():
     assert evaluate_order(f, 2) == 211341312
 
 
+def _gu_order(n):
+    """Generic order of GU_n(q): degrees 1..n, eps_i = (-1)^i."""
+    pairs = [(i, (1, 0) if i % 2 == 0 else (2, 1)) for i in range(1, n + 1)]
+    return _expand_and_factor(f"GU{n}", n, n * (n - 1) // 2, pairs)
+
+
 def test_gl_mode_exponents():
     assert dict(gl_order(4).exponents) == {1: 4, 2: 2, 3: 1, 4: 1}
     assert dict(gl_order(6).exponents) == {1: 6, 2: 3, 3: 2, 4: 1, 5: 1, 6: 1}
     for n in range(1, 9):
         exps = dict(gl_order(n).exponents)
         assert exps == {d: n // d for d in range(1, n + 1) if n // d > 0}
-    assert dict(gl_order(4, unitary=True).exponents) == {1: 2, 2: 4, 4: 1, 6: 1}
-    assert dict(gl_order(3, unitary=True).exponents) == {1: 1, 2: 3, 6: 1}
+    assert dict(_gu_order(4).exponents) == {1: 2, 2: 4, 4: 1, 6: 1}
+    assert dict(_gu_order(3).exponents) == {1: 1, 2: 3, 6: 1}
 
 
 def test_gl_mode_values():
     assert evaluate_order(gl_order(2), 7) == 2016
     assert evaluate_order(gl_order(3), 2) == 168  # GL_3(2) = SL_3(2)
-    gu3 = gl_order(3, unitary=True)
+    gu3 = _gu_order(3)
     for q in (2, 3):
         assert evaluate_order(gu3, q) == (q + 1) * order_su3_counted(q)
 

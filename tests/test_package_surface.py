@@ -10,8 +10,9 @@ The reach is read from the source with `ast`: a top-level definition
 reaches every name its body mentions that is a top-level definition of its
 module or that a `from .module import name` binds, at the top of the
 module or inside the definition.  A class is reached as a whole; its
-methods are not checked one by one.  perfbench/ and the README are read,
-never imported.
+methods are not checked one by one.  perfbench/ is read, never imported.
+The README's block is also run, and must give the values its comments
+state.
 """
 
 import ast
@@ -90,11 +91,15 @@ def _tracer_targets() -> list[str]:
     raise LookupError("perfbench/tracer.py defines no TARGETS")
 
 
-def _readme_api_imports() -> set[tuple[str, str]]:
+def _readme_api_block() -> ast.Module:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         block = re.search(r"## Python API\s*```python\n(.*?)```", fh.read(), re.S)
     assert block, "README.md has no Python API block"
-    return _lielocal_imports(ast.parse(block.group(1)))
+    return ast.parse(block.group(1))
+
+
+def _readme_api_imports() -> set[tuple[str, str]]:
+    return _lielocal_imports(_readme_api_block())
 
 
 def _roots() -> set[tuple[str, str]]:
@@ -131,3 +136,17 @@ def test_no_module_imports_fractions():
                  if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
                  or isinstance(node, ast.ImportFrom) and node.module == "fractions"]
     assert not importers, "modules importing fractions: " + ", ".join(importers)
+
+
+def test_readme_api_block_gives_the_values_its_comments_state():
+    namespace: dict = {}
+    values = []
+    for statement in _readme_api_block().body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), "README", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+    lemma = values.pop(3)  # per-block simple counts: no value stated
+    assert type(lemma).__name__ == "LemmaReport" and lemma.label == "A1"
+    assert values == [276595200, (4, 2), True, True, (1, 2, 2, 2, 1), 48, 2, None, 81]

@@ -11,7 +11,6 @@ import inspect
 import pytest
 
 from lielocal.braid_hecke import (
-    BraidWord,
     GarsideNF,
     RegularBraidReport,
     garside_nf,
@@ -34,7 +33,6 @@ from lielocal.defining_char import (
 from lielocal.degeneration import (
     AbelianLGroup,
     DegenerationIsomorphism,
-    DGAlgebraA,
     DGReport,
     IsomorphismCertificate,
     RadicalSection,
@@ -57,7 +55,6 @@ FIELDS = {
     LeviData: "label d eigenspace_dim witness_word root_subsystem w_L_order "
               "orthogonal_system w_prime_order",
     SylowReport: "label ell q d nu abelian relative_weyl_order outside_hypotheses levi",
-    BraidWord: "letters",
     GarsideNF: "delta_power factors",
     RegularBraidReport: "label d holds witness_word candidates_checked",
     FockMatrix: "n d labels entries",
@@ -70,11 +67,10 @@ FIELDS = {
     AlperinReport: "label q entries total",
     KnorrRobinsonReport: "label q head_term chain_terms total",
     AbelianLGroup: "ell factors e_generators",
-    TruncatedAlgebra: "ell moduli block_index",
+    TruncatedAlgebra: "ell moduli",
     RadicalSection: "group images e_order",
     IsomorphismCertificate: "dim_source dim_target e_order",
     DegenerationIsomorphism: "group algebra section certificate",
-    DGAlgebraA: "ell moduli",
     DGReport: "ell factors degree_bound h0_dims truncated_dims nonzero_cohomology complete",
 }
 
@@ -86,16 +82,15 @@ def _records() -> list:
     blocks = block_partition(datum, 2)
     lemma = lemma_counts(datum, 2)
     alperin = alperin_weights(datum, 2)
-    word = BraidWord((0, 1, 0))
     iso = build_isomorphism(AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,)))
     return [
         datum, generic_order(datum), group.f_conjugacy_classes()[1],
-        group.regular_elements(3), sylow.levi, sylow, word, garside_nf(group.ctx, word),
+        group.regular_elements(3), sylow.levi, sylow, garside_nf(group.ctx, (0, 1, 0)),
         verify_regular_braid_identity(datum, 3), llt_canonical_basis(3, 2),
         blocks.center, blocks.blocks[0], blocks, lemma.entries[0], lemma,
         alperin.entries[0], alperin, knorr_robinson_sum(datum, 2),
         iso.group, iso.algebra, iso.section, iso.certificate, iso,
-        DGAlgebraA(ell=3, moduli=(3, 3)), dg_cohomology_check(iso.group, 6),
+        dg_cohomology_check(iso.group, 6),
     ]
 
 
@@ -127,9 +122,9 @@ def test_validated_records_compare_and_hash_by_value():
     with pytest.raises(AttributeError):
         del group.ell
     algebra = TruncatedAlgebra.of_group(group)
-    assert algebra == TruncatedAlgebra(ell=3, moduli=(3, 3), block_index=(0, 0))
-    assert hash(algebra) == hash(TruncatedAlgebra(3, (3, 3), (0, 0)))
-    assert algebra != TruncatedAlgebra(ell=3, moduli=(3, 9), block_index=(0, 1))
+    assert algebra == TruncatedAlgebra(ell=3, moduli=(3, 3))
+    assert hash(algebra) == hash(TruncatedAlgebra(3, (3, 3)))
+    assert algebra != TruncatedAlgebra(ell=3, moduli=(3, 9))
     assert algebra.hilbert_series is algebra.hilbert_series
 
 
