@@ -107,11 +107,11 @@ def garside_nf(ctx: ReflectionContext, letters: tuple[int, ...]) -> GarsideNF:
 
 class RegularBraidReport(NamedTuple):
     """Outcome of searching d-regular elements w of length 2N/d for the
-    identity lambda(w) phi(lambda(w)) ... phi^{d-1}(lambda(w)) = pi."""
+    identity lambda(w) phi(lambda(w)) ... phi^{d-1}(lambda(w)) = pi: it
+    holds exactly when a witness was found."""
 
     label: str
     d: int
-    holds: bool
     witness_word: tuple[int, ...] | None
     candidates_checked: int
 
@@ -119,7 +119,7 @@ class RegularBraidReport(NamedTuple):
         return {
             "type": self.label,
             "d": self.d,
-            "holds": self.holds,
+            "holds": self.witness_word is not None,
             "witness_word": None if self.witness_word is None
             else [i + 1 for i in self.witness_word],
             "candidates_checked": self.candidates_checked,
@@ -152,11 +152,10 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
             letters.extend(image)
             image = tuple(ctx.phi_simple[i] for i in image)
         if garside_nf(ctx, tuple(letters)) == pi_nf:
-            return RegularBraidReport(label=ctx.label, d=d, holds=True,
-                                      witness_word=word,
+            return RegularBraidReport(label=ctx.label, d=d, witness_word=word,
                                       candidates_checked=checked)
-    return RegularBraidReport(label=ctx.label, d=d, holds=False,
-                              witness_word=None, candidates_checked=checked)
+    return RegularBraidReport(label=ctx.label, d=d, witness_word=None,
+                              candidates_checked=checked)
 
 
 # ---------------------------------------------------------------------------

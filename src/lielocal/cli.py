@@ -166,7 +166,7 @@ def _run_kr_sum(args) -> None:
     _check_printable("a chain-sum term", report.head_term,
                      *(t for _, t in report.chain_terms))
     data = report.to_json()
-    data["sum"] = str(report.total)
+    data["sum"] = data["total"]
     _emit(data)
 
 
@@ -278,8 +278,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("blocks", help="defining-characteristic blocks")
     p.add_argument("type")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON (the default)")
     p.set_defaults(func=_run_blocks)
 
     p = sub.add_parser("alperin", help="weight count by parabolic stratum")
@@ -311,11 +309,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("llt", help="canonical basis of the Fock space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    style = p.add_mutually_exclusive_group()
-    style.add_argument("--v", action="store_true",
-                       help="polynomial entries (the default)")
-    style.add_argument("--at-1", dest="at_1", action="store_true",
-                       help="evaluate entries at v = 1")
+    p.add_argument("--at-1", dest="at_1", action="store_true",
+                   help="evaluate entries at v = 1")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_run_llt)
 

@@ -79,8 +79,6 @@ class CenterDual(NamedTuple):
     """The character group of the fixed-point center, as invariant factors
     plus the integer change of basis realizing lam -> gamma(lam)."""
 
-    label: str
-    q: int
     invariants: tuple[int, ...]       # the factors > 1, divisibility order
     transform_rows: tuple[tuple[int, ...], ...]  # rows of U kept (one per factor)
 
@@ -123,8 +121,7 @@ def center_dual(datum: RootDatum, q: int) -> CenterDual:
         if si > 1:
             invariants.append(si)
             rows.append(tuple(u[i]))
-    cd = CenterDual(label=datum.label, q=q,
-                    invariants=tuple(invariants), transform_rows=tuple(rows))
+    cd = CenterDual(invariants=tuple(invariants), transform_rows=tuple(rows))
     # gamma(q * omega_{phi(i)}) = gamma(omega_i) holds by construction; spot it
     for i in range(n):
         check(cd.gamma([q * (j == datum.phi[i]) for j in range(n)])
@@ -322,16 +319,18 @@ def block_partition(datum: RootDatum, q: int) -> BlockReport:
 
 
 class LemmaEntry(NamedTuple):
+    """count is both the stratified and the direct count of the weights
+    with central character zeta: lemma_counts checks that they agree."""
+
     zeta: tuple[int, ...]
-    formula_count: int
-    direct_count: int
+    count: int
     equal_to_principal: bool
     criterion: bool
 
     def to_json(self) -> dict:
         return {"zeta": list(self.zeta),
-                "formula_count": str(self.formula_count),
-                "direct_count": str(self.direct_count),
+                "formula_count": str(self.count),
+                "direct_count": str(self.count),
                 "equal_to_principal": self.equal_to_principal,
                 "criterion": self.criterion}
 
@@ -420,8 +419,7 @@ def lemma_counts(datum: RootDatum, q: int) -> LemmaReport:
               "block sizes cannot exceed the principal block")
         entries.append(LemmaEntry(
             zeta=zeta,
-            formula_count=formula[k],
-            direct_count=direct[k],
+            count=direct[k],
             equal_to_principal=direct[k] == principal,
             criterion=k in intersection,
         ))
@@ -443,15 +441,17 @@ class AlperinEntry(NamedTuple):
 
 
 class AlperinReport(NamedTuple):
+    """Its total is the sum of the entry sizes, which alperin_weights checks
+    to be q^rank."""
+
     label: str
     q: int
     entries: tuple[AlperinEntry, ...]
-    total: int
 
     def to_json(self) -> dict:
         return {"type": self.label, "q": str(self.q),
                 "entries": [e.to_json() for e in self.entries],
-                "total": str(self.total)}
+                "total": str(sum(e.size for e in self.entries))}
 
 
 def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
@@ -474,8 +474,7 @@ def alperin_weights(datum: RootDatum, q: int) -> AlperinReport:
                                     members=members))
     check(total == q**datum.rank,
           "strata must partition the restricted weights")
-    return AlperinReport(label=datum.label, q=q,
-                         entries=tuple(entries), total=total)
+    return AlperinReport(label=datum.label, q=q, entries=tuple(entries))
 
 
 def _levi_count(orbit_sizes, q: int, levi: int) -> int:
@@ -501,17 +500,18 @@ def _levi_count(orbit_sizes, q: int, levi: int) -> int:
 
 
 class KnorrRobinsonReport(NamedTuple):
+    """Its total is 0: knorr_robinson_sum checks that the terms cancel."""
+
     label: str
     q: int
     head_term: int
     chain_terms: tuple[tuple[int, int], ...]  # (chain length j, signed total)
-    total: int
 
     def to_json(self) -> dict:
         return {"type": self.label, "q": str(self.q),
                 "head_term": str(self.head_term),
                 "chain_terms": [[j, str(t)] for j, t in self.chain_terms],
-                "total": str(self.total)}
+                "total": "0"}
 
 
 def knorr_robinson_sum(datum: RootDatum, q: int) -> KnorrRobinsonReport:
@@ -541,6 +541,5 @@ def knorr_robinson_sum(datum: RootDatum, q: int) -> KnorrRobinsonReport:
     total = head + sum(by_length.values())
     check(total == 0, f"Knorr-Robinson chain sum for {datum.label} at q={q} "
                       f"is {total}, not 0")
-    return KnorrRobinsonReport(
-        label=datum.label, q=q, head_term=head,
-        chain_terms=tuple(sorted(by_length.items())), total=total)
+    return KnorrRobinsonReport(label=datum.label, q=q, head_term=head,
+                               chain_terms=tuple(sorted(by_length.items())))

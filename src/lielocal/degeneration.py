@@ -15,9 +15,10 @@ The module constructs the averaged section, extends it to the full
 monomial basis, and certifies the result exactly: dimension equality,
 unitriangularity of the matrix with respect to the radical filtration
 (images are leading monomial plus strictly higher-degree terms), the
-truncation relations, and E-equivariance on generators.  Any certificate
-failure raises InvariantError since it signals a broken construction, not
-bad input.
+truncation relations, and E-equivariance on generators.  Any failed check
+raises InvariantError since it signals a broken construction, not bad
+input, so the result keeps only the verified section; its JSON certificate
+states the dimensions, both |P|, and the order of E.
 
 The same data feeds a Koszul-type differential graded algebra
 F_ell[t] (x) Lambda(V) (x) S(V) with d(v) = t v^{ell^{r_i}} for v in V_i,
@@ -273,7 +274,7 @@ class TruncatedAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# the averaged section and the isomorphism certificate
+# the averaged section and the isomorphism
 
 
 class RadicalSection(NamedTuple):
@@ -344,34 +345,22 @@ def _check_equivariance(section: RadicalSection, algebra: TruncatedAlgebra) -> N
                   "section is not equivariant at generator %d" % j)
 
 
-class IsomorphismCertificate(NamedTuple):
-    """What build_isomorphism verified; every check it makes raises on
-    failure, so a certificate exists only for a verified isomorphism."""
-
-    dim_source: int
-    dim_target: int
-    e_order: int
-
-    def to_json(self) -> dict:
-        return {
-            "dim_source": str(self.dim_source),
-            "dim_target": str(self.dim_target),
-            "e_order": self.e_order,
-        }
-
-
 class DegenerationIsomorphism(NamedTuple):
-    group: AbelianLGroup
-    algebra: TruncatedAlgebra
+    """The averaged section, once build_isomorphism has verified that it
+    extends to an isomorphism; both dimensions of the certificate are |P|,
+    since the ladder of images is checked to hold |P| monomials."""
+
     section: RadicalSection
-    certificate: IsomorphismCertificate
 
     def to_json(self) -> dict:
+        group = self.section.group
+        order = str(group.order)
         return {
-            "ell": self.group.ell,
-            "factors": [list(f) for f in self.group.factors],
-            "order": str(self.group.order),
-            "certificate": self.certificate.to_json(),
+            "ell": group.ell,
+            "factors": [list(f) for f in group.factors],
+            "order": order,
+            "certificate": {"dim_source": order, "dim_target": order,
+                            "e_order": self.section.e_order},
         }
 
 
@@ -430,10 +419,7 @@ def build_isomorphism(group: AbelianLGroup) -> DegenerationIsomorphism:
     check(len(ladder) == group.order, "the unitriangular ladder does not hold |P| monomials")
 
     # E-equivariance on generators was checked by radical_section
-    certificate = IsomorphismCertificate(
-        dim_source=len(ladder), dim_target=group.order, e_order=section.e_order)
-    return DegenerationIsomorphism(group=group, algebra=algebra,
-                                   section=section, certificate=certificate)
+    return DegenerationIsomorphism(section=section)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +439,14 @@ def _differential(moduli: tuple[int, ...], subset: tuple[int, ...],
 
 
 class DGReport(NamedTuple):
+    """The verified cohomology: dg_cohomology_check returns one only when
+    no degree but 0 has cohomology and H^0 has the truncated algebra's
+    dimensions, which ``to_json`` states."""
+
     ell: int
     factors: tuple[tuple[int, int], ...]
     degree_bound: int
     h0_dims: tuple[int, ...]
-    truncated_dims: tuple[int, ...]
-    nonzero_cohomology: tuple  # (cohomological degree, internal degree, dim)
     complete: bool
 
     def to_json(self) -> dict:
@@ -467,8 +455,8 @@ class DGReport(NamedTuple):
             "factors": [list(f) for f in self.factors],
             "degree_bound": self.degree_bound,
             "h0_dims": list(self.h0_dims),
-            "truncated_dims": list(self.truncated_dims),
-            "nonzero_cohomology": [list(x) for x in self.nonzero_cohomology],
+            "truncated_dims": list(self.h0_dims),
+            "nonzero_cohomology": [],
             "complete": self.complete,
         }
 
@@ -547,21 +535,15 @@ def dg_cohomology_check(group: AbelianLGroup, degree_bound: int) -> DGReport:
             ranks[k] = [x + c * rank_k for x, c in zip(ranks[k], counts)]
     check(sizes == _layer_sizes(moduli, degree_bound),
           "layer sizes summed over the types differ from the direct count")
+    # (cohomological degree, internal degree, dimension)
     bad = [(-k, d, sizes[k][d] - ranks[k][d] - ranks[k + 1][d])
            for d in degrees for k in range(1, n + 1)
            if sizes[k][d] != ranks[k][d] + ranks[k + 1][d]]
-    series = algebra.hilbert_series[:degree_bound + 1]
-    report = DGReport(
-        ell=ell,
-        factors=group.factors,
-        degree_bound=degree_bound,
-        h0_dims=tuple(sizes[0][d] - ranks[1][d] for d in degrees),
-        truncated_dims=series + (0,) * (degree_bound + 1 - len(series)),
-        nonzero_cohomology=tuple(bad),
-        complete=degree_bound >= algebra.top_degree,
-    )
     check(not bad, "cohomology outside degree zero: %r" % (bad,))
-    check(report.h0_dims == report.truncated_dims,
-          "H^0 dimensions %r do not match the truncated algebra %r"
-          % (report.h0_dims, report.truncated_dims))
-    return report
+    h0_dims = tuple(sizes[0][d] - ranks[1][d] for d in degrees)
+    series = algebra.hilbert_series[:degree_bound + 1]
+    truncated = series + (0,) * (degree_bound + 1 - len(series))
+    check(h0_dims == truncated,
+          "H^0 dimensions %r do not match the truncated algebra %r" % (h0_dims, truncated))
+    return DGReport(ell=ell, factors=group.factors, degree_bound=degree_bound,
+                    h0_dims=h0_dims, complete=degree_bound >= algebra.top_degree)

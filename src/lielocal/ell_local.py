@@ -47,11 +47,10 @@ class LeviData(NamedTuple):
     vanishes on the eigenspace); orthogonal_system lists the positive roots
     generating W': those w phi fixes when d = 1 or negates when d = 2, and
     none when d >= 3, where W' = 1.  Orders are computed by honest subgroup
-    generation, not formulas.
+    generation, not formulas.  The type and d are the enclosing
+    SylowReport's, which adds them to the JSON.
     """
 
-    label: str
-    d: int
     eigenspace_dim: int
     witness_word: tuple[int, ...]
     root_subsystem: tuple[tuple[int, ...], ...]
@@ -61,8 +60,6 @@ class LeviData(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "type": self.label,
-            "d": self.d,
             "eigenspace_dim": self.eigenspace_dim,
             "witness_word": [i + 1 for i in self.witness_word],
             "root_subsystem": [list(r) for r in self.root_subsystem],
@@ -107,8 +104,6 @@ def _levi_of_group(group: WeylGroup, d: int) -> tuple[int, LeviData]:
           "Levi and orthogonal reflection groups overlap")
 
     return witness, LeviData(
-        label=ctx.label,
-        d=d,
         eigenspace_dim=dim,
         witness_word=group.word(witness),
         root_subsystem=tuple(ctx.pos_roots[k] for k in levi_idx),
@@ -153,7 +148,8 @@ class SylowReport(NamedTuple):
             "abelian": self.abelian,
             "relative_weyl_order": str(self.relative_weyl_order),
             "outside_hypotheses": self.outside_hypotheses,
-            "levi": None if self.levi is None else self.levi.to_json(),
+            "levi": None if self.levi is None
+            else self.levi.to_json() | {"type": self.label, "d": self.d},
         }
 
 

@@ -196,7 +196,7 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
                         part.append(j)
                         stack.append(j)
                     elif d[j] * den != num:
-                        raise InvariantError("Cartan matrix is not symmetrizable")
+                        raise UnsupportedTypeError("Cartan matrix is not symmetrizable")
         parts.append(part)
     lead = math.lcm(*(d[part[0]] for part in parts))
     for part in parts:
@@ -312,7 +312,7 @@ def _check_finite_type(cartan, symmetrizer: tuple[int, ...]) -> None:
 
 
 def _finish_datum(label: str, cartan, phi: tuple[int, ...]) -> RootDatum:
-    _check_cartan_entries(cartan)
+    _check_input(cartan, phi)
     symmetrizer = _symmetrizer([list(r) for r in cartan])
     _check_finite_type(cartan, symmetrizer)
     roots, coroots = _reflection_closure(cartan)
@@ -339,10 +339,11 @@ def build_root_datum(type_label: str) -> RootDatum:
 
 def from_cartan(label: str, cartan, phi=None) -> RootDatum:
     """Datum from an explicit Cartan matrix (e.g. reducible A1 x A1) with an
-    optional automorphism; validated like the built-in types.  A label that
-    names a built-in type must come with that type's own Cartan matrix and
-    twist, since caches keyed by label answer for the built-in type;
-    anything else raises UnsupportedTypeError."""
+    optional automorphism; validated like the built-in types.  A matrix that
+    is not a symmetrizable Cartan matrix of finite type, a phi that is not a
+    permutation preserving it, and a label that names a built-in type with
+    other data (caches keyed by label answer for the built-in type) raise
+    UnsupportedTypeError: they are bad input, not a bug."""
     n = len(cartan)
     phi = tuple(range(n)) if phi is None else tuple(phi)
     try:
@@ -357,26 +358,32 @@ def from_cartan(label: str, cartan, phi=None) -> RootDatum:
     return _finish_datum(label, cartan, phi)
 
 
-def _check_cartan_entries(a) -> None:
-    """The entry conditions of a Cartan matrix; the symmetrizer divides by
-    the off-diagonal entries, so they are checked before it runs."""
+def _check_input(a, p: tuple[int, ...]) -> None:
+    """The conditions on a Cartan matrix and its twist that a caller of
+    ``from_cartan`` can break, each refused with UnsupportedTypeError; the
+    symmetrizer divides by the off-diagonal entries, so they are checked
+    before it runs."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise UnsupportedTypeError("Cartan matrix is not square")
+    if any(type(x) is not int for row in (p, *a) for x in row):
+        raise UnsupportedTypeError("Cartan matrix and phi must hold integers")
+    if sorted(p) != list(range(n)):
+        raise UnsupportedTypeError("phi is not a permutation")
     for i in range(n):
-        check(a[i][i] == 2, f"cartan[{i}][{i}] != 2")
+        if a[i][i] != 2:
+            raise UnsupportedTypeError(f"cartan[{i}][{i}] != 2")
         for j in range(n):
-            if i != j:
-                check(a[i][j] <= 0, "positive off-diagonal Cartan entry")
-                check((a[i][j] == 0) == (a[j][i] == 0), "asymmetric Cartan zero pattern")
+            if i != j and a[i][j] > 0:
+                raise UnsupportedTypeError("positive off-diagonal Cartan entry")
+            if (a[i][j] == 0) != (a[j][i] == 0):
+                raise UnsupportedTypeError("asymmetric Cartan zero pattern")
+    if any(a[p[i]][p[j]] != a[i][j] for i in range(n) for j in range(n)):
+        raise UnsupportedTypeError("phi does not preserve the Cartan matrix")
 
 
 def _validate(datum: RootDatum) -> None:
-    n = datum.rank
-    a = datum.cartan
     p = datum.phi
-    check(sorted(p) == list(range(n)), "phi is not a permutation")
-    for i in range(n):
-        for j in range(n):
-            check(a[p[i]][p[j]] == a[i][j], "phi does not preserve the Cartan matrix")
     try:
         twist, family, label_rank = parse_label(datum.label)
     except UnsupportedTypeError:

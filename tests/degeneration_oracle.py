@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from lielocal.degeneration import TruncatedAlgebra
 from lielocal.errors import check
 from lielocal.linalg import add_scaled, add_term
 
@@ -78,11 +79,11 @@ def convolve_group_algebra(a, b, moduli, ell):
 def image_of_monomial(iso, exponents):
     """The image of prod_j v_j^{a_j} under the degeneration isomorphism,
     as a product of powers of the section's images."""
+    algebra = TruncatedAlgebra.of_group(iso.section.group)
     out = {tuple(0 for _ in exponents): 1}
     for j, a in enumerate(exponents):
         if a:
-            out = iso.algebra.multiply(
-                out, iso.algebra.power(iso.section.images[j], a))
+            out = algebra.multiply(out, algebra.power(iso.section.images[j], a))
     return out
 
 

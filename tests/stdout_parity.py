@@ -25,7 +25,7 @@ groups of ``DEGENERATE_E`` (generators that are not symmetric matrices,
 written to a temporary directory), and ``blocks``, ``alperin`` and
 ``kr-sum`` for every label of rank <= 3 and A4, 2A4, D4, 3D4, 2D4, B4, F4
 at every prime power q <= 9.  The list is built from CHANGE_SRC.  Both
-children run at once; the 1,914 argv took about 60 s on a 2-CPU machine.
+children run at once; the 1,917 argv took about 35-60 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.

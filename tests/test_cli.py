@@ -245,6 +245,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "blocks", "A1")
         assert code == 1
 
+    # `blocks --json` and `llt --v` named the default and changed nothing
+    @pytest.mark.parametrize("argv", [["blocks", "A2", "--q", "2", "--json"],
+                                      ["llt", "--n", "2", "--d", "2", "--v"]])
+    def test_flags_that_select_nothing_are_gone(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: " + argv[-1] in err
+
     def test_invariant_breach_maps_to_two(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise InvariantError("chain sum is off")
@@ -454,14 +462,13 @@ _COMMANDS = st.one_of(
     _args(st.just("weyl"), st.just("classes"), _LABELS),
     _args(st.just("weyl"), st.just("regular"), _LABELS, st.just("--d"), _INT),
     _args(st.just("sylow"), _LABELS, st.just("--q"), _INT, st.just("--ell"), _INT),
-    _args(st.just("blocks"), _LABELS, st.just("--q"), _SMALL_Q, _opt(st.just(["--json"]))),
+    _args(st.just("blocks"), _LABELS, st.just("--q"), _SMALL_Q),
     _args(st.just("alperin"), _LABELS, st.just("--q"), _SMALL_Q),
     _args(st.just("kr-sum"), _LABELS, st.just("--q"), _INT),
     _args(st.just("braid"), st.just("verify-regular"), _LABELS, st.just("--d"), _INT),
     _args(st.just("hecke"), st.just("poincare"), _LABELS),
     _args(st.just("llt"), st.just("--n"), st.integers(-3, 8).map(str), st.just("--d"), _INT,
-          st.sampled_from([[], ["--v"], ["--at-1"], ["--v", "--at-1"]]),
-          _opt(st.just(["--csv"]))),
+          _opt(st.just(["--at-1"])), _opt(st.just(["--csv"]))),
     _args(st.just("degenerate"), st.just("--ell"), _INT, st.just("--factors"), _FACTORS,
           _opt(st.just(["--E", "/nonexistent/gens.json"]))),
 )

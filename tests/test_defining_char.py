@@ -239,8 +239,7 @@ def test_lemma_counts_sl2_q5():
     report = lemma_counts(cached_datum("A1"), 5)
     e0 = _entry(report, (0,))
     e1 = _entry(report, (1,))
-    assert (e0.formula_count, e0.direct_count) == (2, 2)
-    assert (e1.formula_count, e1.direct_count) == (2, 2)
+    assert (e0.count, e1.count) == (2, 2)
     assert e1.equal_to_principal and e1.criterion
 
 
@@ -248,15 +247,15 @@ def test_lemma_counts_sp4_q3():
     report = lemma_counts(cached_datum("C2"), 3)
     e0 = _entry(report, (0,))
     e1 = _entry(report, (1,))
-    assert e0.direct_count == 5
-    assert e1.direct_count == 3
+    assert e0.count == 5
+    assert e1.count == 3
     assert not e1.equal_to_principal and not e1.criterion
 
 
 def test_lemma_counts_su3_q2():
     report = lemma_counts(cached_datum("2A2"), 2)
     for e in report.entries:
-        assert e.formula_count == e.direct_count == 1
+        assert e.count == 1
         assert e.equal_to_principal and e.criterion
 
 
@@ -267,8 +266,7 @@ def test_lemma_counts_grid_consistency():
             report = lemma_counts(datum, q)
             assert sum(sz for _, sz, _ in report.strata) == q**datum.rank - 1
             for e in report.entries:
-                assert e.formula_count == e.direct_count
-                assert e.direct_count <= _entry(report, report.center.zero()).direct_count
+                assert e.count <= _entry(report, report.center.zero()).count
                 assert e.equal_to_principal == e.criterion, (label, q, e)
 
 
@@ -302,7 +300,7 @@ def test_alperin_table_sl2():
     assert by_subset[(0,)].size == 3
     assert by_subset[(0,)].levi == ()
     assert by_subset[()].levi == (0,)
-    assert report.total == 4
+    assert sum(e.size for e in report.entries) == 4
 
 
 def test_alperin_table_su3():
@@ -311,7 +309,7 @@ def test_alperin_table_su3():
     assert set(by_subset) == {(), (0, 1)}
     assert by_subset[()].size == 1
     assert by_subset[(0, 1)].size == 8
-    assert report.total == 9
+    assert sum(e.size for e in report.entries) == 9
 
 
 def test_levi_irreducible_counts():
@@ -325,40 +323,45 @@ def test_levi_irreducible_counts():
     assert levi_irreducible_count(tw, 2, (0, 1)) == 4
 
 
+def _chain_sum(report):
+    """The alternating chain sum of a KnorrRobinsonReport, from its terms."""
+    return report.head_term + sum(t for _, t in report.chain_terms)
+
+
 def test_knorr_robinson_sl2():
     for q in (2, 3, 4, 5, 7, 8, 9):
         report = knorr_robinson_sum(cached_datum("A1"), q)
         assert report.head_term == q - 1
         assert dict(report.chain_terms) == {1: -(q - 1)}
-        assert report.total == 0
+        assert _chain_sum(report) == 0
 
 
 def test_knorr_robinson_sl3_q2():
     report = knorr_robinson_sum(cached_datum("A2"), 2)
     assert report.head_term == 3
     assert dict(report.chain_terms) == {1: -5, 2: 2}
-    assert report.total == 0
+    assert _chain_sum(report) == 0
 
 
 def test_knorr_robinson_su3_q2():
     report = knorr_robinson_sum(cached_datum("2A2"), 2)
     assert report.head_term == 3
     assert dict(report.chain_terms) == {1: -3}
-    assert report.total == 0
+    assert _chain_sum(report) == 0
 
 
 def test_knorr_robinson_grid():
     for label in ("A1", "A2", "A3", "2A2", "2A3", "B2", "C2", "G2", "B3",
                   "C3", "D3", "2D3", "3D4", "D4", "2D4", "F4"):
         for q in (2, 3, 4, 5):
-            assert knorr_robinson_sum(cached_datum(label), q).total == 0, \
+            assert _chain_sum(knorr_robinson_sum(cached_datum(label), q)) == 0, \
                 (label, q)
 
 
 def test_knorr_robinson_large_rank():
     # closed forms only, no weight enumeration: big rank stays cheap
-    assert knorr_robinson_sum(cached_datum("E8"), 7).total == 0
-    assert knorr_robinson_sum(cached_datum("2E6"), 3).total == 0
+    assert _chain_sum(knorr_robinson_sum(cached_datum("E8"), 7)) == 0
+    assert _chain_sum(knorr_robinson_sum(cached_datum("2E6"), 3)) == 0
 
 
 @pytest.mark.parametrize("label", labels_of_rank(4))
@@ -379,7 +382,7 @@ def test_knorr_robinson_total_is_checked(monkeypatch):
 
 def test_reports_serialize():
     lemma = lemma_counts(cached_datum("C2"), 3).to_json()
-    assert lemma["entries"][0]["formula_count"] == "5"
+    assert lemma["entries"][0]["formula_count"] == lemma["entries"][0]["direct_count"] == "5"
     alperin = alperin_weights(cached_datum("A1"), 3).to_json()
     assert alperin["total"] == "3"
     kr = knorr_robinson_sum(cached_datum("A2"), 2).to_json()
@@ -392,8 +395,7 @@ def test_lemma_counts_match_the_enumeration_oracle(label):
     for q in ORACLE_Q:
         report = lemma_counts(datum, q)
         direct, strata = _enumerated_counts(datum, q)
-        assert {e.zeta: e.direct_count for e in report.entries} == direct, q
-        assert {e.zeta: e.formula_count for e in report.entries} == direct, q
+        assert {e.zeta: e.count for e in report.entries} == direct, q
         assert list(report.strata) == strata, q
 
 
@@ -421,10 +423,8 @@ def test_lemma_counts_beyond_the_weight_guard_end_quickly(label, q):
     started = time.perf_counter()
     report = lemma_counts(datum, q)
     assert time.perf_counter() - started < 5.0
-    assert sum(e.direct_count for e in report.entries) == q**datum.rank - 1
+    assert sum(e.count for e in report.entries) == q**datum.rank - 1
     assert sum(size for _, size, _ in report.strata) == q**datum.rank - 1
-    for e in report.entries:
-        assert e.formula_count == e.direct_count
 
 
 def test_listing_still_guarded():
@@ -449,3 +449,15 @@ def test_block_sizes_are_checked_against_the_convolution(monkeypatch):
     # direct count is caught there too
     with pytest.raises(InvariantError, match="stratified count"):
         lemma_counts(cached_datum("A2"), 4)
+
+
+@pytest.mark.parametrize("count", [alperin_weights, lemma_counts])
+def test_a_missing_stratum_trips_the_partition_check(monkeypatch, count):
+    # each stratum still agrees with its closed form, but without the last
+    # one the strata no longer add up to the q^rank restricted weights
+    real = defining_char.phi_stable_subsets
+    monkeypatch.setattr(defining_char, "phi_stable_subsets",
+                        lambda datum: real(datum)[:-1])
+    with pytest.raises(InvariantError,
+                       match="strata must partition the restricted weights"):
+        count(cached_datum("2A3"), 3)

@@ -22,7 +22,6 @@ from degeneration_oracle import (
 from lielocal import degeneration
 from lielocal.degeneration import (
     AbelianLGroup,
-    DGReport,
     TruncatedAlgebra,
     build_isomorphism,
     dg_cohomology_check,
@@ -275,42 +274,42 @@ class TestIsomorphism:
                 if ell ** r > 729:
                     continue
                 iso = build_isomorphism(AbelianLGroup(ell=ell, factors=((r, 1),)))
-                assert iso.certificate.dim_source == ell ** r
+                assert iso.to_json()["certificate"]["dim_source"] == str(ell ** r)
 
     def test_cycle_on_v4(self):
         g = AbelianLGroup(ell=2, factors=((1, 2),),
                           e_generators=(CYCLE_ON_V4,))
         iso = build_isomorphism(g)
-        assert iso.certificate.e_order == 3
+        assert iso.section.e_order == 3
 
     def test_swap_on_nine(self):
         g = AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,))
         iso = build_isomorphism(g)
-        assert iso.certificate.e_order == 2
+        assert iso.section.e_order == 2
 
     def test_two_copies_of_nine(self):
         g = AbelianLGroup(ell=3, factors=((2, 2),))
         iso = build_isomorphism(g)
-        assert iso.certificate.dim_source == 81
-        assert iso.certificate.dim_target == 81
+        assert iso.to_json()["certificate"]["dim_source"] == "81"
+        assert iso.to_json()["certificate"]["dim_target"] == "81"
 
     def test_mixed_factors_with_action(self):
         # Z/4 x (Z/2)^2 with the order-3 action on the second block
         mat = ((1, 0, 0), (0, 0, 1), (0, 1, 1))
         g = AbelianLGroup(ell=2, factors=((2, 1), (1, 2)), e_generators=(mat,))
         iso = build_isomorphism(g)
-        assert iso.certificate.e_order == 3
+        assert iso.section.e_order == 3
 
     def test_inversion_action(self):
         g = AbelianLGroup(ell=5, factors=((2, 1),), e_generators=(((-1,),),))
         iso = build_isomorphism(g)
-        assert iso.certificate.e_order == 2
+        assert iso.section.e_order == 2
 
     def test_images_multiplicative(self):
         g = AbelianLGroup(ell=2, factors=((1, 2),),
                           e_generators=(CYCLE_ON_V4,))
         iso = build_isomorphism(g)
-        alg = iso.algebra
+        alg = TruncatedAlgebra.of_group(g)
         for a in alg.basis():
             for b in alg.basis():
                 prod = tuple(x + y for x, y in zip(a, b))
@@ -337,8 +336,8 @@ class TestIsomorphism:
         # permutation matrices of 3- and 4-cycles are not symmetric, so an
         # action read off the transpose breaks the certificate here
         iso = build_isomorphism(g)
-        assert iso.certificate.e_order == e_order
-        assert iso.certificate.dim_source == g.order
+        assert iso.section.e_order == e_order
+        assert iso.to_json()["certificate"]["dim_source"] == str(g.order)
 
     def test_guard(self):
         g = AbelianLGroup(ell=2, factors=((13, 1),))
@@ -370,7 +369,7 @@ class TestIsomorphism:
 
     def test_trivial_group(self):
         iso = build_isomorphism(AbelianLGroup(ell=3, factors=()))
-        assert iso.certificate.dim_source == 1
+        assert iso.to_json()["certificate"]["dim_source"] == "1"
 
 
 def _monomials_of_degree(n, degree):
@@ -397,11 +396,13 @@ def _dimensions_by_degree(moduli):
     return collections.Counter(map(sum, itertools.product(*(range(m) for m in moduli))))
 
 
-def _degreewise_dg_report(group, degree_bound):
+def _degreewise_dg_json(group, degree_bound):
     """The whole-degree computation that dg_cohomology_check replaced, kept
     as an oracle: per internal degree, list every cell (S, x^a), build each
     d as one sparse matrix from the oracle's differential, and take its
-    rank."""
+    rank.  Returns the JSON form of its report, with the truncated
+    dimensions counted by enumeration and every nonzero cohomology group
+    found, which the package's report states as checked."""
     ell, moduli = group.ell, group.moduli
     algebra = TruncatedAlgebra.of_group(group)
     dimensions = _dimensions_by_degree(moduli)
@@ -438,10 +439,10 @@ def _degreewise_dg_report(group, degree_bound):
                 bad.append((-k, degree, h_dim))
         h0.append(len(layers[0]) - ranks[0])
         truncated.append(dimensions[degree])
-    return DGReport(ell=ell, factors=group.factors, degree_bound=degree_bound,
-                    h0_dims=tuple(h0), truncated_dims=tuple(truncated),
-                    nonzero_cohomology=tuple(bad),
-                    complete=degree_bound >= algebra.top_degree)
+    return {"ell": ell, "factors": [list(f) for f in group.factors],
+            "degree_bound": degree_bound, "h0_dims": h0, "truncated_dims": truncated,
+            "nonzero_cohomology": [list(x) for x in bad],
+            "complete": degree_bound >= algebra.top_degree}
 
 
 def _dg_complex_size(group, bound):
@@ -516,8 +517,10 @@ class TestDGAlgebra:
             (AbelianLGroup(ell=2, factors=((2, 1), (1, 2))), 8),
         ]
         for g, bound in cases:
+            # raises unless only H^0 is nonzero
             report = dg_cohomology_check(g, bound)
-            assert not report.nonzero_cohomology
+            dimensions = _dimensions_by_degree(g.moduli)
+            assert report.h0_dims == tuple(dimensions[d] for d in range(bound + 1))
 
     def test_trivial_group_cohomology(self):
         report = dg_cohomology_check(AbelianLGroup(ell=3, factors=()), 3)
@@ -560,8 +563,7 @@ class TestDGByType:
             if _dg_complex_size(group, bound) > 400_000:
                 continue
             assert dg_cohomology_check(group, bound).to_json() == \
-                _degreewise_dg_report(group, bound).to_json(), \
-                (group.ell, group.factors)
+                _degreewise_dg_json(group, bound), (group.ell, group.factors)
             compared += 1
         assert compared == 250
 
@@ -591,12 +593,16 @@ class TestDGByType:
 
     def test_largest_groups_end_quickly(self):
         started = time.perf_counter()
+        reports = []
         for ell, factors in [(2, ((6, 1), (1, 3))), (2, ((2, 1), (1, 10))),
                              (691, ((1, 1),)), (3, ((2, 1), (1, 5)))]:
             group = AbelianLGroup(ell=ell, factors=factors)
-            report = dg_cohomology_check(group, 2 * max(group.moduli))
-            assert not report.nonzero_cohomology, (ell, factors)
+            # raises unless only H^0 is nonzero
+            reports.append((group, dg_cohomology_check(group, 2 * max(group.moduli))))
         assert time.perf_counter() - started < 5.0
+        for group, report in reports:
+            dimensions = _dimensions_by_degree(group.moduli)
+            assert report.h0_dims == tuple(dimensions[d] for d in range(len(report.h0_dims)))
 
     def test_tampered_type_count_trips_layer_sizes(self, monkeypatch):
         real = degeneration._type_counts
@@ -638,3 +644,18 @@ class TestDGByType:
         group = AbelianLGroup(ell=3, factors=((1, 2),))
         with pytest.raises(InvariantError, match="leaves the block"):
             dg_cohomology_check(group, 6)
+
+    def test_other_hilbert_series_trips_h0(self, monkeypatch):
+        # the report states H^0 as the truncated algebra's dimensions only
+        # because this check compares the two
+        real = TruncatedAlgebra.hilbert_series.func
+
+        def bumped(self):
+            series = real(self)
+            return series[:1] + (series[1] + 1,) + series[2:]
+
+        monkeypatch.setattr(TruncatedAlgebra, "hilbert_series", property(bumped))
+        group = AbelianLGroup(ell=3, factors=((2, 1), (1, 2)))
+        with pytest.raises(InvariantError, match=r"H\^0 dimensions .* do not match "
+                                                 r"the truncated algebra"):
+            dg_cohomology_check(group, 18)

@@ -1,5 +1,5 @@
-"""Full stdout of a few Weyl-group queries, two weight listings and four
-canonical bases, pinned by its sha256.
+"""Full stdout of a few Weyl-group queries, two weight listings, four
+canonical bases, two degenerations and one chain sum, pinned by its sha256.
 
 tests/test_bench_answers.py compares only the answer fields of the
 benchmark queries.  These queries reach the eigenspace, centralizer,
@@ -14,7 +14,11 @@ layout; they were recorded with the code that built each stratum weight by
 weight, copied the weights into lists and printed one `json.dumps` string.
 The four `llt` digests pin the canonical-basis matrices in JSON, CSV and
 at v = 1; they were recorded while the Fock space still kept one Laurent
-polynomial per coefficient.
+polynomial per coefficient.  The `degenerate` and `kr-sum` digests pin the
+JSON keys that state a checked value rather than a stored field (the
+certificate's dimensions, `truncated_dims`, `nonzero_cohomology`, `total`
+and `sum`); they were recorded while the result records still stored
+those values.
 """
 
 import hashlib
@@ -52,6 +56,12 @@ GOLDEN = {
         "550e74777572fe7baad78ab84f6c56793d55f14ca55b4219d11d4e5209b7941a",
     "llt --n 9 --d 5":
         "3d113cd62093d42889b304e108bfc7a38febe0dd809c9cc7589c39150833dde2",
+    "degenerate --ell 2 --factors 1:4":
+        "77cfb81d2b8f46cad069fe365e6869288790a170fa30a169123d9bea50ebec95",
+    "degenerate --ell 3 --factors 2:1,1:2":
+        "35e0a3b5d17b29ae04e9ac55343d3b3db95684cceeea06d55bbd2a435fcf8cf4",
+    "kr-sum E6 --q 2":
+        "7facb001b5c34c21662b1bbfa4f0cfe33a3fb0e2410ffbf2c4edf936b765f08b",
 }
 
 

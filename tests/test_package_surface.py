@@ -149,4 +149,4 @@ def test_readme_api_block_gives_the_values_its_comments_state():
             exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
     lemma = values.pop(3)  # per-block simple counts: no value stated
     assert type(lemma).__name__ == "LemmaReport" and lemma.label == "A1"
-    assert values == [276595200, (4, 2), True, True, (1, 2, 2, 2, 1), 48, 2, None, 81]
+    assert values == [276595200, (4, 2), True, (0, 1), (1, 2, 2, 2, 1), 48, 2, None, 81]

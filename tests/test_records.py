@@ -34,7 +34,6 @@ from lielocal.degeneration import (
     AbelianLGroup,
     DegenerationIsomorphism,
     DGReport,
-    IsomorphismCertificate,
     RadicalSection,
     TruncatedAlgebra,
     build_isomorphism,
@@ -52,26 +51,25 @@ FIELDS = {
     CycloFactorization: "label rank qpower exponents factor_pairs",
     TwistedClass: "members word twisted",
     RegularReport: "d witness witness_word eigenspace_dim centralizer_order",
-    LeviData: "label d eigenspace_dim witness_word root_subsystem w_L_order "
+    LeviData: "eigenspace_dim witness_word root_subsystem w_L_order "
               "orthogonal_system w_prime_order",
     SylowReport: "label ell q d nu abelian relative_weyl_order outside_hypotheses levi",
     GarsideNF: "delta_power factors",
-    RegularBraidReport: "label d holds witness_word candidates_checked",
+    RegularBraidReport: "label d witness_word candidates_checked",
     FockMatrix: "n d labels entries",
-    CenterDual: "label q invariants transform_rows",
+    CenterDual: "invariants transform_rows",
     BlockData: "zeta size members",
     BlockReport: "label q center blocks steinberg",
-    LemmaEntry: "zeta formula_count direct_count equal_to_principal criterion",
+    LemmaEntry: "zeta count equal_to_principal criterion",
     LemmaReport: "label q center entries strata",
     AlperinEntry: "subset levi size members",
-    AlperinReport: "label q entries total",
-    KnorrRobinsonReport: "label q head_term chain_terms total",
+    AlperinReport: "label q entries",
+    KnorrRobinsonReport: "label q head_term chain_terms",
     AbelianLGroup: "ell factors e_generators",
     TruncatedAlgebra: "ell moduli",
     RadicalSection: "group images e_order",
-    IsomorphismCertificate: "dim_source dim_target e_order",
-    DegenerationIsomorphism: "group algebra section certificate",
-    DGReport: "ell factors degree_bound h0_dims truncated_dims nonzero_cohomology complete",
+    DegenerationIsomorphism: "section",
+    DGReport: "ell factors degree_bound h0_dims complete",
 }
 
 
@@ -82,15 +80,16 @@ def _records() -> list:
     blocks = block_partition(datum, 2)
     lemma = lemma_counts(datum, 2)
     alperin = alperin_weights(datum, 2)
-    iso = build_isomorphism(AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,)))
+    p = AbelianLGroup(ell=3, factors=((1, 2),), e_generators=(SWAP_2,))
+    iso = build_isomorphism(p)
     return [
         datum, generic_order(datum), group.f_conjugacy_classes()[1],
         group.regular_elements(3), sylow.levi, sylow, garside_nf(group.ctx, (0, 1, 0)),
         verify_regular_braid_identity(datum, 3), llt_canonical_basis(3, 2),
         blocks.center, blocks.blocks[0], blocks, lemma.entries[0], lemma,
         alperin.entries[0], alperin, knorr_robinson_sum(datum, 2),
-        iso.group, iso.algebra, iso.section, iso.certificate, iso,
-        dg_cohomology_check(iso.group, 6),
+        p, TruncatedAlgebra.of_group(p), iso.section, iso,
+        dg_cohomology_check(p, 6),
     ]
 
 

@@ -222,3 +222,22 @@ class TestFromCartan:
         # caches keyed by label would answer for the built-in type
         with pytest.raises(UnsupportedTypeError, match="names a built-in type"):
             from_cartan(label, cartan_matrix(family, int(label[-1])), phi)
+
+    @pytest.mark.parametrize("cartan,phi,message", [
+        ([[2, -1], [-1, 2]], (0, 0), "phi is not a permutation"),
+        ([[2, -1], [-1, 2]], (0,), "phi is not a permutation"),
+        ([[2, -1], [-1, 2]], (0, 1, 2), "phi is not a permutation"),
+        ([[2, -1], [-1, 3]], None, r"cartan\[1\]\[1\] != 2"),
+        ([[2, 1], [1, 2]], None, "positive off-diagonal"),
+        ([[2, -1], [0, 2]], None, "asymmetric Cartan zero pattern"),
+        ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], None, "not symmetrizable"),
+        (cartan_matrix("A", 3), (1, 0, 2), "phi does not preserve"),
+        ([[2, -1]], None, "not square"),
+        ([[2.0, -1], [-1, 2]], None, "must hold integers"),
+        ([[2, -1.5], [-1, 2]], None, "must hold integers"),
+        ([[2, -1], [-1, 2]], (0.0, 1), "must hold integers"),
+    ])
+    def test_malformed_input_is_bad_input(self, cartan, phi, message):
+        # exit 1 in the CLI's terms, not the exit-2 "bug detected" category
+        with pytest.raises(UnsupportedTypeError, match=message):
+            from_cartan("X", cartan, phi)
