@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import check
 from .cyclotomic import poly_mul
 from .root_datum import RootDatum, cartan_matrix, gl_rank, parse_label, split_degrees
-from .weyl import ReflectionContext, generate_weyl
+from .weyl import ReflectionContext, generate_weyl, orbit_chain_poincare
 
 
 # ---------------------------------------------------------------------------
@@ -162,37 +162,13 @@ def verify_regular_braid_identity(datum: RootDatum, d: int) -> RegularBraidRepor
 # Poincaré polynomials: the degree product, checked by a parabolic orbit chain
 
 
-def _orbit_chain_poincare(cartan) -> tuple[int, ...]:
-    """Poincaré polynomial of the Weyl group of a Cartan matrix, read from
-    the matrix alone (Humphreys, Reflection Groups and Coxeter Groups, 1990,
-    sections 1.10-1.11).
-
-    Let W_j be generated by the nodes 0..j.  Its minimal coset
-    representatives modulo W_{j-1} are in bijection with the orbit
-    W_j·omega_j, so P_{W_j} = P_{W_{j-1}} · sum_{lambda in W_j·omega_j}
-    x^{l(lambda)}.  s_i raises the length of a representative by one exactly
-    when lambda_i > 0, so the orbit is walked level by level along such
-    steps, and the level of a weight is its length.
-    """
-    out = [1]
-    for j in range(len(cartan)):
-        level = {tuple(int(k == j) for k in range(j + 1))}
-        sizes = []
-        while level:
-            sizes.append(len(level))
-            level = {tuple(lam[k] - lam[i] * cartan[k][i] for k in range(j + 1))
-                     for lam in level for i in range(j + 1) if lam[i] > 0}
-        out = poly_mul(out, sizes)
-    return tuple(out)
-
-
 def hecke_poincare(label: str) -> tuple[int, ...]:
     """Poincaré polynomial sum_w x^{l(w)} of the Weyl group of the label, as
     its coefficients, constant term first.
 
     Computed from the degree product formula prod_i [d_i]_x, and checked
-    against the parabolic orbit chain of the Cartan matrix, which uses no
-    degree table.  GL_n has the Weyl group of A_{n-1}.
+    against :func:`~lielocal.weyl.orbit_chain_poincare` of the Cartan
+    matrix, which uses no degree table.  GL_n has the Weyl group of A_{n-1}.
     """
     n = gl_rank(label)
     if n is not None:
@@ -201,6 +177,6 @@ def hecke_poincare(label: str) -> tuple[int, ...]:
         _, family, rank = parse_label(label)
     from_degrees = tuple(reduce(
         poly_mul, ([1] * d for d in split_degrees(family, rank)), [1]))
-    check(from_degrees == _orbit_chain_poincare(cartan_matrix(family, rank)),
+    check(from_degrees == orbit_chain_poincare(cartan_matrix(family, rank)),
           f"degree product and parabolic orbit chain disagree for {label}")
     return from_degrees

@@ -149,8 +149,9 @@ def closure(seeds, generators, act, guard: int | None = None) -> set:
     every g in ``generators``, found breadth first.  Raises GuardExceeded
     once the set holds more than ``guard`` elements.
 
-    ``WeylGroup.__init__`` and ``root_datum._reflection_closure`` keep their
-    own loops: they record words and coroots in BFS order."""
+    ``WeylGroup.__init__``, ``root_datum._reflection_closure`` and
+    ``weyl.orbit_chain_poincare`` keep their own loops: they record words,
+    coroots and orbit sizes in BFS order."""
     out = set(seeds)
     frontier = list(out)
     while frontier:

@@ -341,11 +341,13 @@ def from_cartan(label: str, cartan, phi=None) -> RootDatum:
     """Datum from an explicit Cartan matrix (e.g. reducible A1 x A1) with an
     optional automorphism; validated like the built-in types.  A matrix that
     is not a symmetrizable Cartan matrix of finite type, a phi that is not a
-    permutation preserving it, and a label that names a built-in type with
-    other data (caches keyed by label answer for the built-in type) raise
-    UnsupportedTypeError: they are bad input, not a bug."""
+    permutation preserving it, a built-in label with other data, and a label
+    GL<n> (label-keyed routes answer for the built-in type, or for S_n)
+    raise UnsupportedTypeError: they are bad input, not a bug."""
     n = len(cartan)
     phi = tuple(range(n)) if phi is None else tuple(phi)
+    if (gl := gl_rank(label)) is not None:  # a GL label out of range raises too
+        raise UnsupportedTypeError(f"{label!r} names GL_{gl}, whose Weyl group is S_{gl}")
     try:
         prefix, rank = _prefix_and_rank(label)
     except UnsupportedTypeError:

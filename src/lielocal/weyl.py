@@ -33,8 +33,10 @@ The same machinery drives both the crystallographic groups coming from a
 Z^n (GL mode), via :class:`ReflectionContext`.
 
 The permutation context works without enumerating the group, so the braid
-module can handle E_7/E_8 word problems; full enumeration is guarded at 10^6
-elements and refuses those types.
+module can handle E_7/E_8 word problems.  Every context knows |W|: n! for
+S_n, and for a root datum the value at 1 of :func:`orbit_chain_poincare`.
+Enumeration is guarded at 10^6 elements, so E_7, E_8 and any larger datum
+are refused before it starts.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from array import array
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, NamedTuple
 
-from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix
+from .cyclotomic import cyclo_rref, euler_phi, phi_d_matrix, poly_mul
 from .errors import GuardExceeded, InvariantError, UnsupportedTypeError, check
 from .linalg import closure, identity, mat_mul, mat_vec, rank
-from .root_datum import RootDatum, parse_label, split_degrees
+from .root_datum import ALL_LABELS, RootDatum
 
 WEYL_GUARD = 10**6
 
@@ -61,20 +63,17 @@ class ReflectionContext:
     """A finite reflection action given by generator matrices and the root
     vectors they permute.  Provides permutation arithmetic on signed roots
     without enumerating the group.  A permutation is ``bytes`` of length 2N,
-    so at most 256 signed roots are supported; only a reducible
-    :func:`~lielocal.root_datum.from_cartan` datum can exceed that."""
+    so at most 256 signed roots are supported; :func:`context_from_datum`
+    and :func:`gl_context` refuse more before they size the group."""
 
     def __init__(self, label: str, gen_matrices, pos_root_vectors,
-                 coroot_functionals, phi_matrix, predicted_order: int | None):
+                 coroot_functionals, phi_matrix, predicted_order: int):
         self.label = label
         self.dim = len(gen_matrices[0]) if gen_matrices else len(phi_matrix)
         self.n_gens = len(gen_matrices)
         self.gen_matrices = [tuple(tuple(row) for row in m) for m in gen_matrices]
         self.pos_roots = [tuple(v) for v in pos_root_vectors]
         self.N = len(self.pos_roots)
-        if 2 * self.N > 256:
-            raise UnsupportedTypeError(
-                f"{label} has {2 * self.N} signed roots; permutations hold at most 256")
         # compose() pads p to a full translate table; is_negative maps a
         # signed-root index to 1 exactly when it names a negative root
         self._pad = bytes(range(2 * self.N, 256))
@@ -155,7 +154,18 @@ class ReflectionContext:
         return sum(a * b for a, b in zip(self.pos_roots[k], self.coroots[j]))
 
 
+def _refuse_past_256(label: str, signed_roots: int) -> None:
+    """Refuse more signed roots than a ``bytes`` permutation holds.  Only a
+    from_cartan datum or GL_n with n >= 17 has more; it is refused before
+    the group is sized, as the orbit chain of such a B_n or D_n would walk
+    its 2^n or 2^(n-1) spin weights."""
+    if signed_roots > 256:
+        raise UnsupportedTypeError(
+            f"{label} has {signed_roots} signed roots; permutations hold at most 256")
+
+
 def context_from_datum(datum: RootDatum) -> ReflectionContext:
+    _refuse_past_256(datum.label, 2 * datum.N)
     roots_w = [datum.root_weight_coords(r) for r in datum.pos_roots]
     order = [i for i, _ in sorted(enumerate(datum.pos_roots),
                                   key=lambda t: (sum(t[1]), tuple(-x for x in t[1])))]
@@ -167,7 +177,7 @@ def context_from_datum(datum: RootDatum) -> ReflectionContext:
         pos_root_vectors=roots_sorted,
         coroot_functionals=coroots_sorted,
         phi_matrix=datum.phi_matrix(),
-        predicted_order=predicted_weyl_order(datum.label),
+        predicted_order=sum(orbit_chain_poincare(datum.cartan)),
     )
 
 
@@ -175,6 +185,7 @@ def gl_context(n: int) -> ReflectionContext:
     """S_n acting on Z^n with roots e_i - e_j (GL mode)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _refuse_past_256(f"GL{n}", n * (n - 1))
     simples = []
     others = []
     for i in range(n):
@@ -200,14 +211,28 @@ def gl_context(n: int) -> ReflectionContext:
     )
 
 
-def predicted_weyl_order(label: str) -> int | None:
-    """|W| = prod of the reflection degrees, or None for a label that names
-    no supported type (such as from_cartan's "A1xA1")."""
-    try:
-        _, family, n = parse_label(label)
-    except UnsupportedTypeError:
-        return None
-    return math.prod(split_degrees(family, n))
+def orbit_chain_poincare(cartan) -> tuple[int, ...]:
+    """Poincaré polynomial of the Weyl group of a Cartan matrix, read from
+    the matrix alone (Humphreys, Reflection Groups and Coxeter Groups, 1990,
+    sections 1.10-1.11).
+
+    Let W_j be generated by the nodes 0..j.  Its minimal coset
+    representatives modulo W_{j-1} are in bijection with the orbit
+    W_j·omega_j, so P_{W_j} = P_{W_{j-1}} · sum_{lambda in W_j·omega_j}
+    x^{l(lambda)}.  s_i raises the length of a representative by one exactly
+    when lambda_i > 0, so the orbit is walked level by level along such
+    steps, and the level of a weight is its length.
+    """
+    out = [1]
+    for j in range(len(cartan)):
+        level = {tuple(int(k == j) for k in range(j + 1))}
+        sizes = []
+        while level:
+            sizes.append(len(level))
+            level = {tuple(lam[k] - lam[i] * cartan[k][i] for k in range(j + 1))
+                     for lam in level for i in range(j + 1) if lam[i] > 0}
+        out = poly_mul(out, sizes)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +303,17 @@ class WeylGroup:
     The BFS walks one length at a time.  An ascent w·s_i of an element of
     length k has length k + 1, so it can only equal an element of the next
     length, and permutations, with their dict to indices, are kept for that
-    length alone."""
+    length alone.  The context's order is checked against WEYL_GUARD before
+    any element is listed, the columns are allocated at that size, and the
+    enumeration must fill them exactly."""
 
     def __init__(self, ctx: ReflectionContext):
-        if ctx.predicted_order is not None and ctx.predicted_order > WEYL_GUARD:
+        size = ctx.predicted_order
+        if size > WEYL_GUARD:
             raise GuardExceeded(f"Weyl group of {ctx.label} has order "
-                                f"{ctx.predicted_order} > guard {WEYL_GUARD}")
+                                f"{size} > guard {WEYL_GUARD}")
         self.ctx = ctx
         N, length, pad = ctx.N, ctx.length, ctx._pad
-        # grown by doubling past the classical order, then cut to |W|
-        size = ctx.predicted_order or 1
         right = [array("i", [-1]) * size for _ in range(ctx.n_gens)]
         gens = list(zip(range(ctx.n_gens), ctx.gen_perms, right))
         last = bytearray(1)  # the identity's word is empty: last[0] is unused
@@ -303,13 +329,9 @@ class WeylGroup:
                         ws = upper.get(p)
                         if ws is None:
                             ws = len(last)
-                            if ws >= WEYL_GUARD:
-                                raise GuardExceeded(
-                                    f"enumeration of {ctx.label} exceeded guard {WEYL_GUARD}")
                             if ws == size:
-                                for c in right:
-                                    c.extend(array("i", [-1]) * size)
-                                size *= 2
+                                raise InvariantError(
+                                    f"enumeration of {ctx.label} passed its order {size}")
                             upper[p] = ws
                             last.append(i)
                         # s_i is an involution: (w s_i) s_i = w
@@ -318,15 +340,10 @@ class WeylGroup:
             start += len(level)
             depth += 1
             level = upper
-        count = len(last)
-        if ctx.predicted_order is not None:
-            check(count == ctx.predicted_order,
-                  f"enumerated {count} elements, classical order {ctx.predicted_order}")
-        for col in right:
-            del col[count:]
+        check(len(last) == size, f"enumerated {len(last)} elements, classical order {size}")
         # every descent w s_i < w was set as the ascent of the shorter w s_i
         check(all(-1 not in col for col in right), "right multiplication table has holes")
-        self.elements = range(count)
+        self.elements = range(size)
         self.last = last
         self.right = right
         self._dims: dict[int, array] = {}  # d -> phi_d_dimensions(d)
@@ -575,8 +592,10 @@ def _group_of_label(label: str) -> WeylGroup:
 
 
 def generate_weyl(datum: RootDatum) -> WeylGroup:
-    """Enumerate the Weyl group of a root datum (guarded by WEYL_GUARD)."""
-    if datum.label and predicted_weyl_order(datum.label) is not None:
+    """Enumerate the Weyl group of a root datum, refused up front past
+    WEYL_GUARD; cached by label for a built-in type, since ``from_cartan``
+    refuses other data under such a label."""
+    if datum.label in ALL_LABELS:
         return _group_of_label(datum.label)
     return WeylGroup(context_from_datum(datum))
 

@@ -25,14 +25,14 @@ import lielocal.braid_hecke
 from lielocal import cli
 from lielocal.braid_hecke import (
     GarsideNF,
-    _orbit_chain_poincare,
     garside_nf,
     hecke_poincare,
     verify_regular_braid_identity,
 )
 from lielocal.errors import InvariantError
 from lielocal.root_datum import ALL_LABELS as EVERY_LABEL, cached_datum, cartan_matrix, labels_of_rank
-from lielocal.weyl import context_from_datum, generate_weyl, gl_context, gl_weyl
+from lielocal.weyl import (context_from_datum, generate_weyl, gl_context, gl_weyl,
+                           orbit_chain_poincare)
 
 ALL_LABELS = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
@@ -445,18 +445,27 @@ def test_orbit_chain_matches_enumeration(label):
         cartan, group = cartan_matrix("A", n - 1), gl_weyl(n)
     else:
         cartan, group = cached_datum(label).cartan, generate_weyl(cached_datum(label))
-    assert _orbit_chain_poincare(cartan) == tuple(poincare_polynomial(group))
+    assert orbit_chain_poincare(cartan) == tuple(poincare_polynomial(group))
 
 
 def test_every_label_is_checked_by_the_orbit_chain(monkeypatch):
     calls = []
-    real = lielocal.braid_hecke._orbit_chain_poincare
-    monkeypatch.setattr(lielocal.braid_hecke, "_orbit_chain_poincare",
+    real = lielocal.braid_hecke.orbit_chain_poincare
+    monkeypatch.setattr(lielocal.braid_hecke, "orbit_chain_poincare",
                         lambda cartan: calls.append(cartan) or real(cartan))
     labels = list(EVERY_LABEL) + [f"GL{n}" for n in range(1, 10)]
     for label in labels:
         hecke_poincare(label)
     assert len(calls) == len(labels)
+
+
+@pytest.mark.parametrize("label", ["E8", "GL5"])
+def test_tampered_orbit_chain_is_caught(label, monkeypatch):
+    real = lielocal.braid_hecke.orbit_chain_poincare
+    monkeypatch.setattr(lielocal.braid_hecke, "orbit_chain_poincare",
+                        lambda cartan: real(cartan) + (1,))
+    with pytest.raises(InvariantError, match="orbit chain disagree"):
+        hecke_poincare(label)
 
 
 @pytest.mark.parametrize("label, wrong", [

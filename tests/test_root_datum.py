@@ -223,6 +223,13 @@ class TestFromCartan:
         with pytest.raises(UnsupportedTypeError, match="names a built-in type"):
             from_cartan(label, cartan_matrix(family, int(label[-1])), phi)
 
+    @pytest.mark.parametrize("label", [f"GL{n}" for n in range(1, 10)])
+    def test_gl_label_is_refused(self, label):
+        # hecke_poincare and the CLI answer for S_n under a GL label, so an
+        # A1 x A1 matrix named GL3 would give a 4-element group they contradict
+        with pytest.raises(UnsupportedTypeError, match=f"names {label[:2]}_{label[2:]}"):
+            from_cartan(label, [[2, 0], [0, 2]])
+
     @pytest.mark.parametrize("cartan,phi,message", [
         ([[2, -1], [-1, 2]], (0, 0), "phi is not a permutation"),
         ([[2, -1], [-1, 2]], (0,), "phi is not a permutation"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 from array import array
 from functools import lru_cache, reduce
@@ -25,8 +26,8 @@ from lielocal.ell_local import sylow_structure
 from lielocal.generic_order import factor_pairs_for
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.linalg import closure, identity, mat_mul, rank
-from lielocal.root_datum import (build_root_datum, cached_datum, from_cartan, labels_of_rank,
-                                 parse_label, split_degrees)
+from lielocal.root_datum import (build_root_datum, cached_datum, cartan_matrix, from_cartan,
+                                 labels_of_rank, parse_label, split_degrees)
 from lielocal.weyl import (
     ReflectionContext,
     TwistedClass,
@@ -35,7 +36,6 @@ from lielocal.weyl import (
     generate_weyl,
     gl_context,
     gl_weyl,
-    predicted_weyl_order,
 )
 
 
@@ -67,7 +67,30 @@ class TestEnumeration:
         for label in ("E7", "E8"):
             with pytest.raises(GuardExceeded) as exc:
                 generate_weyl(build_root_datum(label))
-            assert str(predicted_weyl_order(label)) in str(exc.value)
+            order = math.prod(split_degrees("E", int(label[1])))
+            assert f"order {order} > guard" in str(exc.value)
+
+    def test_guard_refuses_a_large_unlabelled_datum_up_front(self):
+        # |W| = 2^20 is read off the Cartan matrix, so no element is listed
+        cartan = [[2 * (i == j) for j in range(20)] for i in range(20)]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(GuardExceeded, match="order 1048576 > guard"):
+                generate_weyl(from_cartan("A1x20", cartan))
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.5
+        assert peak < 1 << 20
+
+    def test_built_in_labels_are_cached_and_other_data_are_not(self):
+        assert generate_weyl(build_root_datum("B3")) is generate_weyl(cached_datum("B3"))
+        datum = from_cartan("A1xB2", [[2, 0, 0], [0, 2, -1], [0, -2, 2]])
+        first, second = generate_weyl(datum), generate_weyl(datum)
+        assert first is not second
+        assert len(first) == len(second) == 16
 
     def test_lex_least_words(self):
         w = group("A2")
@@ -631,7 +654,8 @@ def test_integer_eigenspaces_match_the_fraction_oracle(label):
 # signed-root permutations, and the table entries recomputed by composition.
 
 TABLE_LABELS = labels_of_rank(4) + ["2D5", "GL1", "GL4"]
-BFS_LABELS = ([label for label in labels_of_rank(6) if predicted_weyl_order(label) <= 60000]
+BFS_LABELS = ([label for label in labels_of_rank(6)
+               if math.prod(split_degrees(*parse_label(label)[1:])) <= 60000]
               + [f"GL{n}" for n in range(1, 9)])
 
 
@@ -700,13 +724,18 @@ class TestLookupTables:
         assert list(w.inverses) == inverses
 
     def test_wrong_classical_order_is_caught(self):
-        # too large leaves preallocated table entries unfilled; too small
-        # makes the table grow past it
-        for order in (5, 7):
-            ctx = context_from_datum(build_root_datum("A2"))
-            ctx.predicted_order = order
-            with pytest.raises(InvariantError, match=f"6 elements, classical order {order}"):
-                WeylGroup(ctx)
+        # too small: the enumeration passes the preallocated columns, an
+        # InvariantError and never an IndexError; too large: it leaves them
+        # unfilled.  A from_cartan datum is checked like a built-in type.
+        a1xa2 = from_cartan("A1xA2", [[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+        for datum, order in ((build_root_datum("A2"), 6), (a1xa2, 12)):
+            for wrong, message in ((order - 1, f"passed its order {order - 1}"),
+                                   (order + 1, f"{order} elements, classical order {order + 1}")):
+                ctx = context_from_datum(datum)
+                assert ctx.predicted_order == order
+                ctx.predicted_order = wrong
+                with pytest.raises(InvariantError, match=message):
+                    WeylGroup(ctx)
 
     def test_a_non_simple_generator_is_caught(self):
         # s_1 replaced by the reflection s_0 s_1 s_0 of A2: its ascents from
@@ -758,13 +787,14 @@ class TestLookupTables:
         assert live <= (4 * ctx.n_gens + 16) * len(w) + 64 * 1024
 
     def test_guard_counts_enumerated_elements(self, monkeypatch):
-        # an unlabelled Cartan datum has no classical order to refuse up front
+        # an unlabelled Cartan datum is sized by its orbit chain and refused
+        # up front, like a built-in type
         ctx = context_from_datum(from_cartan("A1xA1", [[2, 0], [0, 2]]))
-        assert ctx.predicted_order is None
+        assert ctx.predicted_order == 4
         monkeypatch.setattr(lielocal.weyl, "WEYL_GUARD", 4)
         assert len(WeylGroup(ctx)) == 4
         monkeypatch.setattr(lielocal.weyl, "WEYL_GUARD", 3)
-        with pytest.raises(GuardExceeded, match="exceeded guard 3"):
+        with pytest.raises(GuardExceeded, match="order 4 > guard 3"):
             WeylGroup(ctx)
 
     def test_more_than_256_signed_roots_refused(self):
@@ -774,6 +804,15 @@ class TestLookupTables:
         assert 2 * datum.N == 480
         with pytest.raises(UnsupportedTypeError, match="480 signed roots"):
             context_from_datum(datum)
+        # refused before sizing: the orbit chain of B20 would walk its 2^20
+        # spin weights
+        datum = from_cartan("X", cartan_matrix("B", 20))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedTypeError, match="X has 800 signed roots"):
+            generate_weyl(datum)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(UnsupportedTypeError, match="GL17 has 272 signed roots"):
+            gl_weyl(17)
 
     @settings(derandomize=True)
     @given(st.data())
