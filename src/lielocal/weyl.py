@@ -469,16 +469,16 @@ class WeylGroup:
     def phi_d_dimensions(self, d: int) -> array:
         """dim over Q(zeta_d) of the zeta_d-eigenspace of w·phi, for every w
         (computed as dim_Q ker Phi_d(w phi) / phi(d)), one signed byte per
-        element.  The dimension is an F-class function, since
-        v^{-1} w phi(v)·phi = v^{-1}(w phi)v, so one rank is taken per class
-        of :meth:`f_conjugacy_classes` and copied to its members."""
+        element.  If zeta_d is an eigenvalue of a rational n x n matrix, its
+        minimal polynomial Phi_d divides the characteristic one, so phi(d) <= n;
+        any other d gets zeros, neither ranked nor kept.  Otherwise the
+        dimension is an F-class function, as v^{-1} w phi(v)·phi = v^{-1}(w phi)v:
+        one rank per class of :meth:`f_conjugacy_classes`, copied and kept."""
         n = self.ctx.dim
-        # a zeta_d-eigenvalue of an n x n rational matrix needs phi(d) <= n,
-        # and phi(d) >= sqrt(d/2), so past 2n^2 all are 0, and not cached
-        if d > 2 * n * n:
+        # phi(d) >= sqrt(d/2), so d > 2n^2 gets zeros before Phi_d is built
+        if d > 2 * n * n or (deg := euler_phi(d)) > n:
             return array("b", [0]) * len(self)
         if d not in self._dims:
-            deg = euler_phi(d)
             dims = self._dims[d] = array("b", [0]) * len(self)
             for cls in self.f_conjugacy_classes():
                 dim_q = n - rank(phi_d_matrix(self._twisted_matrix(cls.representative), d))

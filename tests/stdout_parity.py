@@ -18,7 +18,8 @@ of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and
 (4, 7), ``hecke poincare``, ``order L`` and ``order L --q 4 --ell 5``
 for every label L of ``ALL_LABELS`` and GL1-GL9, the Weyl guard's refusals
 of E7 and E8 (``weyl classes``, ``weyl regular --d 2``, ``sylow --q 2
---ell 5`` and ``braid verify-regular --d 2``),
+--ell 5`` and ``braid verify-regular --d 2``), ``weyl regular`` and
+``braid verify-regular`` for A2, D5 and GL4 at d = 0, -3 and 10^20,
 ``llt --n N --d D`` for every N <= 10 and D from 2 to 5, in JSON, with
 ``--csv`` and with ``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and
 with ``--csv``, ``degenerate --ell ELL --factors F`` for ELL in 2, 3, 5
@@ -27,7 +28,7 @@ groups of ``DEGENERATE_E`` (generators that are not symmetric matrices,
 written to a temporary directory), and ``blocks``, ``alperin`` and
 ``kr-sum`` for every label of rank <= 3 and A4, 2A4, D4, 3D4, 2D4, B4, F4
 at every prime power q <= 9.  The list is built from CHANGE_SRC.  Both
-children run at once; the 1,925 argv took about 35-60 s on a 2-CPU machine.
+children run at once; the 1,943 argv took about 35-60 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -120,6 +121,10 @@ def argv_list(src: str, tmp: str) -> list[list[str]]:
         queries += [["weyl", "classes", label], ["weyl", "regular", label, "--d", "2"],
                     ["sylow", label, "--q", "2", "--ell", "5"],
                     ["braid", "verify-regular", label, "--d", "2"]]
+    for label in ("A2", "D5", "GL4"):
+        for d in ("0", "-3", str(10**20)):
+            queries += [["weyl", "regular", label, "--d", d],
+                        ["braid", "verify-regular", label, "--d", d]]
     for n in range(11):
         for d in range(2, 6):
             for style in ([], ["--csv"], ["--at-1"]):

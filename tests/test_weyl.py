@@ -372,12 +372,31 @@ class TestPerClassRoute:
         for d in divisors_of_degrees(label):
             assert list(w.phi_d_dimensions(d)) == per_element_dims(w, d), d
 
-    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "2A2", "GL3"])
+    @pytest.mark.parametrize("label", labels_of_rank(3) + [f"GL{n}" for n in range(1, 5)])
     def test_phi_d_dimensions_past_the_totient_bound(self, label):
+        # every d on both sides of phi(d) <= n and of d <= 2n^2: the per-element
+        # ranks are taken at every d, where the group ranks only at phi(d) <= n
         w = oracle_group(label)
-        bound = 2 * w.ctx.dim ** 2
-        for d in range(bound - 2, bound + 12):
+        for d in range(1, 2 * w.ctx.dim ** 2 + 13):
             assert list(w.phi_d_dimensions(d)) == per_element_dims(w, d), d
+
+    @pytest.mark.parametrize("context,ds", [
+        (lambda: context_from_datum(build_root_datum("B3")), (5, 7, 8, 12)),  # phi(d) = 4, 6
+        (lambda: gl_context(4), (7, 9, 14, 18)),  # phi(d) = 6
+    ], ids=["B3", "GL4"])
+    def test_a_d_past_the_totient_takes_no_rank_and_no_class_walk(self, monkeypatch, context, ds):
+        w = WeylGroup(context())
+
+        def refuse(*args):
+            raise AssertionError("ranked a d with phi(d) > n")
+
+        monkeypatch.setattr(lielocal.weyl, "rank", refuse)
+        monkeypatch.setattr(lielocal.weyl, "phi_d_matrix", refuse)
+        for d in ds:
+            assert euler_phi(d) > w.ctx.dim
+            assert list(w.phi_d_dimensions(d)) == [0] * len(w), d
+        assert "_partition" not in vars(w)
+        assert not w._dims
 
     def test_huge_d_builds_no_cyclotomic_polynomial(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("A2")))
@@ -404,9 +423,9 @@ class TestPerClassRoute:
         assert grown < 16 * 1024, grown
 
     def test_kept_dimensions_take_one_byte_per_element(self):
-        # every d <= 2n^2 is kept, at one byte per element: the 98 answers on
-        # the 5,040 elements of S_7 fit in 1 MiB, where lists of Python ints
-        # take 3.8 MiB
+        # only the 13 d with phi(d) <= n of the 98 d <= 2n^2 are kept, each at
+        # one byte per element of S_7's 5,040; as 13 lists of Python ints
+        # would fit in 1 MiB too, the type code is checked as well
         w = gl_weyl(7)
         w.f_conjugacy_classes()
         tracemalloc.start()
@@ -418,6 +437,8 @@ class TestPerClassRoute:
         finally:
             tracemalloc.stop()
         assert grown < 1024 * 1024, grown
+        assert sorted(w._dims) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18]
+        assert {dims.typecode for dims in w._dims.values()} == {"b"}
 
     def test_one_rank_per_class(self, monkeypatch):
         w = WeylGroup(context_from_datum(build_root_datum("B3")))
