@@ -149,9 +149,10 @@ def closure(seeds, generators, act, guard: int | None = None) -> set:
     every g in ``generators``, found breadth first.  Raises GuardExceeded
     once the set holds more than ``guard`` elements.
 
-    ``WeylGroup.__init__``, ``root_datum._reflection_closure`` and
-    ``weyl.orbit_chain_poincare`` keep their own loops: they record words,
-    coroots and orbit sizes in BFS order."""
+    ``WeylGroup.__init__`` and ``weyl.orbit_chain_poincare`` keep their own
+    loops: they record words and orbit sizes in BFS order.  So does
+    ``root_datum._reflection_closure``, for speed: closing root-coroot pairs
+    here made ``build_root_datum("E8")`` about 5% slower."""
     out = set(seeds)
     frontier = list(out)
     while frontier:

@@ -213,7 +213,8 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
 
 
 class RootDatum(NamedTuple):
-    """Immutable simply connected root datum with twist."""
+    """Immutable simply connected root datum with twist; ``pos_roots`` are in
+    the order of :func:`_reflection_closure`, the simple roots first."""
 
     label: str
     rank: int
@@ -247,14 +248,6 @@ class RootDatum(NamedTuple):
         return tuple(sum(self.cartan[i][j] * root[j] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def reflection_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of s_i on X (columns = images of fundamental weights)."""
-        n = self.rank
-        m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for r in range(n):
-            m[r][i] -= self.cartan[r][i]
-        return m
-
     def phi_matrix(self) -> list[list[int]]:
         """Matrix of phi on X: omega_i -> omega_{phi(i)}."""
         n = self.rank
@@ -266,7 +259,8 @@ class RootDatum(NamedTuple):
 
 def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """All positive roots (simple-root coords) and coroots (simple-coroot
-    coords), via closure under simple reflections; sorted by (height, coords)."""
+    coords), via closure under simple reflections; sorted by (height,
+    -coords), so the simple roots come first, in node order."""
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {s: s for s in simple}
@@ -292,7 +286,7 @@ def _reflection_closure(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, 
                     if not all(x <= 0 for x in new_root):
                         raise InvariantError("reflection left +-Phi")
         frontier = new_frontier
-    roots = sorted(seen, key=lambda r: (sum(r), r))
+    roots = sorted(seen, key=lambda r: (sum(r), tuple(-x for x in r)))
     return roots, [seen[r] for r in roots]
 
 

@@ -30,7 +30,8 @@ every simple i, with v·alpha_i^vee the coroot of the signed root v·alpha_i.
 
 The same machinery drives both the crystallographic groups coming from a
 :class:`~lielocal.root_datum.RootDatum` and the symmetric group S_n acting on
-Z^n (GL mode), via :class:`ReflectionContext`.
+Z^n (GL mode), via a :class:`ReflectionContext` built from the positive roots
+and coroots alone, simple roots first: s_i is 1 - alpha_i⊗alpha_i^vee.
 
 The permutation context works without enumerating the group, so the braid
 module can handle E_7/E_8 word problems.  Every context knows |W|: n! for
@@ -60,18 +61,19 @@ WEYL_GUARD = 10**6
 
 
 class ReflectionContext:
-    """A finite reflection action given by generator matrices and the root
-    vectors they permute.  Provides permutation arithmetic on signed roots
-    without enumerating the group.  A permutation is ``bytes`` of length 2N,
-    so at most 256 signed roots are supported; :func:`context_from_datum`
-    and :func:`gl_context` refuse more before they size the group."""
+    """A finite reflection action given by its positive roots and their
+    coroots, the first n_gens of them simple: each root beta acts by
+    s_beta = 1 - beta⊗beta^vee.  Provides permutation arithmetic on signed
+    roots without enumerating the group.  A permutation is ``bytes`` of
+    length 2N, so at most 256 signed roots are supported;
+    :func:`context_from_datum` and :func:`gl_context` refuse more before they
+    size the group."""
 
-    def __init__(self, label: str, gen_matrices, pos_root_vectors,
+    def __init__(self, label: str, n_gens: int, pos_root_vectors,
                  coroot_functionals, phi_matrix, predicted_order: int):
         self.label = label
-        self.dim = len(gen_matrices[0]) if gen_matrices else len(phi_matrix)
-        self.n_gens = len(gen_matrices)
-        self.gen_matrices = [tuple(tuple(row) for row in m) for m in gen_matrices]
+        self.dim = len(phi_matrix)
+        self.n_gens = n_gens
         self.pos_roots = [tuple(v) for v in pos_root_vectors]
         self.N = len(self.pos_roots)
         # compose() pads p to a full translate table; is_negative maps a
@@ -82,11 +84,13 @@ class ReflectionContext:
         self.phi_mat = tuple(tuple(row) for row in phi_matrix)
         self.predicted_order = predicted_order
         self._index = {self._signed_vector(k): k for k in range(2 * self.N)}
-        # right_descents reads where w sends the i-th SIMPLE root, so the
-        # simple roots must be the first n_gens entries of pos_roots
-        check(all(self._index[self.pos_roots[i]] == i for i in range(self.n_gens)),
-              "simple roots are not listed first")
+        self.gen_matrices = [self._reflection_matrix(i) for i in range(n_gens)]
         self.gen_perms = [self._perm_of_matrix(m) for m in self.gen_matrices]
+        # right_descents reads where w sends the i-th SIMPLE root, so root i
+        # must be simple: s_i sends it, and no other positive root, negative
+        check(all(g[i] == self.N + i and self.length(g) == 1
+                  for i, g in enumerate(self.gen_perms)),
+              "simple roots are not listed first")
         self.gen_tables = [g + self._pad for g in self.gen_perms]  # p.translate: s_i∘p
         self.phi_perm = self._perm_of_matrix(self.phi_mat)
         self.identity_perm = bytes(range(2 * self.N))
@@ -143,11 +147,15 @@ class ReflectionContext:
             raise InvariantError("descent walk did not terminate at the identity")
         return tuple(reversed(word))
 
+    def _reflection_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Matrix of s_beta = 1 - beta⊗beta^vee for the positive root k."""
+        beta, func = self.pos_roots[k], self.coroots[k]
+        return tuple(tuple((r == c) - beta[r] * func[c] for c in range(self.dim))
+                     for r in range(self.dim))
+
     def reflection_perm_of_root(self, root_idx: int) -> bytes:
         """Signed-root permutation of s_beta for a positive root index."""
-        beta, func = self.pos_roots[root_idx], self.coroots[root_idx]
-        return self._perm_of_matrix([[(r == c) - beta[r] * func[c] for c in range(self.dim)]
-                                     for r in range(self.dim)])
+        return self._perm_of_matrix(self._reflection_matrix(root_idx))
 
     def pairing(self, k: int, j: int) -> int:
         """<beta_k, alpha_j^vee> for positive root indices k and j."""
@@ -166,44 +174,28 @@ def _refuse_past_256(label: str, signed_roots: int) -> None:
 
 def context_from_datum(datum: RootDatum) -> ReflectionContext:
     _refuse_past_256(datum.label, 2 * datum.N)
-    roots_w = [datum.root_weight_coords(r) for r in datum.pos_roots]
-    order = [i for i, _ in sorted(enumerate(datum.pos_roots),
-                                  key=lambda t: (sum(t[1]), tuple(-x for x in t[1])))]
-    roots_sorted = [roots_w[i] for i in order]
-    coroots_sorted = [datum.pos_coroots[i] for i in order]
     return ReflectionContext(
         label=datum.label,
-        gen_matrices=[datum.reflection_matrix(i) for i in range(datum.rank)],
-        pos_root_vectors=roots_sorted,
-        coroot_functionals=coroots_sorted,
+        n_gens=datum.rank,
+        pos_root_vectors=[datum.root_weight_coords(r) for r in datum.pos_roots],
+        coroot_functionals=datum.pos_coroots,
         phi_matrix=datum.phi_matrix(),
         predicted_order=sum(orbit_chain_poincare(datum.cartan)),
     )
 
 
 def gl_context(n: int) -> ReflectionContext:
-    """S_n acting on Z^n with roots e_i - e_j (GL mode)."""
+    """S_n acting on Z^n with roots e_i - e_j (GL mode): the simple roots
+    e_i - e_{i+1}, then the others in (i, j) order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _refuse_past_256(f"GL{n}", n * (n - 1))
-    simples = []
-    others = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-            (simples if j == i + 1 else others).append(v)
-    simples.sort(key=lambda v: v.index(1))
-    others.sort(key=lambda v: (v.index(1), v))
-    roots = simples + others
-    gens = []
-    for k in range(n - 1):
-        m = identity(n)
-        m[k][k] = m[k + 1][k + 1] = 0
-        m[k][k + 1] = m[k + 1][k] = 1
-        gens.append(m)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 2, n)]
+    roots = [tuple((k == i) - (k == j) for k in range(n)) for i, j in pairs]
     return ReflectionContext(
         label=f"GL{n}",
-        gen_matrices=gens,
+        n_gens=n - 1,
         pos_root_vectors=roots,
         coroot_functionals=roots,
         phi_matrix=identity(n),

@@ -19,7 +19,9 @@ product and checks it against a parabolic orbit chain), the stratum of one
 weight (the package counts and lists whole strata), a stratum's weights
 built one by one (the package takes one product over the twist-orbits),
 the Knörr–Robinson chain terms from every chain listed (the package runs a
-recursion over orbit bitmasks), and the W-invariant form on roots.  The
+recursion over orbit bitmasks), the W-invariant form on roots, and the
+simple reflections' matrices written out entry by entry (the package takes
+each from its root and coroot as 1 - alpha⊗alpha^vee).  The
 readers invert ``to_json`` so that tests can compare printed output with
 objects.
 """
@@ -33,6 +35,7 @@ from laurent_oracle import Laurent
 
 from lielocal.defining_char import phi_orbits, phi_stable_subsets, stratum_size
 from lielocal.generic_order import CycloFactorization
+from lielocal.root_datum import cached_datum, gl_rank
 
 
 def bfs_enumeration(ctx):
@@ -214,6 +217,19 @@ def root_inner(datum, r1, r2) -> int:
                 if b:
                     total += a * b * datum.symmetrizer[i] * datum.cartan[i][j]
     return total
+
+
+def simple_reflection_matrices(label: str) -> list[list[list[int]]]:
+    """The matrices of the simple reflections s_i: on the weight lattice of
+    a datum, delta_rc - cartan[r][i]·delta_ci (column i is s_i(omega_i) =
+    omega_i - alpha_i); for GL_n, the transposition of coordinates i, i + 1."""
+    n = gl_rank(label)
+    if n is None:
+        cartan = cached_datum(label).cartan
+        return [[[(r == c) - cartan[r][i] * (c == i) for c in range(len(cartan))]
+                 for r in range(len(cartan))] for i in range(len(cartan))]
+    swaps = [{i: i + 1, i + 1: i} for i in range(n - 1)]
+    return [[[int(swap.get(r, r) == c) for c in range(n)] for r in range(n)] for swap in swaps]
 
 
 def laurent_from_json(data) -> Laurent:

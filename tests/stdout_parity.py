@@ -14,11 +14,13 @@ queries of perfbench/workloads.py, ``weyl regular`` and ``braid
 verify-regular`` for every label of rank <= 4 and GL1-GL6 at every d from 1
 to 2 * (largest degree) * (twist order), ``weyl regular`` for every label of
 rank 5 or 6 and GL7 at those d, ``sylow L --q Q --ell ELL`` for the labels
-of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5) and
-(4, 7), ``hecke poincare``, ``order L`` and ``order L --q 4 --ell 5``
-for every label L of ``ALL_LABELS`` and GL1-GL9, the Weyl guard's refusals
-of E7 and E8 (``weyl classes``, ``weyl regular --d 2``, ``sylow --q 2
---ell 5`` and ``braid verify-regular --d 2``), ``weyl regular`` and
+of rank <= 4 and GL1-GL6 at (Q, ELL) in (2, 3), (2, 5), (2, 7), (3, 5),
+(4, 7), (4, 3) and (11, 5) (the last two have d = 1, where ``sylow`` prints
+every positive root in the context's order), ``hecke poincare``, ``order
+L`` and ``order L --q 4 --ell 5`` for every label L of ``ALL_LABELS`` and
+GL1-GL9, the Weyl guard's refusals of E7 and E8 (``weyl classes``,
+``weyl regular --d 2``, ``sylow --q 2 --ell 5`` and ``braid
+verify-regular --d 2``), ``weyl regular`` and
 ``braid verify-regular`` for A2, D5 and GL4 at d = 0, -3 and 10^20,
 ``llt --n N --d D`` for every N <= 10 and D from 2 to 5, in JSON, with
 ``--csv`` and with ``--at-1``, and for N = 11, 12 and D = 2, 3 in JSON and
@@ -28,7 +30,7 @@ groups of ``DEGENERATE_E`` (generators that are not symmetric matrices,
 written to a temporary directory), and ``blocks``, ``alperin`` and
 ``kr-sum`` for every label of rank <= 3 and A4, 2A4, D4, 3D4, 2D4, B4, F4
 at every prime power q <= 9.  The list is built from CHANGE_SRC.  Both
-children run at once; the 1,943 argv took about 35-60 s on a 2-CPU machine.
+children run at once; the 1,995 argv took about 35-60 s on a 2-CPU machine.
 
 This is a tool for checking that a refactor keeps every output; it is not a
 test module, and pytest does not collect it.
@@ -108,7 +110,7 @@ def argv_list(src: str, tmp: str) -> list[list[str]]:
         for d in range(1, top(label) + 1):
             queries.append(["weyl", "regular", label, "--d", str(d)])
             queries.append(["braid", "verify-regular", label, "--d", str(d)])
-        for q, ell in ((2, 3), (2, 5), (2, 7), (3, 5), (4, 7)):
+        for q, ell in ((2, 3), (2, 5), (2, 7), (3, 5), (4, 7), (4, 3), (11, 5)):
             queries.append(["sylow", label, "--q", str(q), "--ell", str(ell)])
     for label in [label for label in labels_of_rank(6) if label not in labels_of_rank(4)] + ["GL7"]:
         for d in range(1, top(label) + 1):

@@ -16,6 +16,7 @@ from lielocal.root_datum import (
     labels_of_rank,
     parse_label,
 )
+from lielocal.weyl import context_from_datum
 
 EXPECTED_N = {
     "A1": 1, "A2": 3, "A3": 6, "A4": 10,
@@ -31,6 +32,13 @@ class TestConstruction:
         datum = build_root_datum(label)
         assert datum.N == n
         assert len(datum.pos_coroots) == n
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_simple_roots_come_first_in_node_order(self, label):
+        datum = build_root_datum(label)
+        units = [tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank)]
+        assert list(datum.pos_roots[:datum.rank]) == units
+        assert list(datum.pos_coroots[:datum.rank]) == units
 
     def test_a1(self):
         datum = build_root_datum("A1")
@@ -159,14 +167,14 @@ class TestGeometry:
         for label in ("A3", "B3", "G2", "2A3"):
             datum = build_root_datum(label)
             for i in range(datum.rank):
-                m = datum.reflection_matrix(i)
+                m = context_from_datum(datum).gen_matrices[i]
                 assert mat_mul(m, m) == identity(datum.rank)
 
     def test_simple_reflection_on_rho(self):
         datum = build_root_datum("A2")
         # s_1(rho) = rho - alpha_1 = (1,1) - (2,-1) = (-1,2)
         from lielocal.linalg import mat_vec
-        assert mat_vec(datum.reflection_matrix(0), (1, 1)) == [-1, 2]
+        assert mat_vec(context_from_datum(datum).gen_matrices[0], (1, 1)) == [-1, 2]
 
     def test_phi_on_weights_and_matrix(self):
         datum = build_root_datum("2A3")

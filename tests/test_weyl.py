@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from laurent_oracle import Laurent, poly_from_coeffs
 from lie_oracle import (bfs_enumeration, centralizer_by_scan, index_of, inverse, longest,
                         multiply, permutations, phi_image, poincare_polynomial,
-                        regular_witnesses_by_scan)
+                        regular_witnesses_by_scan, simple_reflection_matrices)
 
 import lielocal.cyclotomic
 import lielocal.weyl
@@ -26,8 +26,9 @@ from lielocal.ell_local import sylow_structure
 from lielocal.generic_order import factor_pairs_for
 from lielocal.errors import GuardExceeded, InvariantError, UnsupportedTypeError
 from lielocal.linalg import closure, identity, mat_mul, rank
-from lielocal.root_datum import (build_root_datum, cached_datum, cartan_matrix, from_cartan,
-                                 labels_of_rank, parse_label, split_degrees)
+from lielocal.root_datum import (ALL_LABELS, build_root_datum, cached_datum, cartan_matrix,
+                                 from_cartan, gl_rank, labels_of_rank, parse_label,
+                                 split_degrees)
 from lielocal.weyl import (
     ReflectionContext,
     TwistedClass,
@@ -134,11 +135,26 @@ class TestEnumeration:
     def test_twist_must_permute_the_simple_reflections(self):
         # s_1 permutes the roots of A2 but sends alpha_1 to -alpha_1
         ctx = context_from_datum(build_root_datum("A2"))
-        args = (ctx.label, ctx.gen_matrices, ctx.pos_roots, ctx.coroots)
+        args = (ctx.label, ctx.n_gens, ctx.pos_roots, ctx.coroots)
         assert ReflectionContext(*args, ctx.phi_mat, 6).phi_simple == (0, 1)
         with pytest.raises(InvariantError, match="simple reflection"):
             ReflectionContext(*args, ctx.gen_matrices[0], 6)
         assert context_from_datum(build_root_datum("2A2")).phi_simple == (1, 0)
+
+    def test_roots_not_led_by_the_simple_roots_are_refused(self):
+        # alpha_0 + alpha_1 first: its reflection sends alpha_1 negative too
+        ctx = context_from_datum(build_root_datum("A2"))
+        with pytest.raises(InvariantError, match="simple roots are not listed first"):
+            ReflectionContext(ctx.label, ctx.n_gens, ctx.pos_roots[::-1], ctx.coroots[::-1],
+                              ctx.phi_mat, 6)
+
+    @pytest.mark.parametrize("label", ALL_LABELS + tuple(f"GL{n}" for n in range(1, 10)))
+    def test_simple_reflections_match_their_matrices_written_out(self, label):
+        n = gl_rank(label)
+        ctx = context_from_datum(cached_datum(label)) if n is None else gl_context(n)
+        assert [list(map(list, m)) for m in ctx.gen_matrices] == simple_reflection_matrices(label)
+        for i in range(ctx.n_gens):
+            assert ctx.reflection_perm_of_root(i) == ctx.gen_perms[i]
 
 
 class TestDegrees:
