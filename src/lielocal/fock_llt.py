@@ -34,8 +34,10 @@ every G.
 
 A Fock vector is a coefficient map: a dict from (partition, v-exponent) to a
 nonzero int.  Multiplying by a power of v or applying v -> 1/v re-keys it,
-and adding vectors adds ints.  The straightening, the operators, the family,
-every bar application and the correction recursion work on these maps.
+and adding vectors adds ints.  An operator is given by the image of each
+basis vector, itself such a map, and one function, ``_act``, applies every
+operator: f_i and V_k in the family, each straightening step of a q-wedge,
+and the bar involution.  The correction recursion updates its maps in place.
 An entry of the finished FockMatrix, which shape_check and the output
 writers read, is a sorted tuple of (v-exponent, coefficient) pairs: () is
 zero and ((0, 1),) is one.
@@ -44,7 +46,7 @@ zero and ((0, 1),) is one.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .cyclotomic import poly_exact_div, poly_mul
@@ -261,20 +263,21 @@ def _add_box(p: Partition, row: int) -> Partition:
     return tuple(x for x in padded if x > 0)
 
 
-def _f_terms(p: Partition, i: int, d: int) -> list[tuple[Partition, int, int]]:
-    """f_i|p> as terms (target, v-exponent, coefficient): one box of residue
-    i added; the exponent counts addable minus removable i-boxes in strictly
-    higher rows."""
+def _f_terms(p: Partition, i: int, d: int) -> FockVector:
+    """f_i|p> as a coefficient map: one box of residue i added; the exponent
+    counts addable minus removable i-boxes in strictly higher rows."""
     addable = _cells_with_residue(p, d, i, addable=True)
     removable = _cells_with_residue(p, d, i, addable=False)
-    return [(_add_box(p, row),
-             sum(1 for r in addable if r < row) - sum(1 for r in removable if r < row), 1)
-            for row in addable]
+    out: FockVector = {}
+    for row in addable:
+        shift = sum(1 for r in addable if r < row) - sum(1 for r in removable if r < row)
+        add_term(out, (_add_box(p, row), shift), 1)
+    return out
 
 
-def _strip_terms(p: Partition, k: int, d: int) -> list[tuple[Partition, int, int]]:
-    """V_k|p> as terms (target, v-exponent, coefficient): a horizontal
-    d-ribbon strip of spin s adds (-1)^s v^-s |target>.
+def _strip_terms(p: Partition, k: int, d: int) -> FockVector:
+    """V_k|p> as a coefficient map: a horizontal d-ribbon strip of spin s
+    adds (-1)^s v^-s |target>.
 
     A horizontal d-ribbon strip is a skew shape with the same d-core whose
     d-quotient grows by ordinary horizontal strips totalling k boxes.
@@ -284,7 +287,7 @@ def _strip_terms(p: Partition, k: int, d: int) -> list[tuple[Partition, int, int
     # distribute k boxes over the d quotient components
     componentwise = [{size: _horizontal_strip_additions(component, size)
                       for size in range(k + 1)} for component in quotient]
-    out = []
+    out: FockVector = {}
     for split in itertools.product(range(k + 1), repeat=d):
         if sum(split) != k:
             continue
@@ -292,7 +295,7 @@ def _strip_terms(p: Partition, k: int, d: int) -> list[tuple[Partition, int, int
         for combo in itertools.product(*choices):
             target = _partition_from_core_quotient(core, combo, d, slots)
             spin = ribbon_strip_spin(target, p, d)
-            out.append((target, -spin, -1 if spin % 2 else 1))
+            add_term(out, (target, -spin), -1 if spin % 2 else 1)
     return out
 
 
@@ -309,28 +312,15 @@ def _by_label(vec: FockVector) -> dict[Partition, dict[int, int]]:
     return out
 
 
-def _act(vec: FockVector, terms_of) -> FockVector:
-    """The image of vec under the operator with |p> -> terms_of(p), a list
-    of (target, v-exponent, coefficient)."""
-    out: FockVector = {}
+def _act(vec: dict, image) -> dict:
+    """The image of vec under the operator with |p> -> image(p), each a
+    coefficient map: v^e |p> goes to v^e image(p)."""
+    out: dict = {}
     for (p, e), c in vec.items():
-        for target, shift, sign in terms_of(p):
+        for (target, shift), x in image(p).items():
             key = (target, e + shift)
-            out[key] = out.get(key, 0) + sign * c
+            out[key] = out.get(key, 0) + c * x
     return _nonzero(out)
-
-
-def _memo(terms, d: int):
-    """terms(p, k, d) as a function of (p, k) that computes each value once."""
-    table: dict[tuple[Partition, int], list] = {}
-
-    def lookup(p: Partition, k: int) -> list:
-        hit = table.get((p, k))
-        if hit is None:
-            hit = table[p, k] = terms(p, k, d)
-        return hit
-
-    return lookup
 
 
 def _quantum_factorial(k: int) -> list[int]:
@@ -384,7 +374,7 @@ def ladder_sequence(p: Partition, d: int) -> list[tuple[int, int]]:
 
 def _ladder_monomial(kappa: Partition, d: int, f_terms) -> FockVector:
     """A(kappa) = f_{i_m}^{(k_m)} ... f_{i_1}^{(k_1)} |empty> along ladders,
-    with f_i|p> listed by f_terms(p, i)."""
+    with f_i|p> given by f_terms(p, i)."""
     check(is_d_regular(kappa, d), "ladder monomials need d-regular partitions")
     vec: FockVector = {((), 0): 1}
     for residue, count in ladder_sequence(kappa, d):
@@ -397,8 +387,8 @@ def bar_invariant_family(n: int, d: int) -> dict[Partition, FockVector]:
     monomial of the regular part; each member is fixed by the bar involution.
 
     The f_i and V_k images of one partition recur across the family, so
-    their terms are listed once per family and looked up after that."""
-    f_terms, strip_terms = _memo(_f_terms, d), _memo(_strip_terms, d)
+    each is computed once per family and looked up after that."""
+    f_terms, strip_terms = cache(partial(_f_terms, d=d)), cache(partial(_strip_terms, d=d))
     out = {}
     for p in partitions(n):
         kappa, nu = regular_singular_split(p, d)
@@ -530,12 +520,7 @@ def _bar_columns(labels, slots: int, d: int) -> dict[Partition, FockVector]:
         k = [(label[j] if j < len(label) else 0) - j for j in range(slots)]
         wedge = {((k[0],), 0): 1}
         for x in k[1:]:
-            grown: dict = {}
-            for (normal, e), c in wedge.items():
-                for (out, e_out), c_out in _insert(normal, x, d, memo).items():
-                    term = (out, e + e_out)
-                    grown[term] = grown.get(term, 0) + c * c_out
-            wedge = _nonzero(grown)
+            wedge = _act(wedge, lambda normal: _insert(normal, x, d, memo))
         column = {(tuple(part for j, k_j in enumerate(normal) if (part := k_j + j)), e): c
                   for (normal, e), c in wedge.items()}
         diagonal = {e: c for (mu, e), c in column.items() if mu == label}
@@ -548,13 +533,9 @@ def _bar_columns(labels, slots: int, d: int) -> dict[Partition, FockVector]:
 
 
 def _bar_apply(columns: dict[Partition, FockVector], vec: FockVector) -> FockVector:
-    """bar(vec) = sum c v^-e bar|p> over the terms (p, e) -> c of vec."""
-    out: FockVector = {}
-    for (p, e), c in vec.items():
-        for (mu, f), x in columns[p].items():
-            term = (mu, f - e)
-            out[term] = out.get(term, 0) + c * x
-    return _nonzero(out)
+    """bar(vec) = sum c v^-e bar|p> over the terms (p, e) -> c of vec: the
+    columns applied to vec with its exponents negated."""
+    return _act({(p, -e): c for (p, e), c in vec.items()}, columns.__getitem__)
 
 
 def llt_canonical_basis(n: int, d: int) -> FockMatrix:
@@ -575,7 +556,7 @@ def llt_canonical_basis(n: int, d: int) -> FockMatrix:
     return _cached_basis(n, d)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cached_basis(n: int, d: int) -> FockMatrix:
     """The canonical basis for (n, d), built once per process.
 

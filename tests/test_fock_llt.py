@@ -38,8 +38,8 @@ EMPTY = {((), 0): 1}
 
 
 def _f(i, d):
-    """f_i|p> as the package lists it, looked up at each call so that a
-    patched ``fock_llt._f_terms`` is the one applied."""
+    """f_i|p> as the package's coefficient map, looked up at each call so
+    that a patched ``fock_llt._f_terms`` is the one applied."""
     return lambda p: fock_llt._f_terms(p, i, d)
 
 
@@ -310,7 +310,7 @@ class TestOperators:
         # which [2]! does not divide, in f_action and in the whole basis
         f_terms = fock_llt._f_terms
         monkeypatch.setattr(fock_llt, "_f_terms",
-                            lambda p, i, d: f_terms(p, i, d) + [(p, 0, 1)])
+                            lambda p, i, d: {**f_terms(p, i, d), (p, 0): 1})
         with pytest.raises(InvariantError, match="divided power is not integral"):
             f_action(1, 2, _basis_vector((1,)), 2)
         fock_llt._cached_basis.cache_clear()

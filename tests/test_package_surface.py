@@ -131,11 +131,14 @@ def test_every_function_and_class_is_reached():
 
 
 def test_no_module_imports_fractions():
-    importers = [module for module, tree in _modules().items()
-                 for node in ast.walk(tree)
-                 if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
-                 or isinstance(node, ast.ImportFrom) and node.module == "fractions"]
-    assert not importers, "modules importing fractions: " + ", ".join(importers)
+    # nor dataclasses, whose import costs a cold query more than most of its
+    # work (cli's docstring)
+    for banned in ("fractions", "dataclasses"):
+        importers = [module for module, tree in _modules().items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) and any(a.name == banned for a in node.names)
+                     or isinstance(node, ast.ImportFrom) and node.module == banned]
+        assert not importers, f"modules importing {banned}: " + ", ".join(importers)
 
 
 def test_readme_api_block_gives_the_values_its_comments_state():
