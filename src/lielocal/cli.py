@@ -8,6 +8,12 @@ small structural integers (ranks, degrees, indices) are plain numbers.
 Exit codes: 0 on success; 1 on bad input (unknown type label, invalid
 flag combination, guard overflow); 2 when an internal mathematical
 invariant is violated, which signals a bug rather than a usage error.
+A process started with standard output closed is refused with exit 1.
+
+`run` is the process entry point (`python -m lielocal` and the `lielocal`
+script): it ends the process without interpreter teardown, with two
+fallbacks given in its docstring.  `main` returns the exit code and is
+what in-process callers use.
 
 Size guards are the module constants weyl.WEYL_GUARD (10^6 elements),
 defining_char.WEIGHT_GUARD (10^7 listed restricted weights),
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .errors import InvariantError
@@ -325,6 +332,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("error: standard output is closed", file=sys.stderr)
+        return 1
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -340,5 +350,39 @@ def main(argv=None) -> int:
         return 1
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or debugger is attached to the process,
+    or the interpreter stays open for inspection (python -i)."""
+    if (sys.flags.inspect or sys.gettrace() is not None
+            or sys.getprofile() is not None):
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook since 3.12
+    return monitoring is not None and any(  # tool ids run from 0 to 5
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def run(argv=None) -> None:
+    """Run `main(argv)` as the whole process and end it with main's exit
+    code; does not return.
+
+    After flushing stdout and stderr it ends with `os._exit`, skipping
+    interpreter teardown (freeing every object, atexit, module cleanup).
+    It takes the normal exit instead when a stream is missing or its flush
+    fails, so that the interpreter reports the failure and sets the exit
+    status as it always has, and when `_observed()`, so that a profiler,
+    coverage tool, debugger or interactive prompt still gets its turn."""
+    code = main(argv)
+    streams = (sys.stdout, sys.stderr)
+    if None not in streams and not _observed():
+        try:
+            for stream in streams:
+                stream.flush()
+        except (OSError, ValueError):
+            pass  # the normal exit below flushes again and reports it
+        else:
+            os._exit(code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

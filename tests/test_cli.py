@@ -1,8 +1,11 @@
 """The command line interface: output schemas, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -654,3 +657,116 @@ def test_weight_listing_fits_in_128_mib(argv):
                             timeout=60)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: `cli.run` flushes and ends the process with
+# `os._exit`, except when a stream is missing, a tracer or profiler is set,
+# or Python runs with -i
+
+
+def _buffered_env() -> dict:
+    """The test's environment, with stdout block-buffered in the child (so
+    that output left in a buffer at exit would be lost) and argparse's help
+    width fixed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["COLUMNS"] = "80"
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "A5", "--q", "8"],            # 2.8 MB, several _emit batches
+    ["llt", "--n", "8", "--d", "2", "--csv"],  # written by sys.stdout.write
+    ["order", "A2", "--q", "6"],             # exit 1, message on stderr
+    ["--help"],
+])
+def test_process_prints_what_main_prints(capsysbinary, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(argv)
+    captured = capsysbinary.readouterr()
+    result = subprocess.run([sys.executable, "-m", "lielocal", *argv],
+                            capture_output=True, env=_buffered_env(),
+                            check=False, timeout=60)
+    assert result.returncode == code
+    assert result.stdout == captured.out
+    assert result.stderr == captured.err
+
+
+@pytest.mark.parametrize("argv", [["order", "A2"],
+                                  ["llt", "--n", "3", "--d", "2", "--csv"]])
+def test_closed_stdout_is_refused(argv):
+    # the shell closes file descriptor 1 before Python starts
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "lielocal", *argv],
+        stderr=subprocess.PIPE, text=True, check=False, timeout=60)
+    assert (result.returncode, result.stderr) == (1, "error: standard output is closed\n")
+
+
+# Registers an atexit handler, sets the hook named by argv[1], then runs the
+# entry point.  `monitoring` stands in for a `sys.monitoring` tool, through
+# which cProfile profiles since Python 3.12.
+_ENTRY_WITH_ATEXIT = """
+import atexit, os, sys, types
+from lielocal import cli
+atexit.register(os.write, 2, b"atexit ran")
+hook = sys.argv[1]
+if hook == "profile":
+    sys.setprofile(lambda frame, event, arg: None)
+elif hook == "trace":
+    sys.settrace(lambda frame, event, arg: None)
+elif hook == "monitoring":
+    sys.monitoring = types.SimpleNamespace(
+        get_tool=lambda tool: "profiler" if tool == 2 else None)
+cli.run(["order", "A2"])
+"""
+
+
+@pytest.mark.parametrize("hook, teardown", [("none", False), ("profile", True),
+                                            ("trace", True), ("monitoring", True)])
+def test_teardown_runs_only_under_a_tracer_or_profiler(hook, teardown):
+    result = subprocess.run([sys.executable, "-c", _ENTRY_WITH_ATEXIT, hook],
+                            capture_output=True, text=True, env=_buffered_env(),
+                            check=False, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["type"] == "A2"
+    assert result.stderr == ("atexit ran" if teardown else "")
+
+
+def test_cprofile_still_prints_its_table():
+    result = subprocess.run([sys.executable, "-m", "cProfile", "-m", "lielocal",
+                             "order", "A2"], capture_output=True, text=True,
+                            env=_buffered_env(), check=False, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert '"type": "A2"' in result.stdout
+    assert "function calls" in result.stdout
+
+
+def test_python_i_still_reaches_its_prompt():
+    result = subprocess.run([sys.executable, "-i", "-m", "lielocal", "order", "A2"],
+                            stdin=subprocess.DEVNULL, capture_output=True,
+                            text=True, env=_buffered_env(), check=False, timeout=60)
+    assert json.loads(result.stdout)["type"] == "A2"
+    assert ">>>" in result.stderr
+
+
+def _called_at_top_level(path: pathlib.Path) -> list[str]:
+    """The functions a module calls by name at its top level, or in its
+    `if __name__ == "__main__"` block."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    statements = [*tree.body, *(s for node in tree.body
+                                if isinstance(node, ast.If) for s in node.body)]
+    return [s.value.func.id for s in statements
+            if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
+            and isinstance(s.value.func, ast.Name)]
+
+
+def test_every_launcher_calls_the_script_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        entry = tomllib.load(handle)["project"]["scripts"]["lielocal"]
+    module, _, name = entry.partition(":")
+    assert module == "lielocal.cli" and callable(getattr(cli, name))
+    package = pathlib.Path(cli.__file__).parent
+    assert _called_at_top_level(package / "__main__.py") == [name]
+    assert _called_at_top_level(package / "cli.py") == [name]

@@ -1,9 +1,9 @@
 """Every top-level function and class of the package is reached from a user.
 
-The users are the `lielocal` command (every `cli._run_*` handler and
-`cli.main`), the `lielocal` names that perfbench/session.py imports, the
-functions that perfbench/tracer.py wraps (its TARGETS), and the imports
-in the README's Python API block.  A name that only tests reach belongs in
+The users are the `lielocal` command (every `cli._run_*` handler and the
+entry point that `__main__.py` imports), the `lielocal` names that
+perfbench/session.py imports, the functions that perfbench/tracer.py wraps
+(its TARGETS), and the imports in the README's Python API block.  A name that only tests reach belongs in
 a test oracle, not in the package.
 
 The reach is read from the source with `ast`: a top-level definition
@@ -104,7 +104,8 @@ def _readme_api_imports() -> set[tuple[str, str]]:
 
 def _roots() -> set[tuple[str, str]]:
     roots = {("cli", name) for name in _definitions(_modules()["cli"])
-             if name.startswith("_run_") or name == "main"}
+             if name.startswith("_run_")}
+    roots |= set(_relative_imports(_modules()["__main__"].body).values())
     roots |= _lielocal_imports(_parse(os.path.join(PERFBENCH, "session.py")))
     roots |= {tuple(target.split(".")[:2]) for target in _tracer_targets()}
     return roots | _readme_api_imports()
